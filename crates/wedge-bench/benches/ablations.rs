@@ -1,4 +1,5 @@
-//! Ablations of WedgeChain's design decisions (DESIGN.md §6).
+//! Ablations of WedgeChain's design decisions (the three ideas at the
+//! top of the root README).
 //!
 //! 1. **Data-free certification** (§IV-B): digests vs full blocks on
 //!    the edge→cloud path — WAN bytes and Phase-II latency.

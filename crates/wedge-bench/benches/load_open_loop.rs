@@ -273,7 +273,8 @@ fn main() {
         "open-loop zipf+uniform load: throughput and latency percentiles, threaded vs net",
     );
     // Defaults hold the offered load under the batch_size-1 sealing
-    // capacity (~250 ops/s with real crypto per block), so the
+    // capacity (~1 000 blocks/s per edge with real crypto: what
+    // `benchmark`'s closed-loop `put_b1` reads on two cores), so the
     // percentiles measure the serving path, not saturation queueing.
     // Crank LOAD_RATE past capacity to study overload instead.
     let ops = env_u64("LOAD_OPS", 3_000);

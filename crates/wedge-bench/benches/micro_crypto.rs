@@ -1,8 +1,9 @@
 //! Microbenches of the cryptographic substrate.
 //!
 //! These quantify the constants behind the cost model: SHA-256
-//! throughput (data-free certification hashes each block once),
-//! Schnorr sign/verify (every receipt and proof), and Merkle
+//! throughput (data-free certification hashes each block once), the
+//! field multiply and exponentiation under Schnorr, Schnorr
+//! sign/verify (every receipt and proof), and Merkle
 //! build/prove/verify (every LSMerkle level and read proof).
 
 // Bench targets print their tables to stdout by design.
@@ -10,7 +11,9 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use wedge_bench::bench_fn;
+use wedge_bench::{bench_fn, record_x1000};
+use wedge_crypto::modmath::{modpow, mulmod};
+use wedge_crypto::schnorr::{G, P, Q};
 use wedge_crypto::{sha256, Keypair, MerkleTree, Sha256};
 
 fn bench_sha256() {
@@ -26,6 +29,7 @@ fn bench_sha256() {
         let dt = t0.elapsed();
         let mbs = (reps * size) as f64 / dt.as_secs_f64() / 1e6;
         println!("sha256/{size:<40} {mbs:>10.1} MB/s");
+        record_x1000(&format!("sha256/{size}_mb_s_x1000"), mbs);
     }
 
     bench_fn("sha256_incremental_1mb_in_4k_chunks", 40, || {
@@ -36,6 +40,23 @@ fn bench_sha256() {
         }
         black_box(h.finalize())
     });
+}
+
+/// One call is well under a microsecond: time a dependent chain of
+/// `CHAIN` and record the per-call figure.
+fn bench_modmath() {
+    println!("\n-- modmath --");
+    const CHAIN: u32 = 1000;
+    let (a, b) = (P - 0x1234_5678_9abc_def0, Q + 0x0fed_cba9_8765_4321);
+    bench_fn("mulmod_p_x1000", 40, || {
+        (0..CHAIN).fold(black_box(a), |acc, _| mulmod(acc, black_box(b), P))
+    });
+    let chain = wedge_bench::recorded_results().pop().expect("just recorded");
+    let per_call = chain.median_ns / u128::from(CHAIN);
+    println!("{:<48} {per_call:>8} ns/call", "mulmod_p");
+    wedge_bench::record_ns("mulmod_p", per_call);
+    // Alternating exponent bits: the multiply count of a typical scalar.
+    bench_fn("modpow_p", 40, || modpow(black_box(G), black_box(Q / 3), P));
 }
 
 fn bench_schnorr() {
@@ -71,6 +92,7 @@ fn bench_merkle() {
 
 fn main() {
     bench_sha256();
+    bench_modmath();
     bench_schnorr();
     bench_merkle();
     wedge_bench::write_json("micro_crypto");

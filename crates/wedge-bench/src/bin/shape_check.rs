@@ -427,6 +427,45 @@ fn check_table1_rtt(a: &Artifact, failures: &mut Vec<Failure>) {
     }
 }
 
+fn check_micro_crypto(a: &Artifact, failures: &mut Vec<Failure>) {
+    for size in [64u64, 1024, 16 * 1024, 256 * 1024] {
+        if require(a, &format!("sha256/{size}_mb_s_x1000"), failures) == 0 {
+            failures.push(format!("sha256/{size}: zero throughput"));
+        }
+    }
+    let mul = require(a, "mulmod_p", failures);
+    let pow = require(a, "modpow_p", failures);
+    let sign = require(a, "schnorr_sign_256b", failures);
+    let verify = require(a, "schnorr_verify_256b", failures);
+    // A 126-bit exponent is ~190 multiplies by square-and-multiply,
+    // and the ladder takes longer on a square than on the chain's
+    // fixed operand.
+    if pow > mul.max(1) * 600 {
+        failures.push(format!("modpow_p {pow} ns is over 600 mulmod_p ({mul} ns)"));
+    }
+    // The generator's table is what a signature rests on: 31 multiplies
+    // and three hashes must cost well under one plain exponentiation.
+    if sign * 2 > pow {
+        failures.push(format!("schnorr sign {sign} ns is over half a modpow_p ({pow} ns)"));
+    }
+    // A check is one table walk, one plain exponentiation and a hash.
+    if verify > pow * 2 {
+        failures.push(format!("schnorr verify {verify} ns is over two modpow_p ({pow} ns)"));
+    }
+    // The committed PR-12 snapshot also carries the parent commit's
+    // figures as `before/<name>`, taken alternately on the same host.
+    // A signature lost five of its six parts, a check one of its two
+    // exponentiations: hold them to 5x and 1.3x.
+    for (name, tenths) in [("schnorr_sign_256b", 50), ("schnorr_verify_256b", 13)] {
+        if let Some(&before) = a.metrics.get(&format!("before/{name}")) {
+            let after = require(a, name, failures);
+            if after * tenths > before * 10 {
+                failures.push(format!("{name}: {before} ns -> {after} ns is under {tenths}/10x"));
+            }
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
@@ -447,6 +486,7 @@ fn main() -> ExitCode {
         match artifact.bench.as_str() {
             "compaction_decay" => check_compaction_decay(&artifact, &mut failures),
             "merge_cpu_parallel" => check_merge_cpu_parallel(&artifact, &mut failures),
+            "micro_crypto" => check_micro_crypto(&artifact, &mut failures),
             "merge_reply_bytes" => check_merge_reply_bytes(&artifact, &mut failures),
             "merge_request_bytes" => check_merge_request_bytes(&artifact, &mut failures),
             "fig4_batch_size" => check_fig4_batch_size(&artifact, &mut failures),

@@ -3,10 +3,10 @@
 //! Each bench target regenerates one table or figure of the paper: it
 //! sweeps the paper's parameters, runs the three systems on the
 //! deterministic simulator, and prints the same rows/series the paper
-//! plots. Absolute numbers depend on the calibrated cost model
-//! (DESIGN.md §2); the *shape* — who wins, by what factor, where the
-//! crossovers are — is the reproduction target recorded in
-//! EXPERIMENTS.md.
+//! plots. Absolute numbers depend on the calibrated cost model (root
+//! README, "Substitutions"); the *shape* — who wins, by what factor,
+//! where the crossovers are — is the reproduction target, and the
+//! `shape_check` binary asserts it on the JSON artifacts.
 
 #![forbid(unsafe_code)]
 // Bench reporting prints by design: stdout is the table the paper

@@ -5,8 +5,8 @@
 //! exactly as it does on the paper's m5d.xlarge machines. The constants
 //! below are calibrated so the three systems land near the paper's
 //! headline numbers (Fig 4a: WedgeChain ~15–20 ms, Cloud-only
-//! ~78–83 ms, Edge-baseline ~109–213 ms); DESIGN.md §2 explains why
-//! matching the *shape* is the goal.
+//! ~78–83 ms, Edge-baseline ~109–213 ms); the root README's
+//! "Substitutions" explains why matching the *shape* is the goal.
 //!
 //! All costs are in nanoseconds of virtual time.
 

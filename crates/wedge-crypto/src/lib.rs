@@ -12,8 +12,10 @@
 //!   nonces.
 //! - [`schnorr`]: Schnorr signatures over a 127-bit safe-prime group.
 //!   Structurally identical to the production signatures the paper
-//!   assumes (sign with secret, verify with public); see DESIGN.md §2
-//!   for the strength caveat.
+//!   assumes (sign with secret, verify with public); see the root
+//!   README's "Substitutions" for the strength caveat. The arithmetic
+//!   under it is [`modmath`]: `u128` modular arithmetic and windowed
+//!   exponentiation.
 //! - [`merkle`]: domain-separated Merkle trees with inclusion proofs
 //!   and the LSMerkle *global root* combinator.
 //! - [`keys`]: identities and a revocation-aware key registry — the

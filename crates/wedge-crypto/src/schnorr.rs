@@ -8,19 +8,53 @@
 //! with `p = 2q + 1` (both prime, found by Miller-Rabin search).
 //!
 //! **Security note.** A 127-bit discrete-log group is *not* production
-//! strength. It is structurally identical to a production scheme — sign
-//! with a secret scalar, verify with a public group element, no shared
-//! secrets — which is what the reproduction needs: the protocol's code
-//! paths, message sizes and relative costs are exercised faithfully.
-//! See DESIGN.md §2 for the substitution rationale.
+//! strength, and the arithmetic is not constant-time. It is
+//! structurally identical to a production scheme — sign with a secret
+//! scalar, verify with a public group element, no shared secrets —
+//! which is what the reproduction needs: the protocol's code paths,
+//! message sizes and relative costs are exercised faithfully. The root
+//! README's "Substitutions" section holds the rationale.
 //!
 //! Nonces are derived deterministically (RFC 6979-style) via
 //! HMAC-SHA256 of the secret key and message, so signing never needs an
-//! external RNG and signatures are reproducible across runs.
+//! external RNG and signatures are reproducible across runs. They are
+//! also pinned: `tests/kat.rs` holds public keys and signatures
+//! generated before the generator got its table, and any change here
+//! must reproduce them byte for byte.
+//!
+//! # Cost
+//!
+//! A field multiply is [`crate::modmath::mulmod`]'s double-and-add
+//! ladder, and it is all of a signature's cost but a few hashes:
+//!
+//! - `g^k` (`sign`, `from_seed`) and `g^s` (`verify`) take 31
+//!   multiplies and no squarings from the generator's 8 KB
+//!   [`WindowTable`], built at compile time with a row for every
+//!   4-bit window. Square-and-multiply took ~190.
+//! - `y^(q−e)` (`verify`) is still square-and-multiply, ~190
+//!   multiplies, and so most of a check. A deployment has a handful of
+//!   identities, each verified thousands of times: a four-row table
+//!   per key built at [`crate::KeyRegistry::register`] (1 KB; 32
+//!   multiplies and 28 squarings per check) is ROADMAP item 2's next
+//!   step, and [`WindowTable`] already takes the row count. Its rows
+//!   are Straus's trick within one exponent — 32-bit slices raised in
+//!   one interleaved pass that shares the squarings. Interleaving
+//!   `g^s` into that pass as well would share nothing: the generator's
+//!   table leaves `g^s` no squarings to share, so `verify` multiplies
+//!   two walks together.
+//!
+//! **Batch verification is not possible for this signature form.** The
+//! random-linear-combination check (`g^Σaᵢsᵢ = Π Rᵢ^aᵢ · yᵢ^aᵢeᵢ`)
+//! combines the commitments `Rᵢ`; an `(e, s)` signature does not carry
+//! `R`, and recovering it *is* the per-signature double exponentiation
+//! the batch was meant to save. Carrying `(R, s)` instead would change
+//! every signed message on the wire (`WIRE_ABI.lock`) and the pinned
+//! table. Signatures are checked one by one; `wedge-pool` spreads the
+//! checks of a batch over cores.
 
 use crate::digest::Digest;
 use crate::hmac::hmac_sha256;
-use crate::modmath::{addmod, modpow, mulmod, submod};
+use crate::modmath::{addmod, modpow, mulmod, submod, WindowTable};
 use crate::sha256::sha256_concat;
 use std::fmt;
 
@@ -30,6 +64,12 @@ pub const P: u128 = 0x4000_0000_0000_0000_0000_0000_0000_0337;
 pub const Q: u128 = 0x2000_0000_0000_0000_0000_0000_0000_019b;
 /// Generator of the order-`q` subgroup (a quadratic residue mod `p`).
 pub const G: u128 = 4;
+
+const _: () = assert!(P == 2 * Q + 1);
+
+/// The generator's table: a row per window, so `g^k` needs no
+/// squarings. Evaluated at compile time.
+static G_TABLE: WindowTable<32> = WindowTable::new(G, P);
 
 /// A secret signing key: a scalar in `[1, q)`.
 #[derive(Clone, PartialEq, Eq)]
@@ -66,7 +106,7 @@ impl Keypair {
         let d = sha256_concat(&[b"wedge-keygen-v1", seed]);
         // Reduce into [1, q). The 2^-126 bias is irrelevant here.
         let x = d.to_u128() % (Q - 1) + 1;
-        let y = modpow(G, x, P);
+        let y = G_TABLE.pow(x);
         Keypair { secret: SecretKey { x }, public: PublicKey { y } }
     }
 
@@ -80,7 +120,7 @@ impl Keypair {
         // k = HMAC(x, m) reduced into [1, q): unique per (key, message).
         let k_digest = hmac_sha256(&self.secret.x.to_be_bytes(), message);
         let k = k_digest.to_u128() % (Q - 1) + 1;
-        let r = modpow(G, k, P);
+        let r = G_TABLE.pow(k);
         let e = challenge(r, message);
         // s = k + x·e mod q
         let s = addmod(k, mulmod(self.secret.x, e, Q), Q);
@@ -101,9 +141,8 @@ impl PublicKey {
         if self.y == 0 || self.y == 1 || self.y >= P {
             return false;
         }
-        let g_s = modpow(G, sig.s, P);
-        let y_inv_e = modpow(self.y, submod(0, sig.e % Q, Q), P);
-        let r_v = mulmod(g_s, y_inv_e, P);
+        let y_inv_e = modpow(self.y, submod(0, sig.e, Q), P);
+        let r_v = mulmod(G_TABLE.pow(sig.s), y_inv_e, P);
         challenge(r_v, message) == sig.e
     }
 
@@ -166,6 +205,7 @@ impl fmt::Debug for SecretKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modmath::testing::Rng;
 
     #[test]
     fn group_parameters_are_consistent() {
@@ -173,6 +213,18 @@ mod tests {
         // g generates the order-q subgroup: g^q == 1, g != 1.
         assert_eq!(modpow(G, Q, P), 1);
         assert_ne!(modpow(G, 1, P), 1);
+    }
+
+    #[test]
+    fn generator_table_matches_plain_pow() {
+        for k in [0, 1, 2, Q - 1, Q, u128::MAX] {
+            assert_eq!(G_TABLE.pow(k), modpow(G, k, P), "g^{k:#x}");
+        }
+        let mut rng = Rng(1);
+        for _ in 0..500 {
+            let k = rng.u128() % Q;
+            assert_eq!(G_TABLE.pow(k), modpow(G, k, P), "g^{k:#x}");
+        }
     }
 
     #[test]
