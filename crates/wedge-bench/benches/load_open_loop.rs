@@ -1,5 +1,5 @@
-//! Open-loop load harness over the two real-time runtimes
-//! (`ThreadedCluster` and `NetCluster`), plus an allocation audit of
+//! Open-loop load harness over the two real-time transports (one
+//! `Cluster` on threads, one on TCP), plus an allocation audit of
 //! the encode path (ROADMAP open item 5, load-harness half).
 //!
 //! Unlike the closed-loop figure benches, arrivals here follow a
@@ -36,11 +36,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wedge_bench::{banner, record_ns, record_x1000, write_json};
+use wedge_core::driver::{Cluster, RuntimeConfig, Transport};
 use wedge_core::messages::WireMsg;
-use wedge_core::threaded::{ThreadedCluster, ThreadedConfig};
+use wedge_core::metrics::LatencyStats;
+use wedge_core::threaded::Threads;
 use wedge_crypto::Identity;
 use wedge_log::Entry;
-use wedge_net::{NetCluster, NetConfig};
+use wedge_net::Tcp;
 use wedge_sim::SimRng;
 use wedge_workload::{KeyDist, KeySampler};
 
@@ -136,56 +138,16 @@ fn bench_encode_allocs() {
 
 // --- the open-loop harness ----------------------------------------------
 
-/// The operations the load harness drives, implemented by both
-/// real-time runtimes.
-trait LoadTarget: Send + Sync + 'static {
-    fn do_put(&self, edge: usize, key: u64, value: Vec<u8>);
-    fn do_get(&self, edge: usize, key: u64);
-}
-
-impl LoadTarget for ThreadedCluster {
-    fn do_put(&self, edge: usize, key: u64, value: Vec<u8>) {
-        // batch_size 1: every put seals and returns its Phase-I reply.
-        let reply = self.put_on(edge, key, value);
-        assert!(reply.is_some(), "batch_size 1 always replies");
-    }
-
-    fn do_get(&self, edge: usize, key: u64) {
-        self.get_on(edge, key).expect("verified read");
-    }
-}
-
-impl LoadTarget for NetCluster {
-    fn do_put(&self, edge: usize, key: u64, value: Vec<u8>) {
-        let reply = self.put_on(edge, key, value);
-        assert!(reply.is_some(), "batch_size 1 always replies");
-    }
-
-    fn do_get(&self, edge: usize, key: u64) {
-        self.get_on(edge, key).expect("verified read");
-    }
-}
-
 /// Latency samples (ns, from scheduled arrival to completion) split
 /// by operation type, plus the wall-clock the run took.
 struct LoadResult {
-    put_ns: Vec<u64>,
-    get_ns: Vec<u64>,
+    put_ns: LatencyStats,
+    get_ns: LatencyStats,
     elapsed: Duration,
 }
 
-/// Exact percentile from recorded samples (nearest-rank on the sorted
-/// vector) — no histogram buckets, no interpolation error.
-fn pctl(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn run_load<T: LoadTarget>(
-    cluster: &Arc<T>,
+fn run_load<T: Transport>(
+    cluster: &Arc<Cluster<T>>,
     partitions: usize,
     total_ops: u64,
     rate_per_s: u64,
@@ -222,10 +184,12 @@ fn run_load<T: LoadTarget>(
                         let key =
                             if i % 2 == 0 { zipf.sample(&mut rng) } else { unif.sample(&mut rng) };
                         if i % 5 == 4 {
-                            cluster.do_get(edge, key);
+                            cluster.get_on(edge, key).expect("verified read");
                             get_ns.push(due.elapsed().as_nanos() as u64);
                         } else {
-                            cluster.do_put(edge, key, vec![(key % 251) as u8; 64]);
+                            // batch_size 1: every put seals and replies.
+                            let reply = cluster.put_on(edge, key, vec![(key % 251) as u8; 64]);
+                            assert!(reply.is_some(), "batch_size 1 always replies");
                             put_ns.push(due.elapsed().as_nanos() as u64);
                         }
                     }
@@ -238,32 +202,31 @@ fn run_load<T: LoadTarget>(
         }
     });
     let elapsed = start.elapsed();
-    let mut put_ns: Vec<u64> = results.iter().flat_map(|(p, _)| p.iter().copied()).collect();
-    let mut get_ns: Vec<u64> = results.iter().flat_map(|(_, g)| g.iter().copied()).collect();
-    put_ns.sort_unstable();
-    get_ns.sort_unstable();
+    let mut put_ns = LatencyStats::new();
+    let mut get_ns = LatencyStats::new();
+    for (puts, gets) in results {
+        puts.into_iter().for_each(|ns| put_ns.record(ns as f64));
+        gets.into_iter().for_each(|ns| get_ns.record(ns as f64));
+    }
     LoadResult { put_ns, get_ns, elapsed }
 }
 
-fn report(rt: &str, r: &LoadResult) {
-    let ops = (r.put_ns.len() + r.get_ns.len()) as f64;
+fn report(rt: &str, r: &mut LoadResult) {
+    let ops = (r.put_ns.count() + r.get_ns.count()) as f64;
     let kops = ops / r.elapsed.as_secs_f64() / 1000.0;
     println!("{rt:<9} {:>7} ops in {:>8.2?}  ({kops:.2} K ops/s)", ops as u64, r.elapsed);
     record_x1000(&format!("{rt}_throughput_kops_x1000"), kops);
-    for (op, samples) in [("put", &r.put_ns), ("get", &r.get_ns)] {
-        let us = |q| pctl(samples, q) as f64 / 1000.0;
+    for (op, samples) in [("put", &mut r.put_ns), ("get", &mut r.get_ns)] {
+        let [p50, p95, p99, p999] = [0.50, 0.95, 0.99, 0.999].map(|q| samples.quantile(q) / 1000.0);
         println!(
-            "  {op}: p50 {:>9.1}us  p95 {:>9.1}us  p99 {:>9.1}us  p999 {:>9.1}us  (n={})",
-            us(0.50),
-            us(0.95),
-            us(0.99),
-            us(0.999),
-            samples.len()
+            "  {op}: p50 {p50:>9.1}us  p95 {p95:>9.1}us  p99 {p99:>9.1}us  p999 {p999:>9.1}us  \
+             (n={})",
+            samples.count()
         );
-        record_x1000(&format!("{rt}_{op}_p50_us_x1000"), us(0.50));
-        record_x1000(&format!("{rt}_{op}_p95_us_x1000"), us(0.95));
-        record_x1000(&format!("{rt}_{op}_p99_us_x1000"), us(0.99));
-        record_x1000(&format!("{rt}_{op}_p999_us_x1000"), us(0.999));
+        record_x1000(&format!("{rt}_{op}_p50_us_x1000"), p50);
+        record_x1000(&format!("{rt}_{op}_p95_us_x1000"), p95);
+        record_x1000(&format!("{rt}_{op}_p99_us_x1000"), p99);
+        record_x1000(&format!("{rt}_{op}_p999_us_x1000"), p999);
     }
 }
 
@@ -288,27 +251,21 @@ fn main() {
     bench_encode_allocs();
     println!();
 
-    // In-process mpsc runtime.
-    let threaded = ThreadedCluster::start(ThreadedConfig {
+    let cfg = RuntimeConfig {
         num_edges: clients,
         batch_size: 1,
         pipeline_depth: 4,
-        ..ThreadedConfig::default()
-    });
-    let tr = run_load(&threaded, clients, ops, rate, keys);
-    report("threaded", &tr);
+        ..RuntimeConfig::default()
+    };
+    // In-process mpsc runtime.
+    let threaded = Cluster::<Threads>::start(cfg.clone());
+    report("threaded", &mut run_load(&threaded, clients, ops, rate, keys));
     threaded.shutdown().expect("threaded report");
 
     // Loopback-TCP runtime: same engines, real sockets, coalesced
     // framed writes.
-    let net = NetCluster::start(NetConfig {
-        num_edges: clients,
-        batch_size: 1,
-        pipeline_depth: 4,
-        ..NetConfig::default()
-    });
-    let nr = run_load(&net, clients, ops, rate, keys);
-    report("net", &nr);
+    let net = Cluster::<Tcp>::start(cfg);
+    report("net", &mut run_load(&net, clients, ops, rate, keys));
     let net_report = net.shutdown().expect("net report");
     println!(
         "net wire: {} frames in {} writes ({} coalesced), {} failed",

@@ -1,27 +1,183 @@
-//! Transport-independent driver scaffolding shared by the runtime
-//! drivers (the threaded runtime here in `wedge-core`, the socket
-//! runtime in `wedge-net`).
+//! The runtime skeleton every real-time transport shares.
 //!
-//! A runtime driver has two halves: a *transport* (channels, sockets —
-//! different per runtime) and a *completion router* that correlates
-//! engine events back to in-process callers (identical per runtime).
-//! This module owns the identical half, so a fix to completion routing
-//! lands once:
+//! A WedgeChain runtime is the three sans-IO engines plus some way to
+//! move [`WireMsg`]s between them. Everything except that last part
+//! lives here, written once:
 //!
-//! - [`ClientCompletions`] — caller-reply bookkeeping around a
-//!   [`ClientEngine`]: queued batches draining into pipeline slots,
-//!   Phase-I/Phase-II/read completion channels, dispute verdicts;
-//! - [`recv_until`] / [`elapsed_ns`] — the deadline-into-receive-
-//!   timeout discipline every service loop uses to consume
-//!   `next_deadline_ns()`.
+//! - [`RuntimeConfig`] and the node builder: derived identities, the
+//!   key registry, the cloud index with one `init_edge` per partition,
+//!   the three engines and the process-wide read-proof cache;
+//! - [`Cluster`], generic over a [`Transport`]: the caller API
+//!   (`put_on`, `try_put_on`, `flush_on`, `get_on`, `log_read_on`) and
+//!   [`Cluster::shutdown`], which returns one [`RunReport`];
+//! - one service loop per role (`edge_service`, `client_service`,
+//!   `cloud_service`), generic over a [`Link`]. Each wakeup blocks
+//!   until a message arrives or the engine's `next_deadline_ns()`
+//!   passes, drains up to `DRAIN_BUDGET` more messages without
+//!   blocking, routes engine effects onto links, `Tick`s when the
+//!   deadline is due and flushes every link once — so frames a wakeup
+//!   queues for one peer can leave together;
+//! - the cloud→edge gate (`CloudGate`), the one backpressure policy.
+//!
+//! **Backpressure.** Cloud and edge inboxes are bounded. Client→edge
+//! and edge→cloud deliveries block on a full inbox, which pushes back
+//! on the sender (on sockets, through TCP flow control). The cloud
+//! never blocks toward an edge: its messages pass the edge's gate,
+//! which *sheds* droppable traffic (gossip and freshness refreshes —
+//! the next round re-issues them) and *defers* critical traffic
+//! (proofs, merge results) to a per-edge flusher thread that delivers
+//! it in order once the inbox has room. Both are counted in the
+//! report. Client inboxes are unbounded on purpose: they break the
+//! client→edge→cloud→client blocking cycle, and their volume is
+//! bounded by each client's own pipeline.
+//!
+//! A transport supplies only [`Transport::connect`] — a two-way
+//! connection whose arriving messages enter the receiving node's
+//! [`Inlet`] — and [`Transport::close`]. The threaded runtime's
+//! transport hands each sender the receiver's inlet itself; `wedge-net`
+//! puts a loopback socket and a reader thread at each end.
 
-use crate::engine::{ClientCommand, ClientEffect, ClientEngine, ClientEvent, GetOutcome};
+use crate::config::CryptoMode;
+use crate::cost::CostModel;
+use crate::engine::{
+    ClientCommand, ClientEffect, ClientEngine, ClientEvent, ClientPlan, CloudCommand, CloudEffect,
+    CloudEngine, CloudStats, EdgeCommand, EdgeEffect, EdgeEngine, EdgeStats, GetOutcome,
+};
+use crate::fault::FaultPlan;
+use crate::harness::client_workload_seed;
 use crate::messages::{AddReceipt, DisputeVerdict, WireMsg};
+use crate::metrics::ClientMetrics;
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::PoisonError;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
+};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use wedge_crypto::{Digest, Identity, IdentityId, KeyRegistry};
 use wedge_log::{BlockId, BlockProof};
+use wedge_lsmerkle::{
+    CloudIndex, CompactionStats, LsMerkle, LsmConfig, ProofError, ShardedReadProofCache,
+};
+
+/// Configuration for a [`Cluster`], whatever its transport.
+#[derive(Clone, Debug)]
+pub struct RuntimeConfig {
+    /// LSMerkle shape.
+    pub lsm: LsmConfig,
+    /// Number of edge partitions (each with an edge node, a client
+    /// node and a caller-side batcher).
+    pub num_edges: usize,
+    /// Operations per sealed block (caller-side batching).
+    pub batch_size: usize,
+    /// Injected latency per message the cloud receives, paid before
+    /// the cloud handles it.
+    pub cloud_hop_latency: Duration,
+    /// Injected processing latency per cloud→edge message at the edge
+    /// (slows the edge's drain rate; used to exercise backpressure).
+    pub edge_apply_latency: Duration,
+    /// Scripted `sealed_at_ns` per edge, in seal order. When present,
+    /// edge `p`'s block `i` seals at `seal_times[p][i]` instead of the
+    /// wall clock — this makes block digests reproducible and
+    /// comparable across runtimes (the differential tests replay the
+    /// simulator's seal times here). Falls back to the wall clock when
+    /// exhausted. Cannot combine with `cert_retry`, `merge_retry` or
+    /// `compaction_period`.
+    pub seal_times: Option<Vec<Vec<u64>>>,
+    /// Scripted misbehaviour per edge (missing entries are honest).
+    pub faults: Vec<FaultPlan>,
+    /// Cloud gossip cadence; `None` disables gossip. Engine-owned: the
+    /// cloud service only turns the deadline into a receive timeout.
+    pub gossip_period: Option<Duration>,
+    /// How long a client waits for Phase II before disputing.
+    /// Engine-owned, like gossip.
+    pub dispute_timeout: Duration,
+    /// Edge certification retry interval; `None` disables retries.
+    pub cert_retry: Option<Duration>,
+    /// Client read-freshness window (§V-D); `None` disables the check.
+    pub freshness_window: Option<Duration>,
+    /// How many put batches each client keeps in flight (≥ 1).
+    /// Receipts correlate by `req_id`, so deeper pipelines overlap
+    /// Phase-I round trips.
+    pub pipeline_depth: usize,
+    /// Edge merge-request retry interval; `None` disables retries
+    /// (trust the transport). Engine-owned, like `cert_retry`.
+    pub merge_retry: Option<Duration>,
+    /// Background compaction sweep period; `None` disables it. Each
+    /// sweep an idle edge asks the cloud to fold fragmented levels
+    /// back to whole pages. Engine-owned, like the retry clocks.
+    pub compaction_period: Option<Duration>,
+    /// Capacity of the cloud service's inbox.
+    pub cloud_inbox_cap: usize,
+    /// Capacity of each edge service's inbox (bounds cloud→edge too).
+    pub edge_inbox_cap: usize,
+    /// Per-caller admission control for [`Cluster::try_put_on`]: how
+    /// long a caller waits for Phase I before the put is *shed*
+    /// (counted in [`RunReport::puts_shed`]) instead of blocking
+    /// forever behind a full edge inbox. `None` keeps the blocking
+    /// behaviour for `try_put_on` too.
+    pub admission_timeout: Option<Duration>,
+    /// Worker-pool width for the hash/verify hot paths (cloud merge
+    /// rebuilds, edge forest rebuilds, batched signature checks).
+    /// Defaults from `WEDGE_POOL_THREADS` (1 when unset = inline).
+    /// Results are byte-identical for every width.
+    pub pool_threads: usize,
+}
+
+impl Default for RuntimeConfig {
+    fn default() -> Self {
+        RuntimeConfig {
+            lsm: LsmConfig::exposition(),
+            num_edges: 1,
+            batch_size: 4,
+            cloud_hop_latency: Duration::ZERO,
+            edge_apply_latency: Duration::ZERO,
+            seal_times: None,
+            faults: Vec::new(),
+            gossip_period: None,
+            dispute_timeout: Duration::from_secs(30),
+            cert_retry: None,
+            freshness_window: None,
+            pipeline_depth: 1,
+            merge_retry: None,
+            compaction_period: None,
+            cloud_inbox_cap: 1024,
+            edge_inbox_cap: 1024,
+            admission_timeout: None,
+            pool_threads: wedge_pool::threads_from_env(),
+        }
+    }
+}
+
+/// Identity derivation mirrors the simulator harness (cloud 1, edges
+/// 100+p, clients 1000+p) so entries and blocks are byte-identical
+/// across runtimes.
+const CLOUD_ID: u64 = 1;
+const EDGE_ID_BASE: u64 = 100;
+const CLIENT_ID_BASE: u64 = 1000;
+
+/// The edge engine's single client peer handle.
+const CLIENT_PEER: u8 = 0;
+
+/// How many extra inbox messages a service drains (non-blocking)
+/// after each blocking receive, before ticking and flushing its links.
+/// The greedy drain is what lets frames for the same peer coalesce;
+/// the budget bounds how long queued responses wait for the wire.
+const DRAIN_BUDGET: usize = 32;
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
+/// Nanoseconds since the runtime's epoch (its wall-clock zero).
+fn elapsed_ns(epoch: Instant) -> u64 {
+    nanos(epoch.elapsed())
+}
+
+// ---------------------------------------------------------------------------
+// Results
+// ---------------------------------------------------------------------------
 
 /// A batch of caller-submitted KV puts, pre-signing (sequence numbers
 /// are assigned by the client engine, on its service thread).
@@ -37,123 +193,562 @@ pub struct PutReply {
     pub certified: Receiver<BlockProof>,
 }
 
-/// Nanoseconds since the runtime's epoch (its wall-clock zero).
-pub fn elapsed_ns(epoch: Instant) -> u64 {
-    epoch.elapsed().as_nanos() as u64
+/// Why [`Cluster::try_put_on`] shed a put instead of returning its
+/// Phase-I reply.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PutShed {
+    /// Phase I did not commit within the configured admission timeout.
+    /// The batch is *not* cancelled — it may still commit later; the
+    /// shed is about never wedging the caller behind a full edge
+    /// inbox.
+    AdmissionTimeout,
+    /// The client service dropped the batch (rejected by the edge, or
+    /// the dispute deadline freed the slot, or shutdown).
+    Rejected,
 }
 
-/// What one service-inbox wait produced.
-pub enum Inbox<T> {
-    /// A message arrived.
-    Msg(T),
-    /// The engine's deadline passed first: time to `Tick`.
-    Deadline,
-    /// Every sender is gone: the service should exit.
-    Disconnected,
+impl std::fmt::Display for PutShed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PutShed::AdmissionTimeout => write!(f, "put shed: admission timeout"),
+            PutShed::Rejected => write!(f, "put shed: batch rejected"),
+        }
+    }
 }
 
-/// Blocks on a service inbox until a message arrives, the engine's
-/// deadline passes, or the channel disconnects.
-pub fn recv_until<T>(rx: &Receiver<T>, deadline_ns: Option<u64>, epoch: Instant) -> Inbox<T> {
-    match deadline_ns {
-        Some(d) => {
-            let timeout = Duration::from_nanos(d.saturating_sub(elapsed_ns(epoch)));
-            match rx.recv_timeout(timeout) {
-                Ok(m) => Inbox::Msg(m),
-                Err(RecvTimeoutError::Timeout) => Inbox::Deadline,
-                Err(RecvTimeoutError::Disconnected) => Inbox::Disconnected,
+impl std::error::Error for PutShed {}
+
+/// Final per-partition state of a run.
+#[derive(Clone, Debug)]
+pub struct EdgeRunReport {
+    /// The partition's edge identity.
+    pub edge: IdentityId,
+    /// Per log block, in id order: the block's digest, the proof
+    /// digest attached at the edge (if Phase II arrived), and the
+    /// digest the cloud's ledger certified (if any).
+    pub blocks: Vec<(BlockId, Digest, Option<Digest>, Option<Digest>)>,
+    /// Edge-side counters.
+    pub edge_stats: EdgeStats,
+    /// The partition client's metrics (disputes filed/upheld included).
+    pub client_metrics: ClientMetrics,
+    /// Contiguously certified prefix length in the cloud's ledger —
+    /// the content of the edge's gossip watermark.
+    pub certified_len: u64,
+    /// The freshest gossip watermark the client holds for this edge.
+    pub watermark_len: Option<u64>,
+    /// Every dispute verdict the client received, in arrival order.
+    pub verdicts: Vec<DisputeVerdict>,
+}
+
+/// What a transport counts about its connections. All zero on
+/// in-process channels, which never frame or fail a send.
+#[derive(Clone, Debug, Default)]
+pub struct WireCounters {
+    /// Frames lost per connection (non-zero entries only), labelled
+    /// `sender→receiver`.
+    pub failed_sends_by_peer: Vec<(String, u64)>,
+    /// Frames that reached a socket, summed over every connection.
+    pub frames_sent: u64,
+    /// Write calls that carried those frames.
+    pub frame_writes: u64,
+}
+
+/// Final state of a run, extracted at shutdown — the same shape from
+/// every transport, which is what the differential tests compare.
+#[derive(Clone, Debug)]
+pub struct RunReport {
+    /// Per-partition state, indexed like `RuntimeConfig::faults`.
+    pub edges: Vec<EdgeRunReport>,
+    /// Cloud-side counters.
+    pub cloud_stats: CloudStats,
+    /// Punished edge identities, sorted.
+    pub punished: Vec<IdentityId>,
+    /// Droppable cloud→edge messages (gossip, freshness refreshes)
+    /// shed because an edge inbox was full.
+    pub shed_cloud_msgs: u64,
+    /// Critical cloud→edge messages (proofs, merge results) deferred
+    /// because an edge inbox was full (delivered later).
+    pub deferred_cloud_msgs: u64,
+    /// Frames the transport refused or failed to send, summed over
+    /// every connection. A healthy run is zero — anything else means a
+    /// peer silently missed protocol messages (torn connection,
+    /// oversized frame).
+    pub failed_sends: u64,
+    /// Per-connection breakdown of `failed_sends`.
+    pub failed_sends_by_peer: Vec<(String, u64)>,
+    /// Frames that reached a socket (zero on threads).
+    pub frames_sent: u64,
+    /// Write calls that carried those frames. Coalescing makes this
+    /// ≤ `frames_sent`; the gap is `coalesced_frames`.
+    pub frame_writes: u64,
+    /// Frames that shared a write with a predecessor queued for the
+    /// same peer in the same service wakeup.
+    pub coalesced_frames: u64,
+    /// Caller puts shed by the admission path (`try_put_on` hit its
+    /// admission timeout, or the batch was rejected outright).
+    pub puts_shed: u64,
+    /// Fold work across every merge the cloud processed (organic
+    /// merges and background compaction requests alike).
+    pub compaction: CompactionStats,
+    /// Witness checks the process-shared read-proof cache answered
+    /// without re-derivation, across all clients.
+    pub proof_cache_hits: u64,
+    /// Witness checks that paid the full re-derivation.
+    pub proof_cache_misses: u64,
+}
+
+// ---------------------------------------------------------------------------
+// Inboxes, inlets and the transport interface
+// ---------------------------------------------------------------------------
+
+// `WireMsg` dwarfs `Shutdown`; inbox values are moved once per hop.
+#[allow(clippy::large_enum_variant)]
+enum EdgeIn {
+    FromClient(WireMsg),
+    FromCloud(WireMsg),
+    Shutdown,
+}
+
+#[allow(clippy::large_enum_variant)]
+enum CloudIn {
+    /// A protocol message from peer `peer` (edges `0..E`, partition
+    /// clients `E..2E`).
+    From {
+        peer: usize,
+        msg: WireMsg,
+    },
+    Shutdown,
+}
+
+#[allow(clippy::large_enum_variant)]
+enum ClientIn {
+    /// A caller-submitted batch of puts; the reply carries the Phase-I
+    /// receipt plus a channel resolving at Phase II.
+    PutBatch {
+        ops: PutOps,
+        reply: SyncSender<PutReply>,
+    },
+    /// A caller-submitted verified get.
+    Get {
+        key: u64,
+        reply: SyncSender<GetOutcome>,
+    },
+    /// A caller-submitted log-read audit (fire and forget; verdicts
+    /// surface in the report).
+    LogRead(BlockId),
+    /// A protocol message from the partition's edge or the cloud.
+    Wire(WireMsg),
+    Shutdown,
+}
+
+/// A node of the cluster, as a transport names its connections.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Node {
+    /// The trusted cloud.
+    Cloud,
+    /// Partition `p`'s edge.
+    Edge(usize),
+    /// Partition `p`'s client.
+    Client(usize),
+}
+
+impl std::fmt::Display for Node {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Node::Cloud => write!(f, "cloud"),
+            Node::Edge(p) => write!(f, "edge{p}"),
+            Node::Client(p) => write!(f, "client{p}"),
+        }
+    }
+}
+
+/// Where a protocol message enters the node it arrives at: that node's
+/// inbox, tagged with the sending side.
+#[derive(Clone)]
+pub struct Inlet(Route);
+
+#[derive(Clone)]
+enum Route {
+    /// An edge's traffic from its client: blocks on a full inbox.
+    Edge(SyncSender<EdgeIn>),
+    /// An edge's traffic from the cloud: never blocks (see module docs).
+    Gate(Arc<CloudGate>),
+    /// The cloud's traffic from peer `peer`: blocks on a full inbox.
+    Cloud { tx: SyncSender<CloudIn>, peer: usize },
+    /// A client's traffic from its edge or the cloud.
+    Client(Sender<ClientIn>),
+}
+
+impl Inlet {
+    /// Hands one arriving message to its node. `false` once that node
+    /// has stopped (its inbox is closed).
+    pub fn deliver(&self, msg: WireMsg) -> bool {
+        match &self.0 {
+            Route::Edge(tx) => tx.send(EdgeIn::FromClient(msg)).is_ok(),
+            Route::Gate(gate) => gate.deliver(EdgeIn::FromCloud(msg)),
+            Route::Cloud { tx, peer } => tx.send(CloudIn::From { peer: *peer, msg }).is_ok(),
+            Route::Client(tx) => tx.send(ClientIn::Wire(msg)).is_ok(),
+        }
+    }
+}
+
+/// The sending half of one directed link between two nodes: queue a
+/// message, flush at the end of the service wakeup.
+pub trait Link: Send + 'static {
+    /// Queues one message for the peer.
+    fn queue(&mut self, msg: WireMsg);
+    /// Puts everything queued since the last flush on its way.
+    fn flush(&mut self);
+}
+
+/// In-process link: the receiver's inlet itself. Delivery is
+/// immediate, so there is nothing to flush. A closed inlet means the
+/// receiving service has exited — shutdown is racing this send — and
+/// whatever it would have done with the message is moot.
+impl Link for Inlet {
+    fn queue(&mut self, msg: WireMsg) {
+        self.deliver(msg);
+    }
+
+    fn flush(&mut self) {}
+}
+
+/// How the nodes of a [`Cluster`] reach each other.
+pub trait Transport: Default + Send + Sync + 'static {
+    /// The sending half of one directed link.
+    type Link: Link;
+
+    /// Opens a two-way connection on which `a` dials `b`. Returns the
+    /// link `a` sends to `b` on and the link `b` answers `a` on;
+    /// messages arriving at either end enter that end's inlet.
+    fn connect(&mut self, a: (Node, Inlet), b: (Node, Inlet)) -> (Self::Link, Self::Link);
+
+    /// Closes every connection once the services have exited, and
+    /// reports what crossed them.
+    fn close(&mut self) -> WireCounters;
+}
+
+/// Spawns a named cluster thread. Every spawn happens in
+/// [`Cluster::start`], on the caller's thread, before the run begins.
+fn spawn<R: Send + 'static>(name: String, f: impl FnOnce() -> R + Send + 'static) -> JoinHandle<R> {
+    // lint:allow(no-panic-path): construction-time spawn on the caller thread — a host that cannot start the cluster's threads cannot run it, so fail fast before the run begins
+    std::thread::Builder::new().name(name).spawn(f).expect("spawn cluster thread")
+}
+
+// ---------------------------------------------------------------------------
+// The cloud→edge gate
+// ---------------------------------------------------------------------------
+
+/// True for cloud→edge traffic that may be shed under backpressure:
+/// the next gossip round re-issues it.
+fn droppable(msg: &EdgeIn) -> bool {
+    matches!(msg, EdgeIn::FromCloud(WireMsg::Gossip(_) | WireMsg::GlobalRefresh(_)))
+}
+
+/// The never-blocking cloud→edge delivery gate, one per edge: shared
+/// by whoever delivers the cloud's messages (the cloud service on
+/// threads, the edge's socket reader on TCP — either must keep moving
+/// so the cloud never stalls on one edge) and a flusher thread that
+/// retries deferred critical messages into the bounded inbox.
+struct CloudGate {
+    tx: SyncSender<EdgeIn>,
+    /// Critical messages awaiting inbox room, FIFO. All delivery of
+    /// cloud traffic happens with this lock held, so deferred messages
+    /// can never be overtaken by later ones.
+    deferred: Mutex<VecDeque<EdgeIn>>,
+    wake: Condvar,
+    /// Set at shutdown; tells the flusher to drain and stop.
+    closed: AtomicBool,
+    shed: AtomicU64,
+    deferred_count: AtomicU64,
+}
+
+impl CloudGate {
+    fn new(tx: SyncSender<EdgeIn>) -> Self {
+        CloudGate {
+            tx,
+            deferred: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
+            closed: AtomicBool::new(false),
+            shed: AtomicU64::new(0),
+            deferred_count: AtomicU64::new(0),
+        }
+    }
+
+    /// Tries the inbox directly when nothing is deferred (order
+    /// preservation), else sheds or queues. `false` once the edge has
+    /// stopped.
+    fn deliver(&self, msg: EdgeIn) -> bool {
+        // Poison recovery: the gate holds plain data (a deferred
+        // queue); a panic elsewhere must not wedge cloud→edge traffic.
+        let mut q = self.deferred.lock().unwrap_or_else(PoisonError::into_inner);
+        if q.is_empty() {
+            match self.tx.try_send(msg) {
+                Ok(()) => return true,
+                Err(TrySendError::Full(msg)) => self.queue_or_shed(&mut q, msg),
+                Err(TrySendError::Disconnected(_)) => return false,
+            }
+        } else {
+            self.queue_or_shed(&mut q, msg);
+        }
+        drop(q);
+        self.wake.notify_one();
+        true
+    }
+
+    fn queue_or_shed(&self, q: &mut VecDeque<EdgeIn>, msg: EdgeIn) {
+        if droppable(&msg) {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+        } else {
+            q.push_back(msg);
+            self.deferred_count.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The flusher thread: retries deferred messages into the bounded
+    /// inbox until delivered, so proofs and merge results survive
+    /// overload (delayed, never lost). Holds the lock across each
+    /// `try_send` so no newer message can slip ahead of a deferred one.
+    fn flush_deferred(&self) {
+        const RETRY: Duration = Duration::from_millis(1);
+        loop {
+            // Poison recovery mirrors `deliver`.
+            let mut q = self.deferred.lock().unwrap_or_else(PoisonError::into_inner);
+            while q.is_empty() {
+                if self.closed.load(Ordering::Acquire) {
+                    return;
+                }
+                q = self
+                    .wake
+                    .wait_timeout(q, Duration::from_millis(50))
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            let Some(msg) = q.pop_front() else { continue };
+            match self.tx.try_send(msg) {
+                Ok(()) => {}
+                Err(TrySendError::Full(msg)) => {
+                    q.push_front(msg);
+                    drop(q);
+                    std::thread::sleep(RETRY);
+                }
+                Err(TrySendError::Disconnected(_)) => return,
             }
         }
-        None => match rx.recv() {
-            Ok(m) => Inbox::Msg(m),
-            Err(_) => Inbox::Disconnected,
-        },
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.wake.notify_one();
     }
 }
 
-/// Caller-side batching per partition: accumulates puts until a batch
-/// fills, then hands the ops to the runtime's submit function and
-/// blocks on the Phase-I reply. Shared by every driver so the
-/// batching/submission semantics (and the failure contract of the
-/// reply channel) stay identical across transports.
-pub struct PutBatcher {
-    batchers: Vec<std::sync::Mutex<PutOps>>,
-    batch_size: usize,
+// ---------------------------------------------------------------------------
+// Service loops
+// ---------------------------------------------------------------------------
+
+/// Blocks until a message arrives or the engine's deadline passes,
+/// then drains up to [`DRAIN_BUDGET`] more without blocking. `false`
+/// once every sender is gone.
+fn wake<M>(rx: &Receiver<M>, deadline_ns: Option<u64>, epoch: Instant, batch: &mut Vec<M>) -> bool {
+    let first = match deadline_ns {
+        Some(d) => match rx.recv_timeout(Duration::from_nanos(d.saturating_sub(elapsed_ns(epoch))))
+        {
+            Ok(msg) => Some(msg),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return false,
+        },
+        None => match rx.recv() {
+            Ok(msg) => Some(msg),
+            Err(_) => return false,
+        },
+    };
+    batch.extend(first);
+    batch.extend(rx.try_iter().take(DRAIN_BUDGET));
+    true
 }
 
-impl PutBatcher {
-    /// One batcher per partition; `batch_size` is clamped to ≥ 1.
-    pub fn new(partitions: usize, batch_size: usize) -> Self {
-        PutBatcher {
-            batchers: (0..partitions).map(|_| std::sync::Mutex::new(Vec::new())).collect(),
-            batch_size: batch_size.max(1),
+/// `Some(now)` once the engine's deadline has passed: time to `Tick`.
+fn due(deadline_ns: Option<u64>, epoch: Instant) -> Option<u64> {
+    let now_ns = elapsed_ns(epoch);
+    deadline_ns.is_some_and(|d| d <= now_ns).then_some(now_ns)
+}
+
+fn apply_edge<L: Link>(
+    engine: &mut EdgeEngine<u8>,
+    cmd: EdgeCommand<u8>,
+    now_ns: u64,
+    cloud: &mut L,
+    client: &mut L,
+) {
+    for effect in engine.handle(cmd, now_ns) {
+        match effect {
+            EdgeEffect::SendCloud { msg, .. } => cloud.queue(msg),
+            EdgeEffect::Send { msg, .. } => client.queue(msg),
+            // CPU accounting has no real-time counterpart.
+            EdgeEffect::UseCpu(_) | EdgeEffect::UseCpuBackground(_) => {}
         }
     }
+}
 
-    /// Buffers one put; once the batch fills, submits it (under the
-    /// batcher lock, so batches enqueue in submission order) and waits
-    /// for Phase I. Returns `None` while buffering.
-    pub fn put(
-        &self,
-        partition: usize,
-        key: u64,
-        value: Vec<u8>,
-        submit: impl FnOnce(PutOps) -> Receiver<PutReply>,
-    ) -> Option<PutReply> {
-        self.put_submit(partition, key, value, submit).and_then(Self::await_phase1)
+/// The edge service: drives an [`EdgeEngine`] from its bounded inbox,
+/// routing cloud-bound effects to `cloud` and client-bound ones to
+/// `client`.
+fn edge_service<L: Link>(
+    mut engine: EdgeEngine<u8>,
+    rx: Receiver<EdgeIn>,
+    mut cloud: L,
+    mut client: L,
+    epoch: Instant,
+    mut seal_times: VecDeque<u64>,
+    apply_latency: Duration,
+) -> EdgeEngine<u8> {
+    let mut batch = Vec::with_capacity(DRAIN_BUDGET + 1);
+    while wake(&rx, engine.next_deadline_ns(), epoch, &mut batch) {
+        let running = batch.drain(..).all(|msg| {
+            let (msg, now_ns) = match msg {
+                // Scripted seal times make block digests reproducible.
+                EdgeIn::FromClient(msg @ WireMsg::BatchAdd { .. }) => {
+                    (msg, seal_times.pop_front().unwrap_or_else(|| elapsed_ns(epoch)))
+                }
+                EdgeIn::FromClient(msg) => (msg, elapsed_ns(epoch)),
+                EdgeIn::FromCloud(msg) => {
+                    if !apply_latency.is_zero() {
+                        std::thread::sleep(apply_latency);
+                    }
+                    (msg, elapsed_ns(epoch))
+                }
+                EdgeIn::Shutdown => return false,
+            };
+            if let Some(cmd) = EdgeCommand::from_wire(CLIENT_PEER, msg) {
+                apply_edge(&mut engine, cmd, now_ns, &mut cloud, &mut client);
+            }
+            true
+        });
+        if let Some(now_ns) = due(engine.next_deadline_ns(), epoch).filter(|_| running) {
+            apply_edge(&mut engine, EdgeCommand::Tick, now_ns, &mut cloud, &mut client);
+        }
+        cloud.flush();
+        client.flush();
+        if !running {
+            break;
+        }
     }
+    engine
+}
 
-    /// The buffering/submission half of [`PutBatcher::put`] without
-    /// the blocking Phase-I wait: returns the reply channel when the
-    /// put sealed a batch, so callers can apply their own admission
-    /// policy (timeout, fail-fast) instead of waiting forever.
-    pub fn put_submit(
-        &self,
-        partition: usize,
-        key: u64,
-        value: Vec<u8>,
-        submit: impl FnOnce(PutOps) -> Receiver<PutReply>,
-    ) -> Option<Receiver<PutReply>> {
-        // Poison recovery: the batcher holds plain data (a Vec of
-        // pending ops); a caller thread that panicked elsewhere must
-        // not wedge every other writer on this partition.
-        let mut pending = self.batchers[partition].lock().unwrap_or_else(PoisonError::into_inner);
-        pending.push((key, value));
-        (pending.len() >= self.batch_size).then(|| submit(std::mem::take(&mut *pending)))
-    }
-
-    /// Flushes the partition's buffered entries as a partial batch.
-    pub fn flush(
-        &self,
-        partition: usize,
-        submit: impl FnOnce(PutOps) -> Receiver<PutReply>,
-    ) -> Option<PutReply> {
-        let rx = {
-            let mut pending =
-                self.batchers[partition].lock().unwrap_or_else(PoisonError::into_inner);
-            (!pending.is_empty()).then(|| submit(std::mem::take(&mut *pending)))
-        };
-        rx.and_then(Self::await_phase1)
-    }
-
-    /// Blocks until the batch's Phase-I reply arrives. `None` means
-    /// the reply channel closed first: the edge rejected the batch or
-    /// went unresponsive past the dispute timeout — a protocol
-    /// failure the caller observes, never a panic in the put path.
-    pub fn await_phase1(rx: Receiver<PutReply>) -> Option<PutReply> {
-        rx.recv().ok()
+fn apply_cloud<L: Link>(
+    engine: &mut CloudEngine<usize>,
+    cmd: CloudCommand<usize>,
+    now_ns: u64,
+    peers: &mut [L],
+) {
+    for effect in engine.handle(cmd, now_ns) {
+        match effect {
+            CloudEffect::Send { to, msg, .. } => {
+                if let Some(link) = peers.get_mut(to) {
+                    link.queue(msg);
+                }
+            }
+            CloudEffect::UseCpu(_) => {}
+        }
     }
 }
 
-/// Caller-completion routing around a [`ClientEngine`]: every runtime
-/// pairs one of these with its client service loop. The transport
-/// appears only as the two send sinks passed to [`run`] /
-/// [`pump_puts`].
-///
-/// [`run`]: ClientCompletions::run
-/// [`pump_puts`]: ClientCompletions::pump_puts
+/// The cloud service: drives the [`CloudEngine`] from the shared
+/// bounded inbox; `peers[p]` reaches peer `p` (edges `0..E`, clients
+/// `E..2E`).
+fn cloud_service<L: Link>(
+    mut engine: CloudEngine<usize>,
+    rx: Receiver<CloudIn>,
+    mut peers: Vec<L>,
+    epoch: Instant,
+    hop: Duration,
+) -> CloudEngine<usize> {
+    let mut batch = Vec::with_capacity(DRAIN_BUDGET + 1);
+    while wake(&rx, engine.next_deadline_ns(), epoch, &mut batch) {
+        let running = batch.drain(..).all(|msg| {
+            let CloudIn::From { peer, msg } = msg else { return false };
+            if !hop.is_zero() {
+                std::thread::sleep(hop);
+            }
+            if let Some(cmd) = CloudCommand::from_wire(peer, msg) {
+                apply_cloud(&mut engine, cmd, elapsed_ns(epoch), &mut peers);
+            }
+            true
+        });
+        if let Some(now_ns) = due(engine.next_deadline_ns(), epoch).filter(|_| running) {
+            apply_cloud(&mut engine, CloudCommand::Tick, now_ns, &mut peers);
+        }
+        for link in &mut peers {
+            link.flush();
+        }
+        if !running {
+            break;
+        }
+    }
+    engine
+}
+
+/// What a joined client service yields.
+type ClientExit = (ClientEngine, Vec<DisputeVerdict>);
+
+/// The client service: drives a [`ClientEngine`] from its inbox,
+/// routing caller requests in and completions back out; wire sends go
+/// to `edge` and `cloud`. Dispute deadlines are consumed via `Tick` —
+/// the service never decides when a dispute fires.
+fn client_service<L: Link>(
+    mut engine: ClientEngine,
+    rx: Receiver<ClientIn>,
+    mut edge: L,
+    mut cloud: L,
+    epoch: Instant,
+) -> ClientExit {
+    let mut comp = ClientCompletions::default();
+    let mut batch = Vec::with_capacity(DRAIN_BUDGET + 1);
+    while wake(&rx, engine.next_deadline_ns(), epoch, &mut batch) {
+        let running = batch.drain(..).all(|msg| {
+            let cmd = match msg {
+                ClientIn::PutBatch { ops, reply } => {
+                    comp.queued_puts.push_back((ops, reply));
+                    None
+                }
+                ClientIn::Get { key, reply } => {
+                    let token = comp.token();
+                    comp.get_waiters.insert(token, reply);
+                    Some(ClientCommand::Get { token, key })
+                }
+                ClientIn::LogRead(bid) => Some(ClientCommand::LogRead { bid }),
+                ClientIn::Wire(msg) => ClientCommand::from_wire(msg),
+                ClientIn::Shutdown => return false,
+            };
+            let now_ns = elapsed_ns(epoch);
+            if let Some(cmd) = cmd {
+                comp.run(&mut engine, cmd, now_ns, &mut edge, &mut cloud);
+            }
+            // Per message, not per wakeup: a batch queued (or a slot
+            // freed) ahead of proofs in the same wakeup must not wait
+            // for their verification.
+            comp.pump_puts(&mut engine, now_ns, &mut edge, &mut cloud);
+            true
+        });
+        if let Some(now_ns) = due(engine.next_deadline_ns(), epoch).filter(|_| running) {
+            comp.run(&mut engine, ClientCommand::Tick, now_ns, &mut edge, &mut cloud);
+        }
+        edge.flush();
+        cloud.flush();
+        if !running {
+            break;
+        }
+    }
+    (engine, comp.verdicts)
+}
+
+/// Caller-completion routing around a [`ClientEngine`]: queued batches
+/// draining into pipeline slots, Phase-I/Phase-II/read completion
+/// channels, dispute verdicts.
 #[derive(Default)]
-pub struct ClientCompletions {
+struct ClientCompletions {
     next_token: u64,
     /// Caller-submitted batches not yet handed to the engine; drains
     /// eagerly into every free pipeline slot.
@@ -165,47 +760,25 @@ pub struct ClientCompletions {
 }
 
 impl ClientCompletions {
-    /// Empty state: no waiters, no verdicts.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Queues a caller-submitted batch; [`pump_puts`] hands it to the
-    /// engine once a pipeline slot frees.
-    ///
-    /// [`pump_puts`]: ClientCompletions::pump_puts
-    pub fn queue_put(&mut self, ops: PutOps, reply: SyncSender<PutReply>) {
-        self.queued_puts.push_back((ops, reply));
-    }
-
-    /// Registers a caller's get reply channel, returning the token to
-    /// put on the [`ClientCommand::Get`].
-    pub fn register_get(&mut self, reply: SyncSender<GetOutcome>) -> u64 {
-        let token = self.next_token;
+    fn token(&mut self) -> u64 {
         self.next_token += 1;
-        self.get_waiters.insert(token, reply);
-        token
-    }
-
-    /// The dispute verdicts received so far, surrendered at shutdown.
-    pub fn into_verdicts(self) -> Vec<DisputeVerdict> {
-        self.verdicts
+        self.next_token - 1
     }
 
     /// Runs one command through the engine, routing wire sends to the
-    /// transport sinks and completions back to callers.
-    pub fn run(
+    /// links and completions back to callers.
+    fn run<L: Link>(
         &mut self,
         engine: &mut ClientEngine,
         cmd: ClientCommand,
         now_ns: u64,
-        send_edge: &mut dyn FnMut(WireMsg),
-        send_cloud: &mut dyn FnMut(WireMsg),
+        edge: &mut L,
+        cloud: &mut L,
     ) {
         for effect in engine.handle(cmd, now_ns) {
             match effect {
-                ClientEffect::SendEdge { msg, .. } => send_edge(msg),
-                ClientEffect::SendCloud { msg, .. } => send_cloud(msg),
+                ClientEffect::SendEdge { msg, .. } => edge.queue(msg),
+                ClientEffect::SendCloud { msg, .. } => cloud.queue(msg),
                 ClientEffect::Notify(event) => self.notify(event),
                 // CPU accounting has no real-time counterpart.
                 ClientEffect::UseCpu(_) => {}
@@ -215,19 +788,18 @@ impl ClientCompletions {
 
     /// Hands queued batches to the engine while pipeline slots remain
     /// (depth 1 degenerates to strict one-at-a-time submission).
-    pub fn pump_puts(
+    fn pump_puts<L: Link>(
         &mut self,
         engine: &mut ClientEngine,
         now_ns: u64,
-        send_edge: &mut dyn FnMut(WireMsg),
-        send_cloud: &mut dyn FnMut(WireMsg),
+        edge: &mut L,
+        cloud: &mut L,
     ) {
         while engine.can_accept_batch() {
             let Some((ops, reply)) = self.queued_puts.pop_front() else { break };
-            let token = self.next_token;
-            self.next_token += 1;
+            let token = self.token();
             self.put_waiters.insert(token, reply);
-            self.run(engine, ClientCommand::PutBatch { token, ops }, now_ns, send_edge, send_cloud);
+            self.run(engine, ClientCommand::PutBatch { token, ops }, now_ns, edge, cloud);
         }
     }
 
@@ -264,5 +836,473 @@ impl ClientCompletions {
             }
             ClientEvent::Halted => {}
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The cluster
+// ---------------------------------------------------------------------------
+
+/// The cluster's engines, built before any thread runs.
+struct Nodes {
+    registry: KeyRegistry,
+    cloud_id: IdentityId,
+    edge_ids: Vec<IdentityId>,
+    cloud: CloudEngine<usize>,
+    edges: Vec<EdgeEngine<u8>>,
+    clients: Vec<ClientEngine>,
+    /// One proof cache for the whole process: a witness verified by
+    /// any partition's client is verified for all of them (the cache's
+    /// trust rule is content-based, not per-client).
+    proof_cache: Arc<ShardedReadProofCache>,
+}
+
+impl Nodes {
+    fn build(cfg: &RuntimeConfig) -> Nodes {
+        let n = cfg.num_edges;
+        let cloud_ident = Identity::derive("cloud", CLOUD_ID);
+        let edge_idents: Vec<Identity> =
+            (0..n).map(|p| Identity::derive("edge", EDGE_ID_BASE + p as u64)).collect();
+        let client_idents: Vec<Identity> =
+            (0..n).map(|p| Identity::derive("client", CLIENT_ID_BASE + p as u64)).collect();
+        let mut registry = KeyRegistry::new();
+        for ident in std::iter::once(&cloud_ident).chain(&edge_idents).chain(&client_idents) {
+            // lint:allow(no-panic-path): construction on the caller thread — the derived ids are distinct by construction, and a failure must abort before any service thread exists
+            registry.register(ident.id, ident.public()).expect("derived ids are distinct");
+        }
+        let cloud_id = cloud_ident.id;
+        let edge_ids: Vec<IdentityId> = edge_idents.iter().map(|e| e.id).collect();
+        let cost = CostModel::default();
+
+        // Each engine runs on its own service thread and scopes its
+        // own parallel sections; a shared pool would serialize them,
+        // so the cloud and every edge get a pool of their own.
+        let mut index = CloudIndex::new(cfg.lsm.clone());
+        index.set_pool(wedge_pool::Pool::new(cfg.pool_threads));
+        let inits: Vec<_> = edge_ids.iter().map(|&e| index.init_edge(&cloud_ident, e, 0)).collect();
+        let cloud = CloudEngine::new(
+            cloud_ident,
+            registry.clone(),
+            cost.clone(),
+            index,
+            edge_ids.iter().copied().enumerate().collect::<HashMap<_, _>>(),
+            cfg.gossip_period.map(nanos),
+        );
+        let edges = edge_idents
+            .into_iter()
+            .zip(inits)
+            .enumerate()
+            .map(|(p, (ident, init))| {
+                let tree = LsMerkle::new(ident.id, cfg.lsm.clone(), init);
+                let mut engine = EdgeEngine::new(
+                    ident,
+                    cloud_id,
+                    registry.clone(),
+                    cost.clone(),
+                    CryptoMode::Real,
+                    cfg.faults.get(p).cloned().unwrap_or_default(),
+                    tree,
+                    vec![CLIENT_PEER],
+                );
+                engine.set_pool(wedge_pool::Pool::new(cfg.pool_threads));
+                engine.set_cert_retry_ns(cfg.cert_retry.map(nanos));
+                engine.set_merge_retry_ns(cfg.merge_retry.map(nanos));
+                engine.set_compaction_period_ns(cfg.compaction_period.map(nanos));
+                engine
+            })
+            .collect();
+        let proof_cache = Arc::new(ShardedReadProofCache::default());
+        let clients = client_idents
+            .into_iter()
+            .zip(&edge_ids)
+            .map(|(ident, &edge_id)| {
+                let seed = client_workload_seed(0, ident.id);
+                let mut engine = ClientEngine::new(
+                    ident,
+                    edge_id,
+                    cloud_id,
+                    registry.clone(),
+                    cost.clone(),
+                    CryptoMode::Real,
+                    ClientPlan::idle(),
+                    cfg.freshness_window.map(nanos),
+                    nanos(cfg.dispute_timeout),
+                    seed,
+                );
+                engine.set_pipeline_depth(cfg.pipeline_depth);
+                engine.share_proof_cache(Arc::clone(&proof_cache));
+                engine
+            })
+            .collect();
+        Nodes { registry, cloud_id, edge_ids, cloud, edges, clients, proof_cache }
+    }
+}
+
+/// A running N-edge + cloud cluster: one service thread per node, one
+/// gate flusher per edge, wired by transport `T`.
+pub struct Cluster<T: Transport> {
+    client_txs: Vec<Sender<ClientIn>>,
+    edge_txs: Vec<SyncSender<EdgeIn>>,
+    cloud_tx: SyncSender<CloudIn>,
+    client_handles: Vec<JoinHandle<ClientExit>>,
+    edge_handles: Vec<JoinHandle<EdgeEngine<u8>>>,
+    cloud_handle: Option<JoinHandle<CloudEngine<usize>>>,
+    gates: Vec<Arc<CloudGate>>,
+    flushers: Vec<JoinHandle<()>>,
+    transport: T,
+    /// Public registry for caller-side verification.
+    pub registry: KeyRegistry,
+    /// The cloud's identity id.
+    pub cloud_id: IdentityId,
+    /// Edge identity per partition.
+    pub edge_ids: Vec<IdentityId>,
+    /// Caller-side batching per partition (ops, not entries: sequence
+    /// numbers are assigned by the client engine, on its thread, so
+    /// ordering is automatic).
+    batcher: PutBatcher,
+    admission_timeout: Option<Duration>,
+    /// Puts shed by the admission path.
+    puts_shed: AtomicU64,
+    proof_cache: Arc<ShardedReadProofCache>,
+}
+
+impl<T: Transport> Cluster<T> {
+    /// Builds the engines, connects the topology through `T` (client p
+    /// ↔ edge p ↔ cloud, plus client p ↔ cloud) and spawns every
+    /// service and flusher thread.
+    pub fn start(cfg: RuntimeConfig) -> Arc<Self> {
+        assert!(cfg.num_edges > 0, "need at least one edge");
+        assert!(cfg.cloud_inbox_cap > 0 && cfg.edge_inbox_cap > 0, "inboxes need capacity");
+        // Scripted seal times put BatchAdd handling on a virtual clock
+        // while the service loop ticks on the wall clock; a retry or
+        // sweep deadline armed in one domain and checked in the other
+        // would fire at a meaningless moment.
+        assert!(
+            cfg.seal_times.is_none()
+                || (cfg.cert_retry.is_none()
+                    && cfg.merge_retry.is_none()
+                    && cfg.compaction_period.is_none()),
+            "seal_times (virtual timestamps) and retries/compaction (wall-clock deadlines) \
+             cannot combine"
+        );
+        let n = cfg.num_edges;
+        let nodes = Nodes::build(&cfg);
+
+        let (cloud_tx, cloud_rx) = sync_channel(cfg.cloud_inbox_cap);
+        let (edge_txs, edge_rxs): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| sync_channel(cfg.edge_inbox_cap)).unzip();
+        // lint:allow(bounded-channels): deliberately unbounded — the client inbox is the one queue that must never block, or the client→edge→cloud→client send cycle deadlocks; inbound volume is bounded by the pipeline depth
+        let client_inboxes: Vec<(Sender<ClientIn>, _)> = (0..n).map(|_| channel()).collect();
+        let (client_txs, client_rxs): (Vec<_>, Vec<_>) = client_inboxes.into_iter().unzip();
+        let gates: Vec<Arc<CloudGate>> =
+            edge_txs.iter().map(|tx| Arc::new(CloudGate::new(tx.clone()))).collect();
+        let flushers = gates
+            .iter()
+            .enumerate()
+            .map(|(p, gate)| {
+                let gate = Arc::clone(gate);
+                spawn(format!("wedge-edge{p}-gate"), move || gate.flush_deferred())
+            })
+            .collect();
+
+        let mut transport = T::default();
+        let cloud_inlet = |peer| Inlet(Route::Cloud { tx: cloud_tx.clone(), peer });
+        // Indexed by cloud peer: edges `0..n`, then clients `n..2n`.
+        let mut cloud_links = Vec::with_capacity(2 * n);
+        let mut edge_links = Vec::with_capacity(n);
+        for (p, gate) in gates.iter().enumerate() {
+            let (up, down) = transport.connect(
+                (Node::Edge(p), Inlet(Route::Gate(Arc::clone(gate)))),
+                (Node::Cloud, cloud_inlet(p)),
+            );
+            edge_links.push(up);
+            cloud_links.push(down);
+        }
+        let mut client_links = Vec::with_capacity(n);
+        let mut edge_to_client = Vec::with_capacity(n);
+        for p in 0..n {
+            let client_inlet = || Inlet(Route::Client(client_txs[p].clone()));
+            let (to_edge, down) = transport.connect(
+                (Node::Client(p), client_inlet()),
+                (Node::Edge(p), Inlet(Route::Edge(edge_txs[p].clone()))),
+            );
+            let (to_cloud, cloud_down) = transport
+                .connect((Node::Client(p), client_inlet()), (Node::Cloud, cloud_inlet(n + p)));
+            client_links.push((to_edge, to_cloud));
+            edge_to_client.push(down);
+            cloud_links.push(cloud_down);
+        }
+
+        let epoch = Instant::now();
+        let hop = cfg.cloud_hop_latency;
+        let cloud = nodes.cloud;
+        let cloud_handle = spawn("wedge-cloud".into(), move || {
+            cloud_service(cloud, cloud_rx, cloud_links, epoch, hop)
+        });
+        let mut edge_handles = Vec::with_capacity(n);
+        let edges =
+            nodes.edges.into_iter().zip(edge_rxs).zip(edge_links.into_iter().zip(edge_to_client));
+        for (p, ((engine, rx), (up, down))) in edges.enumerate() {
+            let seal_times: VecDeque<u64> =
+                cfg.seal_times.as_ref().and_then(|s| s.get(p).cloned()).unwrap_or_default().into();
+            let apply_latency = cfg.edge_apply_latency;
+            edge_handles.push(spawn(format!("wedge-edge{p}"), move || {
+                edge_service(engine, rx, up, down, epoch, seal_times, apply_latency)
+            }));
+        }
+        let mut client_handles = Vec::with_capacity(n);
+        let clients = nodes.clients.into_iter().zip(client_rxs).zip(client_links);
+        for (p, ((engine, rx), (edge, cloud))) in clients.enumerate() {
+            client_handles.push(spawn(format!("wedge-client{p}"), move || {
+                client_service(engine, rx, edge, cloud, epoch)
+            }));
+        }
+
+        Arc::new(Cluster {
+            client_txs,
+            edge_txs,
+            cloud_tx,
+            client_handles,
+            edge_handles,
+            cloud_handle: Some(cloud_handle),
+            gates,
+            flushers,
+            transport,
+            registry: nodes.registry,
+            cloud_id: nodes.cloud_id,
+            edge_ids: nodes.edge_ids,
+            batcher: PutBatcher::new(n, cfg.batch_size),
+            admission_timeout: cfg.admission_timeout,
+            puts_shed: AtomicU64::new(0),
+            proof_cache: nodes.proof_cache,
+        })
+    }
+
+    /// Puts a key-value pair through partition `edge`'s client.
+    /// Buffers caller-side until a batch is full, then submits the
+    /// batch and returns the Phase-I reply. Returns `None` while
+    /// buffering, or if the batch was rejected.
+    pub fn put_on(&self, edge: usize, key: u64, value: Vec<u8>) -> Option<PutReply> {
+        let rx = self.batcher.push(edge, key, value, |ops| self.submit(edge, ops))?;
+        rx.recv().ok()
+    }
+
+    /// Flushes partition `edge`'s buffered entries as a partial batch.
+    pub fn flush_on(&self, edge: usize) -> Option<PutReply> {
+        let rx = self.batcher.flush(edge, |ops| self.submit(edge, ops))?;
+        rx.recv().ok()
+    }
+
+    /// Like [`Cluster::put_on`], but with per-caller admission control:
+    /// if the batch's Phase-I reply does not arrive within
+    /// `RuntimeConfig::admission_timeout`, the put is *shed* — counted
+    /// in [`RunReport::puts_shed`] and surfaced as [`PutShed`] —
+    /// instead of blocking the caller indefinitely behind a full edge
+    /// inbox. `Ok(None)` means the put is still buffering client-side.
+    /// With no timeout configured this is `put_on` with a `Result`
+    /// wrapper.
+    pub fn try_put_on(
+        &self,
+        edge: usize,
+        key: u64,
+        value: Vec<u8>,
+    ) -> Result<Option<PutReply>, PutShed> {
+        let Some(rx) = self.batcher.push(edge, key, value, |ops| self.submit(edge, ops)) else {
+            return Ok(None);
+        };
+        let reply = match self.admission_timeout {
+            // Without a timeout this is still the *fallible* API: a
+            // rejected batch (dropped reply sender) is
+            // `PutShed::Rejected`.
+            None => rx.recv().map_err(|_| PutShed::Rejected),
+            Some(timeout) => rx.recv_timeout(timeout).map_err(|err| match err {
+                RecvTimeoutError::Timeout => PutShed::AdmissionTimeout,
+                RecvTimeoutError::Disconnected => PutShed::Rejected,
+            }),
+        };
+        if reply.is_err() {
+            self.puts_shed.fetch_add(1, Ordering::Relaxed);
+        }
+        reply.map(Some)
+    }
+
+    /// Sends one batch to the partition's client service. Called with
+    /// the batcher lock held so batches enqueue in submission order;
+    /// sequence signing happens on the (single) client thread, so no
+    /// ordering hazard remains past this point.
+    fn submit(&self, edge: usize, ops: PutOps) -> Receiver<PutReply> {
+        // Single-shot reply: exactly one Phase-I reply ever rides the
+        // channel, so the rendezvous send cannot block the service.
+        let (tx, rx) = sync_channel(1);
+        // lint:allow(discarded-result): client service gone = shutdown race; the caller sees the closed reply channel and sheds the put
+        let _ = self.client_txs[edge].send(ClientIn::PutBatch { ops, reply: tx });
+        rx
+    }
+
+    /// Puts on partition 0 (single-edge convenience).
+    pub fn put(&self, key: u64, value: Vec<u8>) -> Option<PutReply> {
+        self.put_on(0, key, value)
+    }
+
+    /// Flushes partition 0 (single-edge convenience).
+    pub fn flush(&self) -> Option<PutReply> {
+        self.flush_on(0)
+    }
+
+    /// Gets a key through partition `edge`'s client, with full
+    /// engine-side verification (proof cache included).
+    pub fn get_on(&self, edge: usize, key: u64) -> Result<GetOutcome, ProofError> {
+        let (tx, rx) = sync_channel(1);
+        let outcome = self.client_txs[edge]
+            .send(ClientIn::Get { key, reply: tx })
+            .ok()
+            .and_then(|()| rx.recv().ok())
+            // lint:allow(no-panic-path): caller-facing harness API; the client service outlives the cluster handle by construction, and a violated contract must fail fast here, not corrupt a measurement
+            .expect("client service replies");
+        match outcome.verify_error.clone() {
+            Some(e) => Err(e),
+            None => Ok(outcome),
+        }
+    }
+
+    /// Gets on partition 0 (single-edge convenience).
+    pub fn get(&self, key: u64) -> Result<GetOutcome, ProofError> {
+        self.get_on(0, key)
+    }
+
+    /// Audits a log block through partition `edge`'s client. Fire and
+    /// forget: a lying edge surfaces as a verdict in the report.
+    pub fn log_read_on(&self, edge: usize, bid: BlockId) {
+        // lint:allow(discarded-result): fire-and-forget audit — a dead client service means shutdown already began and there is nothing left to audit
+        let _ = self.client_txs[edge].send(ClientIn::LogRead(bid));
+    }
+
+    /// Stops every service, joins its thread, closes the transport and
+    /// the gates, and returns the final protocol state. Returns `None`
+    /// unless called on the last owner, or if a service panicked.
+    pub fn shutdown(mut self: Arc<Self>) -> Option<RunReport> {
+        let this = Arc::get_mut(&mut self)?;
+        // A closed inbox means its service has already exited, which
+        // is the goal: the stop requests below are best-effort.
+        for tx in &this.client_txs {
+            // lint:allow(discarded-result): best-effort stop, see above
+            let _ = tx.send(ClientIn::Shutdown);
+        }
+        for tx in &this.edge_txs {
+            // lint:allow(discarded-result): best-effort stop, see above
+            let _ = tx.send(EdgeIn::Shutdown);
+        }
+        // lint:allow(discarded-result): best-effort stop, see above
+        let _ = this.cloud_tx.send(CloudIn::Shutdown);
+        let clients: Vec<ClientExit> =
+            this.client_handles.drain(..).map(|h| h.join().ok()).collect::<Option<_>>()?;
+        let edges: Vec<EdgeEngine<u8>> =
+            this.edge_handles.drain(..).map(|h| h.join().ok()).collect::<Option<_>>()?;
+        let cloud = this.cloud_handle.take()?.join().ok()?;
+        let wire = this.transport.close();
+        for gate in &this.gates {
+            gate.close();
+        }
+        for flusher in this.flushers.drain(..) {
+            let _ = flusher.join();
+        }
+
+        let reports = edges
+            .into_iter()
+            .zip(clients)
+            .zip(&this.edge_ids)
+            .map(|((edge, (client, verdicts)), &edge_id)| EdgeRunReport {
+                edge: edge_id,
+                blocks: edge
+                    .log
+                    .iter()
+                    .map(|sb| {
+                        (
+                            sb.block.id,
+                            sb.block.digest(),
+                            sb.proof.as_ref().map(|pr| pr.digest),
+                            cloud.ledger.lookup(edge_id, sb.block.id).copied(),
+                        )
+                    })
+                    .collect(),
+                edge_stats: edge.stats.clone(),
+                client_metrics: client.metrics.clone(),
+                certified_len: cloud.ledger.contiguous_len(edge_id),
+                watermark_len: client.watermarks.latest(edge_id).map(|wm| wm.log_len),
+                verdicts,
+            })
+            .collect();
+        let mut punished: Vec<IdentityId> = cloud.punished.iter().copied().collect();
+        punished.sort_by_key(|id| id.0);
+        Some(RunReport {
+            edges: reports,
+            cloud_stats: cloud.stats.clone(),
+            punished,
+            shed_cloud_msgs: this.gates.iter().map(|g| g.shed.load(Ordering::Relaxed)).sum(),
+            deferred_cloud_msgs: this
+                .gates
+                .iter()
+                .map(|g| g.deferred_count.load(Ordering::Relaxed))
+                .sum(),
+            failed_sends: wire.failed_sends_by_peer.iter().map(|(_, n)| n).sum(),
+            failed_sends_by_peer: wire.failed_sends_by_peer,
+            frames_sent: wire.frames_sent,
+            frame_writes: wire.frame_writes,
+            coalesced_frames: wire.frames_sent.saturating_sub(wire.frame_writes),
+            puts_shed: this.puts_shed.load(Ordering::Relaxed),
+            compaction: cloud.index.compaction_stats(),
+            proof_cache_hits: this.proof_cache.hits(),
+            proof_cache_misses: this.proof_cache.misses(),
+        })
+    }
+}
+
+/// Caller-side batching per partition: accumulates puts until a batch
+/// fills, then hands the ops to the cluster's submit function and
+/// returns the Phase-I reply channel.
+struct PutBatcher {
+    batchers: Vec<Mutex<PutOps>>,
+    batch_size: usize,
+}
+
+impl PutBatcher {
+    /// One batcher per partition; `batch_size` is clamped to ≥ 1.
+    fn new(partitions: usize, batch_size: usize) -> Self {
+        PutBatcher {
+            batchers: (0..partitions).map(|_| Mutex::new(Vec::new())).collect(),
+            batch_size: batch_size.max(1),
+        }
+    }
+
+    /// Buffers one put; once the batch fills, submits it (under the
+    /// batcher lock, so batches enqueue in submission order) and
+    /// returns its reply channel. `None` while buffering.
+    fn push(
+        &self,
+        partition: usize,
+        key: u64,
+        value: Vec<u8>,
+        submit: impl FnOnce(PutOps) -> Receiver<PutReply>,
+    ) -> Option<Receiver<PutReply>> {
+        let mut pending = self.lock(partition);
+        pending.push((key, value));
+        (pending.len() >= self.batch_size).then(|| submit(std::mem::take(&mut *pending)))
+    }
+
+    /// Submits the partition's buffered entries as a partial batch.
+    fn flush(
+        &self,
+        partition: usize,
+        submit: impl FnOnce(PutOps) -> Receiver<PutReply>,
+    ) -> Option<Receiver<PutReply>> {
+        let mut pending = self.lock(partition);
+        (!pending.is_empty()).then(|| submit(std::mem::take(&mut *pending)))
+    }
+
+    /// Poison recovery: the batcher holds plain data (a Vec of pending
+    /// ops); a caller thread that panicked elsewhere must not wedge
+    /// every other writer on this partition.
+    fn lock(&self, partition: usize) -> std::sync::MutexGuard<'_, PutOps> {
+        self.batchers[partition].lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

@@ -19,14 +19,21 @@
 //! - [`harness`]: one-call deployment builder
 //!   ([`harness::SystemHarness`]) used by examples, tests and benches.
 //! - [`cost`]: the calibrated CPU cost model; [`config`]: deployment
-//!   knobs; [`metrics`]: latency/timeline collection; [`threaded`]: a
-//!   real-threads driver over the same engines.
+//!   knobs; [`metrics`]: latency/timeline collection.
+//! - [`driver`]: the real-time runtime skeleton — config, node builder,
+//!   one service loop per role, cloud→edge backpressure, the run
+//!   report — generic over a transport; [`threaded`]: that skeleton on
+//!   in-process channels (`wedge-net` puts it on TCP sockets).
 
 #![forbid(unsafe_code)]
 
 pub mod client;
 pub mod cloud;
 pub mod config;
+// Test support, public so every transport's crate runs the same
+// bodies; not part of the runtime API.
+#[doc(hidden)]
+pub mod conformance;
 pub mod cost;
 pub mod driver;
 pub mod edge;

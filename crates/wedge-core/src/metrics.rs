@@ -40,7 +40,7 @@ impl LatencyStats {
 
     fn sorted_samples(&mut self) -> &[f64] {
         if !self.sorted {
-            self.samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            self.samples.sort_by(f64::total_cmp);
             self.sorted = true;
         }
         &self.samples
@@ -178,6 +178,17 @@ mod tests {
         assert_eq!(s.p50(), 3.0);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 5.0);
+    }
+
+    #[test]
+    fn nan_sample_sorts_last_instead_of_panicking() {
+        let mut s = LatencyStats::new();
+        for v in [2.0, f64::NAN, 1.0] {
+            s.record(v);
+        }
+        assert_eq!(s.p50(), 2.0);
+        assert_eq!(s.min(), 1.0);
+        assert!(s.max().is_nan());
     }
 
     #[test]

@@ -20,12 +20,13 @@
 use std::time::Duration;
 use wedgechain::core::client::ClientPlan;
 use wedgechain::core::config::SystemConfig;
+use wedgechain::core::driver::{Cluster, RunReport, RuntimeConfig, Transport};
 use wedgechain::core::fault::FaultPlan;
 use wedgechain::core::harness::MultiPartitionHarness;
 use wedgechain::core::messages::DisputeVerdict;
-use wedgechain::core::threaded::{EdgeRunReport, ThreadedCluster, ThreadedConfig};
+use wedgechain::core::threaded::{EdgeRunReport, Threads};
 use wedgechain::lsmerkle::LsmConfig;
-use wedgechain::net::{NetCluster, NetConfig};
+use wedgechain::net::Tcp;
 use wedgechain::sim::SimDuration;
 
 /// Per-edge scripted puts: edge 0 crosses the merge threshold (merge
@@ -178,47 +179,9 @@ fn sim_threads_and_sockets_agree_end_to_end() {
     assert_eq!(sim_punished, vec![sim.edge_node(1).id()], "sim convicted exactly edge 1");
     assert_eq!(sim_outcomes[1].certified_len, WITHHELD_BID, "withheld block splits the prefix");
 
-    // A driver closure so threads and sockets run the *same* script.
-    let drive_threads = |cluster: &ThreadedCluster| {
-        drive_cluster_generic(
-            &per_edge,
-            |p, k, v| cluster.put_on(p, k, v).expect("batch size 1 seals every put"),
-            |p, k| cluster.get_on(p, k).expect("read verifies"),
-        )
-    };
-    let drive_net = |cluster: &NetCluster| {
-        drive_cluster_generic(
-            &per_edge,
-            |p, k, v| cluster.put_on(p, k, v).expect("batch size 1 seals every put"),
-            |p, k| cluster.get_on(p, k).expect("read verifies"),
-        )
-    };
-
-    // ---------------- threaded runtime ----------------
-    let threaded = ThreadedCluster::start(ThreadedConfig {
-        lsm: LsmConfig::paper_eval(),
-        num_edges: partitions,
-        batch_size: 1,
-        faults: faults.clone(),
-        gossip_period: Some(Duration::from_millis(40)),
-        dispute_timeout: Duration::from_millis(300),
-        seal_times: Some(seal_times.clone()),
-        // The sim reference runs inline (width 1); running the OS-thread
-        // runtimes with real worker pools proves pooling never changes
-        // a digest, verdict, or counter.
-        pool_threads: 2,
-        ..ThreadedConfig::default()
-    });
-    let threaded_reads = drive_threads(&threaded);
-    std::thread::sleep(Duration::from_millis(600));
-    let threaded_report = threaded.shutdown().expect("threaded report");
-    let threaded_outcomes: Vec<_> = threaded_report.edges.iter().map(reduce_report).collect();
-    assert_outcomes_agree("threads-vs-sim", &threaded_outcomes, &sim_outcomes);
-    assert_eq!(threaded_report.punished, sim_punished, "threads: same punished set");
-    assert_eq!(threaded_reads, sim_reads, "threads: same verified-read values");
-
-    // ---------------- socket runtime (loopback TCP) ----------------
-    let net = NetCluster::start(NetConfig {
+    // One config and one driver, so threads and sockets run the *same*
+    // script.
+    let cfg = RuntimeConfig {
         lsm: LsmConfig::paper_eval(),
         num_edges: partitions,
         batch_size: 1,
@@ -226,12 +189,22 @@ fn sim_threads_and_sockets_agree_end_to_end() {
         gossip_period: Some(Duration::from_millis(40)),
         dispute_timeout: Duration::from_millis(300),
         seal_times: Some(seal_times),
+        // The sim reference runs inline (width 1); running the OS-thread
+        // runtimes with real worker pools proves pooling never changes
+        // a digest, verdict, or counter.
         pool_threads: 2,
-        ..NetConfig::default()
-    });
-    let net_reads = drive_net(&net);
-    std::thread::sleep(Duration::from_millis(600));
-    let net_report = net.shutdown().expect("net report");
+        ..RuntimeConfig::default()
+    };
+
+    // ---------------- threaded runtime ----------------
+    let (threaded_report, threaded_reads) = run_script::<Threads>(cfg.clone(), &per_edge);
+    let threaded_outcomes: Vec<_> = threaded_report.edges.iter().map(reduce_report).collect();
+    assert_outcomes_agree("threads-vs-sim", &threaded_outcomes, &sim_outcomes);
+    assert_eq!(threaded_report.punished, sim_punished, "threads: same punished set");
+    assert_eq!(threaded_reads, sim_reads, "threads: same verified-read values");
+
+    // ---------------- socket runtime (loopback TCP) ----------------
+    let (net_report, net_reads) = run_script::<Tcp>(cfg, &per_edge);
     let net_outcomes: Vec<_> = net_report.edges.iter().map(reduce_report).collect();
     assert_outcomes_agree("sockets-vs-sim", &net_outcomes, &sim_outcomes);
     assert_eq!(net_report.punished, sim_punished, "sockets: same punished set");
@@ -321,18 +294,19 @@ fn sim_threads_and_sockets_agree_end_to_end() {
     assert!(threaded_report.proof_cache_hits > 0, "repeat L0 witnesses hit the shared cache");
 }
 
-/// Runs the scripted workload against one runtime: puts (waiting for
+/// Runs the scripted workload on transport `T`: puts (waiting for
 /// Phase II on all but the withheld block, whose conviction the
 /// dispute deadline handles), then verified reads on the honest
-/// partitions. Returns the read values per partition.
-fn drive_cluster_generic(
+/// partitions, then time for the dispute to settle. Returns the run
+/// report and the read values per partition.
+fn run_script<T: Transport>(
+    cfg: RuntimeConfig,
     per_edge: &[Vec<(u64, Vec<u8>)>],
-    put: impl Fn(usize, u64, Vec<u8>) -> wedgechain::core::threaded::PutReply,
-    get: impl Fn(usize, u64) -> wedgechain::core::engine::GetOutcome,
-) -> Vec<Vec<Option<Vec<u8>>>> {
+) -> (RunReport, Vec<Vec<Option<Vec<u8>>>>) {
+    let cluster = Cluster::<T>::start(cfg);
     for (p, ops) in per_edge.iter().enumerate() {
         for (i, (k, v)) in ops.iter().enumerate() {
-            let reply = put(p, *k, v.clone());
+            let reply = cluster.put_on(p, *k, v.clone()).expect("batch size 1 seals every put");
             if !(p == 1 && i as u64 == WITHHELD_BID) {
                 let proof =
                     reply.certified.recv_timeout(Duration::from_secs(10)).expect("block certified");
@@ -346,8 +320,9 @@ fn drive_cluster_generic(
             continue; // the withheld partition's client halts on the verdict
         }
         for (k, _) in ops {
-            reads[p].push(get(p, *k).value);
+            reads[p].push(cluster.get_on(p, *k).expect("read verifies").value);
         }
     }
-    reads
+    std::thread::sleep(Duration::from_millis(600));
+    (cluster.shutdown().expect("report"), reads)
 }
