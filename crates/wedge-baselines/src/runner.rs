@@ -9,10 +9,10 @@ use crate::edge_baseline::{EbClient, EbCloud, EbEdge};
 use crate::msg::BMsg;
 use wedge_core::client::ClientPlan;
 use wedge_core::config::SystemConfig;
+use wedge_core::deployment::Identities;
 use wedge_core::fault::FaultPlan;
 use wedge_core::harness::{Aggregate, SystemHarness};
 use wedge_core::metrics::{ClientMetrics, Timeline};
-use wedge_crypto::{Identity, KeyRegistry};
 use wedge_lsmerkle::{CloudIndex, LsMerkle};
 use wedge_sim::{ActorId, Simulation};
 use wedge_workload::{Mix, Scenario};
@@ -94,32 +94,6 @@ fn run_wedgechain(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> R
     RunOutput { agg: h.aggregate(), p1_timeline: m0.p1_timeline, p2_timeline: m0.p2_timeline }
 }
 
-fn aggregate_from(metrics: Vec<ClientMetrics>) -> Aggregate {
-    let mut agg = Aggregate::default();
-    let (mut p1s, mut p1n, mut p2s, mut p2n, mut rds, mut rdn) =
-        (0.0, 0usize, 0.0, 0usize, 0.0, 0usize);
-    let mut makespan = 0.0f64;
-    for m in &metrics {
-        p1s += m.p1_latency.mean() * m.p1_latency.count() as f64;
-        p1n += m.p1_latency.count();
-        p2s += m.p2_latency.mean() * m.p2_latency.count() as f64;
-        p2n += m.p2_latency.count();
-        rds += m.read_latency.mean() * m.read_latency.count() as f64;
-        rdn += m.read_latency.count();
-        agg.total_ops += m.total_ops();
-        if let Some(t) = m.finished_at {
-            makespan = makespan.max(t.as_secs_f64());
-        }
-    }
-    agg.p1_latency_ms = if p1n > 0 { p1s / p1n as f64 } else { 0.0 };
-    agg.p2_latency_ms = if p2n > 0 { p2s / p2n as f64 } else { 0.0 };
-    agg.read_latency_ms = if rdn > 0 { rds / rdn as f64 } else { 0.0 };
-    agg.makespan_secs = makespan;
-    agg.throughput_kops =
-        if makespan > 0.0 { agg.total_ops as f64 / makespan / 1_000.0 } else { 0.0 };
-    agg
-}
-
 fn run_cloud_only(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> RunOutput {
     let mut sim: Simulation<BMsg> = Simulation::new(cfg.net.clone(), cfg.seed);
     let cloud_node = CloudOnlyCloud::new(cfg.cost.clone());
@@ -145,7 +119,7 @@ fn run_cloud_only(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> R
         clients.iter().map(|&c| sim.actor::<CloudOnlyClient>(c).metrics.clone()).collect();
     let m0 = metrics[0].clone();
     RunOutput {
-        agg: aggregate_from(metrics),
+        agg: Aggregate::of(&metrics),
         p1_timeline: m0.p1_timeline,
         p2_timeline: m0.p2_timeline,
     }
@@ -153,11 +127,9 @@ fn run_cloud_only(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> R
 
 fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> RunOutput {
     let mut sim: Simulation<BMsg> = Simulation::new(cfg.net.clone(), cfg.seed);
-    let cloud_ident = Identity::derive("cloud", 1);
-    let edge_ident = Identity::derive("edge", 100);
-    let mut registry = KeyRegistry::new();
-    registry.register(cloud_ident.id, cloud_ident.public()).unwrap();
-    registry.register(edge_ident.id, edge_ident.public()).unwrap();
+    // The same identities and registry as the WedgeChain deployment.
+    let ids = Identities::derive(1, cfg.num_clients);
+    let (cloud_ident, edge_ident) = (&ids.cloud, &ids.edges[0]);
 
     // Pre-computed ids: cloud=0, edge=1, clients=2…
     let cloud_id = ActorId::from_index(0);
@@ -174,7 +146,7 @@ fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -
 
     // The edge replica starts from the same (deterministic) init state.
     let mut replica_index = CloudIndex::new(cfg.lsm.clone());
-    let init = replica_index.init_edge(&cloud_ident, edge_ident.id, 0);
+    let init = replica_index.init_edge(cloud_ident, edge_ident.id, 0);
     let replica = LsMerkle::new(edge_ident.id, cfg.lsm.clone(), init);
     let edge_node = EbEdge::new(cloud, cfg.cost.clone(), replica);
     let edge = sim.add_actor("edge", cfg.edge_region, Box::new(edge_node));
@@ -192,7 +164,7 @@ fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -
                 .map(|_| {
                     let op = wedge_lsmerkle::KvOp::put(key, vec![0xEE; cfg.value_size]);
                     let e = wedge_log::Entry {
-                        client: wedge_crypto::IdentityId(1000),
+                        client: ids.clients[0][0].id,
                         sequence: seq,
                         payload: op.encode(),
                         signature: wedge_crypto::Signature { e: 0, s: 0 },
@@ -214,16 +186,14 @@ fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -
         }
     }
     let mut clients = Vec::new();
-    for i in 0..cfg.num_clients {
-        let ident = Identity::derive("client", 1000 + i as u64);
-        registry.register(ident.id, ident.public()).unwrap();
+    for (i, ident) in ids.clients[0].iter().enumerate() {
         let node = EbClient::new(
-            ident,
+            ident.clone(),
             cloud,
             edge,
             edge_ident.id,
             cloud_ident.id,
-            registry.clone(),
+            ids.registry.clone(),
             cfg.cost.clone(),
             plan.clone(),
         );
@@ -238,7 +208,7 @@ fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -
         clients.iter().map(|&c| sim.actor::<EbClient>(c).metrics.clone()).collect();
     let m0 = metrics[0].clone();
     RunOutput {
-        agg: aggregate_from(metrics),
+        agg: Aggregate::of(&metrics),
         p1_timeline: m0.p1_timeline,
         p2_timeline: m0.p2_timeline,
     }

@@ -9,14 +9,10 @@
 //! [`CloudEngine::next_deadline_ns`] — it never decides when gossip
 //! happens.
 
-use crate::cost::CostModel;
 use crate::engine::{CloudCommand, CloudEffect, CloudEngine};
 use crate::messages::Msg;
 use std::any::Any;
-use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use wedge_crypto::{Identity, IdentityId, KeyRegistry};
-use wedge_lsmerkle::CloudIndex;
 use wedge_sim::{Actor, ActorId, Context, DeadlineTimer, TimerId};
 
 pub use crate::engine::CloudStats;
@@ -29,17 +25,9 @@ pub struct CloudNode {
 }
 
 impl CloudNode {
-    /// Creates the cloud node. `gossip_period_ns` is handed to the
-    /// engine, which owns the cadence.
-    pub fn new(
-        identity: Identity,
-        registry: KeyRegistry,
-        cost: CostModel,
-        index: CloudIndex,
-        edges: HashMap<ActorId, IdentityId>,
-        gossip_period_ns: Option<u64>,
-    ) -> Self {
-        let engine = CloudEngine::new(identity, registry, cost, index, edges, gossip_period_ns);
+    /// Creates the cloud actor around an engine, which owns the gossip
+    /// cadence.
+    pub fn new(engine: CloudEngine<ActorId>) -> Self {
         CloudNode { engine, timer: DeadlineTimer::new() }
     }
 

@@ -4,9 +4,10 @@
 //! move [`WireMsg`]s between them. Everything except that last part
 //! lives here, written once:
 //!
-//! - [`RuntimeConfig`] and the node builder: derived identities, the
-//!   key registry, the cloud index with one `init_edge` per partition,
-//!   the three engines and the process-wide read-proof cache;
+//! - [`RuntimeConfig`], and how it configures the engines that
+//!   [`crate::deployment`] builds for the simulator too (real crypto,
+//!   deployment seed 0, a pool per engine, the pipeline depth and one
+//!   process-wide read-proof cache);
 //! - [`Cluster`], generic over a [`Transport`]: the caller API
 //!   (`put_on`, `try_put_on`, `flush_on`, `get_on`, `log_read_on`) and
 //!   [`Cluster::shutdown`], which returns one [`RunReport`];
@@ -39,12 +40,12 @@
 
 use crate::config::CryptoMode;
 use crate::cost::CostModel;
+use crate::deployment::{EngineConfig, Engines, Identities};
 use crate::engine::{
     ClientCommand, ClientEffect, ClientEngine, ClientEvent, ClientPlan, CloudCommand, CloudEffect,
     CloudEngine, CloudStats, EdgeCommand, EdgeEffect, EdgeEngine, EdgeStats, GetOutcome,
 };
 use crate::fault::FaultPlan;
-use crate::harness::client_workload_seed;
 use crate::messages::{AddReceipt, DisputeVerdict, WireMsg};
 use crate::metrics::ClientMetrics;
 use std::collections::{HashMap, VecDeque};
@@ -55,11 +56,9 @@ use std::sync::mpsc::{
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wedge_crypto::{Digest, Identity, IdentityId, KeyRegistry};
+use wedge_crypto::{Digest, IdentityId, KeyRegistry};
 use wedge_log::{BlockId, BlockProof};
-use wedge_lsmerkle::{
-    CloudIndex, CompactionStats, LsMerkle, LsmConfig, ProofError, ShardedReadProofCache,
-};
+use wedge_lsmerkle::{CompactionStats, LsmConfig, ProofError, ShardedReadProofCache};
 
 /// Configuration for a [`Cluster`], whatever its transport.
 #[derive(Clone, Debug)]
@@ -149,13 +148,6 @@ impl Default for RuntimeConfig {
         }
     }
 }
-
-/// Identity derivation mirrors the simulator harness (cloud 1, edges
-/// 100+p, clients 1000+p) so entries and blocks are byte-identical
-/// across runtimes.
-const CLOUD_ID: u64 = 1;
-const EDGE_ID_BASE: u64 = 100;
-const CLIENT_ID_BASE: u64 = 1000;
 
 /// The edge engine's single client peer handle.
 const CLIENT_PEER: u8 = 0;
@@ -843,101 +835,6 @@ impl ClientCompletions {
 // The cluster
 // ---------------------------------------------------------------------------
 
-/// The cluster's engines, built before any thread runs.
-struct Nodes {
-    registry: KeyRegistry,
-    cloud_id: IdentityId,
-    edge_ids: Vec<IdentityId>,
-    cloud: CloudEngine<usize>,
-    edges: Vec<EdgeEngine<u8>>,
-    clients: Vec<ClientEngine>,
-    /// One proof cache for the whole process: a witness verified by
-    /// any partition's client is verified for all of them (the cache's
-    /// trust rule is content-based, not per-client).
-    proof_cache: Arc<ShardedReadProofCache>,
-}
-
-impl Nodes {
-    fn build(cfg: &RuntimeConfig) -> Nodes {
-        let n = cfg.num_edges;
-        let cloud_ident = Identity::derive("cloud", CLOUD_ID);
-        let edge_idents: Vec<Identity> =
-            (0..n).map(|p| Identity::derive("edge", EDGE_ID_BASE + p as u64)).collect();
-        let client_idents: Vec<Identity> =
-            (0..n).map(|p| Identity::derive("client", CLIENT_ID_BASE + p as u64)).collect();
-        let mut registry = KeyRegistry::new();
-        for ident in std::iter::once(&cloud_ident).chain(&edge_idents).chain(&client_idents) {
-            // lint:allow(no-panic-path): construction on the caller thread — the derived ids are distinct by construction, and a failure must abort before any service thread exists
-            registry.register(ident.id, ident.public()).expect("derived ids are distinct");
-        }
-        let cloud_id = cloud_ident.id;
-        let edge_ids: Vec<IdentityId> = edge_idents.iter().map(|e| e.id).collect();
-        let cost = CostModel::default();
-
-        // Each engine runs on its own service thread and scopes its
-        // own parallel sections; a shared pool would serialize them,
-        // so the cloud and every edge get a pool of their own.
-        let mut index = CloudIndex::new(cfg.lsm.clone());
-        index.set_pool(wedge_pool::Pool::new(cfg.pool_threads));
-        let inits: Vec<_> = edge_ids.iter().map(|&e| index.init_edge(&cloud_ident, e, 0)).collect();
-        let cloud = CloudEngine::new(
-            cloud_ident,
-            registry.clone(),
-            cost.clone(),
-            index,
-            edge_ids.iter().copied().enumerate().collect::<HashMap<_, _>>(),
-            cfg.gossip_period.map(nanos),
-        );
-        let edges = edge_idents
-            .into_iter()
-            .zip(inits)
-            .enumerate()
-            .map(|(p, (ident, init))| {
-                let tree = LsMerkle::new(ident.id, cfg.lsm.clone(), init);
-                let mut engine = EdgeEngine::new(
-                    ident,
-                    cloud_id,
-                    registry.clone(),
-                    cost.clone(),
-                    CryptoMode::Real,
-                    cfg.faults.get(p).cloned().unwrap_or_default(),
-                    tree,
-                    vec![CLIENT_PEER],
-                );
-                engine.set_pool(wedge_pool::Pool::new(cfg.pool_threads));
-                engine.set_cert_retry_ns(cfg.cert_retry.map(nanos));
-                engine.set_merge_retry_ns(cfg.merge_retry.map(nanos));
-                engine.set_compaction_period_ns(cfg.compaction_period.map(nanos));
-                engine
-            })
-            .collect();
-        let proof_cache = Arc::new(ShardedReadProofCache::default());
-        let clients = client_idents
-            .into_iter()
-            .zip(&edge_ids)
-            .map(|(ident, &edge_id)| {
-                let seed = client_workload_seed(0, ident.id);
-                let mut engine = ClientEngine::new(
-                    ident,
-                    edge_id,
-                    cloud_id,
-                    registry.clone(),
-                    cost.clone(),
-                    CryptoMode::Real,
-                    ClientPlan::idle(),
-                    cfg.freshness_window.map(nanos),
-                    nanos(cfg.dispute_timeout),
-                    seed,
-                );
-                engine.set_pipeline_depth(cfg.pipeline_depth);
-                engine.share_proof_cache(Arc::clone(&proof_cache));
-                engine
-            })
-            .collect();
-        Nodes { registry, cloud_id, edge_ids, cloud, edges, clients, proof_cache }
-    }
-}
-
 /// A running N-edge + cloud cluster: one service thread per node, one
 /// gate flusher per edge, wired by transport `T`.
 pub struct Cluster<T: Transport> {
@@ -986,7 +883,42 @@ impl<T: Transport> Cluster<T> {
              cannot combine"
         );
         let n = cfg.num_edges;
-        let nodes = Nodes::build(&cfg);
+        // One client per partition, so the cloud's peers are edges
+        // `0..n` then clients `n..2n`, and each edge's one client peer
+        // is `CLIENT_PEER`.
+        let ids = Identities::derive(n, 1);
+        let edge_peers: Vec<usize> = (0..n).collect();
+        let engine_cfg = EngineConfig {
+            lsm: cfg.lsm.clone(),
+            cost: CostModel::default(),
+            crypto_mode: CryptoMode::Real,
+            faults: cfg.faults.clone(),
+            plan: ClientPlan::idle(),
+            seed: 0,
+            data_free: true,
+            gossip_period_ns: cfg.gossip_period.map(nanos),
+            dispute_timeout_ns: nanos(cfg.dispute_timeout),
+            freshness_window_ns: cfg.freshness_window.map(nanos),
+            cert_retry_ns: cfg.cert_retry.map(nanos),
+            merge_retry_ns: cfg.merge_retry.map(nanos),
+            compaction_period_ns: cfg.compaction_period.map(nanos),
+        };
+        // Each engine runs on its own service thread and scopes its own
+        // parallel sections; a shared pool would serialize them, so the
+        // cloud and every edge get a pool of their own.
+        let engines =
+            Engines::build(&ids, engine_cfg, &edge_peers, &vec![vec![CLIENT_PEER]; n], || {
+                wedge_pool::Pool::new(cfg.pool_threads)
+            });
+        // One proof cache for the whole process: a witness verified by
+        // any partition's client is verified for all of them (the
+        // cache's trust rule is content-based, not per-client).
+        let proof_cache = Arc::new(ShardedReadProofCache::default());
+        let mut client_engines: Vec<ClientEngine> = engines.clients.into_iter().flatten().collect();
+        for engine in &mut client_engines {
+            engine.set_pipeline_depth(cfg.pipeline_depth);
+            engine.share_proof_cache(Arc::clone(&proof_cache));
+        }
 
         let (cloud_tx, cloud_rx) = sync_channel(cfg.cloud_inbox_cap);
         let (edge_txs, edge_rxs): (Vec<_>, Vec<_>) =
@@ -1035,13 +967,13 @@ impl<T: Transport> Cluster<T> {
 
         let epoch = Instant::now();
         let hop = cfg.cloud_hop_latency;
-        let cloud = nodes.cloud;
+        let cloud = engines.cloud;
         let cloud_handle = spawn("wedge-cloud".into(), move || {
             cloud_service(cloud, cloud_rx, cloud_links, epoch, hop)
         });
         let mut edge_handles = Vec::with_capacity(n);
         let edges =
-            nodes.edges.into_iter().zip(edge_rxs).zip(edge_links.into_iter().zip(edge_to_client));
+            engines.edges.into_iter().zip(edge_rxs).zip(edge_links.into_iter().zip(edge_to_client));
         for (p, ((engine, rx), (up, down))) in edges.enumerate() {
             let seal_times: VecDeque<u64> =
                 cfg.seal_times.as_ref().and_then(|s| s.get(p).cloned()).unwrap_or_default().into();
@@ -1051,7 +983,7 @@ impl<T: Transport> Cluster<T> {
             }));
         }
         let mut client_handles = Vec::with_capacity(n);
-        let clients = nodes.clients.into_iter().zip(client_rxs).zip(client_links);
+        let clients = client_engines.into_iter().zip(client_rxs).zip(client_links);
         for (p, ((engine, rx), (edge, cloud))) in clients.enumerate() {
             client_handles.push(spawn(format!("wedge-client{p}"), move || {
                 client_service(engine, rx, edge, cloud, epoch)
@@ -1068,13 +1000,13 @@ impl<T: Transport> Cluster<T> {
             gates,
             flushers,
             transport,
-            registry: nodes.registry,
-            cloud_id: nodes.cloud_id,
-            edge_ids: nodes.edge_ids,
+            cloud_id: ids.cloud.id,
+            edge_ids: ids.edges.iter().map(|e| e.id).collect(),
+            registry: ids.registry,
             batcher: PutBatcher::new(n, cfg.batch_size),
             admission_timeout: cfg.admission_timeout,
             puts_shed: AtomicU64::new(0),
-            proof_cache: nodes.proof_cache,
+            proof_cache,
         })
     }
 

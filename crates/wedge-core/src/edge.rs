@@ -8,15 +8,10 @@
 //! [`EdgeEffect`]s into the simulation [`Context`] (CPU charging,
 //! foreground sends, background sends).
 
-use crate::config::CryptoMode;
-use crate::cost::CostModel;
 use crate::engine::{EdgeCommand, EdgeEffect, EdgeEngine};
-use crate::fault::FaultPlan;
 use crate::messages::Msg;
 use std::any::Any;
 use std::ops::{Deref, DerefMut};
-use wedge_crypto::{Identity, IdentityId, KeyRegistry};
-use wedge_lsmerkle::LsMerkle;
 use wedge_sim::{Actor, ActorId, Context, DeadlineTimer, TimerId};
 
 pub use crate::engine::EdgeStats;
@@ -30,33 +25,9 @@ pub struct EdgeNode {
 }
 
 impl EdgeNode {
-    /// Creates an edge node.
-    ///
-    /// `registry` must contain the cloud's and all clients' keys;
-    /// `tree` comes initialized from the cloud's
-    /// [`wedge_lsmerkle::InitBundle`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        identity: Identity,
-        cloud: ActorId,
-        cloud_identity: IdentityId,
-        registry: KeyRegistry,
-        cost: CostModel,
-        crypto_mode: CryptoMode,
-        fault: FaultPlan,
-        tree: LsMerkle,
-        clients: Vec<ActorId>,
-    ) -> Self {
-        let engine = EdgeEngine::new(
-            identity,
-            cloud_identity,
-            registry,
-            cost,
-            crypto_mode,
-            fault,
-            tree,
-            clients,
-        );
+    /// Creates an edge actor around an engine, bound to the cloud
+    /// actor.
+    pub fn new(engine: EdgeEngine<ActorId>, cloud: ActorId) -> Self {
         EdgeNode { engine, cloud, timer: DeadlineTimer::new() }
     }
 

@@ -1,36 +1,27 @@
-//! The system harness: builds a full WedgeChain deployment inside the
-//! simulator and drives it.
+//! The simulator deployments: build WedgeChain inside the simulator
+//! and drive it.
 //!
-//! This is the entry point examples, tests and benches use: place N
-//! clients and an edge node in one region and the cloud in another,
-//! hand each client a [`ClientPlan`], run, and read the metrics.
+//! This is the entry point examples, tests and benches use: place the
+//! clients and their edge in one region and the cloud in another, hand
+//! each client a [`ClientPlan`], run, and read the metrics.
+//! [`MultiPartitionHarness`] holds N partitions; [`SystemHarness`] is
+//! its one-partition case. Both are built by one constructor on top of
+//! [`crate::deployment`] — the identities and engines the real-time
+//! cluster builds too — and share one put/get body.
 
 use crate::client::{ClientNode, ClientPlan, GetOutcome, PutOutcome};
 use crate::cloud::CloudNode;
 use crate::config::SystemConfig;
+use crate::deployment::{EngineConfig, Engines, Identities};
 use crate::edge::EdgeNode;
-use crate::engine::ClientEngine;
 use crate::fault::FaultPlan;
 use crate::messages::Msg;
 use crate::metrics::ClientMetrics;
-use std::collections::HashMap;
-use wedge_crypto::{Identity, IdentityId, KeyRegistry};
 use wedge_log::BlockProof;
-use wedge_lsmerkle::{CloudIndex, KvOp, LsMerkle};
+use wedge_lsmerkle::KvOp;
 use wedge_sim::{ActorId, SimDuration, SimTime, Simulation};
 
-/// Identity id blocks: clients 1000+, edges 100+, cloud 1.
-const CLOUD_ID: u64 = 1;
-const EDGE_ID_BASE: u64 = 100;
-const CLIENT_ID_BASE: u64 = 1000;
-
-/// The engine-owned workload seed for one client: derived from the
-/// deployment seed and the client identity, so each client's key
-/// stream is deterministic regardless of how runtimes interleave
-/// their execution (the sim/threads differential depends on this).
-pub fn client_workload_seed(deployment_seed: u64, client: IdentityId) -> u64 {
-    deployment_seed ^ client.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
+pub use crate::deployment::client_workload_seed;
 
 /// A fully wired single-partition WedgeChain deployment.
 pub struct SystemHarness {
@@ -43,6 +34,7 @@ pub struct SystemHarness {
     /// The cloud node actor.
     pub cloud: ActorId,
     cfg: SystemConfig,
+    ids: Identities,
     max_events: u64,
 }
 
@@ -61,6 +53,36 @@ pub struct Aggregate {
     pub total_ops: u64,
     /// Virtual seconds to finish the whole workload.
     pub makespan_secs: f64,
+}
+
+impl Aggregate {
+    /// Aggregates per-client metrics: latency means weighted by sample
+    /// count, the makespan set by the last client to finish.
+    pub fn of<'a>(clients: impl IntoIterator<Item = &'a ClientMetrics>) -> Aggregate {
+        let mut agg = Aggregate::default();
+        let (mut p1_sum, mut p1_n, mut p2_sum, mut p2_n, mut rd_sum, mut rd_n) =
+            (0.0, 0usize, 0.0, 0usize, 0.0, 0usize);
+        let mut makespan = 0.0f64;
+        for m in clients {
+            p1_sum += m.p1_latency.mean() * m.p1_latency.count() as f64;
+            p1_n += m.p1_latency.count();
+            p2_sum += m.p2_latency.mean() * m.p2_latency.count() as f64;
+            p2_n += m.p2_latency.count();
+            rd_sum += m.read_latency.mean() * m.read_latency.count() as f64;
+            rd_n += m.read_latency.count();
+            agg.total_ops += m.total_ops();
+            if let Some(t) = m.finished_at {
+                makespan = makespan.max(t.as_secs_f64());
+            }
+        }
+        agg.p1_latency_ms = if p1_n > 0 { p1_sum / p1_n as f64 } else { 0.0 };
+        agg.p2_latency_ms = if p2_n > 0 { p2_sum / p2_n as f64 } else { 0.0 };
+        agg.read_latency_ms = if rd_n > 0 { rd_sum / rd_n as f64 } else { 0.0 };
+        agg.makespan_secs = makespan;
+        agg.throughput_kops =
+            if makespan > 0.0 { agg.total_ops as f64 / makespan / 1_000.0 } else { 0.0 };
+        agg
+    }
 }
 
 /// A multi-partition deployment: several edge nodes (one partition
@@ -88,121 +110,67 @@ impl MultiPartitionHarness {
         plan: ClientPlan,
         faults: Vec<FaultPlan>,
     ) -> Self {
-        assert!(partitions > 0);
-        let mut sim: Simulation<Msg> = Simulation::new(cfg.net.clone(), cfg.seed);
-        let cloud_ident = Identity::derive("cloud", CLOUD_ID);
-        let mut registry = KeyRegistry::new();
-        registry.register(cloud_ident.id, cloud_ident.public()).unwrap();
-        let edge_idents: Vec<Identity> =
-            (0..partitions).map(|p| Identity::derive("edge", EDGE_ID_BASE + p as u64)).collect();
-        for e in &edge_idents {
-            registry.register(e.id, e.public()).unwrap();
-        }
-        let mut client_idents = Vec::new();
-        for p in 0..partitions {
-            let mut per = Vec::new();
-            for c in 0..clients_per_partition {
-                let ident = Identity::derive(
-                    "client",
-                    CLIENT_ID_BASE + (p * clients_per_partition + c) as u64,
-                );
-                registry.register(ident.id, ident.public()).unwrap();
-                per.push(ident);
-            }
-            client_idents.push(per);
-        }
+        Self::build(&cfg, partitions, clients_per_partition, plan, faults).0
+    }
 
-        // Actor layout: cloud = 0, edges = 1..=P, clients after.
-        let cloud_actor = ActorId::from_index(0);
-        let edge_actors: Vec<ActorId> =
-            (0..partitions).map(|p| ActorId::from_index(1 + p)).collect();
-        let mut next = 1 + partitions;
-        let client_actors: Vec<Vec<ActorId>> = (0..partitions)
-            .map(|_| {
-                (0..clients_per_partition)
-                    .map(|_| {
-                        let id = ActorId::from_index(next);
-                        next += 1;
-                        id
-                    })
-                    .collect()
+    /// The one simulator deployment, and the identities it runs under.
+    /// Actor layout: cloud = 0, edges = 1..=P, then clients in
+    /// partition order.
+    fn build(
+        cfg: &SystemConfig,
+        partitions: usize,
+        clients_per_partition: usize,
+        plan: ClientPlan,
+        faults: Vec<FaultPlan>,
+    ) -> (Self, Identities) {
+        assert!(partitions > 0);
+        let ids = Identities::derive(partitions, clients_per_partition);
+        let cloud = ActorId::from_index(0);
+        let edges: Vec<ActorId> = (1..=partitions).map(ActorId::from_index).collect();
+        let clients: Vec<Vec<ActorId>> = (0..partitions)
+            .map(|p| {
+                let first = 1 + partitions + p * clients_per_partition;
+                (first..first + clients_per_partition).map(ActorId::from_index).collect()
             })
             .collect();
-
-        let mut index = CloudIndex::new(cfg.lsm.clone());
+        let engine_cfg = EngineConfig {
+            lsm: cfg.lsm.clone(),
+            cost: cfg.cost.clone(),
+            crypto_mode: cfg.crypto_mode,
+            faults,
+            plan,
+            seed: cfg.seed,
+            data_free: cfg.data_free,
+            gossip_period_ns: (cfg.gossip_period_ms > 0).then(|| cfg.gossip_period_ms * 1_000_000),
+            dispute_timeout_ns: cfg.dispute_timeout_ms * 1_000_000,
+            freshness_window_ns: cfg.freshness_window_ms.map(|ms| ms * 1_000_000),
+            cert_retry_ns: cfg.cert_retry_ms.map(|ms| ms * 1_000_000),
+            merge_retry_ns: cfg.merge_retry_ms.map(|ms| ms * 1_000_000),
+            compaction_period_ns: cfg.compaction_period_ms.map(|ms| ms * 1_000_000),
+        };
+        // One pool serves every engine: the sim is single-threaded, so
+        // scopes never overlap; the default width 1 keeps it inline.
         let pool = wedge_pool::Pool::new(cfg.pool_threads);
-        index.set_pool(pool.clone());
-        let mut inits = Vec::new();
-        for e in &edge_idents {
-            inits.push(index.init_edge(&cloud_ident, e.id, 0));
-        }
-        let gossip = (cfg.gossip_period_ms > 0).then(|| cfg.gossip_period_ms * 1_000_000);
-        let mut edge_map = HashMap::new();
-        for (p, e) in edge_idents.iter().enumerate() {
-            edge_map.insert(edge_actors[p], e.id);
-        }
-        let cloud_node = CloudNode::new(
-            cloud_ident.clone(),
-            registry.clone(),
-            cfg.cost.clone(),
-            index,
-            edge_map,
-            gossip,
-        );
-        assert_eq!(sim.add_actor("cloud", cfg.cloud_region, Box::new(cloud_node)), cloud_actor);
+        let engines = Engines::build(&ids, engine_cfg, &edges, &clients, || pool.clone());
 
-        for (p, e) in edge_idents.iter().enumerate() {
-            let tree = LsMerkle::new(e.id, cfg.lsm.clone(), inits[p].clone());
-            let fault = faults.get(p).cloned().unwrap_or_default();
-            let mut node = EdgeNode::new(
-                e.clone(),
-                cloud_actor,
-                cloud_ident.id,
-                registry.clone(),
-                cfg.cost.clone(),
-                cfg.crypto_mode,
-                fault,
-                tree,
-                client_actors[p].clone(),
-            );
-            node.data_free = cfg.data_free;
-            node.set_pool(pool.clone());
-            node.set_cert_retry_ns(cfg.cert_retry_ms.map(|ms| ms * 1_000_000));
-            node.set_merge_retry_ns(cfg.merge_retry_ms.map(|ms| ms * 1_000_000));
-            node.set_compaction_period_ns(cfg.compaction_period_ms.map(|ms| ms * 1_000_000));
+        let mut sim: Simulation<Msg> = Simulation::new(cfg.net.clone(), cfg.seed);
+        let node = CloudNode::new(engines.cloud);
+        assert_eq!(sim.add_actor("cloud", cfg.cloud_region, Box::new(node)), cloud);
+        for (p, engine) in engines.edges.into_iter().enumerate() {
+            let node = EdgeNode::new(engine, cloud);
             assert_eq!(
                 sim.add_actor(format!("edge-{p}"), cfg.edge_region, Box::new(node)),
-                edge_actors[p]
+                edges[p]
             );
         }
-        for (p, idents) in client_idents.into_iter().enumerate() {
-            for (c, ident) in idents.into_iter().enumerate() {
-                let seed = client_workload_seed(cfg.seed, ident.id);
-                let engine = ClientEngine::new(
-                    ident,
-                    edge_idents[p].id,
-                    cloud_ident.id,
-                    registry.clone(),
-                    cfg.cost.clone(),
-                    cfg.crypto_mode,
-                    plan.clone(),
-                    cfg.freshness_window_ms.map(|ms| ms * 1_000_000),
-                    cfg.dispute_timeout_ms * 1_000_000,
-                    seed,
-                );
-                let node = ClientNode::new(engine, edge_actors[p], cloud_actor);
-                assert_eq!(
-                    sim.add_actor(format!("client-{p}-{c}"), cfg.client_region, Box::new(node)),
-                    client_actors[p][c]
-                );
+        for (p, group) in engines.clients.into_iter().enumerate() {
+            for (c, engine) in group.into_iter().enumerate() {
+                let node = ClientNode::new(engine, edges[p], cloud);
+                let name = format!("client-{p}-{c}");
+                assert_eq!(sim.add_actor(name, cfg.client_region, Box::new(node)), clients[p][c]);
             }
         }
-        MultiPartitionHarness {
-            sim,
-            edges: edge_actors,
-            clients: client_actors,
-            cloud: cloud_actor,
-        }
+        (MultiPartitionHarness { sim, edges, clients, cloud }, ids)
     }
 
     /// Starts all clients and runs until everyone finished or halted
@@ -249,55 +217,17 @@ impl MultiPartitionHarness {
     /// Performs one put through partition `p`'s client `c` and waits
     /// for Phase I (scripted workloads; mirrors [`SystemHarness::put`]).
     pub fn put(&mut self, p: usize, c: usize, key: u64, value: Vec<u8>) -> PutOutcome {
-        self.sim.start();
-        let client = self.clients[p][c];
-        self.sim.actor_mut::<ClientNode>(client).last_put = None;
-        self.sim.inject(self.cloud, client, Msg::DoPut { key, value });
-        let mut guard = 0u64;
-        while self.sim.actor::<ClientNode>(client).last_put.is_none() {
-            assert!(self.sim.step(), "simulation went idle before put completed");
-            guard += 1;
-            assert!(guard < 1_000_000, "put did not complete");
-        }
-        self.sim.actor::<ClientNode>(client).last_put.clone().unwrap()
+        client_put(&mut self.sim, self.cloud, self.clients[p][c], key, value)
     }
 
     /// Performs one put and additionally waits for Phase II.
     pub fn put_certified(&mut self, p: usize, c: usize, key: u64, value: Vec<u8>) -> PutOutcome {
-        let first = self.put(p, c, key, value);
-        let client = self.clients[p][c];
-        let mut guard = 0u64;
-        while self
-            .sim
-            .actor::<ClientNode>(client)
-            .last_put
-            .as_ref()
-            .is_some_and(|o| o.phase2_latency.is_none())
-        {
-            if !self.sim.step() {
-                break;
-            }
-            guard += 1;
-            if guard > 1_000_000 {
-                break;
-            }
-        }
-        self.sim.actor::<ClientNode>(client).last_put.clone().unwrap_or(first)
+        client_put_certified(&mut self.sim, self.cloud, self.clients[p][c], key, value)
     }
 
     /// Performs one verified get through partition `p`'s client `c`.
     pub fn get(&mut self, p: usize, c: usize, key: u64) -> GetOutcome {
-        self.sim.start();
-        let client = self.clients[p][c];
-        self.sim.actor_mut::<ClientNode>(client).last_get = None;
-        self.sim.inject(self.cloud, client, Msg::DoGet { key });
-        let mut guard = 0u64;
-        while self.sim.actor::<ClientNode>(client).last_get.is_none() {
-            assert!(self.sim.step(), "simulation went idle before get completed");
-            guard += 1;
-            assert!(guard < 1_000_000, "get did not complete");
-        }
-        self.sim.actor::<ClientNode>(client).last_get.clone().unwrap()
+        client_get(&mut self.sim, self.cloud, self.clients[p][c], key)
     }
 
     /// Advances virtual time by `d`, letting engine-owned deadlines
@@ -319,97 +249,92 @@ impl MultiPartitionHarness {
     }
 }
 
+// ----------------------------------------------------------------------
+// Single-operation API (quickstart / doctests / tests), shared by both
+// harnesses. The harness instructs a client by injecting a control
+// message "from" the cloud actor.
+// ----------------------------------------------------------------------
+
+/// Performs one put through `client` and waits for Phase I.
+fn client_put(
+    sim: &mut Simulation<Msg>,
+    cloud: ActorId,
+    client: ActorId,
+    key: u64,
+    value: Vec<u8>,
+) -> PutOutcome {
+    sim.start();
+    // Clear any previous result *before* injecting: the DoPut is only
+    // processed after the first step, so a stale result would
+    // otherwise satisfy the wait loop immediately.
+    sim.actor_mut::<ClientNode>(client).last_put = None;
+    sim.inject(cloud, client, Msg::DoPut { key, value });
+    let mut guard = 0u64;
+    while sim.actor::<ClientNode>(client).last_put.is_none() {
+        assert!(sim.step(), "simulation went idle before put completed");
+        guard += 1;
+        assert!(guard < 1_000_000, "put did not complete");
+    }
+    sim.actor::<ClientNode>(client).last_put.clone().unwrap()
+}
+
+/// Performs one put through `client` and waits for Phase II as well.
+fn client_put_certified(
+    sim: &mut Simulation<Msg>,
+    cloud: ActorId,
+    client: ActorId,
+    key: u64,
+    value: Vec<u8>,
+) -> PutOutcome {
+    let first = client_put(sim, cloud, client, key, value);
+    let mut guard = 0u64;
+    while sim
+        .actor::<ClientNode>(client)
+        .last_put
+        .as_ref()
+        .is_some_and(|o| o.phase2_latency.is_none())
+    {
+        if !sim.step() {
+            break;
+        }
+        guard += 1;
+        if guard > 1_000_000 {
+            break;
+        }
+    }
+    sim.actor::<ClientNode>(client).last_put.clone().unwrap_or(first)
+}
+
+/// Performs one verified get through `client`.
+fn client_get(sim: &mut Simulation<Msg>, cloud: ActorId, client: ActorId, key: u64) -> GetOutcome {
+    sim.start();
+    sim.actor_mut::<ClientNode>(client).last_get = None;
+    sim.inject(cloud, client, Msg::DoGet { key });
+    let mut guard = 0u64;
+    while sim.actor::<ClientNode>(client).last_get.is_none() {
+        assert!(sim.step(), "simulation went idle before get completed");
+        guard += 1;
+        assert!(guard < 1_000_000, "get did not complete");
+    }
+    sim.actor::<ClientNode>(client).last_get.clone().unwrap()
+}
+
 impl SystemHarness {
-    /// Builds a WedgeChain deployment where every client runs `plan`.
+    /// Builds a WedgeChain deployment where every client runs `plan`:
+    /// the one-partition, `cfg.num_clients`-client
+    /// [`MultiPartitionHarness`].
     pub fn wedgechain_with(cfg: SystemConfig, plan: ClientPlan, fault: FaultPlan) -> Self {
-        let mut sim: Simulation<Msg> = Simulation::new(cfg.net.clone(), cfg.seed);
-
-        // --- identities & registry ---
-        let cloud_ident = Identity::derive("cloud", CLOUD_ID);
-        let edge_ident = Identity::derive("edge", EDGE_ID_BASE);
-        let client_idents: Vec<Identity> = (0..cfg.num_clients)
-            .map(|i| Identity::derive("client", CLIENT_ID_BASE + i as u64))
-            .collect();
-        let mut registry = KeyRegistry::new();
-        registry.register(cloud_ident.id, cloud_ident.public()).unwrap();
-        registry.register(edge_ident.id, edge_ident.public()).unwrap();
-        for c in &client_idents {
-            registry.register(c.id, c.public()).unwrap();
-        }
-
-        // --- cloud-side index bootstrap ---
-        let mut index = CloudIndex::new(cfg.lsm.clone());
-        // One pool serves both sides: the sim is single-threaded, so
-        // scopes never overlap; the default width 1 keeps it inline.
-        let pool = wedge_pool::Pool::new(cfg.pool_threads);
-        index.set_pool(pool.clone());
-        let init = index.init_edge(&cloud_ident, edge_ident.id, 0);
-        let tree = LsMerkle::new(edge_ident.id, cfg.lsm.clone(), init);
-
-        // --- actors (placeholder wiring resolved below) ---
-        // Order: cloud, edge, clients — ids are deterministic.
-        let gossip = (cfg.gossip_period_ms > 0).then(|| cfg.gossip_period_ms * 1_000_000);
-        // Cloud must know the edge's ActorId; the edge is added right
-        // after the cloud, so its id is predictable (cloud=0, edge=1).
-        let cloud_actor_id = ActorId::from_index(0);
-        let edge_actor_id = ActorId::from_index(1);
-        let client_actor_ids: Vec<ActorId> =
-            (0..cfg.num_clients).map(|i| ActorId::from_index(2 + i)).collect();
-
-        let mut edge_map = HashMap::new();
-        edge_map.insert(edge_actor_id, edge_ident.id);
-        let cloud_node = CloudNode::new(
-            cloud_ident.clone(),
-            registry.clone(),
-            cfg.cost.clone(),
-            index,
-            edge_map,
-            gossip,
-        );
-        let cloud = sim.add_actor("cloud", cfg.cloud_region, Box::new(cloud_node));
-        assert_eq!(cloud, cloud_actor_id);
-
-        let mut edge_node = EdgeNode::new(
-            edge_ident.clone(),
+        let (MultiPartitionHarness { sim, edges, mut clients, cloud }, ids) =
+            MultiPartitionHarness::build(&cfg, 1, cfg.num_clients, plan, vec![fault]);
+        SystemHarness {
+            sim,
+            clients: clients.remove(0),
+            edge: edges[0],
             cloud,
-            cloud_ident.id,
-            registry.clone(),
-            cfg.cost.clone(),
-            cfg.crypto_mode,
-            fault,
-            tree,
-            client_actor_ids.clone(),
-        );
-        edge_node.data_free = cfg.data_free;
-        edge_node.set_pool(pool.clone());
-        edge_node.set_cert_retry_ns(cfg.cert_retry_ms.map(|ms| ms * 1_000_000));
-        edge_node.set_merge_retry_ns(cfg.merge_retry_ms.map(|ms| ms * 1_000_000));
-        edge_node.set_compaction_period_ns(cfg.compaction_period_ms.map(|ms| ms * 1_000_000));
-        let edge = sim.add_actor("edge", cfg.edge_region, Box::new(edge_node));
-        assert_eq!(edge, edge_actor_id);
-
-        let mut clients = Vec::with_capacity(cfg.num_clients);
-        for (i, ident) in client_idents.into_iter().enumerate() {
-            let seed = client_workload_seed(cfg.seed, ident.id);
-            let engine = ClientEngine::new(
-                ident,
-                edge_ident.id,
-                cloud_ident.id,
-                registry.clone(),
-                cfg.cost.clone(),
-                cfg.crypto_mode,
-                plan.clone(),
-                cfg.freshness_window_ms.map(|ms| ms * 1_000_000),
-                cfg.dispute_timeout_ms * 1_000_000,
-                seed,
-            );
-            let node = ClientNode::new(engine, edge, cloud);
-            let id = sim.add_actor(format!("client-{i}"), cfg.client_region, Box::new(node));
-            assert_eq!(id, client_actor_ids[i]);
-            clients.push(id);
+            cfg,
+            ids,
+            max_events: 50_000_000,
         }
-
-        SystemHarness { sim, clients, edge, cloud, cfg, max_events: 50_000_000 }
     }
 
     /// A deployment with honest nodes and idle clients (drive it with
@@ -505,107 +430,33 @@ impl SystemHarness {
 
     /// Aggregates metrics across all clients.
     pub fn aggregate(&self) -> Aggregate {
-        let mut agg = Aggregate::default();
-        let mut p1_sum = 0.0;
-        let mut p1_n = 0usize;
-        let mut p2_sum = 0.0;
-        let mut p2_n = 0usize;
-        let mut rd_sum = 0.0;
-        let mut rd_n = 0usize;
-        let mut makespan = 0.0f64;
-        for &c in &self.clients {
-            let m = self.sim.actor::<ClientNode>(c).metrics.clone();
-            p1_sum += m.p1_latency.mean() * m.p1_latency.count() as f64;
-            p1_n += m.p1_latency.count();
-            p2_sum += m.p2_latency.mean() * m.p2_latency.count() as f64;
-            p2_n += m.p2_latency.count();
-            rd_sum += m.read_latency.mean() * m.read_latency.count() as f64;
-            rd_n += m.read_latency.count();
-            agg.total_ops += m.total_ops();
-            if let Some(t) = m.finished_at {
-                makespan = makespan.max(t.as_secs_f64());
-            }
-        }
-        agg.p1_latency_ms = if p1_n > 0 { p1_sum / p1_n as f64 } else { 0.0 };
-        agg.p2_latency_ms = if p2_n > 0 { p2_sum / p2_n as f64 } else { 0.0 };
-        agg.read_latency_ms = if rd_n > 0 { rd_sum / rd_n as f64 } else { 0.0 };
-        agg.makespan_secs = makespan;
-        agg.throughput_kops =
-            if makespan > 0.0 { agg.total_ops as f64 / makespan / 1_000.0 } else { 0.0 };
-        agg
+        Aggregate::of(self.clients.iter().map(|&c| &self.sim.actor::<ClientNode>(c).metrics))
     }
-
-    // ------------------------------------------------------------------
-    // Convenience single-operation API (quickstart / doctests / tests)
-    // ------------------------------------------------------------------
 
     /// Performs one put through client `i` and waits for Phase I.
     pub fn put(&mut self, client: usize, key: u64, value: Vec<u8>) -> PutOutcome {
-        self.sim.start();
-        let c = self.clients[client];
-        // Clear any previous result *before* injecting: the DoPut is
-        // only processed after the first step, so a stale result would
-        // otherwise satisfy the wait loop immediately.
-        self.sim.actor_mut::<ClientNode>(c).last_put = None;
-        self.sim.inject(self.cloud, c, Msg::DoPut { key, value });
-        let mut guard = 0u64;
-        while self.sim.actor::<ClientNode>(c).last_put.is_none() {
-            assert!(self.sim.step(), "simulation went idle before put completed");
-            guard += 1;
-            assert!(guard < 1_000_000, "put did not complete");
-        }
-        self.sim.actor::<ClientNode>(c).last_put.clone().unwrap()
+        client_put(&mut self.sim, self.cloud, self.clients[client], key, value)
     }
 
     /// Performs one put and additionally waits for Phase II.
     pub fn put_certified(&mut self, client: usize, key: u64, value: Vec<u8>) -> PutOutcome {
-        let first = self.put(client, key, value);
-        let c = self.clients[client];
-        let mut guard = 0u64;
-        while self
-            .sim
-            .actor::<ClientNode>(c)
-            .last_put
-            .as_ref()
-            .is_some_and(|p| p.phase2_latency.is_none())
-        {
-            if !self.sim.step() {
-                break;
-            }
-            guard += 1;
-            if guard > 1_000_000 {
-                break;
-            }
-        }
-        self.sim.actor::<ClientNode>(c).last_put.clone().unwrap_or(first)
+        client_put_certified(&mut self.sim, self.cloud, self.clients[client], key, value)
     }
 
     /// Performs one verified get through client `i`.
     pub fn get(&mut self, client: usize, key: u64) -> GetOutcome {
-        self.sim.start();
-        let c = self.clients[client];
-        self.sim.actor_mut::<ClientNode>(c).last_get = None;
-        self.sim.inject(self.cloud, c, Msg::DoGet { key });
-        let mut guard = 0u64;
-        while self.sim.actor::<ClientNode>(c).last_get.is_none() {
-            assert!(self.sim.step(), "simulation went idle before get completed");
-            guard += 1;
-            assert!(guard < 1_000_000, "get did not complete");
-        }
-        self.sim.actor::<ClientNode>(c).last_get.clone().unwrap()
+        client_get(&mut self.sim, self.cloud, self.clients[client], key)
     }
 
     /// Preloads `n` sequential keys directly into the edge's log/index
     /// and the cloud's ledger, bypassing the network (setup for read
-    /// benchmarks). Keys are `0..n`, values `value_size` bytes.
+    /// benchmarks). Keys are `0..n`, values `value_size` bytes, every
+    /// entry attributed to client 0.
     pub fn preload(&mut self, n: u64) {
-        let edge_ident = Identity::derive("edge", EDGE_ID_BASE);
-        let cloud_ident = Identity::derive("cloud", CLOUD_ID);
-        let client_ident = Identity::derive("client", CLIENT_ID_BASE);
+        let edge_id = self.ids.edges[0].id;
+        let client_id = self.ids.clients[0][0].id;
         let batch = self.cfg.batch_size.max(1) as u64;
         let value_size = self.cfg.value_size;
-        let edge_actor = self.edge;
-        let cloud_actor = self.cloud;
 
         let mut key = 0u64;
         let mut seq = u64::MAX / 2; // avoid colliding with workload seqs
@@ -614,7 +465,7 @@ impl SystemHarness {
             for _ in 0..batch.min(n - key) {
                 let op = KvOp::put(key, vec![0xEE; value_size]);
                 entries.push(wedge_log::Entry {
-                    client: client_ident.id,
+                    client: client_id,
                     sequence: seq,
                     payload: op.encode(),
                     signature: wedge_crypto::Signature { e: 0, s: 0 },
@@ -624,23 +475,19 @@ impl SystemHarness {
             }
             // Seal at the edge.
             let (block, digest) = {
-                let edge = self.sim.actor_mut::<EdgeNode>(edge_actor);
+                let edge = self.sim.actor_mut::<EdgeNode>(self.edge);
                 let bid = edge.log.iter().last().map(|b| b.block.id.next()).unwrap_or_default();
-                let block =
-                    wedge_log::Block { edge: edge_ident.id, id: bid, entries, sealed_at_ns: 0 };
+                let block = wedge_log::Block { edge: edge_id, id: bid, entries, sealed_at_ns: 0 };
                 let digest = block.digest();
                 edge.log.append(block.clone());
                 edge.tree.apply_block_with_digest(block.clone(), digest);
                 (block, digest)
             };
             // Certify at the cloud.
-            let proof = {
-                let cloud = self.sim.actor_mut::<CloudNode>(cloud_actor);
-                cloud.ledger.offer(edge_ident.id, block.id, digest);
-                BlockProof::issue(&cloud_ident, edge_ident.id, block.id, digest)
-            };
+            self.sim.actor_mut::<CloudNode>(self.cloud).ledger.offer(edge_id, block.id, digest);
+            let proof = BlockProof::issue(&self.ids.cloud, edge_id, block.id, digest);
             {
-                let edge = self.sim.actor_mut::<EdgeNode>(edge_actor);
+                let edge = self.sim.actor_mut::<EdgeNode>(self.edge);
                 edge.log.attach_proof(proof.clone());
                 edge.tree.attach_block_proof(proof);
                 edge.sync_next_bid();
@@ -653,7 +500,6 @@ impl SystemHarness {
 
     /// Runs pending merges synchronously, bypassing the network.
     fn drain_merges_direct(&mut self) {
-        let cloud_ident = Identity::derive("cloud", CLOUD_ID);
         loop {
             let req = {
                 let edge = self.sim.actor_mut::<EdgeNode>(self.edge);
@@ -672,7 +518,7 @@ impl SystemHarness {
                 let engine = &mut self.sim.actor_mut::<CloudNode>(self.cloud).engine;
                 engine
                     .index
-                    .process_merge(&cloud_ident, &engine.ledger, &req, 0)
+                    .process_merge(&self.ids.cloud, &engine.ledger, &req, 0)
                     .expect("preload merge must succeed")
             };
             let edge = self.sim.actor_mut::<EdgeNode>(self.edge);

@@ -16,14 +16,18 @@
 //! - [`engine`]: the sans-IO protocol engines
 //!   ([`engine::EdgeEngine`], [`engine::CloudEngine`]) — the single
 //!   implementation of the protocol, shared by every runtime.
-//! - [`harness`]: one-call deployment builder
-//!   ([`harness::SystemHarness`]) used by examples, tests and benches.
+//! - [`deployment`]: the one deployment builder — derived identities,
+//!   the key registry, the bootstrapped cloud index and the configured
+//!   engines — shared by the simulator and the real-time cluster.
+//! - [`harness`]: the simulator deployments
+//!   ([`harness::SystemHarness`], [`harness::MultiPartitionHarness`])
+//!   used by examples, tests and benches.
 //! - [`cost`]: the calibrated CPU cost model; [`config`]: deployment
 //!   knobs; [`metrics`]: latency/timeline collection.
-//! - [`driver`]: the real-time runtime skeleton — config, node builder,
-//!   one service loop per role, cloud→edge backpressure, the run
-//!   report — generic over a transport; [`threaded`]: that skeleton on
-//!   in-process channels (`wedge-net` puts it on TCP sockets).
+//! - [`driver`]: the real-time runtime skeleton — config, one service
+//!   loop per role, cloud→edge backpressure, the run report — generic
+//!   over a transport; [`threaded`]: that skeleton on in-process
+//!   channels (`wedge-net` puts it on TCP sockets).
 
 #![forbid(unsafe_code)]
 
@@ -35,6 +39,7 @@ pub mod config;
 #[doc(hidden)]
 pub mod conformance;
 pub mod cost;
+pub mod deployment;
 pub mod driver;
 pub mod edge;
 pub mod engine;

@@ -46,8 +46,7 @@ pub use page::{
     check_level_ranges, find_covering, split_into_pages, split_into_range_pages, L0Page, Page,
 };
 pub use proof::{
-    build_read_proof, verify_read_proof, verify_read_proof_cached, verify_read_proof_sharded,
-    IndexReadProof, L0Witness, LevelWitness, ProofError, ReadProofCache, ShardedReadProofCache,
-    VerifiedRead,
+    build_read_proof, verify_read_proof, verify_read_proof_sharded, IndexReadProof, L0Witness,
+    LevelWitness, ProofError, ShardedReadProofCache, VerifiedRead,
 };
 pub use tree::{LsMerkle, RecordLocation};

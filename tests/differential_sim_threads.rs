@@ -1,33 +1,27 @@
 //! Differential test: the simulator-driven and thread-driven runtimes
 //! are two drivers over the *same* sans-IO protocol engines, so the
-//! same scripted workload must produce identical protocol outcomes —
-//! byte-identical block digests, identical certification results,
-//! identical gossip watermark content, identical dispute verdicts, and
-//! identical verified-read verdicts.
+//! same scripted single-edge workload must produce identical protocol
+//! outcomes — byte-identical block digests, identical certification
+//! results and identical verified-read verdicts, with a merge on the
+//! way.
 //!
 //! The only nondeterministic input to a block digest is its seal time,
 //! so the threaded run replays the simulator's `sealed_at_ns` values
 //! via `ThreadedConfig::seal_times`. Entries are byte-identical by
-//! construction: both runtimes derive the same client/edge/cloud
-//! identities, assign sequence numbers from 0 inside the shared
-//! `ClientEngine`, and sign with the same deterministic Schnorr
-//! scheme.
+//! construction: both runtimes take their client/edge/cloud identities
+//! from one deployment builder, assign sequence numbers from 0 inside
+//! the shared `ClientEngine`, and sign with the same deterministic
+//! Schnorr scheme.
 //!
-//! Time-driven behaviour is engine-owned ("earliest deadline" state +
-//! `Tick`), so gossip cadence and dispute timeouts run through the
-//! exact same code in both runtimes: the simulator arms a virtual
-//! timer at `next_deadline_ns()`, the threads bound `recv_timeout`
-//! with it. Neither driver schedules protocol work itself.
+//! The N-edge case — gossip watermarks and a dispute reached through
+//! engine-owned deadlines — is `differential_three_way`, which runs it
+//! on the simulator, threads and sockets.
 
 use std::time::Duration;
-use wedgechain::core::client::ClientPlan;
 use wedgechain::core::config::SystemConfig;
-use wedgechain::core::fault::FaultPlan;
-use wedgechain::core::harness::{MultiPartitionHarness, SystemHarness};
-use wedgechain::core::messages::DisputeVerdict;
+use wedgechain::core::harness::SystemHarness;
 use wedgechain::core::threaded::{ThreadedCluster, ThreadedConfig};
 use wedgechain::lsmerkle::LsmConfig;
-use wedgechain::sim::SimDuration;
 
 /// The scripted workload: distinct keys, deterministic values. 12
 /// single-put blocks crosses the paper-eval L0 threshold (10), so a
@@ -146,165 +140,5 @@ fn threads_certify_exactly_what_they_seal_without_scripting() {
     for (bid, digest, edge_proof, certified) in &report.edges[0].blocks {
         assert_eq!(certified.as_ref(), Some(digest), "block {bid} certified honestly");
         assert_eq!(edge_proof.as_ref(), Some(digest), "block {bid} proof attached");
-    }
-}
-
-/// Per-edge scripted puts for the three-partition differential: edge 0
-/// crosses the merge threshold, edge 1 includes the withheld block,
-/// edge 2 is small and honest.
-fn n_edge_workload() -> Vec<Vec<(u64, Vec<u8>)>> {
-    vec![
-        (0..12u64).map(|k| (k, format!("p0-{k}").into_bytes())).collect(),
-        (0..4u64).map(|k| (100 + k, format!("p1-{k}").into_bytes())).collect(),
-        (0..3u64).map(|k| (200 + k, format!("p2-{k}").into_bytes())).collect(),
-    ]
-}
-
-/// The N-edge differential with a dispute resolved *purely by
-/// engine-owned timeouts*: edge 1 withholds certification of its block
-/// 1; in both runtimes the client's engine deadline files the
-/// `MissingCertification` dispute, and the cloud convicts. No driver
-/// schedules the timeout — the sim arms a timer at the engine's
-/// deadline, the threads bound `recv_timeout` with it.
-#[test]
-fn n_edge_sim_and_threads_agree_including_timeout_disputes() {
-    let partitions = 3;
-    let withheld_bid = 1u64;
-    let faults =
-        vec![FaultPlan::honest(), FaultPlan::withhold_on(withheld_bid), FaultPlan::honest()];
-    let per_edge = n_edge_workload();
-
-    // --- simulator run ---
-    let cfg = SystemConfig {
-        batch_size: 1,
-        dispute_timeout_ms: 1_000,
-        gossip_period_ms: 200,
-        ..SystemConfig::real_crypto()
-    };
-    let mut sim =
-        MultiPartitionHarness::new(cfg, partitions, 1, ClientPlan::idle(), faults.clone());
-    for (p, ops) in per_edge.iter().enumerate() {
-        for (i, (k, v)) in ops.iter().enumerate() {
-            if p == 1 && i as u64 == withheld_bid {
-                // Withheld: Phase I only; the dispute deadline takes over.
-                sim.put(p, 0, *k, v.clone());
-            } else {
-                let put = sim.put_certified(p, 0, *k, v.clone());
-                assert!(put.phase2_latency.is_some(), "sim p{p} block {i} certified");
-            }
-        }
-    }
-    // Let the dispute deadline fire, the verdict land, and a gossip
-    // round follow the final certification.
-    sim.run_for(SimDuration::from_millis(3_000));
-
-    let sim_punished: Vec<_> = {
-        let mut v: Vec<_> = sim.cloud_node().punished.iter().copied().collect();
-        v.sort_by_key(|id| id.0);
-        v
-    };
-    assert_eq!(sim_punished, vec![sim.edge_node(1).id()], "sim convicted exactly edge 1");
-    assert_eq!(sim.cloud_node().stats.disputes_upheld, 1);
-    assert_eq!(sim.client_metrics(1, 0).disputes_filed, 1, "one engine-deadline dispute");
-    assert!(sim.client_node(1, 0).halted, "sim client 1 halted on the verdict");
-
-    let sim_state: Vec<_> = (0..partitions)
-        .map(|p| {
-            let edge_id = sim.edge_node(p).id();
-            let blocks: Vec<_> = sim
-                .edge_node(p)
-                .log
-                .iter()
-                .map(|sb| {
-                    (
-                        sb.block.id,
-                        sb.block.digest(),
-                        sb.proof.as_ref().map(|pr| pr.digest),
-                        sim.cloud_node().ledger.lookup(edge_id, sb.block.id).copied(),
-                        sb.block.sealed_at_ns,
-                    )
-                })
-                .collect();
-            let certified_len = sim.cloud_node().ledger.contiguous_len(edge_id);
-            let watermark_len =
-                sim.client_node(p, 0).watermarks.latest(edge_id).map(|wm| wm.log_len);
-            (blocks, certified_len, watermark_len)
-        })
-        .collect();
-    // The withheld block splits edge 1's certified prefix.
-    assert_eq!(sim_state[0].1, 12);
-    assert_eq!(sim_state[1].1, withheld_bid);
-    assert_eq!(sim_state[2].1, 3);
-
-    // --- threaded run, replaying the simulator's per-edge seal times ---
-    let cluster = ThreadedCluster::start(ThreadedConfig {
-        lsm: LsmConfig::paper_eval(),
-        num_edges: partitions,
-        batch_size: 1,
-        faults,
-        gossip_period: Some(Duration::from_millis(40)),
-        dispute_timeout: Duration::from_millis(300),
-        seal_times: Some(
-            sim_state.iter().map(|(blocks, _, _)| blocks.iter().map(|b| b.4).collect()).collect(),
-        ),
-        ..ThreadedConfig::default()
-    });
-    for (p, ops) in per_edge.iter().enumerate() {
-        for (i, (k, v)) in ops.iter().enumerate() {
-            let reply = cluster.put_on(p, *k, v.clone()).expect("batch size 1 seals every put");
-            if !(p == 1 && i as u64 == withheld_bid) {
-                let proof = reply
-                    .certified
-                    .recv_timeout(Duration::from_secs(10))
-                    .expect("threaded block certified");
-                assert_eq!(proof.digest, reply.receipt.block_digest);
-            }
-        }
-    }
-    // Dispute deadline (300 ms) + verdict + one more gossip round.
-    std::thread::sleep(Duration::from_millis(600));
-    let report = cluster.shutdown().expect("report");
-
-    // --- identical per-edge certifications and digests ---
-    assert_eq!(report.edges.len(), partitions);
-    for (p, (edge_report, (blocks, certified_len, watermark_len))) in
-        report.edges.iter().zip(&sim_state).enumerate()
-    {
-        assert_eq!(edge_report.blocks.len(), blocks.len(), "edge {p}: same block count");
-        for ((bid, digest, proof, cert), (s_bid, s_digest, s_proof, s_cert, _)) in
-            edge_report.blocks.iter().zip(blocks)
-        {
-            assert_eq!(bid, s_bid, "edge {p}: block ids agree");
-            assert_eq!(digest, s_digest, "edge {p} block {bid}: digests byte-identical");
-            assert_eq!(proof, s_proof, "edge {p} block {bid}: proof digests agree");
-            assert_eq!(cert, s_cert, "edge {p} block {bid}: certified digests agree");
-        }
-        // Identical gossip watermark *content* (timestamps differ by
-        // clock domain; the signed statement is the certified prefix).
-        assert_eq!(&edge_report.certified_len, certified_len, "edge {p}: certified prefix");
-        if p != 1 {
-            assert_eq!(
-                &edge_report.watermark_len, watermark_len,
-                "edge {p}: client-held watermark agrees"
-            );
-            assert_eq!(edge_report.watermark_len, Some(*certified_len));
-        }
-    }
-
-    // --- identical dispute outcome, reached through engine deadlines ---
-    assert_eq!(report.punished, sim_punished, "same edge convicted in both runtimes");
-    assert_eq!(report.edges[1].client_metrics.disputes_filed, 1);
-    assert_eq!(report.edges[1].client_metrics.disputes_upheld, 1);
-    assert_eq!(
-        report.edges[1].verdicts,
-        vec![DisputeVerdict::EdgePunished {
-            edge: report.edges[1].edge,
-            grounds: "block never certified after timeout".into(),
-        }],
-        "threaded verdict matches the cloud engine's ruling"
-    );
-    for p in [0usize, 2] {
-        assert!(report.edges[p].verdicts.is_empty(), "honest edge {p} drew no verdict");
-        assert_eq!(report.edges[p].client_metrics.disputes_filed, 0);
     }
 }

@@ -177,7 +177,20 @@ fn sim_threads_and_sockets_agree_end_to_end() {
         v
     };
     assert_eq!(sim_punished, vec![sim.edge_node(1).id()], "sim convicted exactly edge 1");
-    assert_eq!(sim_outcomes[1].certified_len, WITHHELD_BID, "withheld block splits the prefix");
+    assert_eq!(sim.cloud_node().stats.disputes_upheld, 1, "sim: one dispute upheld");
+    assert!(sim.client_node(1, 0).halted, "sim client 1 halted on the verdict");
+    let filed: Vec<u64> = sim_outcomes.iter().map(|o| o.disputes_filed).collect();
+    assert_eq!(filed, vec![0, 1, 0], "sim: one engine-deadline dispute, on edge 1");
+    let certified: Vec<u64> = sim_outcomes.iter().map(|o| o.certified_len).collect();
+    assert_eq!(certified, vec![12, WITHHELD_BID, 3], "withheld block splits edge 1's prefix");
+    for p in [0, 2] {
+        let honest = &sim_outcomes[p];
+        assert_eq!(
+            honest.watermark_len,
+            Some(honest.certified_len),
+            "sim edge {p}: the client's watermark is the certified prefix"
+        );
+    }
 
     // One config and one driver, so threads and sockets run the *same*
     // script.

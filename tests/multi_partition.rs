@@ -3,9 +3,11 @@
 //! others keep working.
 
 use wedgechain::core::client::ClientPlan;
+use wedgechain::core::cloud::CloudNode;
 use wedgechain::core::config::SystemConfig;
+use wedgechain::core::edge::EdgeNode;
 use wedgechain::core::fault::FaultPlan;
-use wedgechain::core::harness::MultiPartitionHarness;
+use wedgechain::core::harness::{MultiPartitionHarness, SystemHarness};
 
 #[test]
 fn partitions_progress_independently() {
@@ -56,4 +58,63 @@ fn block_ids_are_per_partition() {
     // Both partitions used block ids 0..3; all six got certified.
     assert_eq!(h.cloud_node().stats.certs_issued, 6);
     assert_eq!(h.cloud_node().stats.equivocations_detected, 0);
+}
+
+/// `SystemHarness` is the one-partition `MultiPartitionHarness`: the
+/// same actor ids and identities, and after the same scripted puts the
+/// same blocks, proofs and cloud ledger.
+#[test]
+fn system_harness_is_the_one_partition_case() {
+    let cfg = SystemConfig { num_clients: 2, batch_size: 1, ..SystemConfig::real_crypto() };
+    let mut single =
+        SystemHarness::wedgechain_with(cfg.clone(), ClientPlan::idle(), FaultPlan::honest());
+    let mut multi = MultiPartitionHarness::new(cfg, 1, 2, ClientPlan::idle(), vec![]);
+
+    assert_eq!(single.cloud, multi.cloud, "cloud actor");
+    assert_eq!(vec![single.edge], multi.edges, "edge actor");
+    assert_eq!(vec![single.clients.clone()], multi.clients, "client actors");
+    assert_eq!(single.cloud_node().id(), multi.cloud_node().id(), "cloud identity");
+    assert_eq!(single.edge_node().id(), multi.edge_node(0).id(), "edge identity");
+    for c in 0..2 {
+        assert_eq!(single.client_mut(c).id(), multi.client_node(0, c).id(), "client {c} identity");
+    }
+
+    // Both clients write; 12 single-put blocks cross the L0 threshold,
+    // so a cloud-verified merge runs in both.
+    for k in 0..12u64 {
+        let c = (k % 2) as usize;
+        let value = format!("value-{k}").into_bytes();
+        let a = single.put_certified(c, k, value.clone());
+        let b = multi.put_certified(0, c, k, value);
+        assert!(a.phase2_latency.is_some(), "put {k} certified");
+        assert_eq!(a.phase2_latency, b.phase2_latency, "put {k}: same virtual Phase II");
+    }
+    assert!(single.cloud_node().stats.merges_processed >= 1, "a merge ran");
+
+    let blocks = |edge: &EdgeNode, cloud: &CloudNode| -> Vec<_> {
+        edge.log
+            .iter()
+            .map(|sb| {
+                let bid = sb.block.id;
+                let certified = cloud.ledger.lookup(edge.id(), bid).copied();
+                (bid, sb.block.digest(), sb.proof.as_ref().map(|p| p.digest), certified)
+            })
+            .collect()
+    };
+    let single_blocks = blocks(single.edge_node(), single.cloud_node());
+    assert_eq!(single_blocks.len(), 12, "one block per put");
+    assert_eq!(single_blocks, blocks(multi.edge_node(0), multi.cloud_node()), "blocks and proofs");
+    let ledger = |cloud: &CloudNode, edge: &EdgeNode| {
+        (cloud.ledger.len(), cloud.ledger.contiguous_len(edge.id()))
+    };
+    assert_eq!(
+        ledger(single.cloud_node(), single.edge_node()),
+        ledger(multi.cloud_node(), multi.edge_node(0)),
+        "cloud ledger"
+    );
+    for k in 0..12u64 {
+        let got = single.get(1, k).value;
+        assert_eq!(got, Some(format!("value-{k}").into_bytes()), "read of key {k}");
+        assert_eq!(got, multi.get(0, 1, k).value, "same read of key {k}");
+    }
 }
