@@ -321,11 +321,14 @@ pub struct ClientEngine {
     rng: SimRng,
     freshness_window_ns: Option<u64>,
     dispute_timeout_ns: u64,
-    /// Repeat-read fast path for proof verification. Behind a shared
-    /// handle so every client of one process can reuse one cache
-    /// ([`ClientEngine::share_proof_cache`]): a page verified for one
-    /// client is verified for all of them — the trust rule is digest +
-    /// record equality, not who asked. Sharded, so concurrent
+    /// Repeat-read fast path for proof verification, and the memo of
+    /// every cloud block-proof this client verified (at Phase II, on
+    /// reads and on audits), so each proof's signature is checked once.
+    /// Behind a shared handle so every client of one process can reuse
+    /// one cache ([`ClientEngine::share_proof_cache`]): a page or proof
+    /// verified for one client is verified for all of them — the trust
+    /// rules are digest + record equality and proof byte equality, not
+    /// who asked. Sharded, so concurrent
     /// verifiers contend per-shard per-consult rather than
     /// serializing the whole verification behind one mutex. Engines
     /// default to a private cache; the shard locks are uncontended
@@ -726,12 +729,22 @@ impl ClientEngine {
             return;
         };
         self.charge(out, SimDuration::from_nanos(self.cost.verify_ns));
-        if !proof.verify(self.cloud_identity, &self.registry) {
+        // A proof of the promised block goes through the proof cache,
+        // so the gets that later ship it with the block's L0 page do
+        // not check its signature again (§V-B). One of another digest
+        // is checked but never admitted.
+        let promised = proof.digest == pending.receipt.block_digest;
+        let valid = if promised {
+            self.proof_cache.check_block_proof(&proof, self.cloud_identity, &self.registry)
+        } else {
+            proof.verify(self.cloud_identity, &self.registry)
+        };
+        if !valid {
             // Forged proof: keep waiting (deadline still armed).
             self.pending_p2.insert(proof.bid, pending);
             return;
         }
-        if proof.digest != pending.receipt.block_digest {
+        if !promised {
             // The cloud certified a different digest than the edge
             // promised us — the edge lied. Dispute with our receipt.
             self.metrics.disputes_filed += 1;
@@ -847,9 +860,9 @@ impl ClientEngine {
         }
         // Phase-II read: verify proof against block digest.
         if let (Some(block), Some(p)) = (&block, &proof) {
-            let ok = p.verify(self.cloud_identity, &self.registry)
+            let ok = p.bid == receipt.bid
                 && p.digest == block.digest()
-                && p.bid == receipt.bid;
+                && self.proof_cache.check_block_proof(p, self.cloud_identity, &self.registry);
             if !ok {
                 // Served content contradicts certification.
                 self.metrics.disputes_filed += 1;
@@ -970,6 +983,95 @@ mod tests {
         )
     }
 
+    /// An edge-side tree holding one certified block for key 7, and
+    /// the cloud's proof of that block.
+    fn certified_tree() -> (wedge_lsmerkle::LsMerkle, BlockProof) {
+        use wedge_lsmerkle::{kv_entry, CloudIndex, LsMerkle, LsmConfig};
+        let cloud = Identity::derive("cloud", 1);
+        let edge = Identity::derive("edge", 100);
+        let client = Identity::derive("client", 1000);
+        let mut index = CloudIndex::new(LsmConfig::exposition());
+        let init = index.init_edge(&cloud, edge.id, 0);
+        let mut tree = LsMerkle::new(edge.id, LsmConfig::exposition(), init);
+        let entries = vec![kv_entry(&client, 0, &KvOp::put(7, b"v".to_vec()))];
+        let block = Block { edge: edge.id, id: BlockId(0), entries, sealed_at_ns: 0 };
+        let proof = BlockProof::issue(&cloud, edge.id, BlockId(0), block.digest());
+        tree.apply_block(block);
+        tree.attach_block_proof(proof.clone());
+        (tree, proof)
+    }
+
+    /// Puts one batch and hands the engine the edge's receipt promising
+    /// block 0 with `digest`: Phase I done, Phase II pending.
+    fn await_phase2(eng: &mut ClientEngine, digest: wedge_crypto::Digest) {
+        let edge = Identity::derive("edge", 100);
+        eng.handle(ClientCommand::PutBatch { token: 0, ops: vec![(7, b"v".to_vec())] }, 100);
+        let receipt = AddReceipt::issue(
+            &edge,
+            eng.id(),
+            0,
+            wedge_crypto::sha256(b"entries"),
+            BlockId(0),
+            digest,
+        );
+        eng.handle(ClientCommand::AddResponse(receipt), 200);
+    }
+
+    fn phase2_done(effects: &[ClientEffect]) -> bool {
+        effects.iter().any(|e| matches!(e, ClientEffect::Notify(ClientEvent::Phase2 { .. })))
+    }
+
+    /// A genuine proof of a digest other than the promised one files
+    /// the dispute and leaves the proof cache empty.
+    #[test]
+    fn verified_proof_of_another_digest_disputes_and_is_not_admitted() {
+        let mut eng = engine();
+        let (_, proof) = certified_tree();
+        await_phase2(&mut eng, wedge_crypto::sha256(b"the promised block"));
+        let effects = eng.handle(ClientCommand::BlockProof(proof), 300);
+        assert!(
+            effects.iter().any(|e| matches!(e, ClientEffect::SendCloud { .. })),
+            "dispute filed: {effects:?}"
+        );
+        assert!(eng.proof_cache().is_empty(), "the proof was admitted");
+    }
+
+    /// Nothing negative is cached: after a forged proof, the genuine
+    /// one is verified, completes Phase II and is admitted.
+    #[test]
+    fn genuine_proof_after_a_forged_one_is_verified_and_admitted() {
+        let mut eng = engine();
+        let (_, proof) = certified_tree();
+        await_phase2(&mut eng, proof.digest);
+        let mut forged = proof.clone();
+        forged.signature.s ^= 1;
+        assert!(!phase2_done(&eng.handle(ClientCommand::BlockProof(forged), 300)));
+        assert!(eng.proof_cache().is_empty(), "the forged proof was admitted");
+        assert!(phase2_done(&eng.handle(ClientCommand::BlockProof(proof), 400)));
+        assert_eq!(eng.proof_cache().signature_checks(), 2, "genuine proof not verified");
+        assert_eq!(eng.proof_cache().len(), 1, "genuine proof not admitted");
+    }
+
+    /// Phase II then a get of the same block: the get's L0 witness
+    /// ships the proof the client already verified, and checks no
+    /// signature for it.
+    #[test]
+    fn get_after_phase2_checks_no_block_proof_signature() {
+        let mut eng = engine();
+        let (tree, proof) = certified_tree();
+        await_phase2(&mut eng, proof.digest);
+        assert!(phase2_done(&eng.handle(ClientCommand::BlockProof(proof), 300)));
+        let checks = eng.proof_cache().signature_checks();
+        eng.handle(ClientCommand::Get { token: 0, key: 7 }, 400);
+        let req_id = eng.next_req - 1;
+        let proof = Box::new(wedge_lsmerkle::build_read_proof(&tree, 7));
+        eng.handle(ClientCommand::GetResponse { req_id, proof }, 500);
+        let get = eng.last_get.as_ref().expect("read completed");
+        assert_eq!(get.verify_error, None);
+        assert_eq!(get.phase, CommitPhase::Phase2);
+        assert_eq!(eng.proof_cache().signature_checks(), checks, "the get re-verified the proof");
+    }
+
     /// Pipelining: with depth N, N submitted batches all dispatch
     /// immediately (overlapping their Phase-I round trips instead of
     /// serializing), and receipts complete them by `req_id` in any
@@ -1077,21 +1179,8 @@ mod tests {
     /// cache — N clients reading the same hot keys verify once.
     #[test]
     fn shared_proof_cache_hits_across_clients() {
-        use wedge_lsmerkle::{build_read_proof, kv_entry, CloudIndex, LsMerkle, LsmConfig};
-        let cloud = Identity::derive("cloud", 1);
-        let edge = Identity::derive("edge", 100);
-        let client = Identity::derive("client", 1000);
-        // An edge-side tree holding one certified block for key 7.
-        let mut index = CloudIndex::new(LsmConfig::exposition());
-        let init = index.init_edge(&cloud, edge.id, 0);
-        let mut tree = LsMerkle::new(edge.id, LsmConfig::exposition(), init);
-        let entries = vec![kv_entry(&client, 0, &KvOp::put(7, b"v".to_vec()))];
-        let block = Block { edge: edge.id, id: BlockId(0), entries, sealed_at_ns: 0 };
-        let digest = block.digest();
-        let proof = BlockProof::issue(&cloud, edge.id, BlockId(0), digest);
-        tree.apply_block(block);
-        tree.attach_block_proof(proof);
-
+        use wedge_lsmerkle::build_read_proof;
+        let (tree, _) = certified_tree();
         let cache = Arc::new(ShardedReadProofCache::default());
         let run_get = |cache: &Arc<ShardedReadProofCache>| {
             let mut eng = engine();

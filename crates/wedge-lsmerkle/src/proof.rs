@@ -221,40 +221,59 @@ impl std::fmt::Display for ProofError {
 
 impl std::error::Error for ProofError {}
 
-/// A verifying client's memo of L0 witnesses it has already checked —
-/// the §V-B read-proof fast path — split into independently-locked
-/// shards so verifier threads can share it.
+/// A verifying client's memo of L0 witnesses and cloud block-proofs it
+/// has already checked — the §V-B read-proof fast path — split into
+/// independently-locked shards so verifier threads can share it.
 ///
-/// Every read proof re-ships *all* L0 pages, so a client that reads
-/// repeatedly re-verifies the same pages on every get: re-decoding the
-/// block behind each page ([`L0Page::matches_block`]) and re-checking
-/// the cloud's block-proof signature. Both checks are pure functions
-/// of immutable data, so a client may cache the verdict.
+/// Every read proof re-ships *all* L0 pages with their block-proofs,
+/// so a client that reads repeatedly re-verifies the same material on
+/// every get: re-decoding the block behind each page
+/// ([`L0Page::matches_block`]) and re-checking the cloud's signature on
+/// each proof — a signature the client usually checked already, at
+/// Phase II (§IV). Both checks are pure functions of immutable data,
+/// so a client may cache the verdicts.
 ///
-/// Soundness: entries are keyed by page digest, but the denormalized
-/// `records` field is NOT covered by the block digest — a forged page
-/// can share an honestly-certified block (and hence its digest) while
-/// advertising different records, so digest equality alone must never
-/// skip the records check. A cached verdict is therefore trusted only
-/// when the witness is *pointer-identical* (`Arc::ptr_eq`) to the
-/// verified page — the in-process sharing the tree already does — or,
-/// failing that, when its records compare equal to the verified
-/// page's (same digest ⇒ same block, so equal records are exactly the
-/// records already proven canonical). The equality path is what lets
-/// proofs decoded off the wire (fresh `Arc`s every read) hit the
-/// cache: a record compare is far cheaper than the block re-decode +
-/// signature re-check it replaces.
+/// Entries are keyed by page digest, which is the block digest. An
+/// entry holds a verified page, a verified proof, or both; the two
+/// memos have separate trust rules.
+///
+/// Page rule: the denormalized `records` field is NOT covered by the
+/// block digest — a forged page can share an honestly-certified block
+/// (and hence its digest) while advertising different records, so
+/// digest equality alone must never skip the records check. A cached
+/// page verdict is therefore trusted only when the witness is
+/// *pointer-identical* (`Arc::ptr_eq`) to the verified page — the
+/// in-process sharing the tree already does — or, failing that, when
+/// its records compare equal to the verified page's (same digest ⇒
+/// same block, so equal records are exactly the records already proven
+/// canonical). The equality path is what lets proofs decoded off the
+/// wire (fresh `Arc`s every read) hit the cache: a record compare is
+/// far cheaper than the block re-decode it replaces.
+///
+/// Proof rule ([`check_block_proof`](Self::check_block_proof)): a
+/// proof byte-equal to one already verified (edge, block id, digest
+/// and signature) is valid, since its validity depends on nothing
+/// else. An entry may hold a proof and no page — a proof checked at
+/// Phase II or on an audit before any read shipped its page. Such an
+/// entry vouches for the signature only: it never stands in for the
+/// page rule above, and the proof's binding to a witness (its edge,
+/// block id and digest) is checked on every witness. Only successful
+/// checks are cached; a failed one leaves no trace. One cache serves
+/// one cloud: every verifier sharing it checks proofs against the same
+/// cloud identity and key registry.
 ///
 /// Sharing: a process-wide cache behind one mutex serializes every
 /// concurrent verifier on every witness check — exactly the hot path
-/// the cache exists to speed up. Sharding by witness digest means two
+/// the cache exists to speed up. Sharding by digest means two
 /// verifiers contend only when they touch the *same* shard, and each
-/// lock is held for a single consult or admit, never across the block
+/// lock is held for a single lookup or admit, never across the block
 /// decode or signature check.
 ///
-/// Stats stay exact: every consult bumps hit or miss on exactly one
-/// shard (under that shard's lock), and [`hits`](Self::hits) /
-/// [`misses`](Self::misses) / [`len`](Self::len) sum over shards.
+/// Stats stay exact: every page consult bumps hit or miss on exactly
+/// one shard (under that shard's lock), and [`hits`](Self::hits) /
+/// [`misses`](Self::misses) / [`len`](Self::len) sum over shards; a
+/// proof check touches neither, and counts in
+/// [`signature_checks`](Self::signature_checks) when it must verify.
 /// Eviction is per-shard LRU — capacity is split evenly, so the
 /// worst-case total never exceeds `cap` rounded up per shard.
 #[derive(Debug)]
@@ -262,73 +281,99 @@ pub struct ShardedReadProofCache {
     shards: Vec<Mutex<ReadProofCache>>,
 }
 
-/// One shard of a [`ShardedReadProofCache`]: verified witnesses by
-/// page digest, evicted least-recently-used first.
+/// One shard of a [`ShardedReadProofCache`]: verified pages and proofs
+/// by page digest, evicted least-recently-used first.
 #[derive(Debug)]
 struct ReadProofCache {
     map: HashMap<Digest, CachedL0>,
     cap: usize,
     /// Monotonic access clock for LRU eviction: bumped on every
-    /// witness check, stamped onto the touched entry.
+    /// lookup, stamped onto the touched entry.
     tick: u64,
-    /// Witness checks answered from the cache (trust rule satisfied).
+    /// Page checks answered from the cache (trust rule satisfied).
     hits: u64,
-    /// Witness checks that had to re-derive (absent or untrusted).
+    /// Page checks that had to re-derive (absent or untrusted).
     misses: u64,
+    /// Proof checks that had to verify the signature.
+    signature_checks: u64,
 }
 
 #[derive(Debug)]
 struct CachedL0 {
-    page: Arc<L0Page>,
+    /// The verified page; `None` while only the proof is known.
+    page: Option<Arc<L0Page>>,
+    /// A verified block-proof for this digest.
     proof: Option<BlockProof>,
     last_used: u64,
 }
 
 impl ReadProofCache {
-    /// A shard holding at most `cap` verified witnesses. At capacity
-    /// the least-recently-used entry is evicted, so a hot working set
+    /// A shard holding at most `cap` entries. At capacity the
+    /// least-recently-used entry is evicted, so a hot working set
     /// keeps its verdicts under cache pressure (the old wholesale
     /// clear threw the hot set away with the cold tail).
     fn new(cap: usize) -> Self {
-        ReadProofCache { map: HashMap::new(), cap: cap.max(1), tick: 0, hits: 0, misses: 0 }
+        ReadProofCache {
+            map: HashMap::new(),
+            cap: cap.max(1),
+            tick: 0,
+            hits: 0,
+            misses: 0,
+            signature_checks: 0,
+        }
     }
 
-    /// One cache consult for witness `w` under the trust rule
-    /// documented on [`ShardedReadProofCache`]: returns `(page_ok,
-    /// proof_matches)` and stamps recency on the touched entry (LRU).
-    /// Exactly one of `hits`/`misses` is bumped per call.
-    fn consult(&mut self, digest: &Digest, w: &L0Witness) -> (bool, bool) {
+    /// The entry for `digest`, recency-stamped, if present.
+    fn touch(&mut self, digest: &Digest) -> Option<&CachedL0> {
         self.tick += 1;
         let tick = self.tick;
-        let verdict = match self.map.get_mut(digest) {
-            Some(e) => {
-                e.last_used = tick;
-                let page_ok = Arc::ptr_eq(&e.page, &w.page) || e.page.records() == w.page.records();
-                (page_ok, page_ok && e.proof.as_ref() == w.proof.as_ref())
-            }
-            None => (false, false),
-        };
-        if verdict.0 {
+        let e = self.map.get_mut(digest)?;
+        e.last_used = tick;
+        Some(e)
+    }
+
+    /// One page consult for witness `w` under the page rule documented
+    /// on [`ShardedReadProofCache`]. Exactly one of `hits`/`misses` is
+    /// bumped per call.
+    fn consult(&mut self, digest: &Digest, w: &L0Witness) -> bool {
+        let page_ok = self
+            .touch(digest)
+            .and_then(|e| e.page.as_ref())
+            .is_some_and(|page| Arc::ptr_eq(page, &w.page) || page.records() == w.page.records());
+        if page_ok {
             self.hits += 1;
         } else {
             self.misses += 1;
         }
-        verdict
+        page_ok
     }
 
-    /// Inserts (or refreshes) an entry, evicting the least-recently-
-    /// used one first when at capacity.
-    fn admit(&mut self, digest: Digest, page: Arc<L0Page>, proof: Option<BlockProof>) {
+    /// True iff `proof` is byte-equal to the verified proof cached for
+    /// its digest; otherwise counts the signature check to come.
+    fn remembers(&mut self, proof: &BlockProof) -> bool {
+        let known = self.touch(&proof.digest).is_some_and(|e| e.proof.as_ref() == Some(proof));
+        if !known {
+            self.signature_checks += 1;
+        }
+        known
+    }
+
+    /// The entry for `digest`, created empty if absent — evicting the
+    /// least-recently-used one first when at capacity.
+    fn slot(&mut self, digest: Digest) -> &mut CachedL0 {
         if self.map.len() >= self.cap && !self.map.contains_key(&digest) {
-            // O(cap) scan, but only on inserts past capacity; the
-            // map's cap (default 4096) keeps this cheap relative to
-            // the signature checks the cache exists to avoid.
+            // O(cap) scan, but only on inserts past capacity; each
+            // shard's cap (512 under the default 4096 over 8 shards)
+            // keeps this cheap relative to the signature checks the
+            // cache exists to avoid.
             if let Some(lru) = self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(d, _)| *d) {
                 self.map.remove(&lru);
             }
         }
         let last_used = self.tick;
-        self.map.insert(digest, CachedL0 { page, proof, last_used });
+        let e = self.map.entry(digest).or_insert(CachedL0 { page: None, proof: None, last_used });
+        e.last_used = last_used;
+        e
     }
 }
 
@@ -359,16 +404,39 @@ impl ShardedReadProofCache {
         self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Consults the owning shard for `w`, locked for just this call.
-    fn consult(&self, digest: &Digest, w: &L0Witness) -> (bool, bool) {
+    /// Consults the owning shard for `w`'s page, locked for just this
+    /// call.
+    fn consult(&self, digest: &Digest, w: &L0Witness) -> bool {
         self.shard(digest).consult(digest, w)
     }
 
-    /// Admits (or refreshes) the verified witness: a second short lock
-    /// of the owning shard — the lock is deliberately not held across
-    /// the verification in between.
-    fn admit(&self, digest: Digest, w: &L0Witness) {
-        self.shard(&digest).admit(digest, Arc::clone(&w.page), w.proof.clone())
+    /// Admits (or refreshes) a verified page, keeping any proof the
+    /// entry already holds.
+    fn admit_page(&self, digest: Digest, page: &Arc<L0Page>) {
+        self.shard(&digest).slot(digest).page = Some(Arc::clone(page));
+    }
+
+    /// Checks the cloud's signature on `proof`, once per proof per
+    /// cache: `true` at once for a proof byte-equal to one verified
+    /// before, otherwise [`BlockProof::verify`], admitting the proof
+    /// only if it verifies. Checks the signature only — binding the
+    /// proof to a block (edge, id, digest) is the caller's job. The
+    /// owning shard is locked for the lookup and again for the admit,
+    /// never across the signature check.
+    pub fn check_block_proof(
+        &self,
+        proof: &BlockProof,
+        cloud: IdentityId,
+        registry: &KeyRegistry,
+    ) -> bool {
+        if self.shard(&proof.digest).remembers(proof) {
+            return true;
+        }
+        if !verify_signature(proof, cloud, registry) {
+            return false;
+        }
+        self.shard(&proof.digest).slot(proof.digest).proof = Some(proof.clone());
+        true
     }
 
     /// Sums `f` over every shard.
@@ -376,7 +444,7 @@ impl ShardedReadProofCache {
         self.shards.iter().map(|s| f(&s.lock().unwrap_or_else(|e| e.into_inner()))).sum()
     }
 
-    /// Total cached witnesses across shards.
+    /// Total cached entries (pages, proofs or both) across shards.
     pub fn len(&self) -> usize {
         self.total(|s| s.map.len())
     }
@@ -386,18 +454,23 @@ impl ShardedReadProofCache {
         self.len() == 0
     }
 
-    /// Witness checks answered from the cache (block re-decode and
-    /// signature re-check skipped), summed over shards. Cumulative over
-    /// the cache's lifetime — for a process-shared cache, over every
-    /// client.
+    /// Page checks answered from the cache (block re-decode skipped),
+    /// summed over shards. Cumulative over the cache's lifetime — for
+    /// a process-shared cache, over every client.
     pub fn hits(&self) -> u64 {
         self.total(|s| s.hits)
     }
 
-    /// Witness checks that paid the full re-derivation, summed over
+    /// Page checks that paid the full re-derivation, summed over
     /// shards.
     pub fn misses(&self) -> u64 {
         self.total(|s| s.misses)
+    }
+
+    /// Block-proof signatures [`check_block_proof`](Self::check_block_proof)
+    /// had to verify (no byte-equal proof cached), summed over shards.
+    pub fn signature_checks(&self) -> u64 {
+        self.total(|s| s.signature_checks)
     }
 }
 
@@ -408,13 +481,46 @@ impl Default for ShardedReadProofCache {
     }
 }
 
+/// Block-proof signature checks made on the read path on the current
+/// thread, cached or not. Thread-local so concurrently running tests
+/// cannot pollute each other's counts.
+#[cfg(test)]
+pub(crate) mod proof_stats {
+    use std::cell::Cell;
+
+    thread_local! {
+        static SIGNATURE_CHECKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub fn signature_checks() -> u64 {
+        SIGNATURE_CHECKS.with(|c| c.get())
+    }
+
+    pub fn note_signature_check() {
+        SIGNATURE_CHECKS.with(|c| c.set(c.get() + 1));
+    }
+}
+
+#[cfg(test)]
+use proof_stats::note_signature_check;
+
+#[cfg(not(test))]
+fn note_signature_check() {}
+
+/// The cloud signature check of a block-proof: the one place a
+/// verifier pays for it.
+fn verify_signature(proof: &BlockProof, cloud: IdentityId, registry: &KeyRegistry) -> bool {
+    note_signature_check();
+    proof.verify(cloud, registry)
+}
+
 /// The two L0 witness checks — canonical-records
 /// ([`L0Page::matches_block`]) and block-proof binding + signature —
 /// implemented exactly once for the cached and uncached verifiers.
-/// With a cache, checks whose verdict is memoized (under the trust
-/// rule documented on [`ShardedReadProofCache`]) are skipped and the
-/// verdict is admitted afterwards. Returns whether the witness is
-/// certified (Phase II material).
+/// With a cache, a page or proof whose verdict is memoized (under the
+/// trust rules documented on [`ShardedReadProofCache`]) skips its
+/// check, and a freshly verified page is admitted afterwards. Returns
+/// whether the witness is certified (Phase II material).
 fn check_l0_witness(
     w: &L0Witness,
     edge: IdentityId,
@@ -427,17 +533,19 @@ fn check_l0_witness(
     // Trust rule (see the type docs): pointer identity, or — for
     // pages decoded off the wire into fresh Arcs — record equality
     // against the already-verified page with the same digest.
-    let (page_ok, cached_proof_matches) = cache.map_or((false, false), |c| c.consult(&digest, w));
+    let page_ok = cache.is_some_and(|c| c.consult(&digest, w));
     if !page_ok && !w.page.matches_block() {
         return Err(ProofError::BadL0Proof(w.page.bid()));
     }
     let certified = match &w.proof {
         Some(bp) => {
-            let proof_ok = cached_proof_matches
-                || (bp.edge == edge
-                    && bp.bid == w.page.block().id
-                    && bp.digest == digest
-                    && bp.verify(cloud, registry));
+            let proof_ok = bp.edge == edge
+                && bp.bid == w.page.block().id
+                && bp.digest == digest
+                && match cache {
+                    Some(c) => c.check_block_proof(bp, cloud, registry),
+                    None => verify_signature(bp, cloud, registry),
+                };
             if !proof_ok {
                 return Err(ProofError::BadL0Proof(w.page.bid()));
             }
@@ -445,10 +553,11 @@ fn check_l0_witness(
         }
         None => false,
     };
-    // Admit (or refresh, e.g. a page later read with its proof
-    // attached).
-    if let Some(c) = cache {
-        c.admit(digest, w);
+    // Admit a freshly checked page; a hit is cached and stamped already.
+    if !page_ok {
+        if let Some(c) = cache {
+            c.admit_page(digest, &w.page);
+        }
     }
     Ok(certified)
 }
@@ -702,6 +811,31 @@ mod tests {
 
         fn verify(&self, proof: &IndexReadProof) -> Result<VerifiedRead, ProofError> {
             verify_read_proof(proof, self.edge, self.cloud.id, &self.registry, 2_000, None)
+        }
+
+        fn verify_with(
+            &self,
+            proof: &IndexReadProof,
+            cache: &ShardedReadProofCache,
+        ) -> Result<VerifiedRead, ProofError> {
+            verify_read_proof_sharded(
+                proof,
+                self.edge,
+                self.cloud.id,
+                &self.registry,
+                2_000,
+                None,
+                cache,
+            )
+        }
+
+        /// The client's Phase II for every L0 block of `proof`: each
+        /// block-proof is checked, and so admitted, without its page.
+        fn phase2(&self, proof: &IndexReadProof, cache: &ShardedReadProofCache) {
+            for w in &proof.l0 {
+                let bp = w.proof.as_ref().expect("certified block");
+                assert!(cache.check_block_proof(bp, self.cloud.id, &self.registry));
+            }
         }
     }
 
@@ -996,6 +1130,83 @@ mod tests {
         // And the forgery must not have poisoned the cache for the
         // honest page.
         verify(&build_read_proof(&fx.tree, 5)).unwrap();
+    }
+
+    /// A cached proof vouches only for its own bytes: one with the
+    /// genuine proof's edge, block id and digest but another `s` is
+    /// still checked, and rejected.
+    #[test]
+    fn admitted_proof_never_vouches_for_another_signature() {
+        let mut fx = Fixture::new();
+        fx.ingest_certified(&[(5, Some(b"v"))]);
+        let cache = ShardedReadProofCache::new(4096, 1);
+        let mut proof = build_read_proof(&fx.tree, 5);
+        fx.phase2(&proof, &cache);
+        proof.l0[0].proof.as_mut().expect("certified").signature.s ^= 1;
+        assert_eq!(fx.verify_with(&proof, &cache), Err(ProofError::BadL0Proof(0)));
+    }
+
+    /// A proof admitted for digest D never certifies a page with
+    /// another digest: the binding check runs on every witness.
+    #[test]
+    fn admitted_proof_never_vouches_for_another_digest() {
+        let mut fx = Fixture::new();
+        fx.ingest_certified(&[(5, Some(b"v"))]);
+        fx.ingest_certified(&[(6, Some(b"w"))]);
+        let cache = ShardedReadProofCache::new(4096, 1);
+        let mut proof = build_read_proof(&fx.tree, 5);
+        fx.phase2(&proof, &cache);
+        // Attach block 1's (cached, genuine) proof to block 0's page.
+        proof.l0[0].proof = proof.l0[1].proof.clone();
+        assert!(matches!(fx.verify_with(&proof, &cache), Err(ProofError::BadL0Proof(_))));
+    }
+
+    /// A proof-only entry never stands in for the page rule: a forged-
+    /// records page sharing the certified digest D still fails the
+    /// records check.
+    #[test]
+    fn admitted_proof_never_vouches_for_forged_records() {
+        let mut fx = Fixture::new();
+        fx.ingest_certified(&[(5, Some(b"honest"))]);
+        let cache = ShardedReadProofCache::new(4096, 1);
+        let mut forged = build_read_proof(&fx.tree, 5);
+        fx.phase2(&forged, &cache);
+        let honest = Arc::clone(&forged.l0[0].page);
+        forged.l0[0].page = Arc::new(L0Page::forged(honest.block().clone(), vec![]));
+        forged.outcome = None;
+        assert!(matches!(fx.verify_with(&forged, &cache), Err(ProofError::BadL0Proof(_))));
+    }
+
+    /// The point of the proof memo: a read whose L0 proofs the client
+    /// verified at Phase II checks no block-proof signature at all.
+    #[test]
+    fn phase2_admitted_proofs_spare_the_read_every_signature_check() {
+        let mut fx = Fixture::new();
+        fx.ingest_certified(&[(5, Some(b"v"))]);
+        fx.ingest_certified(&[(6, Some(b"w"))]);
+        let cache = ShardedReadProofCache::new(4096, 1);
+        let proof = build_read_proof(&fx.tree, 5);
+        fx.phase2(&proof, &cache);
+        let before = proof_stats::signature_checks();
+        assert_eq!(fx.verify_with(&proof, &cache).map(|r| r.phase), Ok(CommitPhase::Phase2));
+        assert_eq!(proof_stats::signature_checks(), before, "Phase-II proofs re-verified");
+    }
+
+    /// Once an entry is evicted the full check runs again, with the
+    /// uncached verifier's verdict. One entry in all, so the read's two
+    /// blocks evict each other.
+    #[test]
+    fn evicted_proof_pays_the_full_check_with_the_same_verdict() {
+        let mut fx = Fixture::new();
+        fx.ingest_certified(&[(5, Some(b"v"))]);
+        fx.ingest_certified(&[(6, Some(b"w"))]);
+        let cache = ShardedReadProofCache::new(1, 1);
+        let proof = build_read_proof(&fx.tree, 5);
+        fx.phase2(&proof, &cache);
+        let before = proof_stats::signature_checks();
+        let cached = fx.verify_with(&proof, &cache);
+        assert_eq!(proof_stats::signature_checks() - before, 2, "both evicted proofs re-verified");
+        assert_eq!(cached, fx.verify(&proof));
     }
 
     /// LRU eviction: a hot working set that keeps being re-verified
