@@ -112,18 +112,18 @@ pub(crate) struct Engines<P, C> {
 impl<P: Copy + Eq + Hash, C: Copy + Eq + Hash> Engines<P, C> {
     /// Builds the engines of `ids`' deployment. `edge_peers[p]` is the
     /// cloud's handle for partition `p`'s edge and `client_peers[p]`
-    /// that edge's handles for its clients. `pool` is called once for
-    /// the cloud index and once per edge: the simulator hands out one
-    /// shared pool, the real-time cluster a pool per engine.
+    /// that edge's handles for its clients. Every engine shares `pool`:
+    /// a scope that finds it busy runs inline, so engines on different
+    /// threads never wait for each other's fan-outs.
     pub(crate) fn build(
         ids: &Identities,
         cfg: EngineConfig,
         edge_peers: &[P],
         client_peers: &[Vec<C>],
-        mut pool: impl FnMut() -> wedge_pool::Pool,
+        pool: &wedge_pool::Pool,
     ) -> Self {
         let mut index = CloudIndex::new(cfg.lsm.clone());
-        index.set_pool(pool());
+        index.set_pool(pool.clone());
         let inits: Vec<_> =
             ids.edges.iter().map(|e| index.init_edge(&ids.cloud, e.id, 0)).collect();
         let cloud = CloudEngine::new(
@@ -152,7 +152,7 @@ impl<P: Copy + Eq + Hash, C: Copy + Eq + Hash> Engines<P, C> {
                     client_peers[p].clone(),
                 );
                 engine.data_free = cfg.data_free;
-                engine.set_pool(pool());
+                engine.set_pool(pool.clone());
                 engine.set_cert_retry_ns(cfg.cert_retry_ns);
                 engine.set_merge_retry_ns(cfg.merge_retry_ns);
                 engine.set_compaction_period_ns(cfg.compaction_period_ns);
@@ -167,7 +167,7 @@ impl<P: Copy + Eq + Hash, C: Copy + Eq + Hash> Engines<P, C> {
                 group
                     .iter()
                     .map(|ident| {
-                        ClientEngine::new(
+                        let mut engine = ClientEngine::new(
                             ident.clone(),
                             edge.id,
                             ids.cloud.id,
@@ -178,7 +178,9 @@ impl<P: Copy + Eq + Hash, C: Copy + Eq + Hash> Engines<P, C> {
                             cfg.freshness_window_ns,
                             cfg.dispute_timeout_ns,
                             client_workload_seed(cfg.seed, ident.id),
-                        )
+                        );
+                        engine.set_pool(pool.clone());
+                        engine
                     })
                     .collect()
             })

@@ -6,7 +6,7 @@
 //!
 //! - [`RuntimeConfig`], and how it configures the engines that
 //!   [`crate::deployment`] builds for the simulator too (real crypto,
-//!   deployment seed 0, a pool per engine, the pipeline depth and one
+//!   deployment seed 0, one worker pool, the pipeline depth and one
 //!   process-wide read-proof cache);
 //! - [`Cluster`], generic over a [`Transport`]: the caller API
 //!   (`put_on`, `try_put_on`, `flush_on`, `get_on`, `log_read_on`) and
@@ -117,10 +117,11 @@ pub struct RuntimeConfig {
     /// forever behind a full edge inbox. `None` keeps the blocking
     /// behaviour for `try_put_on` too.
     pub admission_timeout: Option<Duration>,
-    /// Worker-pool width for the hash/verify hot paths (cloud merge
-    /// rebuilds, edge forest rebuilds, batched signature checks).
-    /// Defaults from `WEDGE_POOL_THREADS` (1 when unset = inline).
-    /// Results are byte-identical for every width.
+    /// Width of the cluster's one worker pool for the hash/sign/verify
+    /// hot paths (cloud merge rebuilds, edge forest rebuilds, batched
+    /// client signing and signature checks). Defaults to
+    /// `WEDGE_POOL_THREADS`, else the host's available parallelism
+    /// (1 = inline). Results are byte-identical for every width.
     pub pool_threads: usize,
 }
 
@@ -903,13 +904,13 @@ impl<T: Transport> Cluster<T> {
             merge_retry_ns: cfg.merge_retry.map(nanos),
             compaction_period_ns: cfg.compaction_period.map(nanos),
         };
-        // Each engine runs on its own service thread and scopes its own
-        // parallel sections; a shared pool would serialize them, so the
-        // cloud and every edge get a pool of their own.
+        // One pool for the whole cluster, sized to the host: the cloud,
+        // every edge and every client scope their fan-outs on it, and a
+        // scope that finds it busy runs inline on its own service thread
+        // instead of waiting, so engines never serialize on it.
+        let pool = wedge_pool::Pool::new(cfg.pool_threads);
         let engines =
-            Engines::build(&ids, engine_cfg, &edge_peers, &vec![vec![CLIENT_PEER]; n], || {
-                wedge_pool::Pool::new(cfg.pool_threads)
-            });
+            Engines::build(&ids, engine_cfg, &edge_peers, &vec![vec![CLIENT_PEER]; n], &pool);
         // One proof cache for the whole process: a witness verified by
         // any partition's client is verified for all of them (the
         // cache's trust rule is content-based, not per-client).

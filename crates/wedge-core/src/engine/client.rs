@@ -344,6 +344,9 @@ pub struct ClientEngine {
     /// default of 1 preserves the strictly-serialized behaviour the
     /// simulator baselines were calibrated against).
     pipeline_depth: usize,
+    /// Worker pool a batch's entry signatures fan out over (inline by
+    /// default: everything stays on the caller thread).
+    pool: wedge_pool::Pool,
     // --- progress ---
     next_req: u64,
     next_seq: u64,
@@ -401,6 +404,7 @@ impl ClientEngine {
             proof_cache: Arc::new(ShardedReadProofCache::default()),
             elapsed_ns: 0,
             pipeline_depth: 1,
+            pool: wedge_pool::Pool::default(),
             next_req: 0,
             next_seq: 0,
             batches_done: 0,
@@ -459,6 +463,14 @@ impl ClientEngine {
     /// serializing them.
     pub fn set_pipeline_depth(&mut self, depth: usize) {
         self.pipeline_depth = depth.max(1);
+    }
+
+    /// Installs a worker pool: a batch's entry signatures fan out
+    /// across its lanes. Entries are byte-identical for every pool
+    /// size — sequence numbers are assigned before signing, and
+    /// signature nonces are derived from the key and the message.
+    pub fn set_pool(&mut self, pool: wedge_pool::Pool) {
+        self.pool = pool;
     }
 
     /// True while any submitted batch awaits its Phase-I receipt.
@@ -522,18 +534,30 @@ impl ClientEngine {
         out
     }
 
-    fn make_entry(&mut self, payload: Vec<u8>) -> Entry {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match self.crypto_mode {
-            CryptoMode::Real => Entry::new_signed(&self.identity, seq, payload),
-            CryptoMode::Modeled => Entry {
-                client: self.identity.id,
-                sequence: seq,
+    /// Makes `payloads` this client's next entries, in order. The
+    /// sequence numbers are reserved up front, so the pool's lanes may
+    /// sign in any order; `CryptoMode::Modeled` leaves them unsigned.
+    fn make_entries(&mut self, payloads: Vec<Vec<u8>>) -> Vec<Entry> {
+        let first = self.next_seq;
+        self.next_seq += payloads.len() as u64;
+        let client = self.identity.id;
+        let mut entries: Vec<Entry> = (first..)
+            .zip(payloads)
+            .map(|(sequence, payload)| Entry {
+                client,
+                sequence,
                 payload,
                 signature: Signature { e: 0, s: 0 },
-            },
+            })
+            .collect();
+        if self.crypto_mode == CryptoMode::Real {
+            let identity = &self.identity;
+            let signatures = self.pool.map(&entries, |e| identity.sign(&e.signing_bytes()));
+            for (entry, signature) in entries.iter_mut().zip(signatures) {
+                entry.signature = signature;
+            }
         }
+        entries
     }
 
     fn put_batch(
@@ -547,13 +571,9 @@ impl ClientEngine {
         self.last_put = None;
         self.last_put_bid = None;
         let n = ops.len() as u64;
-        let entries: Vec<Entry> = ops
-            .into_iter()
-            .map(|(key, value)| {
-                let payload = KvOp::put(key, value).encode();
-                self.make_entry(payload)
-            })
-            .collect();
+        let entries = self.make_entries(
+            ops.into_iter().map(|(key, value)| KvOp::put(key, value).encode()).collect(),
+        );
         let req_id = self.next_req;
         self.next_req += 1;
         let msg = WireMsg::BatchAdd { req_id, entries };
@@ -572,18 +592,18 @@ impl ClientEngine {
     }
 
     fn send_batch(&mut self, out: &mut Vec<ClientEffect>, now_ns: u64) {
-        let mut entries = Vec::with_capacity(self.plan.batch_size);
+        let mut payloads = Vec::with_capacity(self.plan.batch_size);
         for _ in 0..self.plan.batch_size {
             let key = self.sampler.sample(&mut self.rng);
-            let payload = if self.plan.kv {
+            payloads.push(if self.plan.kv {
                 KvOp::put(key, vec![0xAB; self.plan.value_size]).encode()
             } else {
                 let mut raw = vec![0xCD; self.plan.value_size];
                 raw.extend_from_slice(&key.to_be_bytes());
                 raw
-            };
-            entries.push(self.make_entry(payload));
+            });
         }
+        let entries = self.make_entries(payloads);
         let req_id = self.next_req;
         self.next_req += 1;
         let msg = WireMsg::BatchAdd { req_id, entries };
@@ -1128,6 +1148,67 @@ mod tests {
         assert!(!eng.has_outstanding_batch(), "all three completed");
         assert!(eng.can_accept_batch());
         assert_eq!(eng.metrics.ops_p1, 3);
+    }
+
+    /// The `BatchAdd`s a client on `pool` sends for two 100-op batches.
+    fn two_batches(pool: wedge_pool::Pool) -> Vec<WireMsg> {
+        let mut eng = engine();
+        eng.set_pool(pool);
+        eng.set_pipeline_depth(2);
+        (0..2u64)
+            .flat_map(|token| {
+                let ops = (0..100).map(|k| (token * 100 + k, vec![k as u8; 16])).collect();
+                eng.handle(ClientCommand::PutBatch { token, ops }, 100)
+            })
+            .filter_map(|e| match e {
+                ClientEffect::SendEdge { msg: msg @ WireMsg::BatchAdd { .. }, .. } => Some(msg),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Pooled signing sends the bytes inline signing sends, each entry
+    /// is the one `Entry::new_signed` makes, and the sequence numbers
+    /// run on across batches.
+    #[test]
+    fn pooled_batch_signing_is_byte_identical_and_sequential() {
+        let frames = |msgs: &[WireMsg]| msgs.iter().map(WireMsg::encode_frame).collect::<Vec<_>>();
+        let pooled = two_batches(wedge_pool::Pool::new(4));
+        assert_eq!(frames(&pooled), frames(&two_batches(wedge_pool::Pool::default())));
+        let client = Identity::derive("client", 1000);
+        let entries: Vec<&Entry> = pooled
+            .iter()
+            .flat_map(|m| match m {
+                WireMsg::BatchAdd { entries, .. } => entries.iter(),
+                _ => unreachable!("only batches were kept"),
+            })
+            .collect();
+        for e in &entries {
+            assert_eq!(**e, Entry::new_signed(&client, e.sequence, e.payload.clone()));
+        }
+        let sequences: Vec<u64> = entries.iter().map(|e| e.sequence).collect();
+        assert_eq!(sequences, (0..200).collect::<Vec<u64>>());
+    }
+
+    /// `CryptoMode::Modeled` computes no signatures, pooled or not.
+    #[test]
+    fn modeled_batches_carry_no_signatures() {
+        let mut eng = engine();
+        eng.crypto_mode = CryptoMode::Modeled;
+        eng.set_pool(wedge_pool::Pool::new(4));
+        let ops = (0..100).map(|k| (k, vec![1])).collect();
+        let effects = eng.handle(ClientCommand::PutBatch { token: 0, ops }, 100);
+        let entries = effects
+            .iter()
+            .find_map(|e| match e {
+                ClientEffect::SendEdge { msg: WireMsg::BatchAdd { entries, .. }, .. } => {
+                    Some(entries)
+                }
+                _ => None,
+            })
+            .expect("batch dispatched");
+        assert_eq!(entries.len(), 100);
+        assert!(entries.iter().all(|e| e.signature == Signature { e: 0, s: 0 }));
     }
 
     /// Depth 1 (the default) preserves strict serialization: the

@@ -151,7 +151,7 @@ impl MultiPartitionHarness {
         // One pool serves every engine: the sim is single-threaded, so
         // scopes never overlap; the default width 1 keeps it inline.
         let pool = wedge_pool::Pool::new(cfg.pool_threads);
-        let engines = Engines::build(&ids, engine_cfg, &edges, &clients, || pool.clone());
+        let engines = Engines::build(&ids, engine_cfg, &edges, &clients, &pool);
 
         let mut sim: Simulation<Msg> = Simulation::new(cfg.net.clone(), cfg.seed);
         let node = CloudNode::new(engines.cloud);

@@ -8,32 +8,48 @@
 //! across threads without the engines noticing. This crate provides
 //! the one concurrency primitive those call sites need:
 //!
-//! * [`Pool::scope`] — run one closure concurrently on every lane
-//!   (the caller participates as lane 0), returning only after all
-//!   lanes finish. Worker panics are surfaced as a panic in the
-//!   caller.
+//! * [`Pool::scope`] — run one closure once per lane (the caller is
+//!   lane 0), returning only after every lane has run. Worker panics
+//!   are surfaced as a panic in the caller.
 //! * [`Pool::for_each`] / [`Pool::map`] — chunked dynamic
 //!   work-claiming over a slice, with `map` writing results into
 //!   per-index slots so the output order always matches the input
 //!   order regardless of which lane ran which item.
+//!
+//! # A scope never waits for a worker to wake
+//!
+//! Several engines share one pool, so a scope must cost its caller no
+//! more than running the work alone would:
+//!
+//! * **Busy → inline.** Only one scope at a time broadcasts to the
+//!   workers. A scope that finds the pool held by another caller (or
+//!   is nested inside a running scope) runs every lane itself, on its
+//!   own thread, without waiting.
+//! * **Withdrawal.** Workers take lane ids in the order they join.
+//!   When the caller's lane 0 returns, the caller withdraws the job,
+//!   runs every lane no worker has joined yet, and then waits only for
+//!   the workers that did join. `map` and `for_each` claim chunks
+//!   dynamically, so by then an unjoined lane finds nothing left: a
+//!   fan-out too small to outlast a wake-up costs one notify.
 //!
 //! # Determinism
 //!
 //! Nothing here introduces nondeterminism: `map` preserves input
 //! order, `for_each` is only handed idempotent work (memoizing a
 //! `OnceLock` digest computes the same bytes on every lane), and
-//! `scope` callers partition work by index. A `Pool::new(1)` pool
-//! runs everything inline on the caller thread — byte-identical to
-//! any larger pool by construction, and the default everywhere so
-//! unit tests (including the exact hash-count assertions, which use
-//! thread-local counters) see unchanged behaviour.
+//! `scope` callers partition work by lane, which runs exactly once
+//! whichever thread runs it. A `Pool::new(1)` pool (also
+//! `Pool::default()`) runs everything inline on the caller thread —
+//! byte-identical to any larger pool by construction. Engines default
+//! to it, so unit tests (including the exact hash-count assertions,
+//! which use thread-local counters) see unchanged behaviour; the
+//! real-time runtimes size theirs from [`threads_from_env`].
 //!
 //! # Non-goals
 //!
-//! No futures, no channels-per-task, no nested scopes (re-entering
-//! [`Pool::scope`] from inside a running scope deadlocks — don't),
-//! no external dependencies. Fixed worker threads are spawned once
-//! at construction and joined when the last [`Pool`] clone drops.
+//! No futures, no channels-per-task, no external dependencies. Fixed
+//! worker threads are spawned once at construction and joined when
+//! the last [`Pool`] clone drops.
 //!
 //! # Unsafety
 //!
@@ -41,35 +57,40 @@
 //! `#![forbid(unsafe_code)]`: the scoped-broadcast design erases the
 //! scope closure's lifetime to hand it to long-lived workers. Every
 //! unsafe block carries a `SAFETY:` comment; the shared invariant is
-//! that [`Pool::scope`] does not return until every worker has
-//! finished with the erased pointer.
+//! that [`Pool::scope`] does not return until every worker that joined
+//! its job has finished with the erased pointer.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::MutexGuard;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// A type-erased pointer to the scope closure. Only valid for the
 /// duration of the [`Pool::scope`] call that installed it; `scope`
-/// does not return until every worker has finished running it.
+/// does not return until every worker that joined has finished
+/// running it.
 struct Job(*const (dyn Fn(usize) + Sync));
 
 // SAFETY: the pointee is `Sync` (the bound on `scope`) and outlives
-// every dereference: workers only run the job between the moment
-// `scope` installs it and the moment `scope` observes `active == 0`,
-// and `scope` borrows the closure for that whole window.
+// every dereference: a worker only copies the pointer out of
+// `State::job` while it is installed, and counts itself into `active`
+// under the same lock; `scope` withdraws the job under that lock and
+// then waits for `active == 0`, borrowing the closure the whole time.
 unsafe impl Send for Job {}
 
 struct State {
-    /// Current broadcast job, if a scope is running.
+    /// Current broadcast job, while its scope still takes workers.
     job: Option<Job>,
     /// Bumped once per scope so workers can tell a new job from a
     /// spurious wakeup.
     generation: u64,
-    /// Workers still running the current job.
+    /// The lane the next joining worker runs; lanes from here up to
+    /// the pool's width are unjoined.
+    next_lane: usize,
+    /// Workers that joined the current job and are still running it.
     active: usize,
     /// Set by `Drop`; workers exit their loop.
     shutdown: bool,
@@ -83,9 +104,9 @@ struct Inner {
     work_cv: Condvar,
     /// The scope caller waits here for `active == 0`.
     done_cv: Condvar,
-    /// Serializes concurrent `scope` callers from different threads
-    /// sharing one pool (clones share the same workers).
-    scope_lock: Mutex<()>,
+    /// Set while one scope owns the workers; a scope that finds it
+    /// set runs inline instead of waiting (see [`Claim`]).
+    busy: AtomicBool,
     /// Worker thread count (lanes = workers + 1: the caller is lane 0).
     workers: usize,
 }
@@ -142,13 +163,14 @@ impl Pool {
             state: Mutex::new(State {
                 job: None,
                 generation: 0,
+                next_lane: 0,
                 active: 0,
                 shutdown: false,
                 panicked: false,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            scope_lock: Mutex::new(()),
+            busy: AtomicBool::new(false),
             workers,
         });
         let mut handles = Vec::with_capacity(workers);
@@ -156,17 +178,18 @@ impl Pool {
             let inner = Arc::clone(&inner);
             let h = std::thread::Builder::new()
                 .name(format!("wedge-pool-{lane}"))
-                .spawn(move || worker_loop(&inner, lane))
+                .spawn(move || worker_loop(&inner))
                 .expect("spawn wedge-pool worker");
             handles.push(h);
         }
         Pool { shared: Arc::new(Shared { inner, handles: Mutex::new(handles) }) }
     }
 
-    /// Builds a pool sized from the `WEDGE_POOL_THREADS` environment
-    /// variable (clamped to 1..=64), defaulting to the inline pool.
-    /// The CI matrix uses this to run the whole driver-level test
-    /// suite at pool sizes 1 and 8 without a per-test knob.
+    /// Builds a pool sized by [`threads_from_env`]: the
+    /// `WEDGE_POOL_THREADS` environment variable, else the host's
+    /// parallelism. The CI matrix sets the variable to run the whole
+    /// driver-level test suite at pool sizes 1 and 8 without a
+    /// per-test knob.
     pub fn from_env() -> Pool {
         Pool::new(threads_from_env())
     }
@@ -182,42 +205,52 @@ impl Pool {
         self.shared.inner.workers == 0
     }
 
-    /// Runs `f(lane)` once per lane concurrently (`lane` in
-    /// `0..lanes()`, the caller is lane 0) and returns when every
-    /// lane has finished. If any lane panics, `scope` panics after
-    /// all lanes have stopped. Must not be re-entered from inside a
-    /// running scope on the same pool.
+    /// Runs `f(lane)` exactly once per lane (`lane` in `0..lanes()`)
+    /// and returns when every lane has finished. The caller runs lane
+    /// 0, workers run the lanes they join in time, and the caller runs
+    /// the rest; if another scope holds the workers (including an
+    /// enclosing scope on the same pool), the caller runs every lane
+    /// itself, in order. If a lane panics, `scope` panics once every
+    /// lane that started has stopped.
     pub fn scope<F>(&self, f: F)
     where
         F: Fn(usize) + Sync,
     {
         let inner = &*self.shared.inner;
-        if inner.workers == 0 {
-            f(0);
+        let lanes = self.lanes();
+        let claim = if inner.workers == 0 { None } else { Claim::take(&inner.busy) };
+        let Some(_claim) = claim else {
+            (0..lanes).for_each(f);
             return;
-        }
-        let _serial = inner.scope_lock.lock().unwrap_or_else(|e| e.into_inner());
+        };
         {
             let job: &(dyn Fn(usize) + Sync) = &f;
             // SAFETY: lifetime erasure only — `scope` does not return
-            // (and so `f` stays alive) until every worker has finished
-            // with the pointer; see `Job`.
+            // (and so `f` stays alive) until every worker that joined
+            // has finished with the pointer; see `Job`.
             let job: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job) };
             let mut st = lock_ok(&inner.state);
             st.job = Some(Job(job as *const _));
             st.generation += 1;
-            st.active = inner.workers;
+            st.next_lane = 1;
             st.panicked = false;
         }
         inner.work_cv.notify_all();
         // The caller is lane 0: do our share instead of just waiting.
         let caller = catch_unwind(AssertUnwindSafe(|| f(0)));
+        // Withdraw the job: lanes no worker has joined yet run here
+        // rather than waiting for a worker to wake up for them.
+        let unjoined = {
+            let mut st = lock_ok(&inner.state);
+            st.job = None;
+            st.next_lane..lanes
+        };
+        let caller = caller.and_then(|()| catch_unwind(AssertUnwindSafe(|| unjoined.for_each(&f))));
         let worker_panicked = {
             let mut st = lock_ok(&inner.state);
             while st.active > 0 {
                 st = inner.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
             }
-            st.job = None;
             st.panicked
         };
         match caller {
@@ -305,10 +338,32 @@ fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn worker_loop(inner: &Inner, lane: usize) {
+/// The right to hand a job to the workers, held by at most one scope
+/// at a time; released on drop, panics included.
+struct Claim<'a>(&'a AtomicBool);
+
+impl<'a> Claim<'a> {
+    /// Takes the claim if no other scope holds it. Never waits.
+    fn take(busy: &'a AtomicBool) -> Option<Claim<'a>> {
+        // Acquire pairs with the Release in `drop`: the next holder
+        // sees the previous scope's writes to the shared state.
+        busy.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| Claim(busy))
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+fn worker_loop(inner: &Inner) {
+    let lanes = inner.workers + 1;
     let mut seen = 0u64;
     loop {
-        let job = {
+        let (job, lane) = {
             let mut st = lock_ok(&inner.state);
             loop {
                 if st.shutdown {
@@ -316,38 +371,43 @@ fn worker_loop(inner: &Inner, lane: usize) {
                 }
                 if st.generation != seen {
                     seen = st.generation;
-                    break;
+                    // Join only a job its scope has not withdrawn yet.
+                    if let Some(job) = st.job.as_ref().map(|j| j.0) {
+                        if st.next_lane < lanes {
+                            let lane = st.next_lane;
+                            st.next_lane += 1;
+                            st.active += 1;
+                            break (job, lane);
+                        }
+                    }
                 }
                 st = inner.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
             }
-            // `scope` holds `active > 0` until we decrement below, so
-            // the pointee outlives this borrow.
-            st.job.as_ref().map(|j| j.0)
         };
-        if let Some(job) = job {
-            // SAFETY: see `Job`'s Send rationale — `scope` keeps the
-            // closure alive until `active` hits zero.
-            let f = unsafe { &*job };
-            let result = catch_unwind(AssertUnwindSafe(|| f(lane)));
-            let mut st = lock_ok(&inner.state);
-            if result.is_err() {
-                st.panicked = true;
-            }
-            st.active -= 1;
-            if st.active == 0 {
-                inner.done_cv.notify_all();
-            }
+        // SAFETY: we counted ourselves into `active` while the job was
+        // installed, and `scope` keeps the closure alive until `active`
+        // hits zero; see `Job`.
+        let f = unsafe { &*job };
+        let result = catch_unwind(AssertUnwindSafe(|| f(lane)));
+        let mut st = lock_ok(&inner.state);
+        if result.is_err() {
+            st.panicked = true;
+        }
+        st.active -= 1;
+        if st.active == 0 {
+            inner.done_cv.notify_all();
         }
     }
 }
 
-/// Pool size from `WEDGE_POOL_THREADS` (clamped to 1..=64), default 1.
+/// Pool size from `WEDGE_POOL_THREADS`, else the host's available
+/// parallelism (1 if unknown); clamped to 1..=64 either way.
 pub fn threads_from_env() -> usize {
     std::env::var("WEDGE_POOL_THREADS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(1, 64))
-        .unwrap_or(1)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .clamp(1, 64)
 }
 
 /// CPU time consumed by the calling thread, in nanoseconds. Unlike a
@@ -433,13 +493,67 @@ mod tests {
 
     #[test]
     fn scope_runs_every_lane() {
+        // Tiny scopes end before most workers wake, so the caller
+        // withdraws and runs the unjoined lanes: each lane must still
+        // run exactly once per scope, whoever runs it.
         let pool = Pool::new(4);
         assert_eq!(pool.lanes(), 4);
         let hits: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-        pool.scope(|lane| {
-            hits[lane].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        for round in 0..10_000 {
+            pool.scope(|lane| {
+                hits[lane].fetch_add(1, Ordering::Relaxed);
+            });
+            for (lane, h) in hits.iter().enumerate() {
+                assert_eq!(h.swap(0, Ordering::Relaxed), 1, "lane {lane} in scope {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn scope_on_a_busy_pool_runs_inline_without_waiting() {
+        let pool = Pool::new(2);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let long = {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                pool.scope(|lane| {
+                    if lane == 0 {
+                        started_tx.send(()).expect("test thread waits for the start");
+                        let _ = release_rx.lock().expect("lane 0 alone locks").recv();
+                    }
+                });
+            })
+        };
+        started_rx.recv().expect("long scope started");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let short = {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                let me = std::thread::current().id();
+                let items: Vec<u64> = (0..100).collect();
+                let ran_here = pool.map(&items, |_| std::thread::current().id() == me);
+                done_tx.send(ran_here.iter().all(|&here| here)).expect("test thread waits");
+            })
+        };
+        // The long scope is still running; a map that waited for it
+        // would never answer.
+        let inline = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("map on a busy pool waited for the other scope");
+        assert!(inline, "map on a busy pool left its thread");
+        release_tx.send(()).expect("long scope waits for release");
+        long.join().unwrap();
+        short.join().unwrap();
+    }
+
+    #[test]
+    fn nested_scope_runs_inline() {
+        let pool = Pool::new(3);
+        let items: Vec<u64> = (0..50).collect();
+        let sums = pool.map(&items, |x| pool.map(&items, |y| x * y).iter().sum::<u64>());
+        assert_eq!(sums[2], 2 * 49 * 50 / 2);
     }
 
     #[test]
