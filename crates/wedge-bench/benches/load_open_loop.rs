@@ -1,6 +1,7 @@
 //! Open-loop load harness over the two real-time transports (one
 //! `Cluster` on threads, one on TCP), plus an allocation audit of
-//! the encode path (ROADMAP open item 5, load-harness half).
+//! the encode path (the load half of ROADMAP's "Phase I at edge speed"
+//! direction, which steps the offered rate past the knee).
 //!
 //! Unlike the closed-loop figure benches, arrivals here follow a
 //! schedule: worker `w` issues its `i`-th operation at `start + i /

@@ -1103,6 +1103,12 @@ impl<T: Transport> Cluster<T> {
         self.get_on(0, key)
     }
 
+    /// The read-proof cache every client of the cluster shares. Its
+    /// counters are live, so a caller can watch them mid-run.
+    pub fn proof_cache(&self) -> &ShardedReadProofCache {
+        &self.proof_cache
+    }
+
     /// Audits a log block through partition `edge`'s client. Fire and
     /// forget: a lying edge surfaces as a verdict in the report.
     pub fn log_read_on(&self, edge: usize, bid: BlockId) {

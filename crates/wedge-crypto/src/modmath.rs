@@ -28,7 +28,7 @@
 //! the ladder's ~250 additions. It is written, and the unit tests
 //! below hold it equal to [`mulmod`] on every edge operand and 200 000
 //! random pairs (`tests::wide`); putting it under [`mulmod`]'s callers
-//! is ROADMAP item 2's last step.
+//! is the crypto step of ROADMAP's "Phase I at edge speed" direction.
 
 /// Adds `a + b (mod m)`. Requires `a, b < m < 2^127`.
 #[inline]

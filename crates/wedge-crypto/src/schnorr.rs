@@ -50,8 +50,8 @@
 //!   would take another quarter off a check, but measured end to end
 //!   they move `read_quiet` throughput about 3×, more than the
 //!   benchmark's spread rule resolves in one step. Four or 32 rows
-//!   wait for its gate rehearsal (ROADMAP item 2(b)); only the private
-//!   row count in `keys.rs` changes.
+//!   wait for its gate rehearsal (ROADMAP's "Phase I at edge speed"
+//!   direction); only the private row count in `keys.rs` changes.
 //!
 //! **Batch verification is not possible for this signature form.** The
 //! random-linear-combination check (`g^Σaᵢsᵢ = Π Rᵢ^aᵢ · yᵢ^aᵢeᵢ`)

@@ -50,11 +50,14 @@ pub struct Block {
 }
 
 impl Block {
+    /// Byte length of an entry-less block's canonical bytes: the tag
+    /// ("wedge-block-v1" behind a u64 length prefix), edge, id,
+    /// sealed_at_ns and entry count. No block encodes shorter.
+    pub const EMPTY_CANONICAL_LEN: usize = 8 + 14 + 8 + 8 + 8 + 8;
+
     /// Exact byte length of [`Block::canonical_bytes`].
     pub fn canonical_len(&self) -> usize {
-        // Tag ("wedge-block-v1" behind a u64 length prefix) + edge +
-        // id + sealed_at_ns + entry count + entries.
-        8 + 14 + 8 + 8 + 8 + 8 + self.entries.iter().map(|e| e.encoded_len()).sum::<usize>()
+        Self::EMPTY_CANONICAL_LEN + self.entries.iter().map(|e| e.encoded_len()).sum::<usize>()
     }
 
     /// Canonical bytes of the whole block (id + edge + entries).

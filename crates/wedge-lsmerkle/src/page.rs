@@ -143,6 +143,13 @@ impl Page {
         self.created_at_ns
     }
 
+    /// The digest if it is memoized already (computed, or cloned with
+    /// the page); `None` for a page nobody has hashed yet, such as one
+    /// just decoded off the wire. Never hashes.
+    pub fn memoized_digest(&self) -> Option<Digest> {
+        self.digest.get().copied()
+    }
+
     /// Canonical digest of the page — computed on first use, memoized
     /// for the page's lifetime.
     pub fn digest(&self) -> Digest {
@@ -207,10 +214,13 @@ impl Page {
         28 + self.records.iter().map(|r| r.wire_size()).sum::<u64>()
     }
 
+    /// Byte length of an empty page's encoding: min, max,
+    /// created_at_ns and record count. No page encodes shorter.
+    pub const MIN_ENCODED_LEN: usize = 8 + 8 + 8 + 8;
+
     /// Exact byte length of [`Page::encode_into`]'s output.
     pub fn encoded_len(&self) -> usize {
-        // min + max + created_at_ns + record count + records.
-        8 + 8 + 8 + 8 + self.records.iter().map(|r| r.encoded_len()).sum::<usize>()
+        Self::MIN_ENCODED_LEN + self.records.iter().map(|r| r.encoded_len()).sum::<usize>()
     }
 
     /// Canonical nestable wire encoding: exactly the logical fields,
@@ -396,6 +406,10 @@ impl L0Page {
         enc.put_u64(self.block.canonical_len() as u64);
         self.block.encode_canonical_into(enc);
     }
+
+    /// Byte length of an empty block's page encoding: the length
+    /// prefix and the block. No L0 page encodes shorter.
+    pub const MIN_ENCODED_LEN: usize = 8 + wedge_log::Block::EMPTY_CANONICAL_LEN;
 
     /// Exact byte length of [`L0Page::encode_into`]'s output.
     pub fn encoded_len(&self) -> usize {

@@ -130,21 +130,28 @@ impl IndexReadProof {
     }
 
     /// Inverse of [`IndexReadProof::encode_into`]. Decoded pages are
-    /// fresh `Arc`s; nothing is verified here — the decoded proof goes
-    /// through [`verify_read_proof`] like any other.
+    /// fresh `Arc`s with no digest memo; nothing is verified here — the
+    /// decoded proof goes through [`verify_read_proof`] like any other.
+    /// A level page is therefore hashed on its first verification. A
+    /// verifier with a [`ShardedReadProofCache`] hashes each distinct
+    /// level page once: a later decode of an equal page takes the
+    /// digest the cache remembers (the level-page rule on its type
+    /// docs). Each witness count is bounded by the fewest bytes one
+    /// witness can encode to, so a hostile count cannot reserve memory
+    /// the remaining input could never fill.
     pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, wedge_log::DecodeError> {
         use wedge_log::DecodeError;
         let edge = IdentityId(dec.get_u64()?);
         let key = dec.get_u64()?;
         let outcome = dec.get_option(KvRecord::decode_from)?;
-        let n_l0 = dec.get_count(8)?;
+        let n_l0 = dec.get_count(L0_WITNESS_MIN_LEN)?;
         let mut l0 = Vec::with_capacity(n_l0);
         for _ in 0..n_l0 {
             let page = L0Page::decode_from(dec)?;
             let proof = dec.get_option(BlockProof::decode_from)?;
             l0.push(L0Witness { page, proof });
         }
-        let n_wit = dec.get_count(24)?;
+        let n_wit = dec.get_count(LEVEL_WITNESS_MIN_LEN)?;
         let mut witnesses = Vec::with_capacity(n_wit);
         for _ in 0..n_wit {
             let level = dec.get_u32()?;
@@ -172,6 +179,14 @@ impl IndexReadProof {
         Ok(IndexReadProof { edge, key, outcome, l0, witnesses, level_roots, global })
     }
 }
+
+/// Fewest bytes one encoded L0 witness takes: an empty block's page
+/// and the proof's option tag.
+const L0_WITNESS_MIN_LEN: usize = L0Page::MIN_ENCODED_LEN + 1;
+
+/// Fewest bytes one encoded level witness takes: the level, an empty
+/// page, the leaf index and the sibling count.
+const LEVEL_WITNESS_MIN_LEN: usize = 4 + Page::MIN_ENCODED_LEN + 8 + 8;
 
 /// A verified read.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -221,9 +236,10 @@ impl std::fmt::Display for ProofError {
 
 impl std::error::Error for ProofError {}
 
-/// A verifying client's memo of L0 witnesses and cloud block-proofs it
-/// has already checked — the §V-B read-proof fast path — split into
-/// independently-locked shards so verifier threads can share it.
+/// A verifying client's memo of L0 witnesses, cloud block-proofs and
+/// wire-decoded level pages it has already checked — the §V-B
+/// read-proof fast path — split into independently-locked shards so
+/// verifier threads can share it.
 ///
 /// Every read proof re-ships *all* L0 pages with their block-proofs,
 /// so a client that reads repeatedly re-verifies the same material on
@@ -233,9 +249,9 @@ impl std::error::Error for ProofError {}
 /// Phase II (§IV). Both checks are pure functions of immutable data,
 /// so a client may cache the verdicts.
 ///
-/// Entries are keyed by page digest, which is the block digest. An
-/// entry holds a verified page, a verified proof, or both; the two
-/// memos have separate trust rules.
+/// L0 entries are keyed by page digest, which is the block digest. An
+/// entry holds a verified page, a verified proof, or both; those two
+/// memos and the level-page memo have separate trust rules.
 ///
 /// Page rule: the denormalized `records` field is NOT covered by the
 /// block digest — a forged page can share an honestly-certified block
@@ -262,6 +278,23 @@ impl std::error::Error for ProofError {}
 /// one cloud: every verifier sharing it checks proofs against the same
 /// cloud identity and key registry.
 ///
+/// Level-page rule: a level witness's digest is what its inclusion
+/// proof checks, and a page decoded off the wire carries no digest
+/// memo, so without help the client re-encodes and re-hashes every
+/// level page of every get. The cache therefore remembers up to
+/// [`LEVEL_MEMO_PAGES`] verified, wire-decoded level pages (at most
+/// [`LEVEL_MEMO_BYTES`] of encoded pages), least-recently-used first
+/// out, each with the digest the verifier computed itself. A witness
+/// page equal to a remembered one — same `min`, `max`,
+/// `created_at_ns` and records, which are every input of the digest —
+/// takes that digest instead of being hashed. A page is admitted only
+/// after its inclusion proof and coverage check pass, so a failed
+/// witness leaves no trace. A page whose digest is already memoized
+/// never consults or enters this memo: in-process pages on the
+/// threaded and simulated paths cost one `OnceLock` read here. The
+/// memo only saves the hash; every get still runs the inclusion,
+/// coverage, newest-version, roots-to-global and global-cert checks.
+///
 /// Sharing: a process-wide cache behind one mutex serializes every
 /// concurrent verifier on every witness check — exactly the hot path
 /// the cache exists to speed up. Sharding by digest means two
@@ -275,10 +308,72 @@ impl std::error::Error for ProofError {}
 /// proof check touches neither, and counts in
 /// [`signature_checks`](Self::signature_checks) when it must verify.
 /// Eviction is per-shard LRU — capacity is split evenly, so the
-/// worst-case total never exceeds `cap` rounded up per shard.
+/// worst-case total never exceeds `cap` rounded up per shard. The
+/// level-page memo sits behind its own mutex, held for one recall or
+/// admit and never across a hash; it counts the level pages the
+/// verifier had to hash in [`level_page_hashes`](Self::level_page_hashes).
 #[derive(Debug)]
 pub struct ShardedReadProofCache {
     shards: Vec<Mutex<ReadProofCache>>,
+    levels: Mutex<LevelPageMemo>,
+}
+
+/// Most wire-decoded level pages a [`ShardedReadProofCache`] remembers.
+pub const LEVEL_MEMO_PAGES: usize = 16;
+
+/// Most encoded bytes of level pages a [`ShardedReadProofCache`]
+/// remembers; a larger page is hashed on every get.
+pub const LEVEL_MEMO_BYTES: usize = 1 << 20;
+
+/// Verified level pages that were decoded off the wire, with the
+/// digests the verifier computed for them, most recently used last.
+#[derive(Debug, Default)]
+struct LevelPageMemo {
+    pages: Vec<RememberedPage>,
+    /// Encoded bytes of `pages`.
+    bytes: usize,
+    /// Level pages without a digest memo that no remembered page
+    /// answered, so the verifier hashed them.
+    hashes: u64,
+}
+
+#[derive(Debug)]
+struct RememberedPage {
+    page: Arc<Page>,
+    digest: Digest,
+    bytes: usize,
+}
+
+impl LevelPageMemo {
+    /// The digest of a remembered page equal to `page`, which becomes
+    /// the most recently used; otherwise counts the hash to come.
+    fn recall(&mut self, page: &Page) -> Option<Digest> {
+        let Some(i) = self.pages.iter().rposition(|r| *r.page == *page) else {
+            self.hashes += 1;
+            return None;
+        };
+        let hit = self.pages.remove(i);
+        let digest = hit.digest;
+        self.pages.push(hit);
+        Some(digest)
+    }
+
+    /// Remembers `page`, whose digest the verifier computed and whose
+    /// inclusion passed, evicting the least recently used pages past
+    /// either cap. A page over the byte cap, or one already remembered
+    /// (two verifiers racing on the same miss), is left out.
+    fn admit(&mut self, page: &Arc<Page>, digest: Digest) {
+        let bytes = page.encoded_len();
+        if bytes > LEVEL_MEMO_BYTES || self.pages.iter().any(|r| r.digest == digest) {
+            return;
+        }
+        self.pages.push(RememberedPage { page: Arc::clone(page), digest, bytes });
+        self.bytes += bytes;
+        while self.pages.len() > LEVEL_MEMO_PAGES || self.bytes > LEVEL_MEMO_BYTES {
+            let old = self.pages.remove(0);
+            self.bytes -= old.bytes;
+        }
+    }
 }
 
 /// One shard of a [`ShardedReadProofCache`]: verified pages and proofs
@@ -387,6 +482,7 @@ impl ShardedReadProofCache {
         let per_shard = cap.div_ceil(n).max(1);
         ShardedReadProofCache {
             shards: (0..n).map(|_| Mutex::new(ReadProofCache::new(per_shard))).collect(),
+            levels: Mutex::new(LevelPageMemo::default()),
         }
     }
 
@@ -402,6 +498,19 @@ impl ShardedReadProofCache {
     fn shard(&self, digest: &Digest) -> MutexGuard<'_, ReadProofCache> {
         let idx = digest.as_bytes()[0] as usize & (self.shards.len() - 1);
         self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The level-page memo, locked; poison-tolerant like the shards.
+    fn level_memo(&self) -> MutexGuard<'_, LevelPageMemo> {
+        self.levels.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The digest of a remembered level page equal to `page`, if any;
+    /// a miss counts in [`level_page_hashes`](Self::level_page_hashes).
+    /// The memo is locked for the lookup only, so the caller hashes a
+    /// missed page without holding it.
+    fn recall_level_page(&self, page: &Page) -> Option<Digest> {
+        self.level_memo().recall(page)
     }
 
     /// Consults the owning shard for `w`'s page, locked for just this
@@ -471,6 +580,13 @@ impl ShardedReadProofCache {
     /// had to verify (no byte-equal proof cached), summed over shards.
     pub fn signature_checks(&self) -> u64 {
         self.total(|s| s.signature_checks)
+    }
+
+    /// Level witness pages without a digest memo that the verifier
+    /// had to hash, because no remembered page was equal. Cumulative
+    /// over the cache's lifetime.
+    pub fn level_page_hashes(&self) -> u64 {
+        self.level_memo().hashes
     }
 }
 
@@ -687,11 +803,25 @@ fn verify_read_proof_inner(
             return Err(ProofError::DuplicateLevel(w.level));
         }
         let root = proof.level_roots[(w.level - 1) as usize];
-        if !MerkleTree::verify(&root, &w.page.digest(), &w.inclusion) {
+        // A page decoded off the wire has no digest memo; the cache may
+        // remember an equal page (the level-page rule on its type docs).
+        // A page hashed here is admitted once its checks pass.
+        let (digest, admit_to) = match (w.page.memoized_digest(), cache) {
+            (Some(digest), _) => (digest, None),
+            (None, Some(c)) => match c.recall_level_page(&w.page) {
+                Some(digest) => (digest, None),
+                None => (w.page.digest(), Some(c)),
+            },
+            (None, None) => (w.page.digest(), None),
+        };
+        if !MerkleTree::verify(&root, &digest, &w.inclusion) {
             return Err(ProofError::BadInclusion(w.level));
         }
         if !w.page.covers(proof.key) {
             return Err(ProofError::NotCovering(w.level));
+        }
+        if let Some(c) = admit_to {
+            c.level_memo().admit(&w.page, digest);
         }
     }
     // 6. Recompute the newest record from the supplied material.
@@ -827,6 +957,19 @@ mod tests {
                 None,
                 cache,
             )
+        }
+
+        /// The read proof for `key` after a trip through the codec:
+        /// every page a fresh `Arc` with no digest memo, as a client
+        /// receives it off the wire.
+        fn decoded(&self, key: u64) -> IndexReadProof {
+            let mut enc = Encoder::default();
+            build_read_proof(&self.tree, key).encode_into(&mut enc);
+            let bytes = enc.finish();
+            let mut dec = wedge_log::Decoder::new(&bytes);
+            let proof = IndexReadProof::decode_from(&mut dec).unwrap();
+            dec.finish().unwrap();
+            proof
         }
 
         /// The client's Phase II for every L0 block of `proof`: each
@@ -1068,29 +1211,12 @@ mod tests {
             fx.ingest_certified(&[(i, Some(b"v"))]);
         }
         let cache = ShardedReadProofCache::new(4096, 1);
-        let verify_decoded = |fx: &Fixture, key: u64, cache: &ShardedReadProofCache| {
-            // Round-trip through the codec: decoded pages are fresh
-            // Arcs, pointer-distinct from anything cached.
-            let mut enc = Encoder::default();
-            build_read_proof(&fx.tree, key).encode_into(&mut enc);
-            let bytes = enc.finish();
-            let mut dec = wedge_log::Decoder::new(&bytes);
-            let proof = IndexReadProof::decode_from(&mut dec).unwrap();
-            verify_read_proof_sharded(
-                &proof,
-                fx.edge,
-                fx.cloud.id,
-                &fx.registry,
-                2_000,
-                None,
-                cache,
-            )
-            .unwrap();
-        };
-        verify_decoded(&fx, 0, &cache);
+        // Decoded pages are fresh Arcs, pointer-distinct from anything
+        // cached.
+        fx.verify_with(&fx.decoded(0), &cache).unwrap();
         // Second decoded read: zero block re-decodes despite fresh Arcs.
         let warm = hash_stats::l0_decode_checks();
-        verify_decoded(&fx, 2, &cache);
+        fx.verify_with(&fx.decoded(2), &cache).unwrap();
         assert_eq!(
             hash_stats::l0_decode_checks(),
             warm,
@@ -1310,6 +1436,195 @@ mod tests {
         assert!(cache.misses() >= l0_pages, "cold consults must miss");
         assert!(cache.misses() <= l0_pages * THREADS, "after admission every consult must hit");
         assert_eq!(cache.len() as u64, l0_pages, "one entry per distinct page");
+    }
+
+    /// A settled tree with both Merkle levels non-empty (one L1 page
+    /// over keys 10..=12, three L2 pages): a read of key 2 ships a
+    /// witness from each level.
+    fn leveled_fixture() -> Fixture {
+        let mut fx = Fixture::new();
+        for k in 1..=12u64 {
+            fx.ingest_certified(&[(k, Some(b"v"))]);
+            fx.drain_merges();
+        }
+        fx
+    }
+
+    /// Level pages decoded off the wire are hashed once per content:
+    /// a repeated get takes every level digest from the memo, and the
+    /// verdict is the uncached verifier's.
+    #[test]
+    fn level_memo_hashes_each_wire_decoded_page_once() {
+        let fx = leveled_fixture();
+        let cache = ShardedReadProofCache::new(4096, 1);
+        let proof = fx.decoded(2);
+        let levels = proof.witnesses.len() as u64;
+        assert!(levels >= 2, "the read must cross several levels, got {levels}");
+        assert_eq!(fx.verify_with(&proof, &cache), fx.verify(&fx.decoded(2)));
+        assert_eq!(cache.level_page_hashes(), levels, "a cold get hashes each level page");
+        for _ in 0..5 {
+            let again = fx.decoded(2);
+            assert_eq!(fx.verify_with(&again, &cache), fx.verify(&proof));
+            assert!(again.witnesses.iter().all(|w| w.page.memoized_digest().is_none()));
+        }
+        assert_eq!(cache.level_page_hashes(), levels, "repeat gets hashed a level page again");
+    }
+
+    /// The memo answers only for an equal page. One with the same
+    /// range, timestamp and encoded length but one changed record is
+    /// hashed, rejected by its inclusion proof, and never admitted.
+    #[test]
+    fn level_memo_never_answers_for_a_changed_record() {
+        let fx = leveled_fixture();
+        let cache = ShardedReadProofCache::new(4096, 1);
+        fx.verify_with(&fx.decoded(2), &cache).unwrap();
+        let remembered = cache.level_memo().pages.len();
+        for round in 0..2 {
+            let mut forged = fx.decoded(2);
+            let honest = Arc::clone(&forged.witnesses[0].page);
+            let mut records = honest.records().to_vec();
+            records[0].value = Some(b"w".to_vec());
+            let page = Page::new(honest.min(), honest.max(), records, honest.created_at_ns());
+            assert_eq!(page.encoded_len(), honest.encoded_len());
+            forged.witnesses[0].page = Arc::new(page);
+            let hashes = cache.level_page_hashes();
+            let level = forged.witnesses[0].level;
+            assert_eq!(fx.verify_with(&forged, &cache), Err(ProofError::BadInclusion(level)));
+            assert_eq!(cache.level_page_hashes(), hashes + 1, "round {round}: not hashed");
+            assert_eq!(cache.level_memo().pages.len(), remembered, "round {round}: admitted");
+        }
+    }
+
+    /// A page whose inclusion proof fails leaves no trace: the next
+    /// get of the same page hashes it again. The L1 witness before it
+    /// passes, so it is remembered.
+    #[test]
+    fn level_page_failing_inclusion_is_not_admitted() {
+        let fx = leveled_fixture();
+        let cache = ShardedReadProofCache::new(4096, 1);
+        let mut broken = fx.decoded(2);
+        let l2 = &mut broken.witnesses[1];
+        assert!(!l2.inclusion.siblings.is_empty(), "L2 holds several pages");
+        l2.inclusion.leaf_index ^= 1;
+        let level = l2.level;
+        assert_eq!(fx.verify_with(&broken, &cache), Err(ProofError::BadInclusion(level)));
+        assert_eq!(cache.level_page_hashes(), 2);
+        let memo = cache.level_memo().pages.iter().map(|r| Arc::clone(&r.page)).collect::<Vec<_>>();
+        assert_eq!(memo, vec![Arc::clone(&broken.witnesses[0].page)], "only L1 admitted");
+        fx.verify_with(&fx.decoded(2), &cache).unwrap();
+        assert_eq!(cache.level_page_hashes(), 3, "the failed page was remembered");
+    }
+
+    /// Pages carrying a digest memo — every in-process page — never
+    /// consult or enter the level memo.
+    #[test]
+    fn in_process_pages_never_enter_the_level_memo() {
+        let fx = leveled_fixture();
+        let cache = ShardedReadProofCache::new(4096, 1);
+        for key in [1u64, 2, 3, 999] {
+            fx.verify_with(&build_read_proof(&fx.tree, key), &cache).unwrap();
+        }
+        assert_eq!(cache.level_page_hashes(), 0);
+        assert!(cache.level_memo().pages.is_empty());
+    }
+
+    /// The memo holds at most `LEVEL_MEMO_PAGES` pages and
+    /// `LEVEL_MEMO_BYTES` encoded bytes, evicting the least recently
+    /// used, and never holds a page over the byte cap.
+    #[test]
+    fn level_memo_caps_hold() {
+        use crate::kv::Version;
+        let page = |key: u64, value_len: usize| {
+            let record = KvRecord {
+                key,
+                version: Version { bid: key, pos: 0 },
+                value: Some(vec![7; value_len]),
+            };
+            let page = Arc::new(Page::new(key, key, vec![record], 0));
+            let digest = page.digest();
+            (page, digest)
+        };
+        let mut memo = LevelPageMemo::default();
+        for key in 0..2 * LEVEL_MEMO_PAGES as u64 {
+            let (p, d) = page(key, 8);
+            memo.admit(&p, d);
+            assert!(memo.pages.len() <= LEVEL_MEMO_PAGES);
+        }
+        assert_eq!(memo.pages.len(), LEVEL_MEMO_PAGES);
+        assert_eq!(memo.recall(&page(0, 8).0), None, "the oldest page was kept");
+        let newest = page(2 * LEVEL_MEMO_PAGES as u64 - 1, 8);
+        assert_eq!(memo.recall(&newest.0), Some(newest.1));
+
+        let mut memo = LevelPageMemo::default();
+        let quarter = LEVEL_MEMO_BYTES / 4;
+        for key in 0..8 {
+            let (p, d) = page(key, quarter);
+            memo.admit(&p, d);
+            assert!(memo.bytes <= LEVEL_MEMO_BYTES);
+        }
+        assert_eq!(memo.pages.len(), 3, "four quarter-MiB pages exceed the byte cap");
+        assert_eq!(memo.bytes, memo.pages.iter().map(|r| r.page.encoded_len()).sum::<usize>());
+        let (huge, d) = page(99, LEVEL_MEMO_BYTES);
+        memo.admit(&huge, d);
+        assert!(memo.pages.iter().all(|r| !Arc::ptr_eq(&r.page, &huge)), "oversized page kept");
+    }
+
+    /// Each witness count is bounded by the fewest bytes one witness
+    /// encodes to. After a count, the input holds `K` minimal
+    /// witnesses and ends: a count of `K` gets past the bound and runs
+    /// out of input after the last witness, and a count of `K + 1` is
+    /// rejected as `BadLength` before any witness decodes.
+    #[test]
+    fn witness_counts_past_the_minimum_encoding_are_rejected() {
+        use wedge_log::{DecodeError, Decoder};
+        // Enough witnesses that a bound one byte short would admit
+        // `K + 1` (`K` ≥ the minimum minus one).
+        const K: u64 = 64;
+        let fx = Fixture::new();
+        let mut proof = build_read_proof(&fx.tree, 1);
+        assert!(proof.outcome.is_none() && proof.l0.is_empty() && proof.witnesses.is_empty());
+        let empty = Block { edge: fx.edge, id: BlockId(0), entries: vec![], sealed_at_ns: 0 };
+        let l0 = L0Witness { page: Arc::new(L0Page::from_block(empty)), proof: None };
+        let page = Arc::new(Page::new(0, Key::MAX, vec![], 0));
+        let inclusion = InclusionProof { leaf_index: 0, siblings: vec![] };
+        let level = LevelWitness { level: 1, page, inclusion };
+        let before = proof.encoded_len();
+        proof.l0.push(l0);
+        assert_eq!(proof.encoded_len() - before, L0_WITNESS_MIN_LEN, "L0 minimum");
+        proof.witnesses.push(level);
+        assert_eq!(proof.encoded_len() - before, L0_WITNESS_MIN_LEN + LEVEL_WITNESS_MIN_LEN);
+
+        // Edge, key and the outcome's `None` tag, then the L0 count.
+        let mut enc = Encoder::default();
+        proof.encode_into(&mut enc);
+        let full = enc.finish();
+        let l0_count_at = 8 + 8 + 1;
+        let l0_bytes = &full[l0_count_at + 8..][..L0_WITNESS_MIN_LEN];
+        let level_count_at = l0_count_at + 8 + L0_WITNESS_MIN_LEN;
+        let level_bytes = &full[level_count_at + 8..][..LEVEL_WITNESS_MIN_LEN];
+        // K L0 witnesses after the L0 count; no L0 witness and K level
+        // witnesses after the level count.
+        let stream = |count: u64, level_section: bool| {
+            let mut bytes = full[..l0_count_at].to_vec();
+            let witness = if level_section {
+                bytes.extend_from_slice(&0u64.to_be_bytes());
+                level_bytes
+            } else {
+                l0_bytes
+            };
+            bytes.extend_from_slice(&count.to_be_bytes());
+            for _ in 0..K {
+                bytes.extend_from_slice(witness);
+            }
+            bytes
+        };
+        for level_section in [false, true] {
+            let decode = |count| {
+                IndexReadProof::decode_from(&mut Decoder::new(&stream(count, level_section)))
+            };
+            assert_eq!(decode(K), Err(DecodeError::UnexpectedEof), "level {level_section}");
+            assert_eq!(decode(K + 1), Err(DecodeError::BadLength), "level {level_section}");
+        }
     }
 
     /// Wire round-trip: a decoded proof is field-identical and — the

@@ -571,6 +571,38 @@ mod tests {
     }
 
     #[test]
+    fn net_repeated_gets_hash_each_level_page_once() {
+        // Every get decodes its level pages off the socket as fresh
+        // pages with no digest memo. The shared proof cache remembers
+        // each verified one, so once the tree holds still, repeated
+        // gets of one key hash no level page again.
+        let cluster = NetCluster::start(NetConfig { batch_size: 1, ..NetConfig::default() });
+        let mut last = None;
+        for k in 0..20u64 {
+            last = cluster.put(k, vec![k as u8; 32]);
+        }
+        if let Some(reply) = last {
+            let _ = reply.certified.recv_timeout(Duration::from_secs(5));
+        }
+        // A merge may land after the last certification and bring new
+        // pages, so read until the count holds for `STILL` gets in a row.
+        const STILL: usize = 20;
+        let cache = cluster.proof_cache();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut hashes = cache.level_page_hashes();
+        let mut still = 0;
+        while still < STILL && std::time::Instant::now() < deadline {
+            assert_eq!(cluster.get(0).unwrap().value, Some(vec![0; 32]));
+            let now = cache.level_page_hashes();
+            still = if now == hashes { still + 1 } else { 0 };
+            hashes = now;
+        }
+        assert!(hashes > 0, "the get shipped no level witness");
+        assert_eq!(still, STILL, "repeated gets kept hashing level pages ({hashes} so far)");
+        assert!(cluster.shutdown().is_some());
+    }
+
+    #[test]
     fn net_n_edges_partition_data() {
         conformance::n_edges_partition_data::<Tcp>();
     }
