@@ -23,8 +23,9 @@
 //! stay bounded (and below the off twin's frozen debris) on the
 //! compacting store.
 //!
-//! All reported numbers are exact counts (hashes, pages), recorded
-//! through the same JSON pipeline CI tracks latency with, so a
+//! All reported numbers are exact counts (unit `hashes`, `pages` or
+//! `runs`), recorded through the same JSON pipeline CI tracks latency
+//! with, so a
 //! regression shows up as `interior_hashes` scaling with level size
 //! or `partial_pages_on` drifting upward across cycles.
 
@@ -32,7 +33,7 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::sync::Arc;
-use wedge_bench::{banner, record_ns, write_json};
+use wedge_bench::{banner, record, write_json};
 use wedge_crypto::merkle::hash_stats;
 use wedge_crypto::{Identity, IdentityId, Signature};
 use wedge_log::{Block, BlockId, BlockProof, CertLedger, Entry};
@@ -307,8 +308,8 @@ fn main() {
         // A full rebuild hashes every interior node: ~pages-1 of them.
         println!("{target_records:<16} {pages:>12} {hashes:>18} {:>22}", pages.saturating_sub(1));
         let label = |m: &str| format!("compaction_decay/target_{target_records}/{m}");
-        record_ns(&label("interior_hashes_small_merge"), hashes as u128);
-        record_ns(&label("level_pages"), pages as u128);
+        record(&label("interior_hashes_small_merge"), hashes as f64, "hashes");
+        record(&label("level_pages"), pages as f64, "pages");
     }
 
     // Part 2: twin fixtures, identical workload, compactor on vs off.
@@ -349,16 +350,16 @@ fn main() {
             off.total_pages(),
         );
         let label = |m: &str| format!("compaction_decay/cycle_{cycle}/{m}");
-        record_ns(&label("partial_pages_on"), p_on as u128);
-        record_ns(&label("partial_pages_off"), p_off as u128);
-        record_ns(&label("total_pages_on"), on.total_pages() as u128);
-        record_ns(&label("total_pages_off"), off.total_pages() as u128);
+        record(&label("partial_pages_on"), p_on as f64, "pages");
+        record(&label("partial_pages_off"), p_off as f64, "pages");
+        record(&label("total_pages_on"), on.total_pages() as f64, "pages");
+        record(&label("total_pages_off"), off.total_pages() as f64, "pages");
     }
     let stats = on.index.compaction_stats();
-    record_ns("compaction_decay/summary/fold_runs", stats.fold_runs as u128);
-    record_ns("compaction_decay/summary/pages_folded_in", stats.pages_folded_in as u128);
-    record_ns("compaction_decay/summary/pages_folded_out", stats.pages_folded_out as u128);
-    record_ns("compaction_decay/summary/max_partial_pages_on", max_partials_on as u128);
+    record("compaction_decay/summary/fold_runs", stats.fold_runs as f64, "runs");
+    record("compaction_decay/summary/pages_folded_in", stats.pages_folded_in as f64, "pages");
+    record("compaction_decay/summary/pages_folded_out", stats.pages_folded_out as f64, "pages");
+    record("compaction_decay/summary/max_partial_pages_on", max_partials_on as f64, "pages");
 
     println!(
         "\nfolds: {} runs, {} pages -> {} pages. interior_hashes_small_merge must stay ~flat \

@@ -19,7 +19,7 @@
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use wedge_bench::{banner, record_ns, write_json};
+use wedge_bench::{banner, record, write_json};
 use wedge_core::config::SystemConfig;
 use wedge_core::fault::FaultPlan;
 use wedge_core::harness::SystemHarness;
@@ -33,7 +33,7 @@ use wedge_sim::{SimDuration, SimTime};
 /// measured latency tracks the watermark wait, not the audit loop.
 const AUDIT_EVERY_MS: u64 = 20;
 
-fn detection_latency_ms(gossip_period_ms: u64) -> f64 {
+fn detection_latency(gossip_period_ms: u64) -> SimDuration {
     let cfg = SystemConfig {
         batch_size: 1,
         gossip_period_ms,
@@ -61,7 +61,7 @@ fn detection_latency_ms(gossip_period_ms: u64) -> f64 {
         h.sim.run_until(deadline, 1_000_000);
         if !h.cloud_node().punished.is_empty() {
             let detected: SimTime = h.sim.now();
-            return (detected - start).as_millis_f64();
+            return detected - start;
         }
     }
     panic!("omission never detected with gossip period {gossip_period_ms} ms");
@@ -74,12 +74,10 @@ fn main() {
     );
     println!("{:<22} {:>18}", "gossip period", "detection latency");
     for period_ms in [100u64, 200, 500, 1000, 2000] {
-        let latency_ms = detection_latency_ms(period_ms);
+        let latency = detection_latency(period_ms);
+        let latency_ms = latency.as_millis_f64();
         println!("{:<22} {:>15.1} ms", format!("{period_ms} ms"), latency_ms);
-        record_ns(
-            &format!("detection_latency/gossip_{period_ms}ms"),
-            (latency_ms * 1_000_000.0) as u128,
-        );
+        record(&format!("detection_latency/gossip_{period_ms}ms"), latency.as_nanos() as f64, "ns");
         // The staleness bound: detection should not take much longer
         // than one gossip period + audit cadence + dispute round trip.
         assert!(

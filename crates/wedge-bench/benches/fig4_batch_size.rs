@@ -11,7 +11,7 @@
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use wedge_bench::{banner, latency_header, record_x1000, run_all, write_json};
+use wedge_bench::{banner, latency_header, record, run_all, write_json};
 use wedge_core::config::SystemConfig;
 use wedge_workload::Scenario;
 
@@ -34,8 +34,8 @@ fn main() {
     }
     for (batch, out) in &rows {
         for (sys, o) in ["wc", "co", "eb"].iter().zip(out.iter()) {
-            record_x1000(&format!("fig4/batch_{batch}/p1_ms_x1000_{sys}"), o.agg.p1_latency_ms);
-            record_x1000(&format!("fig4/batch_{batch}/kops_x1000_{sys}"), o.agg.throughput_kops);
+            record(&format!("fig4/batch_{batch}/p1_ms_{sys}"), o.agg.p1_latency_ms, "ms");
+            record(&format!("fig4/batch_{batch}/kops_{sys}"), o.agg.throughput_kops, "kops");
         }
     }
 
@@ -67,8 +67,8 @@ fn main() {
     println!("  WedgeChain batching gain   (paper ~15x):  {wc_gain:.1}x");
     println!("  Cloud-only batching gain   (paper ~18.5x): {co_gain:.1}x");
     println!("  Edge-baseline batching gain (paper worst): {eb_gain:.1}x");
-    record_x1000("fig4/summary/wc_gain_x1000", wc_gain);
-    record_x1000("fig4/summary/co_gain_x1000", co_gain);
-    record_x1000("fig4/summary/eb_gain_x1000", eb_gain);
+    record("fig4/summary/wc_gain", wc_gain, "ratio");
+    record("fig4/summary/co_gain", co_gain, "ratio");
+    record("fig4/summary/eb_gain", eb_gain, "ratio");
     write_json("fig4_batch_size");
 }

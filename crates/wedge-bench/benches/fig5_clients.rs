@@ -11,7 +11,7 @@
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use wedge_bench::{banner, latency_header, record_x1000, run_all, write_json};
+use wedge_bench::{banner, latency_header, record, run_all, write_json};
 use wedge_core::config::SystemConfig;
 use wedge_workload::{Mix, Scenario};
 
@@ -51,10 +51,7 @@ fn sweep(mix: Mix, caption: &str, tag: &str) -> Vec<(usize, [wedge_baselines::Ru
     }
     for (clients, out) in &rows {
         for (sys, o) in ["wc", "co", "eb"].iter().zip(out.iter()) {
-            record_x1000(
-                &format!("{tag}/clients_{clients}/kops_x1000_{sys}"),
-                o.agg.throughput_kops,
-            );
+            record(&format!("{tag}/clients_{clients}/kops_{sys}"), o.agg.throughput_kops, "kops");
         }
     }
     rows
@@ -97,7 +94,7 @@ fn main() {
         c_last[1].agg.throughput_kops,
         c_last[1].agg.throughput_kops < c_last[0].agg.throughput_kops / 2.0
     );
-    record_x1000("fig5/summary/a_co_gain_pct_x1000", gain(&a, 1));
-    record_x1000("fig5/summary/a_wc_gain_pct_x1000", gain(&a, 0));
+    record("fig5/summary/a_co_gain_pct", gain(&a, 1), "%");
+    record("fig5/summary/a_wc_gain_pct", gain(&a, 0), "%");
     write_json("fig5_clients");
 }

@@ -9,7 +9,7 @@
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use wedge_bench::{banner, record_x1000, write_json};
+use wedge_bench::{banner, record, write_json};
 use wedge_core::client::ClientPlan;
 use wedge_core::config::SystemConfig;
 use wedge_core::fault::FaultPlan;
@@ -64,9 +64,9 @@ fn main() {
         }
         if let (Some(p1), Some(p2)) = (p1_done, p2_done) {
             println!("  P2 lag vs P1: {:.1}x (paper: ~1x at B=100, >1.7x at B>=500)", p2 / p1);
-            record_x1000(&format!("fig6/batch_{batch}/p1_done_s_x1000"), p1);
-            record_x1000(&format!("fig6/batch_{batch}/p2_done_s_x1000"), p2);
-            record_x1000(&format!("fig6/batch_{batch}/p2_lag_x1000"), p2 / p1);
+            record(&format!("fig6/batch_{batch}/p1_done_s"), p1, "s");
+            record(&format!("fig6/batch_{batch}/p2_done_s"), p2, "s");
+            record(&format!("fig6/batch_{batch}/p2_lag"), p2 / p1, "ratio");
         }
     }
     write_json("fig6_commit_phases");

@@ -12,7 +12,7 @@
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use wedge_bench::{banner, latency_header, record_x1000, run_all, write_json};
+use wedge_bench::{banner, latency_header, record, run_all, write_json};
 use wedge_core::config::SystemConfig;
 use wedge_sim::Region;
 use wedge_workload::Scenario;
@@ -37,10 +37,8 @@ fn main() {
         );
         flat_wc.push(out[0].agg.p1_latency_ms);
         for (sys, o) in ["wc", "co", "eb"].iter().zip(out.iter()) {
-            record_x1000(
-                &format!("fig7a/cloud_{}/p1_ms_x1000_{sys}", cloud.code()),
-                o.agg.p1_latency_ms,
-            );
+            let name = format!("fig7a/cloud_{}/p1_ms_{sys}", cloud.code());
+            record(&name, o.agg.p1_latency_ms, "ms");
         }
     }
     let spread = flat_wc.iter().cloned().fold(f64::MIN, f64::max)
@@ -48,7 +46,7 @@ fn main() {
     println!(
         "\n  WedgeChain latency spread across cloud locations: {spread:.1} ms (paper: ~2 ms — the cloud is off the write path)"
     );
-    record_x1000("fig7a/summary/wc_spread_ms_x1000", spread);
+    record("fig7a/summary/wc_spread_ms", spread, "ms");
 
     banner("Figure 7(b)", "Put latency (ms) vs edge location (client in C, cloud in M)");
     latency_header("edge@");
@@ -67,10 +65,7 @@ fn main() {
             out[2].agg.p1_latency_ms
         );
         for (sys, o) in ["wc", "co", "eb"].iter().zip(out.iter()) {
-            record_x1000(
-                &format!("fig7b/edge_{}/p1_ms_x1000_{sys}", edge.code()),
-                o.agg.p1_latency_ms,
-            );
+            record(&format!("fig7b/edge_{}/p1_ms_{sys}", edge.code()), o.agg.p1_latency_ms, "ms");
         }
     }
     println!(

@@ -19,8 +19,8 @@
 //!   byte-identical across every width (the determinism contract).
 //! - `host_parallelism`     — what the host actually offers; CI gates
 //!   the wall-clock speedup assertion on it.
-//! - `speedup_cpu_x1000_p4` / `speedup_wall_x1000_p4` — width-4
-//!   speedups over width 1, ×1000 (the JSON pipeline is integer-only).
+//! - `speedup_cpu_p4` / `speedup_wall_p4` — width-4 speedups over
+//!   width 1 (unit `ratio`).
 //!
 //! The source level touches *alternating* target pages so the dirty
 //! regions stay disjoint — the shape that exercises parallel region
@@ -30,7 +30,7 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::sync::Arc;
-use wedge_bench::{banner, bench_with_setup, record_ns, recorded_results, write_json};
+use wedge_bench::{banner, bench_with_setup, record, recorded_results, write_json};
 use wedge_crypto::{Identity, IdentityId, Signature};
 use wedge_log::{Block, BlockId, CertLedger, Decoder, Encoder, Entry};
 use wedge_lsmerkle::{CloudIndex, KvOp, L0Page, LsmConfig, MergeRequest};
@@ -136,14 +136,13 @@ fn main() {
         "merge_cpu_parallel",
         "cloud merge hash-and-verify vs pool width (wire-decoded, memo-free requests)",
     );
-    let host_parallelism =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as u128;
+    let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("host parallelism: {host_parallelism}\n");
 
     let cloud = Identity::derive("cloud", 1);
     let mut reference_reply: Option<Vec<u8>> = None;
     let mut roots_match = true;
-    let mut cpu_ns: Vec<(usize, u128)> = Vec::new();
+    let mut cpu_ns: Vec<(usize, f64)> = Vec::new();
 
     for &width in &WIDTHS {
         let pool = Pool::new(width);
@@ -175,25 +174,25 @@ fn main() {
             },
         );
         cpu_samples.sort();
-        let median_cpu = cpu_samples[cpu_samples.len() / 2] as u128;
-        record_ns(&format!("merge_cpu_ns_p{width}"), median_cpu);
+        let median_cpu = cpu_samples[cpu_samples.len() / 2] as f64;
+        record(&format!("merge_cpu_ns_p{width}"), median_cpu, "ns");
         cpu_ns.push((width, median_cpu));
     }
 
-    let wall: Vec<(usize, u128)> = recorded_results()
+    let wall: Vec<(usize, f64)> = recorded_results()
         .iter()
         .filter_map(|r| {
             let w = r.name.strip_prefix("merge_wall_ns_p")?.parse().ok()?;
-            Some((w, r.median_ns))
+            Some((w, r.value))
         })
         .collect();
-    let wall_of = |w: usize| wall.iter().find(|(x, _)| *x == w).unwrap().1.max(1);
-    let cpu_of = |w: usize| cpu_ns.iter().find(|(x, _)| *x == w).unwrap().1.max(1);
+    let wall_of = |w: usize| wall.iter().find(|(x, _)| *x == w).unwrap().1.max(1.0);
+    let cpu_of = |w: usize| cpu_ns.iter().find(|(x, _)| *x == w).unwrap().1.max(1.0);
 
-    record_ns("host_parallelism", host_parallelism);
-    record_ns("roots_match", u128::from(roots_match));
-    record_ns("speedup_cpu_x1000_p4", cpu_of(1) * 1000 / cpu_of(4));
-    record_ns("speedup_wall_x1000_p4", wall_of(1) * 1000 / wall_of(4));
+    record("host_parallelism", host_parallelism as f64, "threads");
+    record("roots_match", f64::from(u8::from(roots_match)), "bool");
+    record("speedup_cpu_p4", cpu_of(1) / cpu_of(4), "ratio");
+    record("speedup_wall_p4", wall_of(1) / wall_of(4), "ratio");
 
     println!();
     for &w in &WIDTHS {
@@ -201,14 +200,14 @@ fn main() {
             "width {w}: wall {:>12} ns   lane0-cpu {:>12} ns   cpu-speedup x{:.2}",
             wall_of(w),
             cpu_of(w),
-            cpu_of(1) as f64 / cpu_of(w) as f64
+            cpu_of(1) / cpu_of(w)
         );
     }
     println!(
         "\nroots byte-identical across widths: {roots_match}\ncpu speedup @4: x{:.2}   \
          wall speedup @4: x{:.2} (host parallelism {host_parallelism})",
-        cpu_of(1) as f64 / cpu_of(4) as f64,
-        wall_of(1) as f64 / wall_of(4) as f64,
+        cpu_of(1) / cpu_of(4),
+        wall_of(1) / wall_of(4),
     );
 
     write_json("merge_cpu_parallel");

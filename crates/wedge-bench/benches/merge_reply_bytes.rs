@@ -11,8 +11,9 @@
 //! frame at all — delta encoding is a correctness fix first and a
 //! bandwidth optimisation second.
 //!
-//! Reported numbers are **bytes** (exact encoded sizes, deterministic),
-//! recorded through the same JSON pipeline CI tracks latency with:
+//! Reported numbers are exact encoded sizes in `B` and page counts in
+//! `pages` (deterministic), recorded through the same JSON pipeline CI
+//! tracks latency with:
 //! a regression shows up as `delta_reply_bytes` growing with target
 //! size instead of staying flat.
 
@@ -20,7 +21,7 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::sync::Arc;
-use wedge_bench::{banner, record_ns, write_json};
+use wedge_bench::{banner, record, write_json};
 use wedge_core::messages::WireMsg;
 use wedge_crypto::{Identity, IdentityId, Signature};
 use wedge_log::{Block, BlockId, CertLedger, Entry, MAX_FRAME_PAYLOAD};
@@ -148,10 +149,10 @@ fn main() {
             },
         );
         let label = |metric: &str| format!("merge_reply_bytes/target_{target_records}/{metric}");
-        record_ns(&label("full_reply_bytes"), full as u128);
-        record_ns(&label("delta_reply_bytes"), delta as u128);
-        record_ns(&label("pages_reused"), reused as u128);
-        record_ns(&label("pages_shipped"), shipped as u128);
+        record(&label("full_reply_bytes"), full as f64, "B");
+        record(&label("delta_reply_bytes"), delta as f64, "B");
+        record(&label("pages_reused"), reused as f64, "pages");
+        record(&label("pages_shipped"), shipped as f64, "pages");
     }
     println!(
         "\ndelta_reply_bytes must stay ~flat across target sizes (it scales with the {TOUCH_OPS} \

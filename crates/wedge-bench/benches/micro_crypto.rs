@@ -12,7 +12,7 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use wedge_bench::{bench_fn, bench_with_setup, record_x1000};
+use wedge_bench::{bench_fn, bench_with_setup, record, recorded_results};
 use wedge_crypto::modmath::{modpow, mulmod};
 use wedge_crypto::schnorr::{G, P, Q};
 use wedge_crypto::{sha256, IdentityId, KeyRegistry, Keypair, MerkleTree, Sha256};
@@ -30,7 +30,7 @@ fn bench_sha256() {
         let dt = t0.elapsed();
         let mbs = (reps * size) as f64 / dt.as_secs_f64() / 1e6;
         println!("sha256/{size:<40} {mbs:>10.1} MB/s");
-        record_x1000(&format!("sha256/{size}_mb_s_x1000"), mbs);
+        record(&format!("sha256/{size}_mb_s"), mbs, "MB/s");
     }
 
     bench_fn("sha256_incremental_1mb_in_4k_chunks", 40, || {
@@ -49,13 +49,13 @@ fn bench_modmath() {
     println!("\n-- modmath --");
     const CHAIN: u32 = 1000;
     let (a, b) = (P - 0x1234_5678_9abc_def0, Q + 0x0fed_cba9_8765_4321);
-    bench_fn("mulmod_p_x1000", 40, || {
+    bench_fn("mulmod_p/chain_1000", 40, || {
         (0..CHAIN).fold(black_box(a), |acc, _| mulmod(acc, black_box(b), P))
     });
-    let chain = wedge_bench::recorded_results().pop().expect("just recorded");
-    let per_call = chain.median_ns / u128::from(CHAIN);
-    println!("{:<48} {per_call:>8} ns/call", "mulmod_p");
-    wedge_bench::record_ns("mulmod_p", per_call);
+    let chain = recorded_results().pop().expect("just recorded");
+    let per_call = chain.value / f64::from(CHAIN);
+    println!("{:<48} {per_call:>8.1} ns/call", "mulmod_p");
+    record("mulmod_p", per_call, "ns");
     // Alternating exponent bits: the multiply count of a typical scalar.
     bench_fn("modpow_p", 40, || modpow(black_box(G), black_box(Q / 3), P));
 }
@@ -87,13 +87,12 @@ fn bench_schnorr() {
     bench_with_setup("registry_first_verify_256b", 40, registered, |registry| {
         black_box(registry.verify(id, black_box(&msg), black_box(&sig)))
     });
-    let results = wedge_bench::recorded_results();
-    let median =
-        |name: &str| results.iter().find(|r| r.name == name).expect("just recorded").median_ns;
-    let build = median("registry_first_verify_256b")
-        .saturating_sub(median("schnorr_verify_registered_256b"));
+    let results = recorded_results();
+    let median = |name: &str| results.iter().find(|r| r.name == name).expect("just recorded").value;
+    let build =
+        (median("registry_first_verify_256b") - median("schnorr_verify_registered_256b")).max(0.0);
     println!("{:<48} {build:>8} ns", "registry_table_build");
-    wedge_bench::record_ns("registry_table_build", build);
+    record("registry_table_build", build, "ns");
 }
 
 fn bench_merkle() {

@@ -7,7 +7,7 @@
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use wedge_bench::{banner, record_ns, record_x1000, write_json};
+use wedge_bench::{banner, record, write_json};
 use wedge_sim::{format_table1, NetConfig, NetworkModel, Region, SimTime, RTT_MS};
 
 fn main() {
@@ -23,8 +23,8 @@ fn main() {
         net.reset_queues();
         let t2 = net.delivery_at(t1, to, Region::California, 64);
         println!("  C -> {} -> C : {:>7.1} ms", to.code(), t2.as_millis_f64());
-        record_ns(&format!("table1/cfg_rtt_ms_C_{}", to.code()), cfg_ms as u128);
-        record_x1000(&format!("table1/measured_rtt_ms_x1000_C_{}", to.code()), t2.as_millis_f64());
+        record(&format!("table1/cfg_rtt_ms_C_{}", to.code()), cfg_ms as f64, "ms");
+        record(&format!("table1/measured_rtt_ms_C_{}", to.code()), t2.as_millis_f64(), "ms");
     }
     write_json("table1_rtt");
 }

@@ -101,8 +101,9 @@ fn every_block_certified_honestly(report: &RunReport) {
 /// Four writers share one partition with four batches in flight:
 /// queued batches drain eagerly into the free pipeline slots, yet
 /// every batch seals exactly once, certifies its own digest, and every
-/// key is readable.
-pub fn pipelined_writers_lose_nothing<T: Transport>() {
+/// key is readable. Returns the report so a framing transport can
+/// also check its wire counters under this load.
+pub fn pipelined_writers_lose_nothing<T: Transport>() -> RunReport {
     let cluster = Cluster::<T>::start(RuntimeConfig {
         batch_size: 2,
         pipeline_depth: 4,
@@ -135,6 +136,7 @@ pub fn pipelined_writers_lose_nothing<T: Transport>() {
     }
     let report = cluster.shutdown().expect("report");
     assert_eq!(report.edges[0].edge_stats.blocks_sealed, 50, "100 entries in batches of 2");
+    report
 }
 
 /// Phase I returns without waiting for the injected cloud hop; Phase

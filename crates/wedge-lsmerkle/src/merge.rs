@@ -94,17 +94,17 @@ impl MergeRequest {
         let edge = IdentityId(dec.get_u64()?);
         let source_level = dec.get_u32()?;
         let epoch = dec.get_u64()?;
-        let n_l0 = dec.get_count(8)?;
+        let n_l0 = dec.get_count(L0Page::MIN_ENCODED_LEN)?;
         let mut source_l0 = Vec::with_capacity(n_l0);
         for _ in 0..n_l0 {
             source_l0.push(L0Page::decode_from(dec)?);
         }
-        let n_src = dec.get_count(24)?;
+        let n_src = dec.get_count(Page::MIN_ENCODED_LEN)?;
         let mut source_pages = Vec::with_capacity(n_src);
         for _ in 0..n_src {
             source_pages.push(Page::decode_from(dec)?);
         }
-        let n_tgt = dec.get_count(24)?;
+        let n_tgt = dec.get_count(Page::MIN_ENCODED_LEN)?;
         let mut target_pages = Vec::with_capacity(n_tgt);
         for _ in 0..n_tgt {
             target_pages.push(Page::decode_from(dec)?);
@@ -206,7 +206,7 @@ impl MergeResult {
     pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, wedge_log::DecodeError> {
         let edge = IdentityId(dec.get_u64()?);
         let source_level = dec.get_u32()?;
-        let n_pages = dec.get_count(24)?;
+        let n_pages = dec.get_count(Page::MIN_ENCODED_LEN)?;
         let mut new_target_pages = Vec::with_capacity(n_pages);
         for _ in 0..n_pages {
             new_target_pages.push(Page::decode_from(dec)?);
@@ -774,7 +774,7 @@ impl DeltaMergeRequest {
             let level = dec.get_u32()?;
             retention.push((level, dec.get_digest()?));
         }
-        let n_l0 = dec.get_count(8)?;
+        let n_l0 = dec.get_count(L0Page::MIN_ENCODED_LEN)?;
         let mut source_l0 = Vec::with_capacity(n_l0);
         for _ in 0..n_l0 {
             source_l0.push(L0Page::decode_from(dec)?);
@@ -1971,5 +1971,63 @@ mod tests {
             "only the reply's wire-shipped pages are hashed; reused references keep their memos"
         );
         assert_eq!(reply, res2, "the resolved reply is the full result, byte for byte");
+    }
+
+    #[test]
+    fn page_counts_past_the_minimum_encoding_are_rejected() {
+        use wedge_log::{DecodeError, Decoder, Encoder};
+        // Enough elements that a bound one byte short of the minimum
+        // would admit `K + 1`.
+        const K: u64 = 64;
+        fn encoded(put: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+            let mut enc = Encoder::default();
+            put(&mut enc);
+            enc.finish()
+        }
+        /// Decodes `head`, a count, and `K` copies of `elem`, for a
+        /// count of `K` and of `K + 1`.
+        fn verdicts<T>(
+            decode: fn(&mut Decoder<'_>) -> Result<T, DecodeError>,
+            head: &[u8],
+            elem: &[u8],
+        ) -> [Option<DecodeError>; 2] {
+            [K, K + 1].map(|count| {
+                let mut bytes = head.to_vec();
+                bytes.extend(encoded(|e| {
+                    e.put_u64(count);
+                }));
+                for _ in 0..K {
+                    bytes.extend_from_slice(elem);
+                }
+                decode(&mut Decoder::new(&bytes)).err()
+            })
+        }
+        let block = Block { edge: IdentityId(9), id: BlockId(0), entries: vec![], sealed_at_ns: 0 };
+        let l0 = encoded(|e| L0Page::from_block(block).encode_into(e));
+        let page = encoded(|e| Page::new(0, u64::MAX, vec![], 0).encode_into(e));
+        assert_eq!((l0.len(), page.len()), (L0Page::MIN_ENCODED_LEN, Page::MIN_ENCODED_LEN));
+        // Edge, level and epoch, then an empty count per earlier section.
+        let request_head = |empty_sections: usize| {
+            encoded(|e| {
+                e.put_u64(9).put_u32(0).put_u64(0);
+                for _ in 0..empty_sections {
+                    e.put_u64(0);
+                }
+            })
+        };
+        let result_head = encoded(|e| {
+            e.put_u64(9).put_u32(0);
+        });
+        let sites = [
+            ("request L0", verdicts(MergeRequest::decode_from, &request_head(0), &l0)),
+            ("request source", verdicts(MergeRequest::decode_from, &request_head(1), &page)),
+            ("request target", verdicts(MergeRequest::decode_from, &request_head(2), &page)),
+            ("delta request L0", verdicts(DeltaMergeRequest::decode_from, &request_head(1), &l0)),
+            ("result target", verdicts(MergeResult::decode_from, &result_head, &page)),
+        ];
+        for (site, [at_k, past_k]) in sites {
+            assert_ne!(at_k, Some(DecodeError::BadLength), "{site}: count K");
+            assert_eq!(past_k, Some(DecodeError::BadLength), "{site}: count K + 1");
+        }
     }
 }

@@ -633,7 +633,15 @@ mod tests {
 
     #[test]
     fn net_pipelined_puts_complete() {
-        conformance::pipelined_writers_lose_nothing::<Tcp>();
+        // Four pipelined writers keep frames queued per peer, so the
+        // writer must pack several into one write, and lose none.
+        let report = conformance::pipelined_writers_lose_nothing::<Tcp>();
+        assert!(report.coalesced_frames > 0, "no frames coalesced under pipelined load");
+        assert_eq!(
+            report.failed_sends, 0,
+            "frames dropped under pipelined load: {:?}",
+            report.failed_sends_by_peer
+        );
     }
 
     #[test]
