@@ -58,7 +58,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wedge_crypto::{Digest, IdentityId, KeyRegistry};
 use wedge_log::{BlockId, BlockProof};
-use wedge_lsmerkle::{CompactionStats, LsmConfig, ProofError, ShardedReadProofCache};
+use wedge_lsmerkle::{CompactionStats, LsmConfig, ProofError, ReadProofCache};
 
 /// Configuration for a [`Cluster`], whatever its transport.
 #[derive(Clone, Debug)]
@@ -861,7 +861,7 @@ pub struct Cluster<T: Transport> {
     admission_timeout: Option<Duration>,
     /// Puts shed by the admission path.
     puts_shed: AtomicU64,
-    proof_cache: Arc<ShardedReadProofCache>,
+    proof_cache: Arc<ReadProofCache>,
 }
 
 impl<T: Transport> Cluster<T> {
@@ -911,10 +911,13 @@ impl<T: Transport> Cluster<T> {
         let pool = wedge_pool::Pool::new(cfg.pool_threads);
         let engines =
             Engines::build(&ids, engine_cfg, &edge_peers, &vec![vec![CLIENT_PEER]; n], &pool);
-        // One proof cache for the whole process: a witness verified by
+        // One proof cache for the whole cluster: a witness verified by
         // any partition's client is verified for all of them (the
-        // cache's trust rule is content-based, not per-client).
-        let proof_cache = Arc::new(ShardedReadProofCache::default());
+        // cache's trust rule is content-based, not per-client). Its one
+        // lock is held for a lookup or admit, never across a check; with
+        // one partition, as in every benchmark workload, one client
+        // service thread is its only user.
+        let proof_cache = Arc::new(ReadProofCache::default());
         let mut client_engines: Vec<ClientEngine> = engines.clients.into_iter().flatten().collect();
         for engine in &mut client_engines {
             engine.set_pipeline_depth(cfg.pipeline_depth);
@@ -1104,8 +1107,9 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// The read-proof cache every client of the cluster shares. Its
-    /// counters are live, so a caller can watch them mid-run.
-    pub fn proof_cache(&self) -> &ShardedReadProofCache {
+    /// counters are live: a caller may read them mid-run, taking the
+    /// cache's lock for as long as one read.
+    pub fn proof_cache(&self) -> &ReadProofCache {
         &self.proof_cache
     }
 

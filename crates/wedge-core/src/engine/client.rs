@@ -3,8 +3,7 @@
 //! Clients drive the workload and are the protocol's *verifiers*: they
 //! check Phase-I receipts, compare Phase-II proofs against what the
 //! edge promised, verify read proofs end-to-end (with the repeat-read
-//! [`ShardedReadProofCache`]), track gossip watermarks, and file
-//! disputes
+//! [`ReadProofCache`]), track gossip watermarks, and file disputes
 //! when the edge fails to deliver in time. All latency metrics the
 //! figures report are recorded here.
 //!
@@ -29,7 +28,7 @@ use wedge_log::{
     Block, BlockId, BlockProof, CommitPhase, Entry, GossipWatermark, WatermarkTracker,
 };
 use wedge_lsmerkle::{
-    verify_read_proof_sharded, IndexReadProof, Key, KvOp, ProofError, ShardedReadProofCache,
+    verify_read_proof_cached, IndexReadProof, Key, KvOp, ProofError, ReadProofCache,
 };
 use wedge_sim::{SimDuration, SimRng, SimTime};
 use wedge_workload::{KeyDist, KeySampler};
@@ -327,13 +326,9 @@ pub struct ClientEngine {
     /// Behind a shared handle so every client of one process can reuse
     /// one cache ([`ClientEngine::share_proof_cache`]): a page or proof
     /// verified for one client is verified for all of them — the trust
-    /// rules are digest + record equality and proof byte equality, not
-    /// who asked. Sharded, so concurrent
-    /// verifiers contend per-shard per-consult rather than
-    /// serializing the whole verification behind one mutex. Engines
-    /// default to a private cache; the shard locks are uncontended
-    /// then.
-    proof_cache: Arc<ShardedReadProofCache>,
+    /// rule is content equality, not who asked. Engines default to a
+    /// private cache.
+    proof_cache: Arc<ReadProofCache>,
     /// CPU charged so far within the current `handle` call; sends are
     /// stamped at `now + elapsed` so measured latencies start when the
     /// message actually departs (after verification work), exactly as
@@ -401,7 +396,7 @@ impl ClientEngine {
             rng: SimRng::new(workload_seed),
             freshness_window_ns,
             dispute_timeout_ns,
-            proof_cache: Arc::new(ShardedReadProofCache::default()),
+            proof_cache: Arc::new(ReadProofCache::default()),
             elapsed_ns: 0,
             pipeline_depth: 1,
             pool: wedge_pool::Pool::default(),
@@ -447,13 +442,13 @@ impl ClientEngine {
     /// client the same handle, so a witness verified by any client
     /// skips re-derivation for all of them. Call before the workload
     /// starts — swapping drops the private cache's contents.
-    pub fn share_proof_cache(&mut self, cache: Arc<ShardedReadProofCache>) {
+    pub fn share_proof_cache(&mut self, cache: Arc<ReadProofCache>) {
         self.proof_cache = cache;
     }
 
     /// The engine's proof-cache handle (shared or private) — for
     /// reading hit/miss counters at report time.
-    pub fn proof_cache(&self) -> &Arc<ShardedReadProofCache> {
+    pub fn proof_cache(&self) -> &Arc<ReadProofCache> {
         &self.proof_cache
     }
 
@@ -801,7 +796,7 @@ impl ClientEngine {
             return;
         };
         self.charge(out, self.cost.verify_read());
-        let result = verify_read_proof_sharded(
+        let result = verify_read_proof_cached(
             &proof,
             self.edge_identity,
             self.cloud_identity,
@@ -1262,8 +1257,8 @@ mod tests {
     fn shared_proof_cache_hits_across_clients() {
         use wedge_lsmerkle::build_read_proof;
         let (tree, _) = certified_tree();
-        let cache = Arc::new(ShardedReadProofCache::default());
-        let run_get = |cache: &Arc<ShardedReadProofCache>| {
+        let cache = Arc::new(ReadProofCache::default());
+        let run_get = |cache: &Arc<ReadProofCache>| {
             let mut eng = engine();
             eng.share_proof_cache(Arc::clone(cache));
             let effects = eng.handle(ClientCommand::Get { token: 0, key: 7 }, 100);

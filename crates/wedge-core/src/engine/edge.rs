@@ -22,7 +22,7 @@ use wedge_crypto::{sha256_concat, Identity, IdentityId, KeyRegistry};
 use wedge_log::{BlockBuffer, BlockId, BlockProof, Entry, GossipWatermark, LogStore};
 use wedge_lsmerkle::{
     build_read_proof, DeltaMergeRequest, DeltaMergeResult, GlobalRootCert, Key, KvOp, LsMerkle,
-    MergeRequest, MergeResult, RetainedLevel,
+    MergeRequest, RetainedLevel,
 };
 use wedge_sim::SimDuration;
 
@@ -98,9 +98,6 @@ pub enum EdgeCommand<C> {
     },
     /// The cloud certified one of our blocks.
     BlockProof(BlockProof),
-    /// The cloud answered a merge request in full (legacy wire tag;
-    /// in-process tests still use it).
-    MergeResult(Box<MergeResult>),
     /// The cloud answered a merge request delta-encoded against it;
     /// the engine resolves references via its in-flight request.
     MergeResultDelta(Box<DeltaMergeResult>),
@@ -142,7 +139,6 @@ impl<C> EdgeCommand<C> {
             WireMsg::LogRead { bid } => EdgeCommand::LogRead { from, bid },
             WireMsg::Get { req_id, key } => EdgeCommand::Get { from, req_id, key },
             WireMsg::BlockProofMsg(proof) => EdgeCommand::BlockProof(proof),
-            WireMsg::MergeRes(result) => EdgeCommand::MergeResult(result),
             WireMsg::MergeResDelta(delta) => EdgeCommand::MergeResultDelta(delta),
             WireMsg::MergeReqResend { edge, source_level, epoch } => {
                 EdgeCommand::MergeReqResend { edge, source_level, epoch }
@@ -210,7 +206,7 @@ pub struct EdgeEngine<C> {
     clients: Vec<C>,
     merge_in_flight: Option<MergeRequest>,
     /// Re-send the in-flight merge request this long after sending it
-    /// without a `MergeRes`; `None` disables retries. Without this, a
+    /// without a merge reply; `None` disables retries. Without this, a
     /// lost merge reply wedges compaction until the next block proof
     /// happens to re-trigger `maybe_start_merge` — and if no more
     /// blocks arrive, forever. (The cloud answers a byte-identical
@@ -319,7 +315,7 @@ impl<C: Copy + Eq + Hash> EdgeEngine<C> {
     }
 
     /// Enables merge retries: an unanswered merge request is re-sent
-    /// every `retry_ns` until the `MergeRes` arrives, making
+    /// every `retry_ns` until the merge reply arrives, making
     /// compaction self-healing under a lossy transport.
     pub fn set_merge_retry_ns(&mut self, retry_ns: Option<u64>) {
         self.merge_retry_ns = retry_ns;
@@ -366,7 +362,6 @@ impl<C: Copy + Eq + Hash> EdgeEngine<C> {
             EdgeCommand::LogRead { from, bid } => self.log_read(&mut out, from, bid),
             EdgeCommand::Get { from, req_id, key } => self.get(&mut out, from, req_id, key),
             EdgeCommand::BlockProof(proof) => self.block_proof(&mut out, proof, now_ns),
-            EdgeCommand::MergeResult(result) => self.merge_result(&mut out, *result, now_ns),
             EdgeCommand::MergeResultDelta(delta) => {
                 self.merge_result_delta(&mut out, &delta, now_ns)
             }
@@ -704,12 +699,13 @@ impl<C: Copy + Eq + Hash> EdgeEngine<C> {
         self.maybe_start_merge(out, now_ns);
     }
 
-    /// Resolves a delta-encoded merge reply against the in-flight
-    /// request (the fingerprint the cloud delta-encoded against is, by
-    /// construction, the one the retry clock re-sends). A reply that
-    /// does not resolve — stale fingerprint, out-of-range reference —
-    /// is dropped and counted; the in-flight request stays armed, so
-    /// the retry deadline keeps compaction live.
+    /// Resolves a delta-encoded merge reply — the only merge reply the
+    /// cloud sends — against the in-flight request (the fingerprint the
+    /// cloud delta-encoded against is, by construction, the one the
+    /// retry clock re-sends) and applies it. A reply that does not
+    /// resolve — stale fingerprint, out-of-range reference — is dropped
+    /// and counted; the in-flight request stays armed, so the retry
+    /// deadline keeps compaction live.
     fn merge_result_delta(
         &mut self,
         out: &mut Vec<EdgeEffect<C>>,
@@ -726,21 +722,10 @@ impl<C: Copy + Eq + Hash> EdgeEngine<C> {
             // count as unresolved.
             return;
         }
-        match delta.resolve(req) {
-            Ok(result) => self.merge_result(out, result, now_ns),
-            Err(_) => self.stats.merge_deltas_unresolved += 1,
-        }
-    }
-
-    fn merge_result(&mut self, out: &mut Vec<EdgeEffect<C>>, result: MergeResult, now_ns: u64) {
-        // Under retries, a duplicate `MergeRes` is legal (the original
-        // and a replayed copy can both arrive): a reply with no
-        // request in flight, or one for an epoch we already applied
-        // (the next merge may already be in flight), is dropped.
-        let Some(req) = self.merge_in_flight.as_ref() else { return };
-        if result.new_epoch <= self.tree.epoch() {
+        let Ok(result) = delta.resolve(req) else {
+            self.stats.merge_deltas_unresolved += 1;
             return;
-        }
+        };
         let records: u64 = result.new_target_pages.iter().map(|p| p.records().len() as u64).sum();
         let source_level = req.source_level;
         let new_target_run = result.new_target_pages.clone();
@@ -797,7 +782,7 @@ impl<C: Copy + Eq + Hash> EdgeEngine<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wedge_lsmerkle::{CloudIndex, LsmConfig};
+    use wedge_lsmerkle::{CloudIndex, LsmConfig, MergeResult};
 
     fn engine(retry_ns: Option<u64>, fault: FaultPlan) -> (EdgeEngine<u8>, Identity) {
         let cloud = Identity::derive("cloud", 1);
@@ -820,6 +805,12 @@ mod tests {
         );
         engine.set_cert_retry_ns(retry_ns);
         (engine, cloud)
+    }
+
+    /// The cloud's reply `res` to `req`, delta-encoded as the cloud
+    /// sends it.
+    fn merge_reply(res: &MergeResult, req: &MergeRequest) -> EdgeCommand<u8> {
+        EdgeCommand::MergeResultDelta(Box::new(DeltaMergeResult::delta_against(res, req)))
     }
 
     fn entry(seq: u64) -> Entry {
@@ -889,7 +880,7 @@ mod tests {
     }
 
     /// The lossy-transport story, end-to-end at the engine level: a
-    /// merge request whose `MergeRes` is lost no longer wedges
+    /// merge request whose reply is lost no longer wedges
     /// compaction — the engine-owned merge deadline re-sends the
     /// byte-identical request, the cloud's replay cache answers it
     /// idempotently, and the merge completes.
@@ -944,7 +935,7 @@ mod tests {
         // The cloud replays its cached result for the retry; applying
         // it completes the merge and disarms the clock.
         let replayed = index.replay_for(&retried[0]).expect("byte-identical retry replays");
-        engine.handle(EdgeCommand::MergeResult(Box::new(replayed)), deadline + 10);
+        engine.handle(merge_reply(&replayed, &retried[0]), deadline + 10);
         assert_eq!(engine.stats.merges_completed, 1);
         assert_eq!(engine.next_deadline_ns(), None, "merge settled: nothing to retry");
         assert!(
@@ -953,7 +944,7 @@ mod tests {
         );
     }
 
-    /// A duplicate `MergeRes` (original + replayed copy both arriving)
+    /// A duplicate merge reply (original + replayed copy both arriving)
     /// is dropped gracefully instead of panicking the engine.
     #[test]
     fn duplicate_merge_result_is_ignored() {
@@ -981,11 +972,13 @@ mod tests {
         }
         let req = req.expect("merge dispatched");
         let res = index.process_merge(&cloud, &ledger, &req, 50).unwrap();
-        engine.handle(EdgeCommand::MergeResult(Box::new(res.clone())), 60);
+        engine.handle(merge_reply(&res, &req), 60);
         assert_eq!(engine.stats.merges_completed, 1);
         // The duplicate finds no in-flight request and is dropped.
-        engine.handle(EdgeCommand::MergeResult(Box::new(res)), 70);
+        engine.handle(merge_reply(&res, &req), 70);
         assert_eq!(engine.stats.merges_completed, 1);
+        // The full reply's wire tag is not an edge command.
+        assert!(EdgeCommand::from_wire(0u8, WireMsg::MergeRes(Box::new(res))).is_none());
     }
 
     fn kv(op: wedge_lsmerkle::KvOp, seq: u64) -> Entry {
@@ -1044,7 +1037,7 @@ mod tests {
             pending = Vec::new();
             for req in reqs {
                 let res = index.process_merge(cloud, ledger, &req, now_ns).unwrap();
-                pending.extend(engine.handle(EdgeCommand::MergeResult(Box::new(res)), now_ns));
+                pending.extend(engine.handle(merge_reply(&res, &req), now_ns));
             }
         }
     }
@@ -1124,7 +1117,7 @@ mod tests {
         // The cloud folds + re-signs; the edge applies the result.
         let before = index.compaction_stats();
         let res = index.process_merge(&cloud, &ledger, &reqs[0], 2_000_000).unwrap();
-        engine.handle(EdgeCommand::MergeResult(Box::new(res)), 2_000_100);
+        engine.handle(merge_reply(&res, &reqs[0]), 2_000_100);
         let stats = index.compaction_stats();
         assert!(stats.fold_runs > before.fold_runs, "the compaction folded a run");
         assert_eq!(
@@ -1197,7 +1190,7 @@ mod tests {
         assert_eq!(full_reqs(&effects), 1, "cold-start merge ships in full");
         let req1 = sent_merge_reqs(&index, effects).remove(0);
         let res1 = index.process_merge(&cloud, &ledger, &req1, 30).unwrap();
-        engine.handle(EdgeCommand::MergeResult(Box::new(res1)), 40);
+        engine.handle(merge_reply(&res1, &req1), 40);
         assert_eq!(engine.stats.merges_completed, 1);
 
         // Merge 2: the target level is now retained on both sides, so
@@ -1231,7 +1224,7 @@ mod tests {
         assert_eq!(full_reqs(&effects), 1, "exactly one full-request resend");
         let req2 = sent_merge_reqs(&index, effects).remove(0);
         let res2 = index.process_merge(&cloud, &ledger, &req2, 80).unwrap();
-        engine.handle(EdgeCommand::MergeResult(Box::new(res2)), 90);
+        engine.handle(merge_reply(&res2, &req2), 90);
         assert_eq!(engine.stats.merges_completed, 2, "converged after one resend");
         assert_eq!(engine.next_deadline_ns(), None, "merge settled: nothing to retry");
         assert_eq!(
@@ -1261,7 +1254,7 @@ mod tests {
         );
         let req3 = sent_merge_reqs(&index, effects).remove(0);
         let res3 = index.process_merge(&cloud, &ledger, &req3, 130).unwrap();
-        engine.handle(EdgeCommand::MergeResult(Box::new(res3)), 140);
+        engine.handle(merge_reply(&res3, &req3), 140);
         assert_eq!(engine.stats.merges_completed, 3);
     }
 

@@ -46,7 +46,7 @@ impl LatencyStats {
         &self.samples
     }
 
-    /// The q-quantile (q in [0,1]) by nearest-rank; 0 when empty.
+    /// The q-quantile (`q` in `[0, 1]`) by nearest-rank; 0 when empty.
     pub fn quantile(&mut self, q: f64) -> f64 {
         let s = self.sorted_samples();
         if s.is_empty() {

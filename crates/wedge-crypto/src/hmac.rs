@@ -1,5 +1,5 @@
 //! HMAC-SHA256 (RFC 2104 / FIPS 198-1), built on the from-scratch
-//! [`crate::sha256`] module.
+//! [`crate::sha256`](mod@crate::sha256) module.
 //!
 //! WedgeChain uses HMAC for deterministic nonce derivation in Schnorr
 //! signing (an RFC 6979-style construction) and for keyed integrity

@@ -5,7 +5,7 @@
 //! scratch — no external crypto crates — so the reproduction is
 //! self-contained and deterministic:
 //!
-//! - [`sha256`]: SHA-256 (FIPS 180-4) with incremental hashing,
+//! - [`sha256`](mod@sha256): SHA-256 (FIPS 180-4) with incremental hashing,
 //!   validated against NIST vectors. The one-way hash that makes
 //!   *data-free certification* sound.
 //! - [`hmac`]: HMAC-SHA256 (RFC 2104), used for deterministic Schnorr

@@ -1,6 +1,7 @@
 //! Incremental Merkle forests for level trees.
 //!
-//! Every merge used to rebuild the target level's [`MerkleTree`] from
+//! Every merge used to rebuild the target level's
+//! [`MerkleTree`](wedge_crypto::MerkleTree) from
 //! scratch: O(level) interior hashes even when the incremental merge
 //! (PR 5) rebuilt only a handful of pages. A [`MerkleForest`] keeps the
 //! level root *byte-identical* to the flat duplicate-last tree while

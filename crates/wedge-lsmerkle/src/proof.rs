@@ -19,7 +19,8 @@ use crate::kv::{Key, KvRecord, Value};
 use crate::level::{compute_global_root, empty_level_root, GlobalRootCert};
 use crate::page::{l0_lookup_pages, L0Page, Page};
 use crate::tree::LsMerkle;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard};
 use wedge_crypto::{Digest, IdentityId, InclusionProof, KeyRegistry, MerkleTree};
 use wedge_log::{BlockProof, CommitPhase, Encoder};
@@ -133,10 +134,9 @@ impl IndexReadProof {
     /// fresh `Arc`s with no digest memo; nothing is verified here — the
     /// decoded proof goes through [`verify_read_proof`] like any other.
     /// A level page is therefore hashed on its first verification. A
-    /// verifier with a [`ShardedReadProofCache`] hashes each distinct
-    /// level page once: a later decode of an equal page takes the
-    /// digest the cache remembers (the level-page rule on its type
-    /// docs). Each witness count is bounded by the fewest bytes one
+    /// verifier with a [`ReadProofCache`] hashes each distinct level
+    /// page once: a later decode of an equal page takes the digest the
+    /// cache remembers. Each witness count is bounded by the fewest bytes one
     /// witness can encode to, so a hostile count cannot reserve memory
     /// the remaining input could never fill.
     pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, wedge_log::DecodeError> {
@@ -236,364 +236,259 @@ impl std::fmt::Display for ProofError {
 
 impl std::error::Error for ProofError {}
 
-/// A verifying client's memo of L0 witnesses, cloud block-proofs and
-/// wire-decoded level pages it has already checked — the §V-B
-/// read-proof fast path — split into independently-locked shards so
-/// verifier threads can share it.
+/// A verifying client's memo of the §V-B read-proof material it has
+/// already checked. Every get re-ships all L0 pages with their
+/// block-proofs and one page per Merkle level, so without it a client
+/// that reads repeatedly re-decodes each L0 block
+/// ([`L0Page::matches_block`]), re-checks cloud signatures it usually
+/// checked already at Phase II (§IV), and re-hashes every level page
+/// decoded off the wire.
 ///
-/// Every read proof re-ships *all* L0 pages with their block-proofs,
-/// so a client that reads repeatedly re-verifies the same material on
-/// every get: re-decoding the block behind each page
-/// ([`L0Page::matches_block`]) and re-checking the cloud's signature on
-/// each proof — a signature the client usually checked already, at
-/// Phase II (§IV). Both checks are pure functions of immutable data,
-/// so a client may cache the verdicts.
+/// Trust rule: the memo answers only for a fact equal to one it
+/// admitted, admits a fact only after its full check passed, and keeps
+/// no trace of a failed check. Equal means, per fact:
 ///
-/// L0 entries are keyed by page digest, which is the block digest. An
-/// entry holds a verified page, a verified proof, or both; those two
-/// memos and the level-page memo have separate trust rules.
+/// - L0 page: pointer-identical (`Arc::ptr_eq`) to the verified page,
+///   or with equal records. The block digest does not cover the
+///   denormalized records, so a digest match alone never suffices.
+/// - Block-proof ([`check_block_proof`](Self::check_block_proof)):
+///   byte-equal. It vouches for its signature only; its binding to a
+///   witness (edge, block id, digest) is checked on every witness.
+/// - Level page: equal `min`, `max`, `created_at_ns` and records, every
+///   input of its digest. Only pages without a digest memo (decoded
+///   off the wire) consult it; it saves the hash, not the checks.
 ///
-/// Page rule: the denormalized `records` field is NOT covered by the
-/// block digest — a forged page can share an honestly-certified block
-/// (and hence its digest) while advertising different records, so
-/// digest equality alone must never skip the records check. A cached
-/// page verdict is therefore trusted only when the witness is
-/// *pointer-identical* (`Arc::ptr_eq`) to the verified page — the
-/// in-process sharing the tree already does — or, failing that, when
-/// its records compare equal to the verified page's (same digest ⇒
-/// same block, so equal records are exactly the records already proven
-/// canonical). The equality path is what lets proofs decoded off the
-/// wire (fresh `Arc`s every read) hit the cache: a record compare is
-/// far cheaper than the block re-decode it replaces.
-///
-/// Proof rule ([`check_block_proof`](Self::check_block_proof)): a
-/// proof byte-equal to one already verified (edge, block id, digest
-/// and signature) is valid, since its validity depends on nothing
-/// else. An entry may hold a proof and no page — a proof checked at
-/// Phase II or on an audit before any read shipped its page. Such an
-/// entry vouches for the signature only: it never stands in for the
-/// page rule above, and the proof's binding to a witness (its edge,
-/// block id and digest) is checked on every witness. Only successful
-/// checks are cached; a failed one leaves no trace. One cache serves
-/// one cloud: every verifier sharing it checks proofs against the same
-/// cloud identity and key registry.
-///
-/// Level-page rule: a level witness's digest is what its inclusion
-/// proof checks, and a page decoded off the wire carries no digest
-/// memo, so without help the client re-encodes and re-hashes every
-/// level page of every get. The cache therefore remembers up to
-/// [`LEVEL_MEMO_PAGES`] verified, wire-decoded level pages (at most
-/// [`LEVEL_MEMO_BYTES`] of encoded pages), least-recently-used first
-/// out, each with the digest the verifier computed itself. A witness
-/// page equal to a remembered one — same `min`, `max`,
-/// `created_at_ns` and records, which are every input of the digest —
-/// takes that digest instead of being hashed. A page is admitted only
-/// after its inclusion proof and coverage check pass, so a failed
-/// witness leaves no trace. A page whose digest is already memoized
-/// never consults or enters this memo: in-process pages on the
-/// threaded and simulated paths cost one `OnceLock` read here. The
-/// memo only saves the hash; every get still runs the inclusion,
-/// coverage, newest-version, roots-to-global and global-cert checks.
-///
-/// Sharing: a process-wide cache behind one mutex serializes every
-/// concurrent verifier on every witness check — exactly the hot path
-/// the cache exists to speed up. Sharding by digest means two
-/// verifiers contend only when they touch the *same* shard, and each
-/// lock is held for a single lookup or admit, never across the block
-/// decode or signature check.
-///
-/// Stats stay exact: every page consult bumps hit or miss on exactly
-/// one shard (under that shard's lock), and [`hits`](Self::hits) /
-/// [`misses`](Self::misses) / [`len`](Self::len) sum over shards; a
-/// proof check touches neither, and counts in
-/// [`signature_checks`](Self::signature_checks) when it must verify.
-/// Eviction is per-shard LRU — capacity is split evenly, so the
-/// worst-case total never exceeds `cap` rounded up per shard. The
-/// level-page memo sits behind its own mutex, held for one recall or
-/// admit and never across a hash; it counts the level pages the
-/// verifier had to hash in [`level_page_hashes`](Self::level_page_hashes).
+/// L0 pages and proofs share one entry per block digest, at most `cap`
+/// entries. Level pages are keyed by range and timestamp, at most
+/// [`LEVEL_MEMO_PAGES`] and [`LEVEL_MEMO_BYTES`]. Both evict the least
+/// recently used first. One mutex guards the memo, held for one lookup
+/// or admit and never across a decode, hash or signature check. One
+/// cache serves one cloud: its verifiers share its identity and key
+/// registry.
 #[derive(Debug)]
-pub struct ShardedReadProofCache {
-    shards: Vec<Mutex<ReadProofCache>>,
-    levels: Mutex<LevelPageMemo>,
+pub struct ReadProofCache {
+    memo: Mutex<Memo>,
 }
 
-/// Most wire-decoded level pages a [`ShardedReadProofCache`] remembers.
+/// Most wire-decoded level pages a [`ReadProofCache`] remembers.
 pub const LEVEL_MEMO_PAGES: usize = 16;
 
-/// Most encoded bytes of level pages a [`ShardedReadProofCache`]
-/// remembers; a larger page is hashed on every get.
+/// Most encoded bytes of level pages a [`ReadProofCache`] remembers; a
+/// larger page is hashed on every get.
 pub const LEVEL_MEMO_BYTES: usize = 1 << 20;
 
-/// Verified level pages that were decoded off the wire, with the
-/// digests the verifier computed for them, most recently used last.
+#[derive(Debug)]
+struct Memo {
+    l0: Lru<Digest, L0Entry>,
+    /// Verified level pages with the digests the verifier computed.
+    levels: Lru<(Key, Key, u64), (Arc<Page>, Digest)>,
+    /// L0 page consults answered from the memo.
+    hits: u64,
+    /// L0 page consults that had to run `matches_block`.
+    misses: u64,
+    signature_checks: u64,
+    level_page_hashes: u64,
+}
+
+/// A verified page, a verified block-proof, or both, for one digest.
 #[derive(Debug, Default)]
-struct LevelPageMemo {
-    pages: Vec<RememberedPage>,
-    /// Encoded bytes of `pages`.
+struct L0Entry {
+    page: Option<Arc<L0Page>>,
+    proof: Option<BlockProof>,
+}
+
+/// A map capped by entries and by bytes that evicts the least recently
+/// used entry first. Keys are also ordered by last use, so an eviction
+/// takes the first key instead of scanning up to 4 096 entries.
+#[derive(Debug)]
+struct Lru<K, V> {
+    map: HashMap<K, Slot<V>>,
+    /// Keys by last use, least recent first.
+    order: BTreeMap<u64, K>,
+    /// Access clock, advanced and stamped on every lookup and insert.
+    clock: u64,
     bytes: usize,
-    /// Level pages without a digest memo that no remembered page
-    /// answered, so the verifier hashed them.
-    hashes: u64,
+    max_len: usize,
+    max_bytes: usize,
 }
 
 #[derive(Debug)]
-struct RememberedPage {
-    page: Arc<Page>,
-    digest: Digest,
+struct Slot<V> {
+    value: V,
     bytes: usize,
+    used: u64,
 }
 
-impl LevelPageMemo {
-    /// The digest of a remembered page equal to `page`, which becomes
-    /// the most recently used; otherwise counts the hash to come.
-    fn recall(&mut self, page: &Page) -> Option<Digest> {
-        let Some(i) = self.pages.iter().rposition(|r| *r.page == *page) else {
-            self.hashes += 1;
-            return None;
-        };
-        let hit = self.pages.remove(i);
-        let digest = hit.digest;
-        self.pages.push(hit);
-        Some(digest)
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    fn new(max_len: usize, max_bytes: usize) -> Self {
+        let (map, order) = (HashMap::new(), BTreeMap::new());
+        Lru { map, order, clock: 0, bytes: 0, max_len: max_len.max(1), max_bytes }
     }
 
-    /// Remembers `page`, whose digest the verifier computed and whose
-    /// inclusion passed, evicting the least recently used pages past
-    /// either cap. A page over the byte cap, or one already remembered
-    /// (two verifiers racing on the same miss), is left out.
-    fn admit(&mut self, page: &Arc<Page>, digest: Digest) {
-        let bytes = page.encoded_len();
-        if bytes > LEVEL_MEMO_BYTES || self.pages.iter().any(|r| r.digest == digest) {
+    /// The value under `key`, now the most recently used.
+    fn get(&mut self, key: &K) -> Option<&mut V> {
+        let slot = self.map.get_mut(key)?;
+        self.order.remove(&slot.used);
+        self.clock += 1;
+        slot.used = self.clock;
+        self.order.insert(self.clock, *key);
+        Some(&mut slot.value)
+    }
+
+    /// Stores `value` of `bytes` under an absent `key` as the most
+    /// recently used, then evicts past either cap. A present key keeps
+    /// its value, and a value over the byte cap is not stored.
+    fn insert(&mut self, key: K, value: V, bytes: usize) {
+        if bytes > self.max_bytes || self.map.contains_key(&key) {
             return;
         }
-        self.pages.push(RememberedPage { page: Arc::clone(page), digest, bytes });
+        self.clock += 1;
+        self.map.insert(key, Slot { value, bytes, used: self.clock });
+        self.order.insert(self.clock, key);
         self.bytes += bytes;
-        while self.pages.len() > LEVEL_MEMO_PAGES || self.bytes > LEVEL_MEMO_BYTES {
-            let old = self.pages.remove(0);
-            self.bytes -= old.bytes;
+        while self.map.len() > self.max_len || self.bytes > self.max_bytes {
+            let (_, lru) = self.order.pop_first().expect("over a cap, so not empty");
+            self.bytes -= self.map.remove(&lru).expect("every ordered key is stored").bytes;
         }
     }
 }
 
-/// One shard of a [`ShardedReadProofCache`]: verified pages and proofs
-/// by page digest, evicted least-recently-used first.
-#[derive(Debug)]
-struct ReadProofCache {
-    map: HashMap<Digest, CachedL0>,
-    cap: usize,
-    /// Monotonic access clock for LRU eviction: bumped on every
-    /// lookup, stamped onto the touched entry.
-    tick: u64,
-    /// Page checks answered from the cache (trust rule satisfied).
-    hits: u64,
-    /// Page checks that had to re-derive (absent or untrusted).
-    misses: u64,
-    /// Proof checks that had to verify the signature.
-    signature_checks: u64,
+impl Memo {
+    /// The L0 entry for `digest`, created empty if absent.
+    fn l0_entry(&mut self, digest: Digest) -> &mut L0Entry {
+        self.l0.insert(digest, L0Entry::default(), 0);
+        self.l0.get(&digest).expect("the newest entry is never evicted")
+    }
 }
 
-#[derive(Debug)]
-struct CachedL0 {
-    /// The verified page; `None` while only the proof is known.
-    page: Option<Arc<L0Page>>,
-    /// A verified block-proof for this digest.
-    proof: Option<BlockProof>,
-    last_used: u64,
+/// A level page's memo key: its range and timestamp.
+fn level_key(page: &Page) -> (Key, Key, u64) {
+    (page.min(), page.max(), page.created_at_ns())
 }
 
 impl ReadProofCache {
-    /// A shard holding at most `cap` entries. At capacity the
-    /// least-recently-used entry is evicted, so a hot working set
-    /// keeps its verdicts under cache pressure (the old wholesale
-    /// clear threw the hot set away with the cold tail).
-    fn new(cap: usize) -> Self {
-        ReadProofCache {
-            map: HashMap::new(),
-            cap: cap.max(1),
-            tick: 0,
+    /// A cache of at most `cap` L0 entries (at least one).
+    pub fn new(cap: usize) -> Self {
+        let memo = Memo {
+            l0: Lru::new(cap, usize::MAX),
+            levels: Lru::new(LEVEL_MEMO_PAGES, LEVEL_MEMO_BYTES),
             hits: 0,
             misses: 0,
             signature_checks: 0,
-        }
+            level_page_hashes: 0,
+        };
+        ReadProofCache { memo: Mutex::new(memo) }
     }
 
-    /// The entry for `digest`, recency-stamped, if present.
-    fn touch(&mut self, digest: &Digest) -> Option<&CachedL0> {
-        self.tick += 1;
-        let tick = self.tick;
-        let e = self.map.get_mut(digest)?;
-        e.last_used = tick;
-        Some(e)
+    /// The memo, locked. Poison-tolerant: a panicking verifier must not
+    /// wedge every other client's reads, and no update leaves a
+    /// half-written entry behind.
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// One page consult for witness `w` under the page rule documented
-    /// on [`ShardedReadProofCache`]. Exactly one of `hits`/`misses` is
-    /// bumped per call.
-    fn consult(&mut self, digest: &Digest, w: &L0Witness) -> bool {
-        let page_ok = self
-            .touch(digest)
-            .and_then(|e| e.page.as_ref())
-            .is_some_and(|page| Arc::ptr_eq(page, &w.page) || page.records() == w.page.records());
-        if page_ok {
-            self.hits += 1;
+    /// Whether `w`'s page equals the verified page under `digest`,
+    /// counted as a hit or a miss.
+    fn recall_l0_page(&self, digest: &Digest, w: &L0Witness) -> bool {
+        let mut memo = self.memo();
+        let known =
+            memo.l0.get(digest).and_then(|e| e.page.as_ref()).is_some_and(|page| {
+                Arc::ptr_eq(page, &w.page) || page.records() == w.page.records()
+            });
+        if known {
+            memo.hits += 1;
         } else {
-            self.misses += 1;
-        }
-        page_ok
-    }
-
-    /// True iff `proof` is byte-equal to the verified proof cached for
-    /// its digest; otherwise counts the signature check to come.
-    fn remembers(&mut self, proof: &BlockProof) -> bool {
-        let known = self.touch(&proof.digest).is_some_and(|e| e.proof.as_ref() == Some(proof));
-        if !known {
-            self.signature_checks += 1;
+            memo.misses += 1;
         }
         known
     }
 
-    /// The entry for `digest`, created empty if absent — evicting the
-    /// least-recently-used one first when at capacity.
-    fn slot(&mut self, digest: Digest) -> &mut CachedL0 {
-        if self.map.len() >= self.cap && !self.map.contains_key(&digest) {
-            // O(cap) scan, but only on inserts past capacity; each
-            // shard's cap (512 under the default 4096 over 8 shards)
-            // keeps this cheap relative to the signature checks the
-            // cache exists to avoid.
-            if let Some(lru) = self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(d, _)| *d) {
-                self.map.remove(&lru);
-            }
-        }
-        let last_used = self.tick;
-        let e = self.map.entry(digest).or_insert(CachedL0 { page: None, proof: None, last_used });
-        e.last_used = last_used;
-        e
-    }
-}
-
-impl ShardedReadProofCache {
-    /// A cache of `cap` total entries spread over `shards` mutexed
-    /// shards. The shard count is rounded up to a power of two (so a
-    /// digest byte masks to a shard index uniformly); each shard holds
-    /// `cap / shards` entries, at least one.
-    pub fn new(cap: usize, shards: usize) -> Self {
-        let n = shards.clamp(1, 256).next_power_of_two();
-        let per_shard = cap.div_ceil(n).max(1);
-        ShardedReadProofCache {
-            shards: (0..n).map(|_| Mutex::new(ReadProofCache::new(per_shard))).collect(),
-            levels: Mutex::new(LevelPageMemo::default()),
-        }
-    }
-
-    /// Number of shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `digest`, locked. Digests are hash outputs, so
-    /// the first byte is already uniform — masking it picks a shard
-    /// without re-hashing. Poison-tolerant: a panicking verifier must
-    /// not wedge every other client's reads.
-    fn shard(&self, digest: &Digest) -> MutexGuard<'_, ReadProofCache> {
-        let idx = digest.as_bytes()[0] as usize & (self.shards.len() - 1);
-        self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The level-page memo, locked; poison-tolerant like the shards.
-    fn level_memo(&self) -> MutexGuard<'_, LevelPageMemo> {
-        self.levels.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The digest of a remembered level page equal to `page`, if any;
-    /// a miss counts in [`level_page_hashes`](Self::level_page_hashes).
-    /// The memo is locked for the lookup only, so the caller hashes a
-    /// missed page without holding it.
-    fn recall_level_page(&self, page: &Page) -> Option<Digest> {
-        self.level_memo().recall(page)
-    }
-
-    /// Consults the owning shard for `w`'s page, locked for just this
-    /// call.
-    fn consult(&self, digest: &Digest, w: &L0Witness) -> bool {
-        self.shard(digest).consult(digest, w)
-    }
-
-    /// Admits (or refreshes) a verified page, keeping any proof the
-    /// entry already holds.
-    fn admit_page(&self, digest: Digest, page: &Arc<L0Page>) {
-        self.shard(&digest).slot(digest).page = Some(Arc::clone(page));
+    fn admit_l0_page(&self, digest: Digest, page: &Arc<L0Page>) {
+        self.memo().l0_entry(digest).page = Some(Arc::clone(page));
     }
 
     /// Checks the cloud's signature on `proof`, once per proof per
     /// cache: `true` at once for a proof byte-equal to one verified
     /// before, otherwise [`BlockProof::verify`], admitting the proof
     /// only if it verifies. Checks the signature only — binding the
-    /// proof to a block (edge, id, digest) is the caller's job. The
-    /// owning shard is locked for the lookup and again for the admit,
-    /// never across the signature check.
+    /// proof to a block (edge, id, digest) is the caller's job.
     pub fn check_block_proof(
         &self,
         proof: &BlockProof,
         cloud: IdentityId,
         registry: &KeyRegistry,
     ) -> bool {
-        if self.shard(&proof.digest).remembers(proof) {
-            return true;
+        {
+            let mut memo = self.memo();
+            if memo.l0.get(&proof.digest).is_some_and(|e| e.proof.as_ref() == Some(proof)) {
+                return true;
+            }
+            memo.signature_checks += 1;
         }
         if !verify_signature(proof, cloud, registry) {
             return false;
         }
-        self.shard(&proof.digest).slot(proof.digest).proof = Some(proof.clone());
+        self.memo().l0_entry(proof.digest).proof = Some(proof.clone());
         true
     }
 
-    /// Sums `f` over every shard.
-    fn total<T: std::iter::Sum>(&self, f: impl Fn(&ReadProofCache) -> T) -> T {
-        self.shards.iter().map(|s| f(&s.lock().unwrap_or_else(|e| e.into_inner()))).sum()
+    /// The digest of a verified level page equal to `page`, if any; a
+    /// miss counts in [`level_page_hashes`](Self::level_page_hashes).
+    fn recall_level_page(&self, page: &Page) -> Option<Digest> {
+        let mut memo = self.memo();
+        let remembered = memo.levels.get(&level_key(page));
+        let digest = remembered.filter(|(p, _)| **p == *page).map(|(_, d)| *d);
+        if digest.is_none() {
+            memo.level_page_hashes += 1;
+        }
+        digest
     }
 
-    /// Total cached entries (pages, proofs or both) across shards.
+    fn admit_level_page(&self, page: &Arc<Page>, digest: Digest) {
+        let entry = (Arc::clone(page), digest);
+        self.memo().levels.insert(level_key(page), entry, page.encoded_len());
+    }
+
+    /// Cached L0 entries (pages, proofs or both).
     pub fn len(&self) -> usize {
-        self.total(|s| s.map.len())
+        self.memo().l0.map.len()
     }
 
-    /// True iff nothing is cached in any shard.
+    /// True iff no L0 entry is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Page checks answered from the cache (block re-decode skipped),
-    /// summed over shards. Cumulative over the cache's lifetime — for
-    /// a process-shared cache, over every client.
+    /// L0 page checks answered from the cache (block re-decode
+    /// skipped). Cumulative over the cache's lifetime — for a shared
+    /// cache, over every client.
     pub fn hits(&self) -> u64 {
-        self.total(|s| s.hits)
+        self.memo().hits
     }
 
-    /// Page checks that paid the full re-derivation, summed over
-    /// shards.
+    /// L0 page checks that paid the full re-derivation.
     pub fn misses(&self) -> u64 {
-        self.total(|s| s.misses)
+        self.memo().misses
     }
 
     /// Block-proof signatures [`check_block_proof`](Self::check_block_proof)
-    /// had to verify (no byte-equal proof cached), summed over shards.
+    /// had to verify (no byte-equal proof cached).
     pub fn signature_checks(&self) -> u64 {
-        self.total(|s| s.signature_checks)
+        self.memo().signature_checks
     }
 
     /// Level witness pages without a digest memo that the verifier
     /// had to hash, because no remembered page was equal. Cumulative
     /// over the cache's lifetime.
     pub fn level_page_hashes(&self) -> u64 {
-        self.level_memo().hashes
+        self.memo().level_page_hashes
     }
 }
 
-impl Default for ShardedReadProofCache {
-    /// 4096 entries over 8 shards.
+impl Default for ReadProofCache {
+    /// 4096 L0 entries.
     fn default() -> Self {
-        ShardedReadProofCache::new(4096, 8)
+        ReadProofCache::new(4096)
     }
 }
 
@@ -634,22 +529,18 @@ fn verify_signature(proof: &BlockProof, cloud: IdentityId, registry: &KeyRegistr
 /// ([`L0Page::matches_block`]) and block-proof binding + signature —
 /// implemented exactly once for the cached and uncached verifiers.
 /// With a cache, a page or proof whose verdict is memoized (under the
-/// trust rules documented on [`ShardedReadProofCache`]) skips its
-/// check, and a freshly verified page is admitted afterwards. Returns
+/// trust rule documented on [`ReadProofCache`]) skips its check, and a
+/// freshly verified page is admitted afterwards. Returns
 /// whether the witness is certified (Phase II material).
 fn check_l0_witness(
     w: &L0Witness,
     edge: IdentityId,
     cloud: IdentityId,
     registry: &KeyRegistry,
-    cache: Option<&ShardedReadProofCache>,
+    cache: Option<&ReadProofCache>,
 ) -> Result<bool, ProofError> {
     let digest = w.page.digest();
-    // Consult the cache, stamping recency on the touched entry (LRU).
-    // Trust rule (see the type docs): pointer identity, or — for
-    // pages decoded off the wire into fresh Arcs — record equality
-    // against the already-verified page with the same digest.
-    let page_ok = cache.is_some_and(|c| c.consult(&digest, w));
+    let page_ok = cache.is_some_and(|c| c.recall_l0_page(&digest, w));
     if !page_ok && !w.page.matches_block() {
         return Err(ProofError::BadL0Proof(w.page.bid()));
     }
@@ -672,7 +563,7 @@ fn check_l0_witness(
     // Admit a freshly checked page; a hit is cached and stamped already.
     if !page_ok {
         if let Some(c) = cache {
-            c.admit_page(digest, &w.page);
+            c.admit_l0_page(digest, &w.page);
         }
     }
     Ok(certified)
@@ -741,17 +632,16 @@ pub fn verify_read_proof(
 /// already verified through `cache` skip block re-decoding and
 /// signature re-checking. Same verdict as the uncached verifier for
 /// every input (the cache can only skip work it has proven redundant).
-/// The cache is taken by shared reference, so any number of verifier
-/// threads call this concurrently and only contend per-shard,
-/// per-consult.
-pub fn verify_read_proof_sharded(
+/// The cache is taken by shared reference, so verifier threads may
+/// share it.
+pub fn verify_read_proof_cached(
     proof: &IndexReadProof,
     edge: IdentityId,
     cloud: IdentityId,
     registry: &KeyRegistry,
     now_ns: u64,
     freshness_window_ns: Option<u64>,
-    cache: &ShardedReadProofCache,
+    cache: &ReadProofCache,
 ) -> Result<VerifiedRead, ProofError> {
     verify_read_proof_inner(proof, edge, cloud, registry, now_ns, freshness_window_ns, Some(cache))
 }
@@ -763,7 +653,7 @@ fn verify_read_proof_inner(
     registry: &KeyRegistry,
     now_ns: u64,
     freshness_window_ns: Option<u64>,
-    cache: Option<&ShardedReadProofCache>,
+    cache: Option<&ReadProofCache>,
 ) -> Result<VerifiedRead, ProofError> {
     // 1. Global cert: signature, binding to edge.
     if proof.edge != edge || proof.global.edge != edge {
@@ -804,24 +694,19 @@ fn verify_read_proof_inner(
         }
         let root = proof.level_roots[(w.level - 1) as usize];
         // A page decoded off the wire has no digest memo; the cache may
-        // remember an equal page (the level-page rule on its type docs).
-        // A page hashed here is admitted once its checks pass.
-        let (digest, admit_to) = match (w.page.memoized_digest(), cache) {
-            (Some(digest), _) => (digest, None),
-            (None, Some(c)) => match c.recall_level_page(&w.page) {
-                Some(digest) => (digest, None),
-                None => (w.page.digest(), Some(c)),
-            },
-            (None, None) => (w.page.digest(), None),
-        };
+        // remember an equal page. A page hashed here is admitted once
+        // its checks pass.
+        let memo = cache.filter(|_| w.page.memoized_digest().is_none());
+        let recalled = memo.and_then(|c| c.recall_level_page(&w.page));
+        let digest = recalled.unwrap_or_else(|| w.page.digest());
         if !MerkleTree::verify(&root, &digest, &w.inclusion) {
             return Err(ProofError::BadInclusion(w.level));
         }
         if !w.page.covers(proof.key) {
             return Err(ProofError::NotCovering(w.level));
         }
-        if let Some(c) = admit_to {
-            c.level_memo().admit(&w.page, digest);
+        if let (Some(c), None) = (memo, recalled) {
+            c.admit_level_page(&w.page, digest);
         }
     }
     // 6. Recompute the newest record from the supplied material.
@@ -946,9 +831,9 @@ mod tests {
         fn verify_with(
             &self,
             proof: &IndexReadProof,
-            cache: &ShardedReadProofCache,
+            cache: &ReadProofCache,
         ) -> Result<VerifiedRead, ProofError> {
-            verify_read_proof_sharded(
+            verify_read_proof_cached(
                 proof,
                 self.edge,
                 self.cloud.id,
@@ -974,7 +859,7 @@ mod tests {
 
         /// The client's Phase II for every L0 block of `proof`: each
         /// block-proof is checked, and so admitted, without its page.
-        fn phase2(&self, proof: &IndexReadProof, cache: &ShardedReadProofCache) {
+        fn phase2(&self, proof: &IndexReadProof, cache: &ReadProofCache) {
             for w in &proof.l0 {
                 let bp = w.proof.as_ref().expect("certified block");
                 assert!(cache.check_block_proof(bp, self.cloud.id, &self.registry));
@@ -1170,17 +1055,9 @@ mod tests {
         for i in 0..6u64 {
             fx.ingest_certified(&[(i, Some(b"v"))]);
         }
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         let verify_cached = |fx: &Fixture, proof: &IndexReadProof| {
-            verify_read_proof_sharded(
-                proof,
-                fx.edge,
-                fx.cloud.id,
-                &fx.registry,
-                2_000,
-                None,
-                &cache,
-            )
+            verify_read_proof_cached(proof, fx.edge, fx.cloud.id, &fx.registry, 2_000, None, &cache)
         };
         let proof = build_read_proof(&fx.tree, 3);
         let cold = hash_stats::l0_decode_checks();
@@ -1210,7 +1087,7 @@ mod tests {
         for i in 0..4u64 {
             fx.ingest_certified(&[(i, Some(b"v"))]);
         }
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         // Decoded pages are fresh Arcs, pointer-distinct from anything
         // cached.
         fx.verify_with(&fx.decoded(0), &cache).unwrap();
@@ -1232,17 +1109,9 @@ mod tests {
     fn read_proof_cache_never_trusts_forged_records() {
         let mut fx = Fixture::new();
         fx.ingest_certified(&[(5, Some(b"honest"))]);
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         let verify = |proof: &IndexReadProof| {
-            verify_read_proof_sharded(
-                proof,
-                fx.edge,
-                fx.cloud.id,
-                &fx.registry,
-                2_000,
-                None,
-                &cache,
-            )
+            verify_read_proof_cached(proof, fx.edge, fx.cloud.id, &fx.registry, 2_000, None, &cache)
         };
         verify(&build_read_proof(&fx.tree, 5)).unwrap();
         // Forge: honest block, fabricated records hiding the value.
@@ -1251,8 +1120,12 @@ mod tests {
         forged.l0[0].page = Arc::new(L0Page::forged(honest.block().clone(), vec![]));
         forged.outcome = None;
         assert_eq!(forged.l0[0].page.digest(), honest.digest(), "same digest by construction");
-        let res = verify(&forged);
-        assert!(matches!(res, Err(ProofError::BadL0Proof(_))), "forgery got {res:?}");
+        // Twice: a forgery admitted before its records check would be
+        // answered from the cache the second time.
+        for _ in 0..2 {
+            let res = verify(&forged);
+            assert!(matches!(res, Err(ProofError::BadL0Proof(_))), "forgery got {res:?}");
+        }
         // And the forgery must not have poisoned the cache for the
         // honest page.
         verify(&build_read_proof(&fx.tree, 5)).unwrap();
@@ -1265,7 +1138,7 @@ mod tests {
     fn admitted_proof_never_vouches_for_another_signature() {
         let mut fx = Fixture::new();
         fx.ingest_certified(&[(5, Some(b"v"))]);
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         let mut proof = build_read_proof(&fx.tree, 5);
         fx.phase2(&proof, &cache);
         proof.l0[0].proof.as_mut().expect("certified").signature.s ^= 1;
@@ -1279,7 +1152,7 @@ mod tests {
         let mut fx = Fixture::new();
         fx.ingest_certified(&[(5, Some(b"v"))]);
         fx.ingest_certified(&[(6, Some(b"w"))]);
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         let mut proof = build_read_proof(&fx.tree, 5);
         fx.phase2(&proof, &cache);
         // Attach block 1's (cached, genuine) proof to block 0's page.
@@ -1294,7 +1167,7 @@ mod tests {
     fn admitted_proof_never_vouches_for_forged_records() {
         let mut fx = Fixture::new();
         fx.ingest_certified(&[(5, Some(b"honest"))]);
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         let mut forged = build_read_proof(&fx.tree, 5);
         fx.phase2(&forged, &cache);
         let honest = Arc::clone(&forged.l0[0].page);
@@ -1310,7 +1183,7 @@ mod tests {
         let mut fx = Fixture::new();
         fx.ingest_certified(&[(5, Some(b"v"))]);
         fx.ingest_certified(&[(6, Some(b"w"))]);
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         let proof = build_read_proof(&fx.tree, 5);
         fx.phase2(&proof, &cache);
         let before = proof_stats::signature_checks();
@@ -1326,7 +1199,7 @@ mod tests {
         let mut fx = Fixture::new();
         fx.ingest_certified(&[(5, Some(b"v"))]);
         fx.ingest_certified(&[(6, Some(b"w"))]);
-        let cache = ShardedReadProofCache::new(1, 1);
+        let cache = ReadProofCache::new(1);
         let proof = build_read_proof(&fx.tree, 5);
         fx.phase2(&proof, &cache);
         let before = proof_stats::signature_checks();
@@ -1343,9 +1216,9 @@ mod tests {
     #[test]
     fn read_proof_cache_lru_keeps_hot_working_set() {
         use crate::page::hash_stats;
-        let verify = |fx: &Fixture, key: u64, cache: &ShardedReadProofCache| {
+        let verify = |fx: &Fixture, key: u64, cache: &ReadProofCache| {
             let proof = build_read_proof(&fx.tree, key);
-            verify_read_proof_sharded(
+            verify_read_proof_cached(
                 &proof,
                 fx.edge,
                 fx.cloud.id,
@@ -1362,9 +1235,8 @@ mod tests {
             hot.ingest_certified(&[(i, Some(b"hot"))]);
         }
         // Cap 4 = the 3 hot pages + room for exactly one cold page:
-        // every cold proof forces an eviction. One shard, so the cap is
-        // the whole cache's.
-        let cache = ShardedReadProofCache::new(4, 1);
+        // every cold proof forces an eviction.
+        let cache = ReadProofCache::new(4);
         verify(&hot, 0, &cache);
         // Cold traffic: 6 single-page trees streamed through the
         // cache, with hot reads interleaved (keeping hot recent).
@@ -1385,11 +1257,11 @@ mod tests {
         );
     }
 
-    /// Concurrent verifiers against one shared sharded cache: every
-    /// verdict is correct and the summed hit/miss stats account for
-    /// every consult exactly — no lost updates under contention.
+    /// Concurrent verifiers against one shared cache: every verdict is
+    /// correct and the hit/miss stats account for every consult
+    /// exactly — no lost updates under contention.
     #[test]
-    fn sharded_cache_concurrent_verifiers_stay_exact() {
+    fn shared_cache_concurrent_verifiers_stay_exact() {
         let mut fx = Fixture::new();
         for i in 0..4u64 {
             fx.ingest_certified(&[(i, Some(b"v"))]);
@@ -1399,7 +1271,7 @@ mod tests {
         let mut enc = Encoder::default();
         proof.encode_into(&mut enc);
         let bytes = enc.finish();
-        let cache = ShardedReadProofCache::new(4096, 8);
+        let cache = ReadProofCache::new(4096);
         const THREADS: u64 = 4;
         const ITERS: u64 = 25;
         std::thread::scope(|s| {
@@ -1411,7 +1283,7 @@ mod tests {
                         // traffic.
                         let mut dec = wedge_log::Decoder::new(&bytes);
                         let p = IndexReadProof::decode_from(&mut dec).unwrap();
-                        verify_read_proof_sharded(
+                        verify_read_proof_cached(
                             &p,
                             fx.edge,
                             fx.cloud.id,
@@ -1456,7 +1328,7 @@ mod tests {
     #[test]
     fn level_memo_hashes_each_wire_decoded_page_once() {
         let fx = leveled_fixture();
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         let proof = fx.decoded(2);
         let levels = proof.witnesses.len() as u64;
         assert!(levels >= 2, "the read must cross several levels, got {levels}");
@@ -1472,13 +1344,14 @@ mod tests {
 
     /// The memo answers only for an equal page. One with the same
     /// range, timestamp and encoded length but one changed record is
-    /// hashed, rejected by its inclusion proof, and never admitted.
+    /// hashed, rejected by its inclusion proof, never admitted, and
+    /// never displaces the honest page under their shared key.
     #[test]
     fn level_memo_never_answers_for_a_changed_record() {
         let fx = leveled_fixture();
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         fx.verify_with(&fx.decoded(2), &cache).unwrap();
-        let remembered = cache.level_memo().pages.len();
+        let remembered = cache.memo().levels.map.len();
         for round in 0..2 {
             let mut forged = fx.decoded(2);
             let honest = Arc::clone(&forged.witnesses[0].page);
@@ -1491,8 +1364,12 @@ mod tests {
             let level = forged.witnesses[0].level;
             assert_eq!(fx.verify_with(&forged, &cache), Err(ProofError::BadInclusion(level)));
             assert_eq!(cache.level_page_hashes(), hashes + 1, "round {round}: not hashed");
-            assert_eq!(cache.level_memo().pages.len(), remembered, "round {round}: admitted");
+            assert_eq!(cache.memo().levels.map.len(), remembered, "round {round}: admitted");
         }
+        // The forgery shares the honest page's key, and never displaced it.
+        let hashes = cache.level_page_hashes();
+        fx.verify_with(&fx.decoded(2), &cache).unwrap();
+        assert_eq!(cache.level_page_hashes(), hashes, "the honest page was displaced");
     }
 
     /// A page whose inclusion proof fails leaves no trace: the next
@@ -1501,7 +1378,7 @@ mod tests {
     #[test]
     fn level_page_failing_inclusion_is_not_admitted() {
         let fx = leveled_fixture();
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         let mut broken = fx.decoded(2);
         let l2 = &mut broken.witnesses[1];
         assert!(!l2.inclusion.siblings.is_empty(), "L2 holds several pages");
@@ -1509,7 +1386,8 @@ mod tests {
         let level = l2.level;
         assert_eq!(fx.verify_with(&broken, &cache), Err(ProofError::BadInclusion(level)));
         assert_eq!(cache.level_page_hashes(), 2);
-        let memo = cache.level_memo().pages.iter().map(|r| Arc::clone(&r.page)).collect::<Vec<_>>();
+        let memo =
+            cache.memo().levels.map.values().map(|s| Arc::clone(&s.value.0)).collect::<Vec<_>>();
         assert_eq!(memo, vec![Arc::clone(&broken.witnesses[0].page)], "only L1 admitted");
         fx.verify_with(&fx.decoded(2), &cache).unwrap();
         assert_eq!(cache.level_page_hashes(), 3, "the failed page was remembered");
@@ -1520,12 +1398,12 @@ mod tests {
     #[test]
     fn in_process_pages_never_enter_the_level_memo() {
         let fx = leveled_fixture();
-        let cache = ShardedReadProofCache::new(4096, 1);
+        let cache = ReadProofCache::new(4096);
         for key in [1u64, 2, 3, 999] {
             fx.verify_with(&build_read_proof(&fx.tree, key), &cache).unwrap();
         }
         assert_eq!(cache.level_page_hashes(), 0);
-        assert!(cache.level_memo().pages.is_empty());
+        assert!(cache.memo().levels.map.is_empty());
     }
 
     /// The memo holds at most `LEVEL_MEMO_PAGES` pages and
@@ -1544,29 +1422,32 @@ mod tests {
             let digest = page.digest();
             (page, digest)
         };
-        let mut memo = LevelPageMemo::default();
+        let cache = ReadProofCache::new(4096);
         for key in 0..2 * LEVEL_MEMO_PAGES as u64 {
             let (p, d) = page(key, 8);
-            memo.admit(&p, d);
-            assert!(memo.pages.len() <= LEVEL_MEMO_PAGES);
+            cache.admit_level_page(&p, d);
+            assert!(cache.memo().levels.map.len() <= LEVEL_MEMO_PAGES);
         }
-        assert_eq!(memo.pages.len(), LEVEL_MEMO_PAGES);
-        assert_eq!(memo.recall(&page(0, 8).0), None, "the oldest page was kept");
+        assert_eq!(cache.memo().levels.map.len(), LEVEL_MEMO_PAGES);
+        assert_eq!(cache.recall_level_page(&page(0, 8).0), None, "the oldest page was kept");
         let newest = page(2 * LEVEL_MEMO_PAGES as u64 - 1, 8);
-        assert_eq!(memo.recall(&newest.0), Some(newest.1));
+        assert_eq!(cache.recall_level_page(&newest.0), Some(newest.1));
 
-        let mut memo = LevelPageMemo::default();
+        let cache = ReadProofCache::new(4096);
         let quarter = LEVEL_MEMO_BYTES / 4;
         for key in 0..8 {
             let (p, d) = page(key, quarter);
-            memo.admit(&p, d);
-            assert!(memo.bytes <= LEVEL_MEMO_BYTES);
+            cache.admit_level_page(&p, d);
+            assert!(cache.memo().levels.bytes <= LEVEL_MEMO_BYTES);
         }
-        assert_eq!(memo.pages.len(), 3, "four quarter-MiB pages exceed the byte cap");
-        assert_eq!(memo.bytes, memo.pages.iter().map(|r| r.page.encoded_len()).sum::<usize>());
         let (huge, d) = page(99, LEVEL_MEMO_BYTES);
-        memo.admit(&huge, d);
-        assert!(memo.pages.iter().all(|r| !Arc::ptr_eq(&r.page, &huge)), "oversized page kept");
+        cache.admit_level_page(&huge, d);
+        let memo = cache.memo();
+        let levels = &memo.levels;
+        assert_eq!(levels.map.len(), 3, "four quarter-MiB pages exceed the byte cap");
+        let pages = || levels.map.values().map(|s| &s.value.0);
+        assert_eq!(levels.bytes, pages().map(|p| p.encoded_len()).sum::<usize>());
+        assert!(pages().all(|p| !Arc::ptr_eq(p, &huge)), "oversized page kept");
     }
 
     /// Each witness count is bounded by the fewest bytes one witness

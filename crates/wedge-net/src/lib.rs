@@ -155,7 +155,7 @@ impl Conn {
 
 impl Link for Conn {
     /// Packs one framed message into the scratch buffer. A frame that
-    /// would grow the batch past [`COALESCE_CAP`] flushes the batch
+    /// would grow the batch past `COALESCE_CAP` flushes the batch
     /// first. A refused oversized frame surfaces as counted message
     /// loss — a service loop must never panic mid-protocol.
     fn queue(&mut self, msg: WireMsg) {

@@ -2,9 +2,10 @@
 //! debugging protocol issues and asserting on event sequences in
 //! tests.
 //!
-//! Tracing is opt-in ([`Simulation::enable_trace`]) and records one
-//! [`TraceEvent`] per handler execution, cheap enough to leave on in
-//! tests while staying out of benchmark runs.
+//! Tracing is opt-in
+//! ([`Simulation::enable_trace`](crate::Simulation::enable_trace))
+//! and records one [`TraceEvent`] per handler execution, cheap enough
+//! to leave on in tests while staying out of benchmark runs.
 
 use crate::actor::ActorId;
 use crate::time::SimTime;
