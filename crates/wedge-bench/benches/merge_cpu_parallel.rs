@@ -3,18 +3,20 @@
 //! The scenario is the networked runtime's hot path: a merge request
 //! decoded off the wire, so every page arrives memo-free and the cloud
 //! pays the full hash-and-verify bill — L0 block re-encoding, page
-//! digests over the whole shipped level, dirty-region rebuilds, forest
-//! re-hashing. PR 8 fans all of that across a `wedge_pool::Pool`; this
-//! bench sweeps pool widths {1, 2, 4, 8} over the identical request
-//! and records, per width:
+//! digests over the whole shipped level, dirty-region rebuilds, and a
+//! serial forest re-hash. All but the last fan out across a
+//! `wedge_pool::Pool`; this bench sweeps pool widths {1, 2, 4, 8} over
+//! the identical request and records, per width:
 //!
 //! - `merge_wall_ns_p<w>`   — median wall-clock per merge.
 //! - `merge_cpu_ns_p<w>`    — median *caller-thread* CPU per merge
-//!   (`CLOCK_THREAD_CPUTIME_ID`). Lane 0 participates in every
-//!   parallel section, so with `w` balanced lanes its CPU time is
-//!   `serial + parallel/w`: a scheduler-independent critical-path
-//!   measure that shows the speedup even on a single-core host, where
-//!   wall clock physically cannot improve.
+//!   (`CLOCK_THREAD_CPUTIME_ID`). Lane 0 takes part in every parallel
+//!   section, and when it finishes it also runs every lane no worker
+//!   has joined yet. So its CPU time is `serial + parallel/w` only
+//!   when all `w - 1` workers wake in time; on a host with fewer free
+//!   cores than lanes, the caller runs the late lanes itself and the
+//!   figure moves towards the width-1 cost. It depends on the
+//!   scheduler and swings run to run on a small host.
 //! - `roots_match`          — 1 iff the wire-encoded `MergeResult` is
 //!   byte-identical across every width (the determinism contract).
 //! - `host_parallelism`     — what the host actually offers; CI gates

@@ -410,16 +410,11 @@ impl<C: Copy + Eq + Hash> EdgeEngine<C> {
         out.push(EdgeEffect::UseCpu(self.cost.seal_block(ops, bytes)));
         if self.crypto_mode == CryptoMode::Real {
             // Reject batches containing invalid client signatures.
-            // Each Schnorr check is independent, so a pooled edge fans
-            // the batch across its lanes; the verdict (all-or-nothing)
-            // is order-insensitive, hence identical to the serial scan.
+            // Each Schnorr check is independent, so the pool fans the
+            // batch across its lanes; the verdict (all-or-nothing) is
+            // order-insensitive, hence the same at every width.
             let registry = &self.registry;
-            let all_ok = if self.pool.is_inline() {
-                entries.iter().all(|e| e.verify(registry))
-            } else {
-                self.pool.map(&entries, |e| e.verify(registry)).into_iter().all(|ok| ok)
-            };
-            if !all_ok {
+            if !self.pool.map(&entries, |e| e.verify(registry)).into_iter().all(|ok| ok) {
                 return;
             }
         }
@@ -877,6 +872,48 @@ mod tests {
         assert_ne!(sent[0], honest, "equivocating edge certifies a tampered digest");
         let retried = certify_digests(&engine.handle(EdgeCommand::Tick, 1_000));
         assert_eq!(retried, sent, "retry repeats the tampered digest verbatim");
+    }
+
+    /// Phase I checks every client signature at every pool width: a
+    /// batch with one forged entry sends nothing and leaves the log
+    /// unchanged, and the same batch signed honestly seals.
+    #[test]
+    fn forged_signature_rejects_the_batch_at_every_width() {
+        let client = Identity::derive("client", 7);
+        let mallory = Identity::derive("mallory", 8);
+        let batch = |forged: Option<u64>| -> Vec<Entry> {
+            (0..8u64)
+                .map(|seq| {
+                    let payload = wedge_lsmerkle::KvOp::put(seq, b"v".to_vec()).encode();
+                    let mut e = Entry::new_signed(&client, seq, payload);
+                    if forged == Some(seq) {
+                        e.signature = mallory.sign(&e.signing_bytes());
+                    }
+                    e
+                })
+                .collect()
+        };
+        for threads in [1, 4] {
+            let (mut engine, _cloud) = engine(None, FaultPlan::honest());
+            engine.crypto_mode = CryptoMode::Real;
+            engine.registry.register(client.id, client.public()).unwrap();
+            engine.set_pool(wedge_pool::Pool::new(threads));
+
+            let forged = EdgeCommand::BatchAdd { from: 0, req_id: 0, entries: batch(Some(5)) };
+            let effects = engine.handle(forged, 0);
+            assert!(
+                !effects
+                    .iter()
+                    .any(|e| matches!(e, EdgeEffect::Send { .. } | EdgeEffect::SendCloud { .. })),
+                "a forged signature sends nothing at width {threads}"
+            );
+            assert!(engine.log.is_empty(), "a forged batch seals nothing at width {threads}");
+
+            let honest = EdgeCommand::BatchAdd { from: 0, req_id: 1, entries: batch(None) };
+            let effects = engine.handle(honest, 10);
+            assert_eq!(certify_digests(&effects).len(), 1, "honest batch seals at width {threads}");
+            assert_eq!(engine.log.len(), 1);
+        }
     }
 
     /// The lossy-transport story, end-to-end at the engine level: a

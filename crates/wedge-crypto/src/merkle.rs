@@ -122,22 +122,6 @@ impl MerkleTree {
         Self::from_tagged(tagged)
     }
 
-    /// Builds a tree from leaf content digests, fanning the leaf
-    /// tagging out across a [`wedge_pool::Pool`]. Byte-identical to
-    /// [`MerkleTree::from_leaves`] for every pool size (the map
-    /// preserves input order and each tag is a pure function of its
-    /// leaf); an inline pool takes the serial path unchanged.
-    ///
-    /// Note: the [`hash_stats`] counters are per-thread, so leaf tags
-    /// computed on worker lanes are not visible on the caller's
-    /// counter. Exact-count tests use inline pools.
-    pub fn from_leaves_pooled(leaves: &[Digest], pool: &wedge_pool::Pool) -> Self {
-        if pool.is_inline() {
-            return Self::from_leaves(leaves);
-        }
-        Self::from_tagged(pool.map(leaves, hash_leaf_digest))
-    }
-
     fn from_tagged(tagged: Vec<Digest>) -> Self {
         let mut levels = Vec::new();
         if tagged.is_empty() {
@@ -328,19 +312,6 @@ mod tests {
         }
         let proof = t.prove(0).unwrap();
         assert!(!MerkleTree::verify_data(&t.root(), b"p9", &proof));
-    }
-
-    #[test]
-    fn pooled_build_matches_serial_for_every_pool_size() {
-        for n in [0, 1, 2, 7, 64, 257] {
-            let leaves = digests(n);
-            let serial = MerkleTree::from_leaves(&leaves);
-            for threads in [1, 2, 4, 8] {
-                let pool = wedge_pool::Pool::new(threads);
-                let pooled = MerkleTree::from_leaves_pooled(&leaves, &pool);
-                assert_eq!(serial, pooled, "n={n} threads={threads}");
-            }
-        }
     }
 
     #[test]

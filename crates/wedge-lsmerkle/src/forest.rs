@@ -39,11 +39,6 @@ use std::collections::HashMap;
 use wedge_crypto::digest::Digest;
 use wedge_crypto::merkle::{empty_root, hash_leaf_digest, hash_node, InclusionProof};
 
-/// Precomputed leaf tags (`hash_leaf_digest` results) keyed by leaf
-/// digest, supplied by the pooled rebuild so the serial build body
-/// never has to hash a leaf a worker lane already tagged.
-type TagMap = HashMap<Digest, Digest>;
-
 /// One perfect subtree of the forest.
 #[derive(Clone, Debug)]
 struct Peak {
@@ -111,46 +106,17 @@ impl MerkleForest {
 
     /// Builds a forest from scratch over leaf content digests.
     pub fn from_digests(leaves: Vec<Digest>) -> Self {
-        Self::build(leaves, None, &HashMap::new())
+        Self::build(leaves, None)
     }
 
     /// Rebuilds a forest over `leaves`, reusing every subtree of `old`
     /// whose aligned leaf run is unchanged. Identical input returns a
     /// clone with zero hashing.
     pub fn rebuild(leaves: Vec<Digest>, old: &MerkleForest) -> Self {
-        Self::build(leaves, Some(old), &HashMap::new())
+        Self::build(leaves, Some(old))
     }
 
-    /// [`MerkleForest::rebuild`] with the leaf tagging fanned out
-    /// across a [`wedge_pool::Pool`]: every leaf the serial rebuild
-    /// would have to hash (not reusable from `old` by position or by
-    /// value) is tagged in parallel first, then the ordinary build
-    /// consumes the precomputed tags. Byte-identical to the serial
-    /// rebuild for every pool size — a leaf tag is a pure function of
-    /// its digest — and an inline pool takes the serial path
-    /// untouched (keeping the exact per-thread hash counts the forest
-    /// tests assert).
-    pub fn rebuild_pooled(
-        leaves: Vec<Digest>,
-        old: &MerkleForest,
-        pool: &wedge_pool::Pool,
-    ) -> Self {
-        if pool.is_inline() || leaves.len() < 2 {
-            return Self::rebuild(leaves, old);
-        }
-        if old.leaves == leaves {
-            return old.clone();
-        }
-        let old_set: std::collections::HashSet<&Digest> = old.leaves.iter().collect();
-        let mut seen = std::collections::HashSet::new();
-        let need: Vec<Digest> =
-            leaves.iter().filter(|l| !old_set.contains(l) && seen.insert(**l)).copied().collect();
-        let tags = pool.map(&need, hash_leaf_digest);
-        let pretags: HashMap<Digest, Digest> = need.into_iter().zip(tags).collect();
-        Self::build(leaves, Some(old), &pretags)
-    }
-
-    fn build(leaves: Vec<Digest>, old: Option<&MerkleForest>, pretags: &TagMap) -> Self {
+    fn build(leaves: Vec<Digest>, old: Option<&MerkleForest>) -> Self {
         let n = leaves.len();
         if n == 0 {
             return Self::empty();
@@ -163,7 +129,7 @@ impl MerkleForest {
             // pages past the current boundary — takes the carry-merge
             // fast path instead of the generic aligned-diff rebuild.
             if n > o.leaves.len() && leaves[..o.leaves.len()] == o.leaves[..] {
-                return o.appended(&leaves[o.leaves.len()..], pretags);
+                return o.appended(&leaves[o.leaves.len()..]);
             }
         }
 
@@ -215,7 +181,6 @@ impl MerkleForest {
                 lvl0.push(
                     reused
                         .or_else(|| old_tags.get(leaf).copied())
-                        .or_else(|| pretags.get(leaf).copied())
                         .unwrap_or_else(|| hash_leaf_digest(leaf)),
                 );
             }
@@ -253,14 +218,13 @@ impl MerkleForest {
     /// interior peak row is revisited and leading peaks are reused
     /// untouched, so hash work is one leaf tag per new leaf plus
     /// O(log n) carries and accumulators — not O(n).
-    fn appended(&self, new: &[Digest], pretags: &TagMap) -> Self {
+    fn appended(&self, new: &[Digest]) -> Self {
         let mut leaves = self.leaves.clone();
         let mut peaks = self.peaks.clone();
         for leaf in new {
             let start = leaves.len();
             leaves.push(*leaf);
-            let tag = pretags.get(leaf).copied().unwrap_or_else(|| hash_leaf_digest(leaf));
-            peaks.push(Peak { start, levels: vec![vec![tag]] });
+            peaks.push(Peak { start, levels: vec![vec![hash_leaf_digest(leaf)]] });
             while peaks.len() >= 2
                 && peaks[peaks.len() - 1].height() == peaks[peaks.len() - 2].height()
             {

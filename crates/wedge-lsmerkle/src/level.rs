@@ -8,7 +8,7 @@
 use crate::forest::MerkleForest;
 use crate::page::Page;
 use std::sync::Arc;
-use wedge_crypto::{Digest, Identity, IdentityId, KeyRegistry, MerkleTree, Signature};
+use wedge_crypto::{Digest, Identity, IdentityId, KeyRegistry, Signature};
 use wedge_log::Encoder;
 
 /// A cloud-signed statement binding a level's Merkle root to an epoch.
@@ -157,7 +157,8 @@ pub struct Level {
     /// Range-partitioned pages, sorted by `min`.
     pages: Vec<Arc<Page>>,
     /// Merkle forest over page digests (built once per level
-    /// lifetime); root-compatible with the flat [`MerkleTree`].
+    /// lifetime); root-compatible with the flat
+    /// [`MerkleTree`](wedge_crypto::MerkleTree).
     forest: MerkleForest,
     /// The cloud's signature on `forest.root()` at the current epoch.
     signed_root: SignedLevelRoot,
@@ -217,45 +218,22 @@ impl Level {
     }
 }
 
-/// Builds the flat Merkle tree over a page list (empty list ⇒ sentinel
-/// empty-tree root). Kept as the *reference* construction: the forest
-/// must agree with it byte-for-byte, and tests assert exactly that.
-pub fn tree_over(pages: &[Arc<Page>]) -> MerkleTree {
-    MerkleTree::from_leaf_iter(pages.iter().map(|p| p.digest()))
-}
-
-/// Builds the Merkle forest over a page list from scratch.
-pub fn forest_over(pages: &[Arc<Page>]) -> MerkleForest {
-    MerkleForest::from_digests(pages.iter().map(|p| p.digest()).collect())
-}
-
 /// Builds the Merkle forest over a page list, reusing every unchanged
 /// aligned subtree of `old` — O(k log n) interior hashes for a k-page
 /// change instead of O(n). This is the construction every merge and
-/// compaction uses.
-pub fn forest_over_reusing(pages: &[Arc<Page>], old: &MerkleForest) -> MerkleForest {
-    MerkleForest::rebuild(pages.iter().map(|p| p.digest()).collect(), old)
-}
-
-/// [`forest_over_reusing`] with the two hashing phases fanned out
-/// across a pool: page content digests are memoized in parallel (the
-/// dominant cost when pages were decoded off the wire and carry no
-/// memo), then the forest rebuild tags new leaves in parallel too.
-/// Byte-identical to the serial build for every pool size — digest
-/// memoization is idempotent and tags are pure; an inline pool takes
-/// the serial path untouched.
-pub fn forest_over_reusing_pooled(
+/// compaction uses. Page content digests are memoized across `pool`
+/// first: they are the dominant cost when pages were decoded off the
+/// wire and carry no memo. Byte-identical at every pool width, because
+/// digest memoization is idempotent.
+pub fn forest_over_reusing(
     pages: &[Arc<Page>],
     old: &MerkleForest,
     pool: &wedge_pool::Pool,
 ) -> MerkleForest {
-    if pool.is_inline() {
-        return forest_over_reusing(pages, old);
-    }
     pool.for_each(pages, |p| {
         p.digest();
     });
-    MerkleForest::rebuild_pooled(pages.iter().map(|p| p.digest()).collect(), old, pool)
+    MerkleForest::rebuild(pages.iter().map(|p| p.digest()).collect(), old)
 }
 
 /// The root of an empty level (computed once per process).
@@ -273,6 +251,19 @@ mod tests {
     use super::*;
     use crate::kv::{KvRecord, Version};
     use crate::page::split_into_pages;
+    use wedge_crypto::MerkleTree;
+
+    /// Builds the flat Merkle tree over a page list (empty list ⇒
+    /// sentinel empty-tree root): the reference construction the
+    /// forest must agree with byte-for-byte.
+    fn tree_over(pages: &[Arc<Page>]) -> MerkleTree {
+        MerkleTree::from_leaf_iter(pages.iter().map(|p| p.digest()))
+    }
+
+    /// Builds the Merkle forest over a page list from scratch.
+    fn forest_over(pages: &[Arc<Page>]) -> MerkleForest {
+        MerkleForest::from_digests(pages.iter().map(|p| p.digest()).collect())
+    }
 
     fn cloud_reg() -> (Identity, KeyRegistry) {
         let cloud = Identity::derive("cloud", 0);

@@ -21,8 +21,7 @@ use crate::config::LsmConfig;
 use crate::forest::MerkleForest;
 use crate::kv::KvRecord;
 use crate::level::{
-    compute_global_root, empty_level_root, forest_over_reusing_pooled, GlobalRootCert,
-    SignedLevelRoot,
+    compute_global_root, empty_level_root, forest_over_reusing, GlobalRootCert, SignedLevelRoot,
 };
 use crate::page::{
     check_level_ranges, find_covering, split_into_pages, split_into_range_pages, L0Page, Page,
@@ -962,22 +961,15 @@ fn rebuilt_target_pages(
         }
         let merged = kway_merge_newest(&runs, deepest);
         let pages = split_into_range_pages(merged, page_capacity, now_ns, rmin, rmax);
-        if !pool.is_inline() {
-            // Memoize the fresh pages' digests while still on this
-            // lane — the forest rebuild and the reply's delta encoding
-            // both need them, and a memo is idempotent.
-            for p in &pages {
-                p.digest();
-            }
+        // Memoize the fresh pages' digests while still on this lane —
+        // the forest rebuild and the reply's delta encoding both need
+        // them, and a memo is idempotent.
+        for p in &pages {
+            p.digest();
         }
         pages
     };
-    let rebuilt: Vec<Vec<Arc<Page>>> = if pool.is_inline() {
-        regions.iter().map(rebuild_region).collect()
-    } else {
-        pool.map(&regions, rebuild_region)
-    };
-    let mut rebuilt = rebuilt.into_iter();
+    let mut rebuilt = pool.map(&regions, rebuild_region).into_iter();
     let mut out = Vec::with_capacity(targets.len());
     for slot in slots {
         match slot {
@@ -1039,10 +1031,10 @@ pub struct CloudIndex {
     states: HashMap<IdentityId, CloudIndexState>,
     compaction: CompactionStats,
     /// Worker pool for the embarrassingly-parallel phases of a merge:
-    /// digest memoization of wire-decoded pages, L0 record
-    /// re-derivation, per-region rebuilds, and forest leaf tagging.
-    /// Inline (size 1) by default — results are byte-identical for
-    /// every pool size, so this is purely a throughput knob.
+    /// digest memoization of wire-decoded and fresh pages, L0 record
+    /// re-derivation and per-region rebuilds. Every width runs the
+    /// same code and gives byte-identical results; width 1 (the
+    /// default) runs each fan-out as a plain loop on the caller.
     pool: Pool,
 }
 
@@ -1074,7 +1066,7 @@ impl CloudIndex {
 
     /// Installs the worker pool merge processing fans out on. The
     /// drivers call this with their configured `pool_threads`; the
-    /// default is the inline pool, so nothing changes unless asked.
+    /// default is width 1, which runs every fan-out on the caller.
     pub fn set_pool(&mut self, pool: Pool) {
         self.pool = pool;
     }
@@ -1091,9 +1083,6 @@ impl CloudIndex {
     /// and cost nothing; wire-decoded pages hash once each, spread
     /// over the lanes. Idempotent, pure, byte-identical at any size.
     pub fn prime_request_digests(&self, req: &MergeRequest) {
-        if self.pool.is_inline() {
-            return;
-        }
         self.pool.for_each(&req.source_l0, |p| {
             p.digest();
         });
@@ -1227,7 +1216,7 @@ impl CloudIndex {
         // Hash every shipped page across the pool before the serial
         // verification below forces the digests one by one.
         self.prime_request_digests(req);
-        let pool = self.pool.clone();
+        let pool = &self.pool;
 
         // --- Verify sources ---
         if req.source_level == 0 {
@@ -1235,9 +1224,8 @@ impl CloudIndex {
             // expensive half of L0 verification — so precompute the
             // verdicts across the pool. They are consumed in page
             // order below, keeping error precedence identical.
-            let records_ok: Option<Vec<bool>> =
-                (!pool.is_inline()).then(|| pool.map(&req.source_l0, |p| p.matches_block()));
-            for (i, page) in req.source_l0.iter().enumerate() {
+            let records_ok = pool.map(&req.source_l0, |p| p.matches_block());
+            for (page, records_ok) in req.source_l0.iter().zip(records_ok) {
                 // Memoized: the block is hashed at most once per page
                 // lifetime, even across certify → merge → proof.
                 let digest = page.digest();
@@ -1249,11 +1237,7 @@ impl CloudIndex {
                     Some(_) => {}
                 }
                 // Never trust the edge's decoded records; re-derive.
-                let ok = match &records_ok {
-                    Some(v) => v[i],
-                    None => page.matches_block(),
-                };
-                if !ok {
+                if !records_ok {
                     return Err(MergeError::L0RecordsMismatch(page.block().id));
                 }
             }
@@ -1281,7 +1265,7 @@ impl CloudIndex {
         // the reply's delta encoding ships only what changed.
         let deepest = target_level as usize == n_levels;
         let mut new_pages =
-            rebuilt_target_pages(req, deepest, self.cfg.page_capacity, now_ns, &pool);
+            rebuilt_target_pages(req, deepest, self.cfg.page_capacity, now_ns, pool);
 
         // --- Compact: an *empty-source* request is the background
         // compactor asking for a whole-level fold — nothing was merged,
@@ -1299,21 +1283,15 @@ impl CloudIndex {
             CompactionStats::default()
         };
         debug_assert!(check_level_ranges(&new_pages).is_ok());
-        if !pool.is_inline() {
-            // Fresh pages from a full merge or a compaction fold have
-            // no digest memo yet; hash them across the lanes before
-            // the forest build and delta encoding force them serially.
-            pool.for_each(&new_pages, |p| {
-                p.digest();
-            });
-        }
 
         // --- Re-sign roots. The target forest is patched from the
         // cached one: O(k log n) interior hashes for a k-page change,
         // not O(level) — this is what keeps a long-lived store's merge
-        // cost proportional to the delta.
+        // cost proportional to the delta. Fresh pages from a full
+        // merge or a compaction fold have no digest memo yet; the
+        // rebuild hashes them across the lanes first.
         let state = self.states.get_mut(&req.edge).expect("checked above");
-        let new_forest = forest_over_reusing_pooled(&new_pages, &state.level_forests[t_idx], &pool);
+        let new_forest = forest_over_reusing(&new_pages, &state.level_forests[t_idx], pool);
         let new_epoch = state.epoch + 1;
         state.epoch = new_epoch;
         state.level_roots[t_idx] = new_forest.root();
@@ -1439,46 +1417,71 @@ mod tests {
         assert_eq!(all, vec![(1, b"b".to_vec()), (5, b"c".to_vec()), (9, b"d".to_vec())]);
     }
 
-    #[test]
-    fn uncertified_block_rejected() {
-        let (cloud, ledger, mut index, edge) = setup();
-        index.init_edge(&cloud, edge, 0);
-        let page = Arc::new(L0Page::from_block(kv_block(edge, 0, &[(1, b"x")])));
-        let req = MergeRequest {
+    fn l0_request(edge: IdentityId, source_l0: Vec<Arc<L0Page>>) -> MergeRequest {
+        MergeRequest {
             edge,
             source_level: 0,
-            source_l0: vec![page],
+            source_l0,
             source_pages: vec![],
             target_pages: vec![],
             epoch: 0,
-        };
-        assert_eq!(
-            index.process_merge(&cloud, &ledger, &req, 0),
-            Err(MergeError::UncertifiedBlock(BlockId(0)))
-        );
+        }
     }
 
+    /// An uncertified page is rejected at every pool width, also when
+    /// a forged page follows it: the ledger check of the first page
+    /// still answers, although every page's records are re-derived.
+    #[test]
+    fn uncertified_block_rejected() {
+        for threads in [1, 4] {
+            let (cloud, mut ledger, mut index, edge) = setup();
+            index.set_pool(Pool::new(threads));
+            index.init_edge(&cloud, edge, 0);
+            let uncertified = Arc::new(L0Page::from_block(kv_block(edge, 1, &[(1, b"x")])));
+            let req = l0_request(edge, vec![uncertified.clone()]);
+            assert_eq!(
+                index.process_merge(&cloud, &ledger, &req, 0),
+                Err(MergeError::UncertifiedBlock(BlockId(1)))
+            );
+            let certified = certified_l0(&mut ledger, edge, 0, &[(2, b"y")]);
+            let forged = Arc::new(L0Page::forged(certified.block().clone(), vec![]));
+            let req = l0_request(edge, vec![uncertified, forged]);
+            assert_eq!(
+                index.process_merge(&cloud, &ledger, &req, 0),
+                Err(MergeError::UncertifiedBlock(BlockId(1))),
+                "width {threads}"
+            );
+        }
+    }
+
+    /// A lying edge is caught at every pool width, whether it ships a
+    /// different block under a certified id or the certified block
+    /// with records that do not derive from it.
     #[test]
     fn tampered_block_rejected() {
-        let (cloud, mut ledger, mut index, edge) = setup();
-        index.init_edge(&cloud, edge, 0);
-        // Certify an honest block, then try to merge a different one
-        // with the same id.
-        let honest = kv_block(edge, 0, &[(1, b"honest")]);
-        ledger.offer(edge, honest.id, honest.digest());
-        let lying = Arc::new(L0Page::from_block(kv_block(edge, 0, &[(1, b"lying")])));
-        let req = MergeRequest {
-            edge,
-            source_level: 0,
-            source_l0: vec![lying],
-            source_pages: vec![],
-            target_pages: vec![],
-            epoch: 0,
-        };
-        assert_eq!(
-            index.process_merge(&cloud, &ledger, &req, 0),
-            Err(MergeError::BlockDigestMismatch(BlockId(0)))
-        );
+        for threads in [1, 4] {
+            let (cloud, mut ledger, mut index, edge) = setup();
+            index.set_pool(Pool::new(threads));
+            index.init_edge(&cloud, edge, 0);
+            // Certify an honest block, then try to merge a different
+            // one with the same id.
+            let honest = certified_l0(&mut ledger, edge, 0, &[(1, b"honest")]);
+            let lying = Arc::new(L0Page::from_block(kv_block(edge, 0, &[(1, b"lying")])));
+            assert_eq!(
+                index.process_merge(&cloud, &ledger, &l0_request(edge, vec![lying]), 0),
+                Err(MergeError::BlockDigestMismatch(BlockId(0))),
+                "width {threads}"
+            );
+            // The certified block itself, carrying forged records.
+            let mut records = honest.records().to_vec();
+            records[0].value = Some(b"lying".to_vec());
+            let forged = Arc::new(L0Page::forged(honest.block().clone(), records));
+            assert_eq!(
+                index.process_merge(&cloud, &ledger, &l0_request(edge, vec![forged]), 0),
+                Err(MergeError::L0RecordsMismatch(BlockId(0))),
+                "width {threads}"
+            );
+        }
     }
 
     #[test]

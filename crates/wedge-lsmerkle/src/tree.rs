@@ -9,7 +9,7 @@
 use crate::compact::needs_compaction;
 use crate::config::LsmConfig;
 use crate::kv::Key;
-use crate::level::{empty_level_root, forest_over_reusing_pooled, GlobalRootCert, Level};
+use crate::level::{empty_level_root, forest_over_reusing, GlobalRootCert, Level};
 use crate::merge::{InitBundle, MergeRequest, MergeResult};
 use crate::page::L0Page;
 use std::sync::Arc;
@@ -31,8 +31,8 @@ pub struct LsMerkle {
     /// Current index epoch (must match the cloud's).
     epoch: u64,
     /// Worker pool for re-hashing wire-decoded reply pages when a
-    /// merge result is applied. Inline by default; purely a
-    /// throughput knob (results are byte-identical at any size).
+    /// merge result is applied. Width 1 by default; every width runs
+    /// the same code and gives byte-identical results.
     pool: wedge_pool::Pool,
 }
 
@@ -271,16 +271,14 @@ impl LsMerkle {
         if res.new_epoch != self.epoch + 1 {
             return Err(format!("epoch gap: have {}, result is {}", self.epoch, res.new_epoch));
         }
-        let t_idx = res.source_level as usize; // target level index in self.levels
-                                               // Build the target forest exactly once: it both validates the
-                                               // signed root and becomes the installed level's forest. It
-                                               // reuses the outgoing level's subtrees, so a k-page merge
-                                               // costs O(k log n) interior hashes, not O(n).
-        let new_forest = forest_over_reusing_pooled(
-            &res.new_target_pages,
-            self.levels[t_idx].forest(),
-            &self.pool,
-        );
+        // The target level's index in `self.levels`.
+        let t_idx = res.source_level as usize;
+        // Build the target forest exactly once: it both validates the
+        // signed root and becomes the installed level's forest. It
+        // reuses the outgoing level's subtrees, so a k-page merge costs
+        // O(k log n) interior hashes, not O(n).
+        let new_forest =
+            forest_over_reusing(&res.new_target_pages, self.levels[t_idx].forest(), &self.pool);
         if new_forest.root() != res.new_target_root.root {
             return Err("target pages do not hash to signed root".into());
         }

@@ -3,10 +3,11 @@
 //!
 //! WedgeChain's engines are sans-IO and deterministic: commands in,
 //! effects out, time as an argument. The CPU-heavy leaves of that
-//! work — page digests, Merkle leaf tagging, Schnorr verification —
-//! are pure functions over immutable inputs, so they can fan out
-//! across threads without the engines noticing. This crate provides
-//! the one concurrency primitive those call sites need:
+//! work — page digests, L0 record re-derivation, Schnorr
+//! verification — are pure functions over immutable inputs, so they
+//! can fan out across threads without the engines noticing. This
+//! crate provides the one concurrency primitive those call sites
+//! need:
 //!
 //! * [`Pool::scope`] — run one closure once per lane (the caller is
 //!   lane 0), returning only after every lane has run. Worker panics
@@ -38,12 +39,14 @@
 //! order, `for_each` is only handed idempotent work (memoizing a
 //! `OnceLock` digest computes the same bytes on every lane), and
 //! `scope` callers partition work by lane, which runs exactly once
-//! whichever thread runs it. A `Pool::new(1)` pool (also
-//! `Pool::default()`) runs everything inline on the caller thread —
-//! byte-identical to any larger pool by construction. Engines default
-//! to it, so unit tests (including the exact hash-count assertions,
-//! which use thread-local counters) see unchanged behaviour; the
-//! real-time runtimes size theirs from [`threads_from_env`].
+//! whichever thread runs it. Callers never branch on the width:
+//! `map` and `for_each` alone run a `Pool::new(1)` pool (also
+//! `Pool::default()`) as a plain loop on the caller thread, so every
+//! width runs the same caller code, byte-identical by construction.
+//! Engines default to width 1, so unit tests (including the exact
+//! hash-count assertions, which use thread-local counters) run each
+//! fan-out on the test thread; the real-time runtimes size theirs
+//! from [`threads_from_env`].
 //!
 //! # Non-goals
 //!
@@ -185,15 +188,6 @@ impl Pool {
         Pool { shared: Arc::new(Shared { inner, handles: Mutex::new(handles) }) }
     }
 
-    /// Builds a pool sized by [`threads_from_env`]: the
-    /// `WEDGE_POOL_THREADS` environment variable, else the host's
-    /// parallelism. The CI matrix sets the variable to run the whole
-    /// driver-level test suite at pool sizes 1 and 8 without a
-    /// per-test knob.
-    pub fn from_env() -> Pool {
-        Pool::new(threads_from_env())
-    }
-
     /// Total lanes (worker threads + the participating caller).
     pub fn lanes(&self) -> usize {
         self.shared.inner.workers + 1
@@ -201,7 +195,7 @@ impl Pool {
 
     /// True when the pool runs everything inline on the caller
     /// thread (no worker threads).
-    pub fn is_inline(&self) -> bool {
+    fn is_inline(&self) -> bool {
         self.shared.inner.workers == 0
     }
 
