@@ -1,18 +1,17 @@
 //! The Cloud-only baseline: every request is served by the trusted
 //! cloud node (§VI: "processes all requests in the cloud node").
 //!
-//! Clients fully trust results (no verification), but pay the
-//! wide-area round trip on *every* operation — which is exactly what
-//! Figs 4, 5 and 7 show it losing to WedgeChain on.
+//! This module holds the server; its clients are
+//! [`BaselineClient`](crate::client::BaselineClient)s on
+//! [`Route::Cloud`](crate::client::Route::Cloud). They fully trust
+//! results (no verification), but pay the wide-area round trip on
+//! *every* operation — which is exactly what Figs 4, 5 and 7 show it
+//! losing to WedgeChain on.
 
 use crate::msg::BMsg;
-use std::any::Any;
 use std::collections::BTreeMap;
 use wedge_core::cost::CostModel;
-use wedge_core::metrics::ClientMetrics;
-use wedge_lsmerkle::KvOp;
-use wedge_sim::{Actor, ActorId, Context, SimDuration, SimTime};
-use wedge_workload::KeySampler;
+use wedge_sim::{Actor, ActorId, Context, SimDuration};
 
 /// The trusted cloud store: a plain ordered map (no proofs needed).
 pub struct CloudOnlyCloud {
@@ -48,9 +47,9 @@ impl Actor<BMsg> for CloudOnlyCloud {
                     }
                 }
                 self.batches_committed += 1;
-                ctx.send(from, BMsg::CoBatchAck { req_id }, 8);
+                ctx.send(from, BMsg::BatchAck { req_id }, 8);
             }
-            BMsg::CoGet { req_id, key } => {
+            BMsg::Get { req_id, key } => {
                 // Trusted read: index probe + I/O model only (Fig 5d's
                 // 0.5 ms without verification).
                 ctx.use_cpu(SimDuration::from_nanos(self.cost.read_base_ns) + self.cost.io_probe());
@@ -62,151 +61,5 @@ impl Actor<BMsg> for CloudOnlyCloud {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// A Cloud-only client: same workload shapes as the WedgeChain
-/// client, but commits are final on the cloud's ack (P1 ≡ P2).
-pub struct CloudOnlyClient {
-    cloud: ActorId,
-    plan: wedge_core::client::ClientPlan,
-    sampler: KeySampler,
-    next_req: u64,
-    batches_done: u64,
-    reads_issued: u64,
-    burst_remaining: u64,
-    outstanding_batch: Option<(u64, SimTime)>,
-    outstanding_reads: std::collections::HashMap<u64, SimTime>,
-    /// Measurements.
-    pub metrics: ClientMetrics,
-}
-
-impl CloudOnlyClient {
-    /// Creates a client bound to the cloud actor.
-    pub fn new(cloud: ActorId, plan: wedge_core::client::ClientPlan) -> Self {
-        let sampler = KeySampler::new(plan.key_dist.clone(), plan.key_space);
-        CloudOnlyClient {
-            cloud,
-            plan,
-            sampler,
-            next_req: 0,
-            batches_done: 0,
-            reads_issued: 0,
-            burst_remaining: 0,
-            outstanding_batch: None,
-            outstanding_reads: std::collections::HashMap::new(),
-            metrics: ClientMetrics::default(),
-        }
-    }
-
-    fn send_batch(&mut self, ctx: &mut Context<'_, BMsg>) {
-        let ops: Vec<KvOp> = (0..self.plan.batch_size)
-            .map(|_| KvOp::put(self.sampler.sample(ctx.rng()), vec![0xAB; self.plan.value_size]))
-            .collect();
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let msg = BMsg::CoBatch { req_id, ops };
-        let sz = msg.wire_size();
-        self.outstanding_batch = Some((req_id, ctx.now_with_cpu()));
-        ctx.send(self.cloud, msg, sz);
-    }
-
-    fn send_read(&mut self, ctx: &mut Context<'_, BMsg>) {
-        let key = self.sampler.sample(ctx.rng());
-        let req_id = self.next_req;
-        self.next_req += 1;
-        self.outstanding_reads.insert(req_id, ctx.now_with_cpu());
-        ctx.send(self.cloud, BMsg::CoGet { req_id, key }, 24);
-    }
-
-    fn pump(&mut self, ctx: &mut Context<'_, BMsg>) {
-        let batches_left = self.plan.write_batches.saturating_sub(self.batches_done);
-        if self.plan.interleave && self.burst_remaining > 0 {
-            if self.reads_issued >= self.plan.reads {
-                self.burst_remaining = 0; // read budget exhausted
-            }
-            while self.outstanding_reads.len() < self.plan.read_pipeline
-                && self.burst_remaining > 0
-                && self.reads_issued < self.plan.reads
-            {
-                self.send_read(ctx);
-                self.reads_issued += 1;
-                self.burst_remaining -= 1;
-            }
-            if !self.outstanding_reads.is_empty() || self.burst_remaining > 0 {
-                return;
-            }
-        }
-        if batches_left > 0 {
-            if self.outstanding_batch.is_none() {
-                self.send_batch(ctx);
-            }
-            return;
-        }
-        if self.reads_issued < self.plan.reads {
-            while self.outstanding_reads.len() < self.plan.read_pipeline
-                && self.reads_issued < self.plan.reads
-            {
-                self.send_read(ctx);
-                self.reads_issued += 1;
-            }
-            return;
-        }
-        if self.outstanding_batch.is_none()
-            && self.outstanding_reads.is_empty()
-            && self.metrics.finished_at.is_none()
-            && (self.plan.write_batches > 0 || self.plan.reads > 0)
-        {
-            self.metrics.finished_at = Some(ctx.now());
-        }
-    }
-}
-
-impl Actor<BMsg> for CloudOnlyClient {
-    fn on_message(&mut self, ctx: &mut Context<'_, BMsg>, _from: ActorId, msg: BMsg) {
-        match msg {
-            BMsg::Start => self.pump(ctx),
-            BMsg::CoBatchAck { req_id } => {
-                let Some((id, sent)) = self.outstanding_batch.take() else { return };
-                if id != req_id {
-                    self.outstanding_batch = Some((id, sent));
-                    return;
-                }
-                let ms = ctx.now().since(sent).as_millis_f64();
-                // Cloud commit is final: Phase I and Phase II coincide.
-                self.metrics.p1_latency.record(ms);
-                self.metrics.p2_latency.record(ms);
-                self.batches_done += 1;
-                self.metrics.ops_p1 += self.plan.batch_size as u64;
-                self.metrics.ops_p2 += self.plan.batch_size as u64;
-                self.metrics.p1_timeline.record(ctx.now(), self.batches_done);
-                self.metrics.p2_timeline.record(ctx.now(), self.batches_done);
-                if self.plan.interleave {
-                    self.burst_remaining = self.plan.batch_size as u64;
-                }
-                self.pump(ctx);
-            }
-            BMsg::CoGetResp { req_id, .. } => {
-                let Some(sent) = self.outstanding_reads.remove(&req_id) else { return };
-                self.metrics.read_latency.record(ctx.now().since(sent).as_millis_f64());
-                self.metrics.reads_ok += 1;
-                self.pump(ctx);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -10,19 +10,24 @@
 //! that caps its scalability in Fig 5a. The commit path is the
 //! triangle client → cloud → edge → client; the edge's install ack
 //! returns to the cloud off the client's critical path.
+//!
+//! This module holds the two servers; the clients are
+//! [`BaselineClient`](crate::client::BaselineClient)s on
+//! [`Route::Edge`](crate::client::Route::Edge).
 
 use crate::msg::BMsg;
-use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use wedge_core::cost::CostModel;
-use wedge_core::metrics::ClientMetrics;
-use wedge_crypto::{Identity, IdentityId, KeyRegistry};
-use wedge_log::{Block, BlockId, BlockProof, CertLedger, LogStore};
+use wedge_crypto::{Identity, IdentityId};
+use wedge_log::{Block, BlockId, BlockProof, CertLedger, Entry, LogStore};
 use wedge_lsmerkle::{
-    build_read_proof, verify_read_proof, CloudIndex, LsMerkle, LsmConfig, MergeRequest, MergeResult,
+    build_read_proof, CloudIndex, LsMerkle, LsmConfig, MergeRequest, MergeResult,
 };
-use wedge_sim::{Actor, ActorId, Context, SimTime};
-use wedge_workload::KeySampler;
+use wedge_sim::{Actor, ActorId, Context};
+
+/// A sealed, certified block and the merges it triggered, in
+/// application order: what the edge replica installs.
+pub type Install = (Block, BlockProof, Vec<(MergeRequest, MergeResult)>);
 
 /// The Edge-baseline cloud: the system of record. It seals blocks,
 /// maintains its own authoritative LSMerkle, and pushes every update
@@ -38,7 +43,7 @@ pub struct EbCloud {
     next_bid: BlockId,
     next_seq: u64,
     /// One install outstanding at a time; the rest queue here.
-    queue: VecDeque<(ActorId, u64, Vec<wedge_log::Entry>)>,
+    queue: VecDeque<(ActorId, u64, Vec<Entry>)>,
     in_flight: Option<(ActorId, u64)>,
     /// Batches committed end-to-end.
     pub batches_committed: u64,
@@ -74,14 +79,10 @@ impl EbCloud {
         }
     }
 
-    /// Seals, certifies and merges a batch without the network —
-    /// used by the runner's preload path. Returns the install bundle
-    /// the edge replica must apply.
-    pub fn preload_block(
-        &mut self,
-        entries: Vec<wedge_log::Entry>,
-        now_ns: u64,
-    ) -> (Block, BlockProof, Vec<(MergeRequest, MergeResult)>) {
+    /// Seals `entries` into the next block, certifies it, applies it
+    /// to the cloud's tree and runs every merge it triggers (the cloud
+    /// trusts itself). Returns what the edge replica must install.
+    pub fn seal(&mut self, entries: Vec<Entry>, now_ns: u64) -> Install {
         let bid = self.next_bid;
         self.next_bid = self.next_bid.next();
         let block = Block { edge: self.tree.edge(), id: bid, entries, sealed_at_ns: now_ns };
@@ -99,8 +100,8 @@ impl EbCloud {
             let res = self
                 .index
                 .process_merge(&self.identity, &self.ledger, &req, now_ns)
-                .expect("preload merge verifies");
-            self.tree.apply_merge_result(&req, res.clone()).expect("preload merge applies");
+                .expect("cloud's own merge must verify");
+            self.tree.apply_merge_result(&req, res.clone()).expect("cloud applies own merge");
             merges.push((req, res));
         }
         (block, proof, merges)
@@ -114,44 +115,13 @@ impl EbCloud {
         let Some((client, req_id, entries)) = self.queue.pop_front() else {
             return;
         };
-        let ops = entries.len() as u64;
         // Synchronous certification + Merkle regeneration (the §II-C
         // drawback: the cloud is on the write path).
-        ctx.use_cpu(self.cost.eb_cloud_process(ops));
-        let bid = self.next_bid;
-        self.next_bid = self.next_bid.next();
-        let block =
-            Block { edge: self.tree.edge(), id: bid, entries, sealed_at_ns: ctx.now().as_nanos() };
-        let digest = block.digest();
-        self.ledger.offer(self.tree.edge(), bid, digest);
-        let proof = BlockProof::issue(&self.identity, self.tree.edge(), bid, digest);
-        self.tree.apply_block_with_digest(block.clone(), digest);
-        self.tree.attach_block_proof(proof.clone());
-
-        // Run merges locally (cloud trusts itself) and collect the
-        // deltas so the edge replica can replay them.
-        let mut merges: Vec<(MergeRequest, MergeResult)> = Vec::new();
-        while let Some(level) = self.tree.overflowing_level() {
-            let req = self.tree.build_merge_request(level);
-            if level == 0 && req.source_l0.is_empty() {
-                break;
-            }
-            let records: u64 = req
-                .source_l0
-                .iter()
-                .map(|p| p.records().len() as u64)
-                .chain(req.source_pages.iter().map(|p| p.records().len() as u64))
-                .chain(req.target_pages.iter().map(|p| p.records().len() as u64))
-                .sum();
-            ctx.use_cpu(self.cost.merge(records));
-            let res = self
-                .index
-                .process_merge(&self.identity, &self.ledger, &req, ctx.now().as_nanos())
-                .expect("cloud's own merge must verify");
-            self.tree.apply_merge_result(&req, res.clone()).expect("cloud applies own merge");
-            merges.push((req, res));
+        ctx.use_cpu(self.cost.eb_cloud_process(entries.len() as u64));
+        let (block, proof, merges) = self.seal(entries, ctx.now().as_nanos());
+        for (req, _) in &merges {
+            ctx.use_cpu(self.cost.merge(req.records()));
         }
-
         let seq = self.next_seq;
         self.next_seq += 1;
         let msg = BMsg::EbInstall { seq, client, req_id, block, proof, merges };
@@ -180,13 +150,6 @@ impl Actor<BMsg> for EbCloud {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The Edge-baseline edge: a passive, certified replica that serves
@@ -207,6 +170,17 @@ impl EbEdge {
     pub fn new(cloud: ActorId, cost: CostModel, tree: LsMerkle) -> Self {
         EbEdge { cloud, cost, tree, log: LogStore::new(), gets_served: 0 }
     }
+
+    /// Installs a certified block and replays the cloud's merges.
+    pub fn install(&mut self, (block, proof, merges): Install) {
+        self.log.append(block.clone());
+        self.log.attach_proof(proof.clone());
+        self.tree.apply_block_with_digest(block, proof.digest);
+        self.tree.attach_block_proof(proof);
+        for (req, res) in merges {
+            self.tree.apply_merge_result(&req, res).expect("replica replays merge");
+        }
+    }
 }
 
 impl Actor<BMsg> for EbEdge {
@@ -214,19 +188,13 @@ impl Actor<BMsg> for EbEdge {
         match msg {
             BMsg::EbInstall { seq, client, req_id, block, proof, merges } => {
                 ctx.use_cpu(self.cost.eb_edge_apply());
-                self.log.append(block.clone());
-                self.log.attach_proof(proof.clone());
-                self.tree.apply_block_with_digest(block, proof.digest);
-                self.tree.attach_block_proof(proof);
-                for (req, res) in merges {
-                    self.tree.apply_merge_result(&req, res).expect("replica replays merge");
-                }
+                self.install((block, proof, merges));
                 // Ack the nearby client directly; release the cloud's
                 // install slot in parallel.
-                ctx.send(client, BMsg::EbBatchAck { req_id }, 8);
+                ctx.send(client, BMsg::BatchAck { req_id }, 8);
                 ctx.send(self.cloud, BMsg::EbInstallAck { seq }, 16);
             }
-            BMsg::EbGet { req_id, key } => {
+            BMsg::Get { req_id, key } => {
                 let pages = (self.tree.l0_pages().len() + self.tree.levels().len()) as u64;
                 ctx.use_cpu(self.cost.build_read_proof(pages));
                 self.gets_served += 1;
@@ -237,202 +205,5 @@ impl Actor<BMsg> for EbEdge {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// The Edge-baseline client: writes to the cloud, reads from the edge
-/// (verifying proofs).
-pub struct EbClient {
-    identity: Identity,
-    cloud: ActorId,
-    edge: ActorId,
-    edge_identity: IdentityId,
-    cloud_identity: IdentityId,
-    registry: KeyRegistry,
-    cost: CostModel,
-    plan: wedge_core::client::ClientPlan,
-    sampler: KeySampler,
-    next_req: u64,
-    next_seq: u64,
-    batches_done: u64,
-    reads_issued: u64,
-    burst_remaining: u64,
-    outstanding_batch: Option<(u64, SimTime)>,
-    outstanding_reads: HashMap<u64, SimTime>,
-    /// Measurements.
-    pub metrics: ClientMetrics,
-}
-
-impl EbClient {
-    /// Creates the client.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        identity: Identity,
-        cloud: ActorId,
-        edge: ActorId,
-        edge_identity: IdentityId,
-        cloud_identity: IdentityId,
-        registry: KeyRegistry,
-        cost: CostModel,
-        plan: wedge_core::client::ClientPlan,
-    ) -> Self {
-        let sampler = KeySampler::new(plan.key_dist.clone(), plan.key_space);
-        EbClient {
-            identity,
-            cloud,
-            edge,
-            edge_identity,
-            cloud_identity,
-            registry,
-            cost,
-            plan,
-            sampler,
-            next_req: 0,
-            next_seq: 0,
-            batches_done: 0,
-            reads_issued: 0,
-            burst_remaining: 0,
-            outstanding_batch: None,
-            outstanding_reads: HashMap::new(),
-            metrics: ClientMetrics::default(),
-        }
-    }
-
-    fn send_batch(&mut self, ctx: &mut Context<'_, BMsg>) {
-        let mut entries = Vec::with_capacity(self.plan.batch_size);
-        for _ in 0..self.plan.batch_size {
-            let key = self.sampler.sample(ctx.rng());
-            let op = wedge_lsmerkle::KvOp::put(key, vec![0xAB; self.plan.value_size]);
-            // Modeled signatures: the entry CPU cost is in the cloud's
-            // processing budget, as with the WedgeChain client.
-            entries.push(wedge_log::Entry {
-                client: self.identity.id,
-                sequence: self.next_seq,
-                payload: op.encode(),
-                signature: wedge_crypto::Signature { e: 0, s: 0 },
-            });
-            self.next_seq += 1;
-        }
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let msg = BMsg::EbBatch { req_id, entries };
-        let sz = msg.wire_size();
-        self.outstanding_batch = Some((req_id, ctx.now_with_cpu()));
-        ctx.send(self.cloud, msg, sz);
-    }
-
-    fn send_read(&mut self, ctx: &mut Context<'_, BMsg>) {
-        let key = self.sampler.sample(ctx.rng());
-        let req_id = self.next_req;
-        self.next_req += 1;
-        self.outstanding_reads.insert(req_id, ctx.now_with_cpu());
-        ctx.send(self.edge, BMsg::EbGet { req_id, key }, 24);
-    }
-
-    fn pump(&mut self, ctx: &mut Context<'_, BMsg>) {
-        let batches_left = self.plan.write_batches.saturating_sub(self.batches_done);
-        if self.plan.interleave && self.burst_remaining > 0 {
-            if self.reads_issued >= self.plan.reads {
-                self.burst_remaining = 0; // read budget exhausted
-            }
-            while self.outstanding_reads.len() < self.plan.read_pipeline
-                && self.burst_remaining > 0
-                && self.reads_issued < self.plan.reads
-            {
-                self.send_read(ctx);
-                self.reads_issued += 1;
-                self.burst_remaining -= 1;
-            }
-            if !self.outstanding_reads.is_empty() || self.burst_remaining > 0 {
-                return;
-            }
-        }
-        if batches_left > 0 {
-            if self.outstanding_batch.is_none() {
-                self.send_batch(ctx);
-            }
-            return;
-        }
-        if self.reads_issued < self.plan.reads {
-            while self.outstanding_reads.len() < self.plan.read_pipeline
-                && self.reads_issued < self.plan.reads
-            {
-                self.send_read(ctx);
-                self.reads_issued += 1;
-            }
-            return;
-        }
-        if self.outstanding_batch.is_none()
-            && self.outstanding_reads.is_empty()
-            && self.metrics.finished_at.is_none()
-            && (self.plan.write_batches > 0 || self.plan.reads > 0)
-        {
-            self.metrics.finished_at = Some(ctx.now());
-        }
-    }
-}
-
-impl Actor<BMsg> for EbClient {
-    fn on_message(&mut self, ctx: &mut Context<'_, BMsg>, _from: ActorId, msg: BMsg) {
-        match msg {
-            BMsg::Start => self.pump(ctx),
-            BMsg::EbBatchAck { req_id } => {
-                let Some((id, sent)) = self.outstanding_batch.take() else { return };
-                if id != req_id {
-                    self.outstanding_batch = Some((id, sent));
-                    return;
-                }
-                let ms = ctx.now().since(sent).as_millis_f64();
-                // Certified before ack: commit is final.
-                self.metrics.p1_latency.record(ms);
-                self.metrics.p2_latency.record(ms);
-                self.batches_done += 1;
-                self.metrics.ops_p1 += self.plan.batch_size as u64;
-                self.metrics.ops_p2 += self.plan.batch_size as u64;
-                self.metrics.p1_timeline.record(ctx.now(), self.batches_done);
-                self.metrics.p2_timeline.record(ctx.now(), self.batches_done);
-                if self.plan.interleave {
-                    self.burst_remaining = self.plan.batch_size as u64;
-                }
-                self.pump(ctx);
-            }
-            BMsg::EbGetResp { req_id, proof } => {
-                let Some(sent) = self.outstanding_reads.remove(&req_id) else { return };
-                ctx.use_cpu(self.cost.verify_read());
-                let result = verify_read_proof(
-                    &proof,
-                    self.edge_identity,
-                    self.cloud_identity,
-                    &self.registry,
-                    ctx.now().as_nanos(),
-                    None,
-                );
-                match result {
-                    Ok(_) => {
-                        self.metrics.read_latency.record(ctx.now().since(sent).as_millis_f64());
-                        self.metrics.reads_ok += 1;
-                    }
-                    Err(_) => {
-                        self.metrics.reads_rejected += 1;
-                    }
-                }
-                self.pump(ctx);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

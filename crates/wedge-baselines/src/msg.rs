@@ -8,6 +8,21 @@ use wedge_lsmerkle::{IndexReadProof, Key, KvOp, MergeRequest, MergeResult};
 pub enum BMsg {
     /// Kick a client's workload.
     Start,
+    /// Server → client: the batch is committed, and final (the cloud
+    /// acks in Cloud-only; in Edge-baseline the nearby edge acks once
+    /// it installed the certified block).
+    BatchAck {
+        /// Echoed request id.
+        req_id: u64,
+    },
+    /// Client → server: interactive get (the cloud serves it in
+    /// Cloud-only, the edge with Merkle proofs in Edge-baseline).
+    Get {
+        /// Request id.
+        req_id: u64,
+        /// The key.
+        key: Key,
+    },
     // ---- Cloud-only ----
     /// Client → cloud: a batch of raw KV ops (full data over the WAN).
     CoBatch {
@@ -15,18 +30,6 @@ pub enum BMsg {
         req_id: u64,
         /// The operations.
         ops: Vec<KvOp>,
-    },
-    /// Cloud → client: batch committed (trusted, so this is final).
-    CoBatchAck {
-        /// Echoed request id.
-        req_id: u64,
-    },
-    /// Client → cloud: interactive get.
-    CoGet {
-        /// Request id.
-        req_id: u64,
-        /// The key.
-        key: Key,
     },
     /// Cloud → client: the value (trusted, no proof needed).
     CoGetResp {
@@ -67,18 +70,6 @@ pub enum BMsg {
         /// Echoed install sequence.
         seq: u64,
     },
-    /// Cloud → client: write committed (after the edge ack).
-    EbBatchAck {
-        /// Echoed request id.
-        req_id: u64,
-    },
-    /// Client → edge: interactive get (served with Merkle proofs).
-    EbGet {
-        /// Request id.
-        req_id: u64,
-        /// The key.
-        key: Key,
-    },
     /// Edge → client: proof-carrying response.
     EbGetResp {
         /// Echoed request id.
@@ -92,14 +83,14 @@ impl BMsg {
     /// Approximate wire size for the bandwidth model.
     pub fn wire_size(&self) -> u64 {
         match self {
-            BMsg::Start | BMsg::CoBatchAck { .. } | BMsg::EbBatchAck { .. } => 8,
+            BMsg::Start | BMsg::BatchAck { .. } => 8,
             BMsg::CoBatch { ops, .. } => {
                 16 + ops
                     .iter()
                     .map(|o| 9 + o.value.as_ref().map_or(0, |v| v.len() as u64))
                     .sum::<u64>()
             }
-            BMsg::CoGet { .. } | BMsg::EbGet { .. } => 24,
+            BMsg::Get { .. } => 24,
             BMsg::CoGetResp { value, .. } => 16 + value.as_ref().map_or(0, |v| v.len() as u64),
             BMsg::EbBatch { entries, .. } => {
                 16 + entries.iter().map(|e| e.wire_size()).sum::<u64>()

@@ -4,15 +4,16 @@
 //! The bench targets call [`run_scenario`] once per (system, point)
 //! pair and print the paper-style rows.
 
-use crate::cloud_only::{CloudOnlyClient, CloudOnlyCloud};
-use crate::edge_baseline::{EbClient, EbCloud, EbEdge};
+use crate::client::{BaselineClient, Route};
+use crate::cloud_only::CloudOnlyCloud;
+use crate::edge_baseline::{EbCloud, EbEdge};
 use crate::msg::BMsg;
 use wedge_core::client::ClientPlan;
 use wedge_core::config::SystemConfig;
 use wedge_core::deployment::Identities;
 use wedge_core::fault::FaultPlan;
-use wedge_core::harness::{Aggregate, SystemHarness};
-use wedge_core::metrics::{ClientMetrics, Timeline};
+use wedge_core::harness::{preload_batches, Aggregate, SystemHarness};
+use wedge_core::metrics::Timeline;
 use wedge_lsmerkle::{CloudIndex, LsMerkle};
 use wedge_sim::{ActorId, Simulation};
 use wedge_workload::{Mix, Scenario};
@@ -98,11 +99,6 @@ fn run_cloud_only(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> R
     let mut sim: Simulation<BMsg> = Simulation::new(cfg.net.clone(), cfg.seed);
     let cloud_node = CloudOnlyCloud::new(cfg.cost.clone());
     let cloud = sim.add_actor("cloud", cfg.cloud_region, Box::new(cloud_node));
-    let mut clients = Vec::new();
-    for i in 0..cfg.num_clients {
-        let node = CloudOnlyClient::new(cloud, plan.clone());
-        clients.push(sim.add_actor(format!("client-{i}"), cfg.client_region, Box::new(node)));
-    }
     if scenario.reads_per_client > 0 {
         // Preload the trusted store directly.
         let store = &mut sim.actor_mut::<CloudOnlyCloud>(cloud).store;
@@ -110,19 +106,7 @@ fn run_cloud_only(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> R
             store.insert(k, vec![0xEE; cfg.value_size]);
         }
     }
-    sim.start();
-    for &c in &clients {
-        sim.inject(cloud, c, BMsg::Start);
-    }
-    sim.run_until_idle(u64::MAX / 2);
-    let metrics: Vec<ClientMetrics> =
-        clients.iter().map(|&c| sim.actor::<CloudOnlyClient>(c).metrics.clone()).collect();
-    let m0 = metrics[0].clone();
-    RunOutput {
-        agg: Aggregate::of(&metrics),
-        p1_timeline: m0.p1_timeline,
-        p2_timeline: m0.p2_timeline,
-    }
+    run_clients(sim, &cfg, cloud, |_| BaselineClient::new(cloud, Route::Cloud, plan.clone()))
 }
 
 fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> RunOutput {
@@ -156,59 +140,45 @@ fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -
         // Preload both the cloud's authoritative tree and the edge
         // replica, bypassing the network (read-benchmark setup).
         let n = scenario.key_space.min(20_000);
-        let batch = cfg.batch_size.max(1) as u64;
-        let mut key = 0u64;
-        let mut seq = u64::MAX / 2;
-        while key < n {
-            let entries: Vec<wedge_log::Entry> = (0..batch.min(n - key))
-                .map(|_| {
-                    let op = wedge_lsmerkle::KvOp::put(key, vec![0xEE; cfg.value_size]);
-                    let e = wedge_log::Entry {
-                        client: ids.clients[0][0].id,
-                        sequence: seq,
-                        payload: op.encode(),
-                        signature: wedge_crypto::Signature { e: 0, s: 0 },
-                    };
-                    seq += 1;
-                    key += 1;
-                    e
-                })
-                .collect();
-            let (block, proof, merges) = sim.actor_mut::<EbCloud>(cloud).preload_block(entries, 0);
-            let replica = sim.actor_mut::<EbEdge>(edge);
-            replica.log.append(block.clone());
-            replica.log.attach_proof(proof.clone());
-            replica.tree.apply_block_with_digest(block, proof.digest);
-            replica.tree.attach_block_proof(proof);
-            for (rq, rs) in merges {
-                replica.tree.apply_merge_result(&rq, rs).expect("replica preload merge");
-            }
+        let client = ids.clients[0][0].id;
+        for entries in preload_batches(n, cfg.batch_size, cfg.value_size, client) {
+            let install = sim.actor_mut::<EbCloud>(cloud).seal(entries, 0);
+            sim.actor_mut::<EbEdge>(edge).install(install);
         }
     }
-    let mut clients = Vec::new();
-    for (i, ident) in ids.clients[0].iter().enumerate() {
-        let node = EbClient::new(
-            ident.clone(),
-            cloud,
+    run_clients(sim, &cfg, cloud, |i| {
+        let route = Route::Edge {
             edge,
-            edge_ident.id,
-            cloud_ident.id,
-            ids.registry.clone(),
-            cfg.cost.clone(),
-            plan.clone(),
-        );
-        clients.push(sim.add_actor(format!("client-{i}"), cfg.client_region, Box::new(node)));
-    }
+            client: ids.clients[0][i].id,
+            edge_identity: edge_ident.id,
+            cloud_identity: cloud_ident.id,
+            registry: ids.registry.clone(),
+            cost: cfg.cost.clone(),
+        };
+        BaselineClient::new(cloud, route, plan.clone())
+    })
+}
+
+/// Adds `cfg.num_clients` clients built by `client`, starts them, runs
+/// the simulation until idle and collects their metrics.
+fn run_clients(
+    mut sim: Simulation<BMsg>,
+    cfg: &SystemConfig,
+    cloud: ActorId,
+    client: impl Fn(usize) -> BaselineClient,
+) -> RunOutput {
+    let clients: Vec<ActorId> = (0..cfg.num_clients)
+        .map(|i| sim.add_actor(format!("client-{i}"), cfg.client_region, Box::new(client(i))))
+        .collect();
     sim.start();
     for &c in &clients {
         sim.inject(cloud, c, BMsg::Start);
     }
     sim.run_until_idle(u64::MAX / 2);
-    let metrics: Vec<ClientMetrics> =
-        clients.iter().map(|&c| sim.actor::<EbClient>(c).metrics.clone()).collect();
-    let m0 = metrics[0].clone();
+    let metrics = |c: ActorId| &sim.actor::<BaselineClient>(c).metrics;
+    let m0 = metrics(clients[0]).clone();
     RunOutput {
-        agg: Aggregate::of(&metrics),
+        agg: Aggregate::of(clients.iter().map(|&c| metrics(c))),
         p1_timeline: m0.p1_timeline,
         p2_timeline: m0.p2_timeline,
     }

@@ -12,11 +12,10 @@
 
 use crate::engine::{ClientCommand, ClientEffect, ClientEngine};
 use crate::messages::Msg;
-use std::any::Any;
 use std::ops::{Deref, DerefMut};
 use wedge_sim::{Actor, ActorId, Context, DeadlineTimer, TimerId};
 
-pub use crate::engine::client::{ClientPlan, GetOutcome, PutOutcome};
+pub use crate::engine::client::{ClientPlan, GetOutcome, PlanProgress, PlanStep, PutOutcome};
 
 /// The client actor: the shared engine plus its simulator wiring.
 pub struct ClientNode {
@@ -75,13 +74,5 @@ impl Actor<Msg> for ClientNode {
         if self.timer.should_tick(ctx, timer, self.engine.next_deadline_ns()) {
             self.run(ctx, ClientCommand::Tick);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

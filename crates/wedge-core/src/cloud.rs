@@ -11,7 +11,6 @@
 
 use crate::engine::{CloudCommand, CloudEffect, CloudEngine};
 use crate::messages::Msg;
-use std::any::Any;
 use std::ops::{Deref, DerefMut};
 use wedge_sim::{Actor, ActorId, Context, DeadlineTimer, TimerId};
 
@@ -74,13 +73,5 @@ impl Actor<Msg> for CloudNode {
         let Msg::Wire(wire) = msg else { return };
         let Some(cmd) = CloudCommand::from_wire(from, wire) else { return };
         self.run(ctx, cmd);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -10,7 +10,6 @@
 
 use crate::engine::{EdgeCommand, EdgeEffect, EdgeEngine};
 use crate::messages::Msg;
-use std::any::Any;
 use std::ops::{Deref, DerefMut};
 use wedge_sim::{Actor, ActorId, Context, DeadlineTimer, TimerId};
 
@@ -79,13 +78,5 @@ impl Actor<Msg> for EdgeNode {
         if self.timer.should_tick(ctx, timer, self.engine.next_deadline_ns()) {
             self.run(ctx, EdgeCommand::Tick);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -91,6 +91,98 @@ impl ClientPlan {
     }
 }
 
+/// What a client issues next, as decided by [`PlanProgress::next`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlanStep {
+    /// Issue this many write batches.
+    Batches(u64),
+    /// Issue this many interactive reads.
+    Reads(u64),
+    /// Nothing to issue until something in flight completes.
+    Wait,
+    /// Every planned operation was issued and nothing is in flight.
+    Finished,
+}
+
+/// A client's progress through its [`ClientPlan`], and the one policy
+/// that turns the plan into batches and reads. The WedgeChain client
+/// and both baseline clients run it, so every figure compares the
+/// three systems under the same workload.
+///
+/// The order: a read burst armed by the last acked batch (under
+/// `interleave`) runs first and holds batches back until it has issued
+/// its reads or the read budget runs out; then batches fill the free
+/// batch slots; once every batch is acked, the remaining reads fill
+/// the read pipeline; the plan is finished when nothing is in flight.
+#[derive(Clone, Debug, Default)]
+pub struct PlanProgress {
+    batches_done: u64,
+    reads_issued: u64,
+    burst_remaining: u64,
+}
+
+impl PlanProgress {
+    /// Counts one acked batch and, under `interleave`, arms a read
+    /// burst of one batch's worth of reads. Returns the batches acked
+    /// so far.
+    pub fn batch_done(&mut self, plan: &ClientPlan) -> u64 {
+        self.batches_done += 1;
+        if plan.interleave {
+            self.burst_remaining = plan.batch_size as u64;
+        }
+        self.batches_done
+    }
+
+    /// What to issue now, given what is in flight; `batch_slots` is
+    /// how many batches may be in flight at once. The reads it hands
+    /// out count as issued.
+    pub fn next(
+        &mut self,
+        plan: &ClientPlan,
+        batches_in_flight: usize,
+        batch_slots: usize,
+        reads_in_flight: usize,
+    ) -> PlanStep {
+        let batches_left = plan.write_batches.saturating_sub(self.batches_done);
+        let reads_left = plan.reads.saturating_sub(self.reads_issued);
+        let read_room = plan.read_pipeline.saturating_sub(reads_in_flight) as u64;
+        if plan.interleave && self.burst_remaining > 0 {
+            if reads_left == 0 {
+                self.burst_remaining = 0; // read budget exhausted
+            }
+            let n = read_room.min(self.burst_remaining).min(reads_left);
+            if n > 0 {
+                self.reads_issued += n;
+                self.burst_remaining -= n;
+                return PlanStep::Reads(n);
+            }
+            if reads_in_flight > 0 || self.burst_remaining > 0 {
+                return PlanStep::Wait;
+            }
+        }
+        let step = if batches_left > 0 {
+            // In-flight batches count as issued.
+            let free = batch_slots.saturating_sub(batches_in_flight) as u64;
+            PlanStep::Batches(free.min(batches_left.saturating_sub(batches_in_flight as u64)))
+        } else if reads_left > 0 {
+            let n = read_room.min(reads_left);
+            self.reads_issued += n;
+            PlanStep::Reads(n)
+        } else if batches_in_flight == 0
+            && reads_in_flight == 0
+            && (plan.write_batches > 0 || plan.reads > 0)
+        {
+            PlanStep::Finished
+        } else {
+            PlanStep::Wait
+        };
+        match step {
+            PlanStep::Batches(0) | PlanStep::Reads(0) => PlanStep::Wait,
+            step => step,
+        }
+    }
+}
+
 /// Outcome of a harness-driven single put.
 #[derive(Clone, Debug)]
 pub struct PutOutcome {
@@ -345,10 +437,8 @@ pub struct ClientEngine {
     // --- progress ---
     next_req: u64,
     next_seq: u64,
-    batches_done: u64,
-    reads_issued: u64,
+    progress: PlanProgress,
     reads_finished: u64,
-    burst_remaining: u64,
     outstanding_batches: HashMap<u64, OutstandingBatch>,
     outstanding_reads: HashMap<u64, OutstandingRead>,
     pending_p2: HashMap<BlockId, PendingAdd>,
@@ -402,10 +492,8 @@ impl ClientEngine {
             pool: wedge_pool::Pool::default(),
             next_req: 0,
             next_seq: 0,
-            batches_done: 0,
-            reads_issued: 0,
+            progress: PlanProgress::default(),
             reads_finished: 0,
-            burst_remaining: 0,
             outstanding_batches: HashMap::new(),
             outstanding_reads: HashMap::new(),
             pending_p2: HashMap::new(),
@@ -632,61 +720,25 @@ impl ClientEngine {
         out.push(ClientEffect::SendEdge { msg: WireMsg::Get { req_id, key }, wire: 24 });
     }
 
-    /// Advances the workload: issues the next batch and/or fills the
-    /// read pipeline, and records completion.
+    /// Advances the workload by one [`PlanProgress`] step, and
+    /// records completion.
     fn pump(&mut self, out: &mut Vec<ClientEffect>, now_ns: u64) {
         if self.halted {
             return;
         }
-        let batches_left = self.plan.write_batches.saturating_sub(self.batches_done);
-        let reads_left = self.plan.reads.saturating_sub(self.reads_issued);
-
-        // Interleave: a read burst runs between batches.
-        if self.plan.interleave && self.burst_remaining > 0 {
-            if self.reads_issued >= self.plan.reads {
-                self.burst_remaining = 0; // read budget exhausted
+        let step = self.progress.next(
+            &self.plan,
+            self.outstanding_batches.len(),
+            self.pipeline_depth,
+            self.outstanding_reads.len(),
+        );
+        match step {
+            PlanStep::Batches(n) => (0..n).for_each(|_| self.send_batch(out, now_ns)),
+            PlanStep::Reads(n) => (0..n).for_each(|_| self.send_read(out, None, 0, 0, now_ns)),
+            PlanStep::Wait => {}
+            PlanStep::Finished => {
+                self.metrics.finished_at.get_or_insert(SimTime::from_nanos(now_ns));
             }
-            while self.outstanding_reads.len() < self.plan.read_pipeline
-                && self.burst_remaining > 0
-                && self.reads_issued < self.plan.reads
-            {
-                self.send_read(out, None, 0, 0, now_ns);
-                self.reads_issued += 1;
-                self.burst_remaining -= 1;
-            }
-            if !self.outstanding_reads.is_empty() || self.burst_remaining > 0 {
-                return;
-            }
-        }
-
-        if batches_left > 0 {
-            // Fill the pipeline: issue until the depth is reached or
-            // the plan runs out (in-flight batches count as issued).
-            while self.can_accept_batch() && (self.outstanding_batches.len() as u64) < batches_left
-            {
-                self.send_batch(out, now_ns);
-            }
-            return;
-        }
-
-        // Writes finished: drain the remaining reads.
-        if reads_left > 0 {
-            while self.outstanding_reads.len() < self.plan.read_pipeline
-                && self.reads_issued < self.plan.reads
-            {
-                self.send_read(out, None, 0, 0, now_ns);
-                self.reads_issued += 1;
-            }
-            return;
-        }
-
-        // All issued; finished when nothing is outstanding.
-        if self.outstanding_batches.is_empty()
-            && self.outstanding_reads.is_empty()
-            && self.metrics.finished_at.is_none()
-            && (self.plan.write_batches > 0 || self.plan.reads > 0)
-        {
-            self.metrics.finished_at = Some(SimTime::from_nanos(now_ns));
         }
     }
 
@@ -708,9 +760,9 @@ impl ClientEngine {
         // Phase I commit (Definition 1): we hold signed evidence.
         let latency = SimDuration::from_nanos(now_ns.saturating_sub(batch.sent_ns));
         self.metrics.p1_latency.record(latency.as_millis_f64());
-        self.batches_done += 1;
+        let batches_done = self.progress.batch_done(&self.plan);
         self.metrics.ops_p1 += batch.ops;
-        self.metrics.p1_timeline.record(SimTime::from_nanos(now_ns), self.batches_done);
+        self.metrics.p1_timeline.record(SimTime::from_nanos(now_ns), batches_done);
         if self.last_put_bid.is_none() && self.plan.write_batches == 0 {
             // Harness-driven single put.
             self.last_put_bid = Some(receipt.bid);
@@ -733,9 +785,6 @@ impl ClientEngine {
                 deadline_ns: Some(now_ns + self.dispute_timeout_ns),
             },
         );
-        if self.plan.interleave {
-            self.burst_remaining = self.plan.batch_size as u64;
-        }
         self.pump(out, now_ns);
     }
 
@@ -905,9 +954,7 @@ impl ClientEngine {
             self.metrics.disputes_upheld += 1;
             self.halted = true;
             out.push(ClientEffect::Notify(ClientEvent::Halted));
-            if self.metrics.finished_at.is_none() {
-                self.metrics.finished_at = Some(SimTime::from_nanos(now_ns));
-            }
+            self.metrics.finished_at.get_or_insert(SimTime::from_nanos(now_ns));
         }
     }
 
@@ -1289,5 +1336,83 @@ mod tests {
         assert!(cache.misses() >= 1, "the miss populated the shared cache");
         run_get(&cache);
         assert!(cache.hits() >= 1, "second client answered its witness check from the cache");
+    }
+
+    // The plan policy: `next(plan, batches in flight, batch slots,
+    // reads in flight)` stepped as a client would, answering work in
+    // flight as each case dictates.
+
+    #[test]
+    fn plan_writes_then_fills_the_read_pipeline() {
+        let plan =
+            ClientPlan { write_batches: 2, reads: 4, read_pipeline: 3, ..ClientPlan::idle() };
+        let mut p = PlanProgress::default();
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Batches(1));
+        assert_eq!(p.next(&plan, 1, 1, 0), PlanStep::Wait, "the one slot is taken");
+        assert_eq!(p.batch_done(&plan), 1);
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Batches(1));
+        assert_eq!(p.batch_done(&plan), 2);
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Reads(3), "reads wait for every batch");
+        assert_eq!(p.next(&plan, 0, 1, 3), PlanStep::Wait);
+        assert_eq!(p.next(&plan, 0, 1, 2), PlanStep::Reads(1), "only one read is left");
+        assert_eq!(p.next(&plan, 0, 1, 3), PlanStep::Wait);
+        assert_eq!(p.next(&plan, 0, 1, 1), PlanStep::Wait, "a read is still in flight");
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Finished);
+    }
+
+    #[test]
+    fn plan_interleaves_read_bursts_until_the_budget_runs_out() {
+        let plan = ClientPlan {
+            write_batches: 3,
+            reads: 3,
+            batch_size: 2,
+            interleave: true,
+            ..ClientPlan::idle()
+        };
+        let mut p = PlanProgress::default();
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Batches(1));
+        p.batch_done(&plan);
+        // The ack armed a burst of two reads; the pipeline holds one.
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Reads(1));
+        assert_eq!(p.next(&plan, 0, 1, 1), PlanStep::Wait, "the burst holds batches back");
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Reads(1));
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Batches(1), "the burst is spent");
+        p.batch_done(&plan);
+        // The third read exhausts the budget in the middle of this
+        // burst: the burst is dropped once its read is answered.
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Reads(1));
+        assert_eq!(p.next(&plan, 0, 1, 1), PlanStep::Wait);
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Batches(1));
+        p.batch_done(&plan);
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Finished);
+    }
+
+    #[test]
+    fn plan_fills_free_batch_slots_counting_batches_in_flight() {
+        let plan = ClientPlan { write_batches: 5, ..ClientPlan::idle() };
+        let mut p = PlanProgress::default();
+        assert_eq!(p.next(&plan, 0, 3, 0), PlanStep::Batches(3));
+        assert_eq!(p.next(&plan, 3, 3, 0), PlanStep::Wait);
+        p.batch_done(&plan);
+        assert_eq!(p.next(&plan, 2, 3, 0), PlanStep::Batches(1), "one slot is free");
+        p.batch_done(&plan);
+        p.batch_done(&plan);
+        // Two batches left, one of them in flight: two slots are free
+        // but only one batch is left to issue.
+        assert_eq!(p.next(&plan, 1, 3, 0), PlanStep::Batches(1));
+        assert_eq!(p.next(&plan, 2, 3, 0), PlanStep::Wait);
+        p.batch_done(&plan);
+        p.batch_done(&plan);
+        assert_eq!(p.next(&plan, 0, 3, 0), PlanStep::Finished);
+    }
+
+    #[test]
+    fn idle_plan_never_finishes() {
+        let plan = ClientPlan::idle();
+        let mut p = PlanProgress::default();
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Wait);
+        // Harness-driven puts are acked through the same counter.
+        assert_eq!(p.batch_done(&plan), 1);
+        assert_eq!(p.next(&plan, 0, 1, 0), PlanStep::Wait);
     }
 }

@@ -368,14 +368,7 @@ impl<P: Copy + Eq + Hash> CloudEngine<P> {
         // must still verify every page it receives against the signed
         // roots, and pages decoded off the wire carry no memoized
         // digests — verification is O(request), and it dominates.
-        let records: u64 = req
-            .source_l0
-            .iter()
-            .map(|p| p.records().len() as u64)
-            .chain(req.source_pages.iter().map(|p| p.records().len() as u64))
-            .chain(req.target_pages.iter().map(|p| p.records().len() as u64))
-            .sum();
-        out.push(CloudEffect::UseCpu(self.cost.merge(records)));
+        out.push(CloudEffect::UseCpu(self.cost.merge(req.records())));
         // Prime wire-decoded page digests across the pool *before* the
         // replay probe: `replay_for` fingerprints the request, which
         // serially forces every page digest it finds un-memoized.

@@ -17,11 +17,35 @@ use crate::edge::EdgeNode;
 use crate::fault::FaultPlan;
 use crate::messages::Msg;
 use crate::metrics::ClientMetrics;
-use wedge_log::BlockProof;
+use wedge_crypto::{IdentityId, Signature};
+use wedge_log::{BlockProof, Entry};
 use wedge_lsmerkle::KvOp;
 use wedge_sim::{ActorId, SimDuration, SimTime, Simulation};
 
 pub use crate::deployment::client_workload_seed;
+
+/// The read-benchmark preload every system's harness installs: keys
+/// `0..n` in batches of `batch`, each value `value_size` bytes of
+/// `0xEE`, attributed to `client` with sequence `u64::MAX / 2 + key`
+/// (clear of any workload's sequences), unsigned.
+pub fn preload_batches(
+    n: u64,
+    batch: usize,
+    value_size: usize,
+    client: IdentityId,
+) -> impl Iterator<Item = Vec<Entry>> {
+    let batch = batch.max(1) as u64;
+    (0..n).step_by(batch as usize).map(move |first| {
+        (first..n.min(first + batch))
+            .map(|key| Entry {
+                client,
+                sequence: u64::MAX / 2 + key,
+                payload: KvOp::put(key, vec![0xEE; value_size]).encode(),
+                signature: Signature { e: 0, s: 0 },
+            })
+            .collect()
+    })
+}
 
 /// A fully wired single-partition WedgeChain deployment.
 pub struct SystemHarness {
@@ -450,29 +474,12 @@ impl SystemHarness {
 
     /// Preloads `n` sequential keys directly into the edge's log/index
     /// and the cloud's ledger, bypassing the network (setup for read
-    /// benchmarks). Keys are `0..n`, values `value_size` bytes, every
-    /// entry attributed to client 0.
+    /// benchmarks): [`preload_batches`] with the configured batch and
+    /// value size, every entry attributed to client 0.
     pub fn preload(&mut self, n: u64) {
         let edge_id = self.ids.edges[0].id;
         let client_id = self.ids.clients[0][0].id;
-        let batch = self.cfg.batch_size.max(1) as u64;
-        let value_size = self.cfg.value_size;
-
-        let mut key = 0u64;
-        let mut seq = u64::MAX / 2; // avoid colliding with workload seqs
-        while key < n {
-            let mut entries = Vec::with_capacity(batch as usize);
-            for _ in 0..batch.min(n - key) {
-                let op = KvOp::put(key, vec![0xEE; value_size]);
-                entries.push(wedge_log::Entry {
-                    client: client_id,
-                    sequence: seq,
-                    payload: op.encode(),
-                    signature: wedge_crypto::Signature { e: 0, s: 0 },
-                });
-                seq += 1;
-                key += 1;
-            }
+        for entries in preload_batches(n, self.cfg.batch_size, self.cfg.value_size, client_id) {
             // Seal at the edge.
             let (block, digest) = {
                 let edge = self.sim.actor_mut::<EdgeNode>(self.edge);

@@ -913,3 +913,77 @@ fn framed_certify_is_still_data_free() {
     let msg = WireMsg::BlockCertify { bid: BlockId(1), digest: d, signature: edge.sign(b"x") };
     assert!(msg.encode_frame().len() < 100, "digest-only certification on the wire");
 }
+
+/// Bit-flipped, truncated and spliced frames of every variant: each
+/// frame that still decodes is injected into a real-crypto deployment,
+/// at every engine a peer can reach, and the simulation stepped. No
+/// engine panics, none punishes the honest edge for a frame it did
+/// not send, and afterwards an honest put and get still round-trip.
+#[test]
+fn hostile_frames_at_the_engines_never_panic_or_wedge() {
+    use wedge_core::config::SystemConfig;
+    use wedge_core::harness::SystemHarness;
+    use wedge_core::messages::Msg;
+    use wedge_sim::SimDuration;
+
+    let mut rng = Rng::new(0xE61E);
+    let frames: Vec<Vec<u8>> =
+        (0..4).flat_map(|_| arb_all_variants(&mut rng)).map(|m| m.encode_frame()).collect();
+    let mut hostile: Vec<WireMsg> = Vec::new();
+    for (i, frame) in frames.iter().enumerate() {
+        let mut mutants = Vec::new();
+        for _ in 0..6 {
+            let mut bad = frame.clone();
+            let pos = rng.below(bad.len() as u64) as usize;
+            bad[pos] ^= 1 << rng.below(8);
+            mutants.push(bad);
+        }
+        mutants.push(frame[..rng.below(frame.len() as u64) as usize].to_vec());
+        for _ in 0..3 {
+            // This frame's kind and payload head on another frame's
+            // payload tail.
+            let other =
+                &frames[(i + 1 + rng.below(frames.len() as u64 - 1) as usize) % frames.len()];
+            let head = &frame[FRAME_HEADER_LEN..];
+            let tail = &other[FRAME_HEADER_LEN..];
+            let mut payload = head[..rng.below(head.len() as u64 + 1) as usize].to_vec();
+            payload.extend_from_slice(&tail[rng.below(tail.len() as u64 + 1) as usize..]);
+            mutants.push(wedge_log::Frame { kind: frame[FRAME_HEADER_LEN - 5], payload }.encode());
+        }
+        hostile.extend(mutants.iter().filter_map(|m| WireMsg::decode_frame(m).ok()));
+    }
+    assert!(hostile.len() >= 200, "only {} mutated frames decode", hostile.len());
+
+    // (sender, receiver, whether punishing the edge can be correct)
+    type Route = fn(&SystemHarness) -> (wedge_sim::ActorId, wedge_sim::ActorId, bool);
+    let routes: [(&str, Route); 4] = [
+        ("client to edge", |h| (h.clients[0], h.edge, false)),
+        ("edge to client", |h| (h.edge, h.clients[0], false)),
+        ("client to cloud", |h| (h.clients[0], h.cloud, false)),
+        // Impersonates the edge: a punishment may be earned.
+        ("edge to cloud", |h| (h.edge, h.cloud, true)),
+    ];
+    for (name, route) in routes {
+        let mut h = SystemHarness::wedgechain(SystemConfig::real_crypto());
+        h.put_certified(0, 1, b"before".to_vec());
+        let (from, to, may_punish) = route(&h);
+        for msg in &hostile {
+            h.sim.inject(from, to, Msg::Wire(msg.clone()));
+            let until = h.sim.now() + SimDuration::from_millis(100);
+            h.sim.run_until(until, 10_000);
+            assert!(
+                may_punish || h.cloud_node().punished.is_empty(),
+                "{name}: a hostile {} punished the honest edge",
+                msg.name()
+            );
+        }
+        if !h.cloud_node().punished.is_empty() {
+            continue;
+        }
+        let put = h.put_certified(0, 2, b"after".to_vec());
+        assert!(put.phase2_latency.is_some(), "{name}: the honest put is certified");
+        let got = h.get(0, 2);
+        assert_eq!(got.verify_error, None, "{name}: the honest get verifies");
+        assert_eq!(got.value.as_deref(), Some(b"after".as_ref()), "{name}");
+    }
+}

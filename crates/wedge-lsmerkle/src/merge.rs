@@ -52,6 +52,14 @@ pub struct MergeRequest {
 }
 
 impl MergeRequest {
+    /// Records shipped across every source and target page: what the
+    /// cloud's merge CPU is charged over.
+    pub fn records(&self) -> u64 {
+        let l0 = self.source_l0.iter().map(|p| p.records().len() as u64);
+        let pages = self.source_pages.iter().chain(&self.target_pages);
+        l0.chain(pages.map(|p| p.records().len() as u64)).sum()
+    }
+
     /// Bytes shipped edge→cloud for this merge. `u64`: a multi-GiB
     /// merge must not wrap the cost accounting in release builds.
     pub fn wire_size(&self) -> u64 {

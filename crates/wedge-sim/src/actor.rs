@@ -234,10 +234,9 @@ impl DeadlineTimer {
 
 /// A deterministic protocol state machine.
 ///
-/// Implementations must also expose themselves as `Any` so test and
-/// bench harnesses can inspect final state via
-/// [`crate::sim::Simulation::actor`].
-pub trait Actor<M>: 'static {
+/// Every actor is `Any`, so test and bench harnesses can inspect its
+/// concrete state via [`crate::sim::Simulation::actor`].
+pub trait Actor<M>: Any {
     /// Handles a message delivered from `from`.
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: ActorId, msg: M);
 
@@ -246,12 +245,6 @@ pub trait Actor<M>: 'static {
 
     /// Called once when the simulation starts, before any messages.
     fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}
-
-    /// Upcast for state inspection.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Upcast for state mutation.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Per-actor metadata tracked by the simulator.

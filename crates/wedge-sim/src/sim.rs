@@ -16,6 +16,7 @@ use crate::trace::{Trace, TraceEvent, TraceKind};
 
 /// Renders a short label for a traced message.
 type TraceLabeler<M> = fn(&M) -> String;
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -147,22 +148,15 @@ impl<M: 'static> Simulation<M> {
     /// # Panics
     /// Panics if the id is invalid or the type does not match.
     pub fn actor<T: 'static>(&self, id: ActorId) -> &T {
-        self.actors[id.0]
-            .as_ref()
-            .expect("actor is currently executing")
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("actor type mismatch")
+        let actor: &dyn Any = self.actors[id.0].as_deref().expect("actor is currently executing");
+        actor.downcast_ref::<T>().expect("actor type mismatch")
     }
 
     /// Mutable access to an actor's concrete state (for test setup).
     pub fn actor_mut<T: 'static>(&mut self, id: ActorId) -> &mut T {
-        self.actors[id.0]
-            .as_mut()
-            .expect("actor is currently executing")
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("actor type mismatch")
+        let actor: &mut dyn Any =
+            self.actors[id.0].as_deref_mut().expect("actor is currently executing");
+        actor.downcast_mut::<T>().expect("actor type mismatch")
     }
 
     /// Metadata (name, region) for an actor.
@@ -387,7 +381,6 @@ impl<M: 'static> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::any::Any;
 
     #[derive(Debug, Clone, PartialEq)]
     enum Msg {
@@ -408,12 +401,6 @@ mod tests {
                 ctx.use_cpu(SimDuration::from_millis(self.cpu_ms));
                 ctx.send(from, Msg::Pong(n + 1), 64);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -436,12 +423,6 @@ mod tests {
             if let Msg::Pong(n) = msg {
                 self.pongs.push((n, ctx.now()));
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -525,12 +506,6 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _id: TimerId, tag: u64) {
             self.fired.push((tag, ctx.now()));
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -582,7 +557,6 @@ mod tests {
 mod bg_lane_tests {
     use super::*;
     use crate::actor::{Actor, ActorId, Context};
-    use std::any::Any;
 
     #[derive(Debug, Clone, PartialEq)]
     enum M {
@@ -601,12 +575,6 @@ mod bg_lane_tests {
                 ctx.send_background(from, M::Done(n + 100), 16, SimDuration::from_millis(10));
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Collector {
@@ -618,12 +586,6 @@ mod bg_lane_tests {
             if let M::Done(n) = msg {
                 self.events.push((n, ctx.now()));
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -665,12 +627,6 @@ mod bg_lane_tests {
                     ctx.use_cpu_background(SimDuration::from_millis(20));
                     ctx.send_background(from, M::Done(n), 16, SimDuration::ZERO);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut sim: Simulation<M> = Simulation::new(NetConfig::default(), 1);
