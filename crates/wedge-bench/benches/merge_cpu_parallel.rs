@@ -34,7 +34,7 @@
 use std::sync::Arc;
 use wedge_bench::{banner, bench_with_setup, record, recorded_results, write_json};
 use wedge_crypto::{Identity, IdentityId, Signature};
-use wedge_log::{Block, BlockId, CertLedger, Decoder, Encoder, Entry};
+use wedge_log::{Block, BlockId, CertLedger, Decoder, Encoder, Entry, Wire};
 use wedge_lsmerkle::{CloudIndex, KvOp, L0Page, LsmConfig, MergeRequest};
 use wedge_pool::{thread_cpu_ns, Pool};
 

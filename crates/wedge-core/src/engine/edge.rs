@@ -1249,6 +1249,15 @@ mod tests {
         // resolves, and the engine-level nack round-trips recovery.
         index.evict_retained(engine.id());
         assert!(index.resolve_delta_request(&delta).is_err(), "evicted cache: typed error");
+        // While the delta is in flight, a nack addressed to another
+        // edge and one for a later epoch are both ignored.
+        let stray = IdentityId(engine.id().0 + 1);
+        for (edge, epoch) in [(stray, delta.epoch), (engine.id(), delta.epoch + 1)] {
+            let nack =
+                EdgeCommand::MergeReqResend { edge, source_level: delta.source_level, epoch };
+            assert!(engine.handle(nack, 65).is_empty(), "nack ({edge:?}, {epoch}) ignored");
+            assert_eq!(engine.stats.merge_req_resends, 0, "nack ({edge:?}, {epoch}) ignored");
+        }
         let effects = engine.handle(
             EdgeCommand::MergeReqResend {
                 edge: engine.id(),

@@ -24,7 +24,8 @@
 
 use wedge_crypto::{Digest, Identity, IdentityId, KeyRegistry, Signature};
 use wedge_log::{
-    decode_frame, Block, BlockId, BlockProof, DecodeError, Decoder, Encoder, Entry, GossipWatermark,
+    decode_frame, wire_struct, Block, BlockId, BlockProof, DecodeError, Decoder, Encoder, Entry,
+    GossipWatermark, Wire,
 };
 use wedge_lsmerkle::{
     DeltaMergeRequest, DeltaMergeResult, GlobalRootCert, IndexReadProof, Key, MergeRequest,
@@ -110,36 +111,17 @@ impl AddReceipt {
             &self.signature,
         )
     }
-
-    /// Exact byte length of [`AddReceipt::encode_into`]'s output.
-    pub const ENCODED_LEN: usize = 8 + 8 + 8 + 32 + 8 + 32 + 32;
-
-    /// Canonical nestable wire encoding: the signed fields plus the
-    /// signature.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.edge.0)
-            .put_u64(self.client.0)
-            .put_u64(self.req_id)
-            .put_digest(&self.entries_digest)
-            .put_u64(self.bid.0)
-            .put_digest(&self.block_digest)
-            .put_signature(&self.signature);
-    }
-
-    /// Inverse of [`AddReceipt::encode_into`]. The signature is *not*
-    /// verified here — decoding and trusting are separate steps.
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(AddReceipt {
-            edge: IdentityId(dec.get_u64()?),
-            client: IdentityId(dec.get_u64()?),
-            req_id: dec.get_u64()?,
-            entries_digest: dec.get_digest()?,
-            bid: BlockId(dec.get_u64()?),
-            block_digest: dec.get_digest()?,
-            signature: dec.get_signature()?,
-        })
-    }
 }
+
+wire_struct!(AddReceipt {
+    edge: IdentityId,
+    client: IdentityId,
+    req_id: u64,
+    entries_digest: Digest,
+    bid: BlockId,
+    block_digest: Digest,
+    signature: Signature,
+});
 
 /// A signed edge statement about a log read: either "block `bid` has
 /// digest `digest`" or "block `bid` is not available".
@@ -165,16 +147,7 @@ impl ReadReceipt {
         digest: &Option<Digest>,
     ) -> Vec<u8> {
         let mut enc = Encoder::with_tag_and_capacity("wedge-read-receipt-v1", 57);
-        enc.put_u64(edge.0).put_u64(client.0).put_u64(bid.0);
-        match digest {
-            Some(d) => {
-                enc.put_u8(1);
-                enc.put_digest(d);
-            }
-            None => {
-                enc.put_u8(0);
-            }
-        }
+        enc.put(&edge).put(&client).put(&bid).put(digest);
         enc.finish()
     }
 
@@ -197,34 +170,15 @@ impl ReadReceipt {
             &self.signature,
         )
     }
-
-    /// Exact byte length of [`ReadReceipt::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        8 + 8 + 8 + 1 + self.digest.as_ref().map_or(0, |_| 32) + 32
-    }
-
-    /// Canonical nestable wire encoding: the signed fields plus the
-    /// signature.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.edge.0).put_u64(self.client.0).put_u64(self.bid.0);
-        enc.put_option(self.digest.as_ref(), |e, d| {
-            e.put_digest(d);
-        });
-        enc.put_signature(&self.signature);
-    }
-
-    /// Inverse of [`ReadReceipt::encode_into`]. The signature is *not*
-    /// verified here.
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ReadReceipt {
-            edge: IdentityId(dec.get_u64()?),
-            client: IdentityId(dec.get_u64()?),
-            bid: BlockId(dec.get_u64()?),
-            digest: dec.get_option(|d| d.get_digest())?,
-            signature: dec.get_signature()?,
-        })
-    }
 }
+
+wire_struct!(ReadReceipt {
+    edge: IdentityId,
+    client: IdentityId,
+    bid: BlockId,
+    digest: Option<Digest>,
+    signature: Signature,
+});
 
 /// A client dispute: evidence that the edge may have lied.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -248,47 +202,33 @@ pub enum Dispute {
     },
 }
 
-impl Dispute {
-    /// Exact byte length of [`Dispute::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        1 + match self {
-            Dispute::MissingCertification { .. } => AddReceipt::ENCODED_LEN,
-            Dispute::WrongRead { receipt } => receipt.encoded_len(),
-            Dispute::Omission { receipt, .. } => {
-                receipt.encoded_len() + GossipWatermark::ENCODED_LEN
+/// A variant tag byte, then the evidence. Evidence signatures are
+/// *not* verified here — the cloud's dispute handler does that.
+impl Wire for Dispute {
+    /// The smallest dispute is a wrong read with a denial.
+    const MIN_LEN: usize = u8::MIN_LEN + ReadReceipt::MIN_LEN;
+    fn encoded_len(&self) -> usize {
+        u8::MIN_LEN
+            + match self {
+                Dispute::MissingCertification { receipt } => receipt.encoded_len(),
+                Dispute::WrongRead { receipt } => receipt.encoded_len(),
+                Dispute::Omission { receipt, watermark } => {
+                    receipt.encoded_len() + watermark.encoded_len()
+                }
             }
-        }
     }
-
-    /// Canonical nestable wire encoding (variant tag + evidence).
-    pub fn encode_into(&self, enc: &mut Encoder) {
+    fn encode_into(&self, enc: &mut Encoder) {
         match self {
-            Dispute::MissingCertification { receipt } => {
-                enc.put_u8(0);
-                receipt.encode_into(enc);
-            }
-            Dispute::WrongRead { receipt } => {
-                enc.put_u8(1);
-                receipt.encode_into(enc);
-            }
-            Dispute::Omission { receipt, watermark } => {
-                enc.put_u8(2);
-                receipt.encode_into(enc);
-                watermark.encode_into(enc);
-            }
-        }
+            Dispute::MissingCertification { receipt } => enc.put_u8(0).put(receipt),
+            Dispute::WrongRead { receipt } => enc.put_u8(1).put(receipt),
+            Dispute::Omission { receipt, watermark } => enc.put_u8(2).put(receipt).put(watermark),
+        };
     }
-
-    /// Inverse of [`Dispute::encode_into`]. Evidence signatures are
-    /// *not* verified here — the cloud's dispute handler does that.
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(match dec.get_u8()? {
-            0 => Dispute::MissingCertification { receipt: AddReceipt::decode_from(dec)? },
-            1 => Dispute::WrongRead { receipt: ReadReceipt::decode_from(dec)? },
-            2 => Dispute::Omission {
-                receipt: ReadReceipt::decode_from(dec)?,
-                watermark: GossipWatermark::decode_from(dec)?,
-            },
+            0 => Dispute::MissingCertification { receipt: dec.get()? },
+            1 => Dispute::WrongRead { receipt: dec.get()? },
+            2 => Dispute::Omission { receipt: dec.get()?, watermark: dec.get()? },
             _ => return Err(DecodeError::Malformed("dispute variant tag")),
         })
     }
@@ -308,35 +248,32 @@ pub enum DisputeVerdict {
     Dismissed,
 }
 
-impl DisputeVerdict {
-    /// Exact byte length of [`DisputeVerdict::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            DisputeVerdict::EdgePunished { grounds, .. } => 1 + 8 + 8 + grounds.len(),
-            DisputeVerdict::Dismissed => 1,
-        }
-    }
-
-    /// Canonical nestable wire encoding.
-    pub fn encode_into(&self, enc: &mut Encoder) {
+/// A variant tag byte; a punishment adds the edge and the grounds as
+/// a UTF-8 byte string.
+impl Wire for DisputeVerdict {
+    /// A dismissal is the tag alone.
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn encoded_len(&self) -> usize {
         match self {
             DisputeVerdict::EdgePunished { edge, grounds } => {
-                enc.put_u8(1);
-                enc.put_u64(edge.0);
-                enc.put_bytes(grounds.as_bytes());
+                u8::MIN_LEN + edge.encoded_len() + u64::MIN_LEN + grounds.len()
             }
-            DisputeVerdict::Dismissed => {
-                enc.put_u8(0);
-            }
+            DisputeVerdict::Dismissed => u8::MIN_LEN,
         }
     }
-
-    /// Inverse of [`DisputeVerdict::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    fn encode_into(&self, enc: &mut Encoder) {
+        match self {
+            DisputeVerdict::EdgePunished { edge, grounds } => {
+                enc.put_u8(1).put(edge).put_bytes(grounds.as_bytes())
+            }
+            DisputeVerdict::Dismissed => enc.put_u8(0),
+        };
+    }
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(match dec.get_u8()? {
             0 => DisputeVerdict::Dismissed,
             1 => {
-                let edge = IdentityId(dec.get_u64()?);
+                let edge = dec.get()?;
                 let grounds = String::from_utf8(dec.get_bytes()?.to_vec())
                     .map_err(|_| DecodeError::Malformed("verdict grounds utf-8"))?;
                 DisputeVerdict::EdgePunished { edge, grounds }
@@ -426,7 +363,7 @@ pub enum WireMsg {
         bid: BlockId,
     },
     /// A re-signed global root with a fresh timestamp (§V-D freshness).
-    GlobalRefresh(wedge_lsmerkle::GlobalRootCert),
+    GlobalRefresh(GlobalRootCert),
     // ---- client ↔ cloud ----
     /// A dispute with evidence.
     DisputeMsg(Box<Dispute>),
@@ -561,30 +498,27 @@ impl WireMsg {
     /// variant.
     pub fn encoded_len(&self) -> usize {
         match self {
-            WireMsg::BatchAdd { entries, .. } => {
-                8 + 8 + entries.iter().map(|e| e.encoded_len()).sum::<usize>()
-            }
-            WireMsg::LogRead { .. } => 8,
-            WireMsg::Get { .. } => 16,
-            WireMsg::AddResponse { .. } => AddReceipt::ENCODED_LEN,
+            WireMsg::BatchAdd { req_id, entries } => req_id.encoded_len() + entries.encoded_len(),
+            WireMsg::LogRead { bid } | WireMsg::CertRejected { bid } => bid.encoded_len(),
+            WireMsg::Get { req_id, key } => req_id.encoded_len() + key.encoded_len(),
+            WireMsg::AddResponse { receipt } => receipt.encoded_len(),
             WireMsg::LogReadResponse { receipt, block, proof } => {
-                receipt.encoded_len()
-                    + 1
-                    + block.as_ref().map_or(0, |b| 8 + b.canonical_len())
-                    + 1
-                    + proof.as_ref().map_or(0, |_| BlockProof::ENCODED_LEN)
+                receipt.encoded_len() + block.encoded_len() + proof.encoded_len()
             }
-            WireMsg::GetResponse { proof, .. } => 8 + proof.encoded_len(),
-            WireMsg::BlockProofForward(_) | WireMsg::BlockProofMsg(_) => BlockProof::ENCODED_LEN,
-            WireMsg::GossipForward(_) | WireMsg::Gossip(_) => GossipWatermark::ENCODED_LEN,
-            WireMsg::BlockCertify { .. } => 8 + 32 + 32,
+            WireMsg::GetResponse { req_id, proof } => req_id.encoded_len() + proof.encoded_len(),
+            WireMsg::BlockProofForward(p) | WireMsg::BlockProofMsg(p) => p.encoded_len(),
+            WireMsg::GossipForward(wm) | WireMsg::Gossip(wm) => wm.encoded_len(),
+            WireMsg::BlockCertify { bid, digest, signature } => {
+                bid.encoded_len() + digest.encoded_len() + signature.encoded_len()
+            }
             WireMsg::MergeReq(r) => r.encoded_len(),
             WireMsg::MergeRes(r) => r.encoded_len(),
             WireMsg::MergeResDelta(d) => d.encoded_len(),
             WireMsg::MergeReqDelta(d) => d.encoded_len(),
-            WireMsg::MergeReqResend { .. } => 8 + 4 + 8,
-            WireMsg::CertRejected { .. } => 8,
-            WireMsg::GlobalRefresh(_) => GlobalRootCert::ENCODED_LEN,
+            WireMsg::MergeReqResend { edge, source_level, epoch } => {
+                edge.encoded_len() + source_level.encoded_len() + epoch.encoded_len()
+            }
+            WireMsg::GlobalRefresh(cert) => cert.encoded_len(),
             WireMsg::DisputeMsg(d) => d.encoded_len(),
             WireMsg::VerdictMsg(v) => v.encoded_len(),
         }
@@ -613,50 +547,30 @@ impl WireMsg {
 
     fn encode_payload_body(&self, enc: &mut Encoder) {
         match self {
-            WireMsg::BatchAdd { req_id, entries } => {
-                enc.put_u64(*req_id);
-                enc.put_u64(entries.len() as u64);
-                for e in entries {
-                    e.encode(enc);
-                }
-            }
-            WireMsg::LogRead { bid } => {
-                enc.put_u64(bid.0);
-            }
-            WireMsg::Get { req_id, key } => {
-                enc.put_u64(*req_id).put_u64(*key);
-            }
-            WireMsg::AddResponse { receipt } => receipt.encode_into(enc),
+            WireMsg::BatchAdd { req_id, entries } => enc.put(req_id).put(entries),
+            WireMsg::LogRead { bid } | WireMsg::CertRejected { bid } => enc.put(bid),
+            WireMsg::Get { req_id, key } => enc.put(req_id).put(key),
+            WireMsg::AddResponse { receipt } => enc.put(receipt),
             WireMsg::LogReadResponse { receipt, block, proof } => {
-                receipt.encode_into(enc);
-                enc.put_option(block.as_ref(), |e, b| {
-                    e.put_bytes(&b.canonical_bytes());
-                });
-                enc.put_option(proof.as_ref(), |e, p| p.encode_into(e));
+                enc.put(receipt).put(block).put(proof)
             }
-            WireMsg::GetResponse { req_id, proof } => {
-                enc.put_u64(*req_id);
-                proof.encode_into(enc);
-            }
-            WireMsg::BlockProofForward(p) | WireMsg::BlockProofMsg(p) => p.encode_into(enc),
-            WireMsg::GossipForward(wm) | WireMsg::Gossip(wm) => wm.encode_into(enc),
+            WireMsg::GetResponse { req_id, proof } => enc.put(req_id).put(proof),
+            WireMsg::BlockProofForward(p) | WireMsg::BlockProofMsg(p) => enc.put(p),
+            WireMsg::GossipForward(wm) | WireMsg::Gossip(wm) => enc.put(wm),
             WireMsg::BlockCertify { bid, digest, signature } => {
-                enc.put_u64(bid.0).put_digest(digest).put_signature(signature);
+                enc.put(bid).put(digest).put(signature)
             }
-            WireMsg::MergeReq(r) => r.encode_into(enc),
-            WireMsg::MergeRes(r) => r.encode_into(enc),
-            WireMsg::MergeResDelta(d) => d.encode_into(enc),
-            WireMsg::MergeReqDelta(d) => d.encode_into(enc),
+            WireMsg::MergeReq(r) => enc.put(r),
+            WireMsg::MergeRes(r) => enc.put(r),
+            WireMsg::MergeResDelta(d) => enc.put(d),
+            WireMsg::MergeReqDelta(d) => enc.put(d),
             WireMsg::MergeReqResend { edge, source_level, epoch } => {
-                enc.put_u64(edge.0).put_u32(*source_level).put_u64(*epoch);
+                enc.put(edge).put(source_level).put(epoch)
             }
-            WireMsg::CertRejected { bid } => {
-                enc.put_u64(bid.0);
-            }
-            WireMsg::GlobalRefresh(cert) => cert.encode_into(enc),
-            WireMsg::DisputeMsg(d) => d.encode_into(enc),
-            WireMsg::VerdictMsg(v) => v.encode_into(enc),
-        }
+            WireMsg::GlobalRefresh(cert) => enc.put(cert),
+            WireMsg::DisputeMsg(d) => enc.put(d),
+            WireMsg::VerdictMsg(v) => enc.put(v),
+        };
     }
 
     /// Decodes a payload routed by `kind`, requiring every byte to be
@@ -664,54 +578,30 @@ impl WireMsg {
     /// [`DecodeError`], never a panic.
     pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<WireMsg, DecodeError> {
         let mut dec = Decoder::new(payload);
+        let d = &mut dec;
         let msg = match kind {
-            1 => {
-                let req_id = dec.get_u64()?;
-                // Each entry is ≥ 48 bytes on the wire; an absurd
-                // count fails before pre-allocating hostile capacity.
-                let count = dec.get_count(48)?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push(Entry::decode(&mut dec)?);
-                }
-                WireMsg::BatchAdd { req_id, entries }
+            1 => WireMsg::BatchAdd { req_id: d.get()?, entries: d.get()? },
+            2 => WireMsg::LogRead { bid: d.get()? },
+            3 => WireMsg::Get { req_id: d.get()?, key: d.get()? },
+            4 => WireMsg::AddResponse { receipt: d.get()? },
+            5 => WireMsg::LogReadResponse { receipt: d.get()?, block: d.get()?, proof: d.get()? },
+            6 => WireMsg::GetResponse { req_id: d.get()?, proof: d.get()? },
+            7 => WireMsg::BlockProofForward(d.get()?),
+            8 => WireMsg::GossipForward(d.get()?),
+            9 => WireMsg::BlockCertify { bid: d.get()?, digest: d.get()?, signature: d.get()? },
+            10 => WireMsg::MergeReq(d.get()?),
+            11 => WireMsg::BlockProofMsg(d.get()?),
+            12 => WireMsg::MergeRes(d.get()?),
+            13 => WireMsg::CertRejected { bid: d.get()? },
+            14 => WireMsg::GlobalRefresh(d.get()?),
+            15 => WireMsg::DisputeMsg(d.get()?),
+            16 => WireMsg::VerdictMsg(d.get()?),
+            17 => WireMsg::Gossip(d.get()?),
+            18 => WireMsg::MergeResDelta(d.get()?),
+            19 => WireMsg::MergeReqDelta(d.get()?),
+            20 => {
+                WireMsg::MergeReqResend { edge: d.get()?, source_level: d.get()?, epoch: d.get()? }
             }
-            2 => WireMsg::LogRead { bid: BlockId(dec.get_u64()?) },
-            3 => WireMsg::Get { req_id: dec.get_u64()?, key: dec.get_u64()? },
-            4 => WireMsg::AddResponse { receipt: AddReceipt::decode_from(&mut dec)? },
-            5 => {
-                let receipt = ReadReceipt::decode_from(&mut dec)?;
-                let block = dec.get_option(|d| Block::decode(d.get_bytes()?))?;
-                let proof = dec.get_option(BlockProof::decode_from)?;
-                WireMsg::LogReadResponse { receipt, block, proof }
-            }
-            6 => {
-                let req_id = dec.get_u64()?;
-                let proof = Box::new(IndexReadProof::decode_from(&mut dec)?);
-                WireMsg::GetResponse { req_id, proof }
-            }
-            7 => WireMsg::BlockProofForward(BlockProof::decode_from(&mut dec)?),
-            8 => WireMsg::GossipForward(GossipWatermark::decode_from(&mut dec)?),
-            9 => WireMsg::BlockCertify {
-                bid: BlockId(dec.get_u64()?),
-                digest: dec.get_digest()?,
-                signature: dec.get_signature()?,
-            },
-            10 => WireMsg::MergeReq(Box::new(MergeRequest::decode_from(&mut dec)?)),
-            11 => WireMsg::BlockProofMsg(BlockProof::decode_from(&mut dec)?),
-            12 => WireMsg::MergeRes(Box::new(MergeResult::decode_from(&mut dec)?)),
-            13 => WireMsg::CertRejected { bid: BlockId(dec.get_u64()?) },
-            14 => WireMsg::GlobalRefresh(GlobalRootCert::decode_from(&mut dec)?),
-            15 => WireMsg::DisputeMsg(Box::new(Dispute::decode_from(&mut dec)?)),
-            16 => WireMsg::VerdictMsg(DisputeVerdict::decode_from(&mut dec)?),
-            17 => WireMsg::Gossip(GossipWatermark::decode_from(&mut dec)?),
-            18 => WireMsg::MergeResDelta(Box::new(DeltaMergeResult::decode_from(&mut dec)?)),
-            19 => WireMsg::MergeReqDelta(Box::new(DeltaMergeRequest::decode_from(&mut dec)?)),
-            20 => WireMsg::MergeReqResend {
-                edge: IdentityId(dec.get_u64()?),
-                source_level: dec.get_u32()?,
-                epoch: dec.get_u64()?,
-            },
             _ => return Err(DecodeError::Malformed("unknown message kind")),
         };
         dec.finish()?;

@@ -12,15 +12,21 @@
 //! on the wire is unrepresentable by construction, which is the
 //! type-level guarantee this suite rides on.
 //!
+//! Below the frames, every [`Wire`] type passes one generic
+//! conformance check, and a completeness guard fails when a `Wire`
+//! impl in `crates/*/src` has no conformance case.
+//!
 //! No third-party crates are available in the build environment, so
 //! each property runs over deterministic SplitMix64-generated case
 //! streams (matching `wedge-log/tests/wire_roundtrip.rs`).
 
+use std::fmt::Debug;
 use std::sync::Arc;
 use wedge_core::messages::{AddReceipt, Dispute, DisputeVerdict, ReadReceipt, WireMsg};
 use wedge_crypto::{sha256, Digest, Identity, IdentityId, InclusionProof, Signature};
 use wedge_log::{
-    Block, BlockId, BlockProof, DecodeError, Entry, GossipWatermark, FRAME_HEADER_LEN,
+    Block, BlockId, BlockProof, DecodeError, Decoder, Encoder, Entry, GossipWatermark, Wire,
+    FRAME_HEADER_LEN,
 };
 use wedge_lsmerkle::{
     DeltaMergeRequest, DeltaMergeResult, GlobalRootCert, IndexReadProof, KvRecord, L0Page,
@@ -355,6 +361,480 @@ fn all_20_variants_covered() {
     kinds.sort_unstable();
     kinds.dedup();
     assert_eq!(kinds, (1..=20).collect::<Vec<u8>>(), "one instance per variant, no gaps");
+}
+
+// --- one conformance check for every `Wire` type ---
+
+/// How one type is put on the wire and read back: a `Wire` impl, or a
+/// byte form that is not one (a block's canonical bytes, a message
+/// payload routed by its kind).
+struct Codec<T> {
+    encode: fn(&T) -> Vec<u8>,
+    /// Decodes a whole input, requiring every byte to be consumed.
+    decode: Decode<T>,
+    encoded_len: fn(&T) -> usize,
+    min_len: usize,
+}
+
+type Decode<T> = fn(&[u8]) -> Result<T, DecodeError>;
+
+fn wire<T: Wire>() -> Codec<T> {
+    Codec {
+        encode: |v| {
+            let mut enc = Encoder::default();
+            v.encode_into(&mut enc);
+            enc.finish()
+        },
+        decode: |bytes| {
+            let mut dec = Decoder::new(bytes);
+            let v = T::decode_from(&mut dec)?;
+            dec.finish()?;
+            Ok(v)
+        },
+        encoded_len: T::encoded_len,
+        min_len: T::MIN_LEN,
+    }
+}
+
+/// The conformance check. For arbitrary values, `smallest` and every
+/// value of `grown`: decode∘encode is the identity on values and on
+/// bytes, `encoded_len` is the byte count, and every strict prefix is
+/// an error. `smallest` encodes to exactly `min_len`. Each value of
+/// `grown` is `smallest` with one smallest element in one `Vec` field:
+/// at that field, a count one past what the remaining input could hold
+/// at the element's minimum size is `BadLength`, and a count that fits
+/// is not.
+fn conform<T: PartialEq + Debug>(
+    name: &str,
+    codec: &Codec<T>,
+    arb: impl Fn(&mut Rng) -> T,
+    smallest: T,
+    grown: Vec<T>,
+) {
+    let base = (codec.encode)(&smallest);
+    assert_eq!(base.len(), codec.min_len, "{name}: the smallest value encodes to MIN_LEN");
+    for (i, more) in grown.iter().map(|g| (codec.encode)(g)).enumerate() {
+        // The grown field's count goes from 0 to 1: only its last byte
+        // differs, and one smallest element follows it.
+        let first_diff = base.iter().zip(&more).position(|(a, b)| a != b);
+        let at = first_diff.unwrap_or_else(|| panic!("{name} grown {i}: encoding unchanged")) - 7;
+        assert_eq!(base[at..at + 8], 0u64.to_be_bytes(), "{name} grown {i}: count 0");
+        assert_eq!(more[at..at + 8], 1u64.to_be_bytes(), "{name} grown {i}: count 1");
+        let elem = &more[at + 8..][..more.len() - base.len()];
+        const K: u64 = 64;
+        let decoded_with_count = |count: u64| {
+            let mut bytes = base[..at].to_vec();
+            bytes.extend_from_slice(&count.to_be_bytes());
+            for _ in 0..K {
+                bytes.extend_from_slice(elem);
+            }
+            (codec.decode)(&bytes).err()
+        };
+        assert_ne!(decoded_with_count(K), Some(DecodeError::BadLength), "{name} grown {i}: fits");
+        assert_eq!(
+            decoded_with_count(K + 1),
+            Some(DecodeError::BadLength),
+            "{name} grown {i}: a count past the remaining input"
+        );
+    }
+    let arbitrary = (0..16u64).map(|case| arb(&mut Rng::new(0xC0F0 ^ case)));
+    for (i, v) in arbitrary.chain(std::iter::once(smallest)).chain(grown).enumerate() {
+        let bytes = (codec.encode)(&v);
+        assert_eq!(bytes.len(), (codec.encoded_len)(&v), "{name} value {i}: encoded_len");
+        let back = (codec.decode)(&bytes).unwrap_or_else(|e| panic!("{name} value {i}: {e}"));
+        assert_eq!(back, v, "{name} value {i}: round-trips");
+        assert_eq!((codec.encode)(&back), bytes, "{name} value {i}: bytes stable");
+        for cut in 0..bytes.len() {
+            assert!((codec.decode)(&bytes[..cut]).is_err(), "{name} value {i}: cut at {cut}");
+        }
+    }
+}
+
+/// Runs [`conform`] over a `Wire` type.
+fn conform_wire<T: Wire + PartialEq + Debug>(
+    name: &str,
+    arb: impl Fn(&mut Rng) -> T,
+    smallest: T,
+    grown: Vec<T>,
+) {
+    conform(name, &wire::<T>(), arb, smallest, grown);
+}
+
+const SIG0: Signature = Signature { e: 0, s: 0 };
+
+fn entry0() -> Entry {
+    Entry { client: IdentityId(0), sequence: 0, payload: vec![], signature: SIG0 }
+}
+
+fn block0() -> Block {
+    Block { edge: IdentityId(0), id: BlockId(0), entries: vec![], sealed_at_ns: 0 }
+}
+
+fn page0() -> Page {
+    Page::new(0, 0, vec![], 0)
+}
+
+fn record0() -> KvRecord {
+    KvRecord { key: 0, version: Version { bid: 0, pos: 0 }, value: None }
+}
+
+fn read_receipt0() -> ReadReceipt {
+    ReadReceipt {
+        edge: IdentityId(0),
+        client: IdentityId(0),
+        bid: BlockId(0),
+        digest: None,
+        signature: SIG0,
+    }
+}
+
+fn level_root0() -> SignedLevelRoot {
+    SignedLevelRoot { edge: IdentityId(0), level: 0, epoch: 0, root: Digest::ZERO, signature: SIG0 }
+}
+
+fn global0() -> GlobalRootCert {
+    GlobalRootCert {
+        edge: IdentityId(0),
+        epoch: 0,
+        timestamp_ns: 0,
+        root: Digest::ZERO,
+        signature: SIG0,
+    }
+}
+
+fn inclusion0() -> InclusionProof {
+    InclusionProof { leaf_index: 0, siblings: vec![] }
+}
+
+fn l0_witness0() -> L0Witness {
+    L0Witness { page: Arc::new(L0Page::from_block(block0())), proof: None }
+}
+
+fn level_witness0() -> LevelWitness {
+    LevelWitness { level: 0, page: Arc::new(page0()), inclusion: inclusion0() }
+}
+
+fn read_proof0() -> IndexReadProof {
+    IndexReadProof {
+        edge: IdentityId(0),
+        key: 0,
+        outcome: None,
+        l0: vec![],
+        witnesses: vec![],
+        level_roots: vec![],
+        global: global0(),
+    }
+}
+
+fn merge_request0() -> MergeRequest {
+    MergeRequest {
+        edge: IdentityId(0),
+        source_level: 0,
+        source_l0: vec![],
+        source_pages: vec![],
+        target_pages: vec![],
+        epoch: 0,
+    }
+}
+
+fn merge_result0() -> MergeResult {
+    MergeResult {
+        edge: IdentityId(0),
+        source_level: 0,
+        new_target_pages: vec![],
+        new_source_root: None,
+        new_target_root: level_root0(),
+        all_level_roots: vec![],
+        global: global0(),
+        new_epoch: 0,
+    }
+}
+
+fn delta_result0() -> DeltaMergeResult {
+    DeltaMergeResult {
+        request_fp: Digest::ZERO,
+        edge: IdentityId(0),
+        source_level: 0,
+        pages: vec![],
+        new_source_root: None,
+        new_target_root: level_root0(),
+        all_level_roots: vec![],
+        global: global0(),
+        new_epoch: 0,
+    }
+}
+
+fn delta_request0() -> DeltaMergeRequest {
+    DeltaMergeRequest {
+        edge: IdentityId(0),
+        source_level: 0,
+        epoch: 0,
+        retention: vec![],
+        source_l0: vec![],
+        source_pages: vec![],
+        target_pages: vec![],
+    }
+}
+
+const RETAINED0: ReqPageSlot = ReqPageSlot::Retained { level: 1, index: 0 };
+
+/// One conformance case per type that implements `Wire`, named as the
+/// type appears after `Wire for` (generic arguments dropped).
+/// `every_wire_impl_has_a_conformance_case` holds this list to the
+/// impls in the source.
+fn wire_cases() -> Vec<(&'static str, fn())> {
+    vec![
+        ("u8", || conform_wire("u8", |r| r.next() as u8, 0u8, vec![])),
+        ("u32", || conform_wire("u32", |r| r.next() as u32, 0u32, vec![])),
+        ("u64", || conform_wire("u64", Rng::next, 0u64, vec![])),
+        ("u128", || conform_wire("u128", |r| (r.next() as u128) << 64 | 1, 0u128, vec![])),
+        ("Digest", || conform_wire("Digest", Rng::digest, Digest::ZERO, vec![])),
+        ("Signature", || conform_wire("Signature", Rng::sig, SIG0, vec![])),
+        ("IdentityId", || {
+            conform_wire("IdentityId", |r| IdentityId(r.next()), IdentityId(0), vec![])
+        }),
+        ("BlockId", || conform_wire("BlockId", |r| BlockId(r.next()), BlockId(0), vec![])),
+        ("InclusionProof", || {
+            let grown = InclusionProof { siblings: vec![Digest::ZERO], ..inclusion0() };
+            let arb = |r: &mut Rng| InclusionProof {
+                leaf_index: r.below(1 << 20) as usize,
+                siblings: (0..r.below(5)).map(|_| r.digest()).collect(),
+            };
+            conform_wire("InclusionProof", arb, inclusion0(), vec![grown]);
+        }),
+        ("Option", || {
+            let arb = |r: &mut Rng| if r.below(2) == 0 { Some(r.digest()) } else { None };
+            conform_wire("Option<Digest>", arb, None, vec![]);
+        }),
+        ("Vec", || {
+            let arb = |r: &mut Rng| {
+                let len = r.below(40) as usize;
+                r.bytes(len)
+            };
+            conform_wire("Vec<u8>", arb, vec![], vec![vec![0u8]]);
+            let arb = |r: &mut Rng| (0..r.below(5)).map(|_| r.digest()).collect::<Vec<_>>();
+            conform_wire("Vec<Digest>", arb, vec![], vec![vec![Digest::ZERO]]);
+        }),
+        ("Arc", || conform_wire("Arc<Page>", arb_page, Arc::new(page0()), vec![])),
+        ("Box", || {
+            let arb = |r: &mut Rng| Box::new(arb_index_read_proof(r));
+            conform_wire("Box<IndexReadProof>", arb, Box::new(read_proof0()), vec![]);
+        }),
+        ("(A, B)", || {
+            let arb = |r: &mut Rng| (r.next() as u32, r.digest());
+            conform_wire("(u32, Digest)", arb, (0u32, Digest::ZERO), vec![]);
+        }),
+        ("Entry", || {
+            let grown = Entry { payload: vec![0], ..entry0() };
+            conform_wire("Entry", arb_entry, entry0(), vec![grown]);
+        }),
+        ("Block", || {
+            conform_wire("Block", arb_block, block0(), vec![]);
+            // The entry count sits inside the length prefix: probe it
+            // on the canonical bytes the prefix wraps.
+            let canonical = Codec {
+                encode: Block::canonical_bytes,
+                decode: Block::decode,
+                encoded_len: Block::canonical_len,
+                min_len: Block::MIN_LEN - 8,
+            };
+            let grown = Block { entries: vec![entry0()], ..block0() };
+            conform("Block canonical bytes", &canonical, arb_block, block0(), vec![grown]);
+        }),
+        ("BlockProof", || {
+            let smallest = BlockProof {
+                edge: IdentityId(0),
+                bid: BlockId(0),
+                digest: Digest::ZERO,
+                signature: SIG0,
+            };
+            conform_wire("BlockProof", arb_block_proof, smallest, vec![]);
+        }),
+        ("GossipWatermark", || {
+            let smallest = GossipWatermark {
+                edge: IdentityId(0),
+                timestamp_ns: 0,
+                log_len: 0,
+                signature: SIG0,
+            };
+            conform_wire("GossipWatermark", arb_watermark, smallest, vec![]);
+        }),
+        ("Version", || {
+            let arb = |r: &mut Rng| Version { bid: r.next(), pos: r.next() as u32 };
+            conform_wire("Version", arb, Version { bid: 0, pos: 0 }, vec![]);
+        }),
+        ("KvRecord", || {
+            let arb = |r: &mut Rng| arb_records(r, 1).remove(0);
+            conform_wire("KvRecord", arb, record0(), vec![]);
+        }),
+        ("Page", || {
+            let grown = Page::new(0, 0, vec![record0()], 0);
+            conform_wire("Page", |r| (*arb_page(r)).clone(), page0(), vec![grown]);
+        }),
+        ("L0Page", || {
+            let arb = |r: &mut Rng| (*arb_l0_page(r)).clone();
+            conform_wire("L0Page", arb, L0Page::from_block(block0()), vec![]);
+        }),
+        ("SignedLevelRoot", || {
+            conform_wire("SignedLevelRoot", arb_level_root, level_root0(), vec![])
+        }),
+        ("GlobalRootCert", || conform_wire("GlobalRootCert", arb_global, global0(), vec![])),
+        ("L0Witness", || {
+            let arb = |r: &mut Rng| arb_index_read_proof(r).l0.pop().unwrap_or_else(l0_witness0);
+            conform_wire("L0Witness", arb, l0_witness0(), vec![]);
+        }),
+        ("LevelWitness", || {
+            let arb = |r: &mut Rng| {
+                arb_index_read_proof(r).witnesses.pop().unwrap_or_else(level_witness0)
+            };
+            conform_wire("LevelWitness", arb, level_witness0(), vec![]);
+        }),
+        ("IndexReadProof", || {
+            let grown = vec![
+                IndexReadProof { l0: vec![l0_witness0()], ..read_proof0() },
+                IndexReadProof { witnesses: vec![level_witness0()], ..read_proof0() },
+                IndexReadProof { level_roots: vec![Digest::ZERO], ..read_proof0() },
+            ];
+            conform_wire("IndexReadProof", arb_index_read_proof, read_proof0(), grown);
+        }),
+        ("MergeRequest", || {
+            let grown = vec![
+                MergeRequest { source_l0: vec![l0_witness0().page], ..merge_request0() },
+                MergeRequest { source_pages: vec![Arc::new(page0())], ..merge_request0() },
+                MergeRequest { target_pages: vec![Arc::new(page0())], ..merge_request0() },
+            ];
+            conform_wire("MergeRequest", arb_merge_request, merge_request0(), grown);
+        }),
+        ("MergeResult", || {
+            let grown = vec![
+                MergeResult { new_target_pages: vec![Arc::new(page0())], ..merge_result0() },
+                MergeResult { all_level_roots: vec![Digest::ZERO], ..merge_result0() },
+            ];
+            conform_wire("MergeResult", arb_merge_result, merge_result0(), grown);
+        }),
+        ("PageDelta", || {
+            let arb =
+                |r: &mut Rng| arb_delta_merge_result(r).pages.pop().unwrap_or(PageDelta::Reused(7));
+            conform_wire("PageDelta", arb, PageDelta::Reused(0), vec![]);
+        }),
+        ("DeltaMergeResult", || {
+            let grown = vec![
+                DeltaMergeResult { pages: vec![PageDelta::Reused(0)], ..delta_result0() },
+                DeltaMergeResult { all_level_roots: vec![Digest::ZERO], ..delta_result0() },
+            ];
+            conform_wire("DeltaMergeResult", arb_delta_merge_result, delta_result0(), grown);
+        }),
+        ("ReqPageSlot", || conform_wire("ReqPageSlot", arb_req_slot, RETAINED0, vec![])),
+        ("DeltaMergeRequest", || {
+            let grown = vec![
+                DeltaMergeRequest { retention: vec![(0, Digest::ZERO)], ..delta_request0() },
+                DeltaMergeRequest { source_l0: vec![l0_witness0().page], ..delta_request0() },
+                DeltaMergeRequest { source_pages: vec![RETAINED0], ..delta_request0() },
+                DeltaMergeRequest { target_pages: vec![RETAINED0], ..delta_request0() },
+            ];
+            conform_wire("DeltaMergeRequest", arb_delta_merge_request, delta_request0(), grown);
+        }),
+        ("AddReceipt", || {
+            let smallest = AddReceipt {
+                edge: IdentityId(0),
+                client: IdentityId(0),
+                req_id: 0,
+                entries_digest: Digest::ZERO,
+                bid: BlockId(0),
+                block_digest: Digest::ZERO,
+                signature: SIG0,
+            };
+            conform_wire("AddReceipt", arb_add_receipt, smallest, vec![]);
+        }),
+        ("ReadReceipt", || conform_wire("ReadReceipt", arb_read_receipt, read_receipt0(), vec![])),
+        ("Dispute", || {
+            let smallest = Dispute::WrongRead { receipt: read_receipt0() };
+            conform_wire("Dispute", arb_dispute, smallest, vec![]);
+        }),
+        ("DisputeVerdict", || {
+            conform_wire("DisputeVerdict", arb_verdict, DisputeVerdict::Dismissed, vec![])
+        }),
+    ]
+}
+
+#[test]
+fn every_wire_type_conforms() {
+    for (_, case) in wire_cases() {
+        case();
+    }
+}
+
+/// The one message payload with a `Vec` field of its own: a batch's
+/// entry count is bounded by the smallest entry.
+#[test]
+fn batch_add_payload_conforms() {
+    let codec = Codec {
+        encode: WireMsg::encode_payload,
+        decode: |bytes| WireMsg::decode_payload(1, bytes),
+        encoded_len: WireMsg::encoded_len,
+        min_len: u64::MIN_LEN + Vec::<Entry>::MIN_LEN,
+    };
+    let batch = |entries| WireMsg::BatchAdd { req_id: 0, entries };
+    let arb = |r: &mut Rng| WireMsg::BatchAdd {
+        req_id: r.next(),
+        entries: (0..r.below(4)).map(|_| arb_entry(r)).collect(),
+    };
+    conform("BatchAdd payload", &codec, arb, batch(vec![]), vec![batch(vec![entry0()])]);
+}
+
+/// The `Wire` analogue of `all_20_variants_covered`: every type named
+/// by `impl … Wire for X` or `wire_struct!(X …)` under `crates/*/src`
+/// has a case in [`wire_cases`].
+#[test]
+fn every_wire_impl_has_a_conformance_case() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    let mut dirs: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("crates dir")
+        .map(|e| e.expect("dir entry").path().join("src"))
+        .filter(|p| p.is_dir())
+        .collect();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    let mut impls = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        for line in text.lines().map(str::trim_start).filter(|l| !l.starts_with("//")) {
+            let named =
+                if let Some(at) = line.find("Wire for ").filter(|_| line.starts_with("impl")) {
+                    let ty = &line[at + "Wire for ".len()..];
+                    let end = if ty.starts_with('(') {
+                        ty.find(')').map(|i| i + 1)
+                    } else {
+                        ty.find(['<', ' '])
+                    };
+                    &ty[..end.unwrap_or(ty.len())]
+                } else if let Some(rest) = line.split("wire_struct!(").nth(1) {
+                    rest.split([' ', '{']).next().unwrap_or("")
+                } else {
+                    continue;
+                };
+            if !named.starts_with('$') {
+                impls.push((named.to_string(), file.display().to_string()));
+            }
+        }
+    }
+    assert!(impls.len() >= 30, "the scan found only {} Wire impls", impls.len());
+    let cases: Vec<&str> = wire_cases().iter().map(|(name, _)| *name).collect();
+    for (ty, file) in &impls {
+        assert!(cases.contains(&ty.as_str()), "`Wire for {ty}` in {file} has no conformance case");
+    }
+    for case in &cases {
+        assert!(impls.iter().any(|(ty, _)| ty == case), "conformance case {case} names no impl");
+    }
 }
 
 #[test]

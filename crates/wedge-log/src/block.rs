@@ -6,10 +6,13 @@
 //! what the cloud certifies (data-free certification, §IV-B): agreeing
 //! on the digest is agreeing on the content.
 
-use crate::enc::{DecodeError, Decoder, Encoder};
+use crate::enc::{DecodeError, Decoder, Encoder, Wire};
 use crate::entry::Entry;
 use std::fmt;
 use wedge_crypto::{Digest, IdentityId, KeyRegistry};
+
+/// Domain tag of a block's canonical bytes.
+const TAG: &str = "wedge-block-v1";
 
 /// Monotonic per-edge block identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -50,41 +53,28 @@ pub struct Block {
 }
 
 impl Block {
-    /// Byte length of an entry-less block's canonical bytes: the tag
-    /// ("wedge-block-v1" behind a u64 length prefix), edge, id,
-    /// sealed_at_ns and entry count. No block encodes shorter.
-    pub const EMPTY_CANONICAL_LEN: usize = 8 + 14 + 8 + 8 + 8 + 8;
-
-    /// Exact byte length of [`Block::canonical_bytes`].
+    /// Exact byte length of [`Block::canonical_bytes`]: the tag
+    /// behind its length prefix, edge, id, sealed_at_ns and entries.
     pub fn canonical_len(&self) -> usize {
-        Self::EMPTY_CANONICAL_LEN + self.entries.iter().map(|e| e.encoded_len()).sum::<usize>()
+        Self::TAG_LEN + Self::FIXED_LEN + self.entries.encoded_len()
     }
+
+    /// Bytes of the domain tag behind its length prefix.
+    const TAG_LEN: usize = u64::MIN_LEN + TAG.len();
+
+    /// Bytes of edge, id and sealed_at_ns.
+    const FIXED_LEN: usize = IdentityId::MIN_LEN + BlockId::MIN_LEN + u64::MIN_LEN;
 
     /// Canonical bytes of the whole block (id + edge + entries).
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::with_tag_and_capacity("wedge-block-v1", self.canonical_len() - 22);
+        let mut enc = Encoder::with_tag_and_capacity(TAG, self.canonical_len() - Self::TAG_LEN);
         self.encode_canonical_body(&mut enc);
         enc.finish()
     }
 
-    /// Appends everything after the domain tag to `enc`. Split out so
-    /// wire codecs that already wrote the tag (or a length prefix)
-    /// can stream the block without building an intermediate `Vec`.
+    /// Appends everything after the domain tag to `enc`.
     fn encode_canonical_body(&self, enc: &mut Encoder) {
-        enc.put_u64(self.edge.0).put_u64(self.id.0).put_u64(self.sealed_at_ns);
-        enc.put_u64(self.entries.len() as u64);
-        for e in &self.entries {
-            e.encode(enc);
-        }
-    }
-
-    /// Appends the canonical bytes (tag included) directly to an
-    /// in-progress encoding — byte-identical to
-    /// `enc.put_bytes(&block.canonical_bytes())` minus the length
-    /// prefix, without materializing the intermediate buffer.
-    pub fn encode_canonical_into(&self, enc: &mut Encoder) {
-        enc.put_bytes(b"wedge-block-v1");
-        self.encode_canonical_body(enc);
+        enc.put(&self.edge).put(&self.id).put_u64(self.sealed_at_ns).put(&self.entries);
     }
 
     /// The block digest the cloud certifies.
@@ -100,22 +90,15 @@ impl Block {
     /// path depends on.
     pub fn decode(bytes: &[u8]) -> Result<Block, DecodeError> {
         let mut dec = Decoder::new(bytes);
-        dec.expect_tag("wedge-block-v1")?;
-        let edge = IdentityId(dec.get_u64()?);
-        let id = BlockId(dec.get_u64()?);
-        let sealed_at_ns = dec.get_u64()?;
-        let count = dec.get_u64()?;
-        // Each entry is ≥ 48 bytes on the wire; an absurd count fails
-        // fast instead of pre-allocating hostile capacity.
-        if count > (bytes.len() as u64) / 48 {
-            return Err(DecodeError::BadLength);
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            entries.push(Entry::decode(&mut dec)?);
-        }
+        dec.expect_tag(TAG)?;
+        let block = Block {
+            edge: dec.get()?,
+            id: dec.get()?,
+            sealed_at_ns: dec.get()?,
+            entries: dec.get()?,
+        };
         dec.finish()?;
-        Ok(Block { edge, id, entries, sealed_at_ns })
+        Ok(block)
     }
 
     /// Verifies every entry's client signature.
@@ -148,6 +131,39 @@ impl Block {
     /// True iff the block holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+impl Wire for BlockId {
+    const MIN_LEN: usize = u64::MIN_LEN;
+    #[inline]
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_u64(self.0);
+    }
+    #[inline]
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(BlockId(dec.get_u64()?))
+    }
+}
+
+/// A block nested in a message travels as its canonical bytes behind
+/// a length prefix, byte-identical to
+/// `enc.put_bytes(&block.canonical_bytes())` without building the
+/// intermediate buffer.
+impl Wire for Block {
+    const MIN_LEN: usize = u64::MIN_LEN + Self::TAG_LEN + Self::FIXED_LEN + Vec::<Entry>::MIN_LEN;
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        u64::MIN_LEN + self.canonical_len()
+    }
+    #[inline]
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_u64(self.canonical_len() as u64).put_bytes(TAG.as_bytes());
+        self.encode_canonical_body(enc);
+    }
+    #[inline]
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Block::decode(dec.get_bytes()?)
     }
 }
 

@@ -58,32 +58,16 @@ impl BlockProof {
         )
     }
 
-    /// Canonical wire encoding (the signed fields plus the
-    /// signature), appended to an in-progress message encoding.
-    pub fn encode_into(&self, enc: &mut crate::enc::Encoder) {
-        enc.put_u64(self.edge.0)
-            .put_u64(self.bid.0)
-            .put_digest(&self.digest)
-            .put_signature(&self.signature);
-    }
-
-    /// Inverse of [`BlockProof::encode_into`]. The signature is *not*
-    /// verified here — decoding and trusting are separate steps.
-    pub fn decode_from(dec: &mut crate::enc::Decoder<'_>) -> Result<Self, crate::enc::DecodeError> {
-        Ok(BlockProof {
-            edge: IdentityId(dec.get_u64()?),
-            bid: BlockId(dec.get_u64()?),
-            digest: dec.get_digest()?,
-            signature: dec.get_signature()?,
-        })
-    }
-
     /// Wire size of a proof message: ids + digest + signature.
     pub const WIRE_SIZE: u64 = 8 + 8 + 32 + 32;
-
-    /// Exact byte length of [`BlockProof::encode_into`]'s output.
-    pub const ENCODED_LEN: usize = Self::WIRE_SIZE as usize;
 }
+
+crate::wire_struct!(BlockProof {
+    edge: IdentityId,
+    bid: BlockId,
+    digest: Digest,
+    signature: Signature
+});
 
 /// Result of offering a digest to the cloud ledger.
 #[derive(Clone, Debug, PartialEq, Eq)]

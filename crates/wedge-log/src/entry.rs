@@ -5,7 +5,7 @@
 //! idempotence handle of §IV-E), and the client's signature over the
 //! canonical encoding.
 
-use crate::enc::{DecodeError, Decoder, Encoder};
+use crate::enc::Encoder;
 use wedge_crypto::{Identity, IdentityId, KeyRegistry, Signature};
 
 /// A single client-signed log entry.
@@ -39,33 +39,6 @@ impl Entry {
         enc.finish()
     }
 
-    /// Exact byte length of [`Entry::encode`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        // client + sequence + (len prefix + payload) + e + s.
-        8 + 8 + 8 + self.payload.len() + 16 + 16
-    }
-
-    /// Canonical encoding *including* the signature (what blocks hash).
-    pub fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.client.0)
-            .put_u64(self.sequence)
-            .put_bytes(&self.payload)
-            .put_u128(self.signature.e)
-            .put_u128(self.signature.s);
-    }
-
-    /// Inverse of [`Entry::encode`]: reads one entry from the stream.
-    /// The signature is *not* verified here — decoding and trusting
-    /// are separate steps.
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Entry, DecodeError> {
-        let client = IdentityId(dec.get_u64()?);
-        let sequence = dec.get_u64()?;
-        let payload = dec.get_bytes()?.to_vec();
-        let e = dec.get_u128()?;
-        let s = dec.get_u128()?;
-        Ok(Entry { client, sequence, payload, signature: Signature { e, s } })
-    }
-
     /// Verifies the client signature against the registry.
     pub fn verify(&self, registry: &KeyRegistry) -> bool {
         registry.verify(self.client, &self.signing_bytes(), &self.signature)
@@ -76,6 +49,8 @@ impl Entry {
         (8 + 8 + 8 + self.payload.len() + 32) as u64
     }
 }
+
+crate::wire_struct!(Entry { client: IdentityId, sequence: u64, payload: Vec<u8>, signature: Signature });
 
 #[cfg(test)]
 mod tests {

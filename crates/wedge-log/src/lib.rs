@@ -26,7 +26,7 @@ pub mod watermark;
 pub use block::{Block, BlockId};
 pub use buffer::{BlockBuffer, PushOutcome};
 pub use cert::{BlockProof, CertLedger, CertOutcome, CommitPhase};
-pub use enc::{DecodeError, Decoder, Encoder};
+pub use enc::{DecodeError, Decoder, Encoder, Wire};
 pub use entry::Entry;
 pub use frame::{
     append_frame_header, decode_frame, read_frame, read_frame_into, write_frame, Frame,

@@ -6,7 +6,7 @@
 //! gossip message knows every block id below `log_len` exists, so a
 //! negative read response for such an id is provable misbehaviour.
 
-use crate::enc::{DecodeError, Decoder, Encoder};
+use crate::enc::Encoder;
 use wedge_crypto::{Identity, IdentityId, KeyRegistry, Signature};
 
 /// A cloud-signed statement: "as of `timestamp_ns`, edge `edge`'s log
@@ -50,61 +50,16 @@ impl GossipWatermark {
         bid < self.log_len
     }
 
-    /// Canonical wire bytes: the signed fields plus the signature
-    /// (what a networked driver transmits; the signing bytes stay
-    /// signature-free, as signatures never sign themselves).
-    pub fn encode_wire(&self) -> Vec<u8> {
-        let mut enc = Encoder::with_tag_and_capacity("wedge-gossip-wire-v1", 56);
-        enc.put_u64(self.edge.0)
-            .put_u64(self.timestamp_ns)
-            .put_u64(self.log_len)
-            .put_u128(self.signature.e)
-            .put_u128(self.signature.s);
-        enc.finish()
-    }
-
-    /// Inverse of [`GossipWatermark::encode_wire`]. The signature is
-    /// *not* verified here — call [`GossipWatermark::verify`] on the
-    /// result before trusting it.
-    pub fn decode_wire(bytes: &[u8]) -> Result<GossipWatermark, DecodeError> {
-        let mut dec = Decoder::new(bytes);
-        dec.expect_tag("wedge-gossip-wire-v1")?;
-        let edge = IdentityId(dec.get_u64()?);
-        let timestamp_ns = dec.get_u64()?;
-        let log_len = dec.get_u64()?;
-        let e = dec.get_u128()?;
-        let s = dec.get_u128()?;
-        dec.finish()?;
-        Ok(GossipWatermark { edge, timestamp_ns, log_len, signature: Signature { e, s } })
-    }
-
-    /// Nestable encoding (no domain tag — the enclosing message's
-    /// envelope already routes the bytes): the signed fields plus the
-    /// signature.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.edge.0)
-            .put_u64(self.timestamp_ns)
-            .put_u64(self.log_len)
-            .put_signature(&self.signature);
-    }
-
-    /// Inverse of [`GossipWatermark::encode_into`]. The signature is
-    /// *not* verified here.
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(GossipWatermark {
-            edge: IdentityId(dec.get_u64()?),
-            timestamp_ns: dec.get_u64()?,
-            log_len: dec.get_u64()?,
-            signature: dec.get_signature()?,
-        })
-    }
-
     /// Wire size of a gossip message.
     pub const WIRE_SIZE: u64 = 8 + 8 + 8 + 32;
-
-    /// Exact byte length of [`GossipWatermark::encode_into`]'s output.
-    pub const ENCODED_LEN: usize = Self::WIRE_SIZE as usize;
 }
+
+crate::wire_struct!(GossipWatermark {
+    edge: IdentityId,
+    timestamp_ns: u64,
+    log_len: u64,
+    signature: Signature,
+});
 
 /// Client-side tracker keeping the freshest watermark per edge.
 #[derive(Default, Debug)]

@@ -62,21 +62,6 @@ fn arb_block(rng: &mut Rng) -> Block {
 }
 
 #[test]
-fn entry_roundtrip() {
-    for case in 0..96u64 {
-        let mut rng = Rng::new(0xE17 ^ case);
-        let entry = arb_entry(&mut rng);
-        let mut enc = Encoder::default();
-        entry.encode(&mut enc);
-        let bytes = enc.finish();
-        let mut dec = Decoder::new(&bytes);
-        let back = Entry::decode(&mut dec).expect("well-formed entry decodes");
-        dec.finish().expect("nothing left over");
-        assert_eq!(back, entry, "case {case}");
-    }
-}
-
-#[test]
 fn block_roundtrip_preserves_digest() {
     for case in 0..48u64 {
         let mut rng = Rng::new(0xB10C ^ case);
@@ -88,26 +73,6 @@ fn block_roundtrip_preserves_digest() {
         // what data-free certification over the wire relies on.
         assert_eq!(back.canonical_bytes(), bytes, "case {case}: bytes");
         assert_eq!(back.digest(), block.digest(), "case {case}: digest");
-    }
-}
-
-#[test]
-fn watermark_roundtrip() {
-    for case in 0..96u64 {
-        let mut rng = Rng::new(0x3A7E ^ case);
-        let wm = GossipWatermark {
-            edge: IdentityId(rng.next()),
-            timestamp_ns: rng.next(),
-            log_len: rng.next(),
-            signature: Signature {
-                e: (rng.next() as u128) << 64 | rng.next() as u128,
-                s: (rng.next() as u128) << 64 | rng.next() as u128,
-            },
-        };
-        let bytes = wm.encode_wire();
-        let back = GossipWatermark::decode_wire(&bytes).expect("well-formed watermark decodes");
-        assert_eq!(back, wm, "case {case}");
-        assert_eq!(back.encode_wire(), bytes, "case {case}: bytes");
     }
 }
 
@@ -127,15 +92,19 @@ fn truncation_always_errors_never_panics() {
                 "cut at {cut}: unexpected {err:?}"
             );
         }
-        let wm_bytes = GossipWatermark::issue(
+        let wm = GossipWatermark::issue(
             &wedge_crypto::Identity::derive("cloud", 1),
             IdentityId(5),
             rng.next(),
             rng.next(),
-        )
-        .encode_wire();
+        );
+        let mut enc = Encoder::default();
+        enc.put(&wm);
+        let wm_bytes = enc.finish();
         for cut in 0..wm_bytes.len() {
-            GossipWatermark::decode_wire(&wm_bytes[..cut]).expect_err("truncated wm must fail");
+            Decoder::new(&wm_bytes[..cut])
+                .get::<GossipWatermark>()
+                .expect_err("truncated wm must fail");
         }
     }
 }
@@ -164,19 +133,16 @@ fn hostile_length_prefix_fails_before_allocating() {
     enc.put_u64(u64::MAX); // payload length prefix, no payload
     let bytes = enc.finish();
     let mut dec = Decoder::new(&bytes);
-    assert_eq!(Entry::decode(&mut dec), Err(DecodeError::BadLength));
+    assert_eq!(dec.get::<Entry>(), Err(DecodeError::BadLength));
 }
 
 #[test]
 fn wrong_tag_rejected() {
-    // A watermark's wire bytes are not a block: the tag check refuses
+    // A key-value entry payload is not a block: the tag check refuses
     // cross-type replay before any field is interpreted.
-    let wm =
-        GossipWatermark::issue(&wedge_crypto::Identity::derive("cloud", 1), IdentityId(5), 1, 2);
-    assert!(matches!(
-        Block::decode(&wm.encode_wire()),
-        Err(DecodeError::BadTag | DecodeError::UnexpectedEof)
-    ));
+    let mut kv_op = Encoder::with_tag("wedge-kvop-v1");
+    kv_op.put_u64(7).put_u8(1).put_bytes(b"a value long enough to read as block fields");
+    assert_eq!(Block::decode(&kv_op.finish()), Err(DecodeError::BadTag));
     // And a block whose tag byte is flipped no longer decodes.
     let mut rng = Rng::new(0x7A6);
     let mut bytes = arb_block(&mut rng).canonical_bytes();

@@ -6,7 +6,7 @@
 //! bytes. Versions are `(block id, position)` pairs: block ids are
 //! monotonic per edge, so version order is write order.
 
-use wedge_log::{Block, Encoder, Entry};
+use wedge_log::{wire_struct, Block, Decoder, Encoder, Entry, Wire};
 
 /// An index key. `0` and `u64::MAX` act as the paper's "min of 0" and
 /// "max of infinity" range sentinels.
@@ -49,63 +49,26 @@ impl KvOp {
         KvOp { key, value: None }
     }
 
-    /// Encodes into an entry payload.
+    /// Encodes into an entry payload: the tag, the key, then the
+    /// value as an option (`0` is a delete).
     pub fn encode(&self) -> Vec<u8> {
-        let body = 8 + 1 + self.value.as_ref().map_or(0, |v| 8 + v.len());
-        let mut enc = Encoder::with_tag_and_capacity("wedge-kvop-v1", body);
-        enc.put_u64(self.key);
-        match &self.value {
-            Some(v) => {
-                enc.put_u8(1);
-                enc.put_bytes(v);
-            }
-            None => {
-                enc.put_u8(0);
-            }
-        }
+        let mut enc = Encoder::with_tag_and_capacity(KV_OP_TAG, 8 + self.value.encoded_len());
+        enc.put_u64(self.key).put(&self.value);
         enc.finish()
     }
 
-    /// Decodes an entry payload. Returns `None` for non-KV payloads.
+    /// Decodes an entry payload. Returns `None` for non-KV payloads:
+    /// anything [`KvOp::encode`] could not have written.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        // Layout: len("wedge-kvop-v1") u64 | tag bytes | key u64 | kind u8 | [len u64 | value]
-        const TAG: &[u8] = b"wedge-kvop-v1";
-        let mut off = 0usize;
-        let tag_len = read_u64(payload, &mut off)? as usize;
-        if tag_len != TAG.len() || payload.len() < off + tag_len {
-            return None;
-        }
-        if &payload[off..off + tag_len] != TAG {
-            return None;
-        }
-        off += tag_len;
-        let key = read_u64(payload, &mut off)?;
-        let kind = *payload.get(off)?;
-        off += 1;
-        match kind {
-            0 => {
-                if off != payload.len() {
-                    return None;
-                }
-                Some(KvOp { key, value: None })
-            }
-            1 => {
-                let vlen = read_u64(payload, &mut off)? as usize;
-                if payload.len() != off + vlen {
-                    return None;
-                }
-                Some(KvOp { key, value: Some(payload[off..].to_vec()) })
-            }
-            _ => None,
-        }
+        let mut dec = Decoder::new(payload);
+        dec.expect_tag(KV_OP_TAG).ok()?;
+        let op = KvOp { key: dec.get_u64().ok()?, value: dec.get().ok()? };
+        dec.finish().ok().map(|()| op)
     }
 }
 
-fn read_u64(buf: &[u8], off: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*off..*off + 8)?;
-    *off += 8;
-    Some(u64::from_be_bytes(bytes.try_into().unwrap()))
-}
+/// Domain tag of a [`KvOp`] entry payload.
+const KV_OP_TAG: &str = "wedge-kvop-v1";
 
 /// A versioned record stored in pages.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,35 +86,13 @@ impl KvRecord {
     pub fn wire_size(&self) -> u64 {
         (8 + 12 + 1 + self.value.as_ref().map_or(0, |v| v.len())) as u64
     }
-
-    /// Minimum bytes one encoded record occupies (hostile-count guard
-    /// for repeated-field decoding).
-    pub const MIN_ENCODED_LEN: usize = 8 + 8 + 4 + 1;
-
-    /// Exact byte length of [`KvRecord::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        Self::MIN_ENCODED_LEN + self.value.as_ref().map_or(0, |v| 8 + v.len())
-    }
-
-    /// Canonical nestable encoding: key, version, presence-tagged
-    /// value. Field order matches what [`crate::page::Page::digest`]
-    /// hashes, so a decoded page re-hashes to the same digest.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.key).put_u64(self.version.bid).put_u32(self.version.pos);
-        enc.put_option(self.value.as_ref(), |e, v| {
-            e.put_bytes(v);
-        });
-    }
-
-    /// Inverse of [`KvRecord::encode_into`].
-    pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, wedge_log::DecodeError> {
-        Ok(KvRecord {
-            key: dec.get_u64()?,
-            version: Version { bid: dec.get_u64()?, pos: dec.get_u32()? },
-            value: dec.get_option(|d| Ok(d.get_bytes()?.to_vec()))?,
-        })
-    }
 }
+
+wire_struct!(Version { bid: u64, pos: u32 });
+
+// Field order matches what `Page::digest` hashes, so a decoded page
+// re-hashes to the same digest.
+wire_struct!(KvRecord { key: Key, version: Version, value: Option<Value> });
 
 /// Decodes every KV op in a block into versioned records, in block
 /// order. Entries with non-KV payloads are skipped.
@@ -199,9 +140,26 @@ mod tests {
         let enc = KvOp::put(1, b"xyz".to_vec()).encode();
         assert_eq!(KvOp::decode(&enc[..enc.len() - 1]), None);
         // Trailing garbage.
-        let mut padded = enc;
+        let mut padded = enc.clone();
         padded.push(0);
         assert_eq!(KvOp::decode(&padded), None);
+        // Another payload's tag.
+        let mut other = Encoder::with_tag("wedge-kvop-v2");
+        other.put_u64(1).put_u8(0);
+        assert_eq!(KvOp::decode(&other.finish()), None);
+        // Kind byte 2: neither a delete nor a put.
+        let mut kind2 = KvOp::delete(1).encode();
+        *kind2.last_mut().unwrap() = 2;
+        assert_eq!(KvOp::decode(&kind2), None);
+        // A trailing byte after a tombstone.
+        let mut tomb = KvOp::delete(1).encode();
+        tomb.push(0);
+        assert_eq!(KvOp::decode(&tomb), None);
+        // A value length running past the end.
+        let mut long = enc;
+        let len_at = long.len() - 3 - 8;
+        long[len_at..len_at + 8].copy_from_slice(&4u64.to_be_bytes());
+        assert_eq!(KvOp::decode(&long), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::forest::MerkleForest;
 use crate::page::Page;
 use std::sync::Arc;
 use wedge_crypto::{Digest, Identity, IdentityId, KeyRegistry, Signature};
-use wedge_log::Encoder;
+use wedge_log::{wire_struct, Encoder};
 
 /// A cloud-signed statement binding a level's Merkle root to an epoch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,32 +47,15 @@ impl SignedLevelRoot {
             &self.signature,
         )
     }
-
-    /// Canonical nestable wire encoding: the signed fields plus the
-    /// signature.
-    /// Exact byte length of [`SignedLevelRoot::encode_into`]'s output.
-    pub const ENCODED_LEN: usize = 8 + 4 + 8 + 32 + 32;
-
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.edge.0)
-            .put_u32(self.level)
-            .put_u64(self.epoch)
-            .put_digest(&self.root)
-            .put_signature(&self.signature);
-    }
-
-    /// Inverse of [`SignedLevelRoot::encode_into`]. The signature is
-    /// *not* verified here.
-    pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, wedge_log::DecodeError> {
-        Ok(SignedLevelRoot {
-            edge: IdentityId(dec.get_u64()?),
-            level: dec.get_u32()?,
-            epoch: dec.get_u64()?,
-            root: dec.get_digest()?,
-            signature: dec.get_signature()?,
-        })
-    }
 }
+
+wire_struct!(SignedLevelRoot {
+    edge: IdentityId,
+    level: u32,
+    epoch: u64,
+    root: Digest,
+    signature: Signature,
+});
 
 /// A cloud-signed global root: hash of all level roots, plus the
 /// freshness timestamp (§V-D: "The cloud node timestamps the global
@@ -118,32 +101,15 @@ impl GlobalRootCert {
             &self.signature,
         )
     }
-
-    /// Exact byte length of [`GlobalRootCert::encode_into`]'s output.
-    pub const ENCODED_LEN: usize = 8 + 8 + 8 + 32 + 32;
-
-    /// Canonical nestable wire encoding: the signed fields plus the
-    /// signature.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.edge.0)
-            .put_u64(self.epoch)
-            .put_u64(self.timestamp_ns)
-            .put_digest(&self.root)
-            .put_signature(&self.signature);
-    }
-
-    /// Inverse of [`GlobalRootCert::encode_into`]. The signature is
-    /// *not* verified here.
-    pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, wedge_log::DecodeError> {
-        Ok(GlobalRootCert {
-            edge: IdentityId(dec.get_u64()?),
-            epoch: dec.get_u64()?,
-            timestamp_ns: dec.get_u64()?,
-            root: dec.get_digest()?,
-            signature: dec.get_signature()?,
-        })
-    }
 }
+
+wire_struct!(GlobalRootCert {
+    edge: IdentityId,
+    epoch: u64,
+    timestamp_ns: u64,
+    root: Digest,
+    signature: Signature,
+});
 
 /// A Merkle level held at the edge: pages plus the Merkle forest over
 /// their digests and the cloud's signature on the root.

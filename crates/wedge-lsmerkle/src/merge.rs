@@ -30,7 +30,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use wedge_crypto::{Digest, Identity, IdentityId};
-use wedge_log::{BlockId, CertLedger, DecodeError};
+use wedge_log::{wire_struct, BlockId, CertLedger, DecodeError, Decoder, Encoder, Wire};
 use wedge_pool::Pool;
 
 /// A merge request from an edge node.
@@ -69,56 +69,6 @@ impl MergeRequest {
         32 + l0 + src + tgt
     }
 
-    /// Exact byte length of [`MergeRequest::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        let l0: usize = self.source_l0.iter().map(|p| p.encoded_len()).sum();
-        let src: usize = self.source_pages.iter().map(|p| p.encoded_len()).sum();
-        let tgt: usize = self.target_pages.iter().map(|p| p.encoded_len()).sum();
-        // edge + source_level + epoch + three counted page runs.
-        8 + 4 + 8 + (8 + l0) + (8 + src) + (8 + tgt)
-    }
-
-    /// Canonical nestable wire encoding.
-    pub fn encode_into(&self, enc: &mut wedge_log::Encoder) {
-        enc.put_u64(self.edge.0).put_u32(self.source_level).put_u64(self.epoch);
-        enc.put_u64(self.source_l0.len() as u64);
-        for p in &self.source_l0 {
-            p.encode_into(enc);
-        }
-        enc.put_u64(self.source_pages.len() as u64);
-        for p in &self.source_pages {
-            p.encode_into(enc);
-        }
-        enc.put_u64(self.target_pages.len() as u64);
-        for p in &self.target_pages {
-            p.encode_into(enc);
-        }
-    }
-
-    /// Inverse of [`MergeRequest::encode_into`]; pages come back as
-    /// fresh `Arc`s ready for sharing.
-    pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, wedge_log::DecodeError> {
-        let edge = IdentityId(dec.get_u64()?);
-        let source_level = dec.get_u32()?;
-        let epoch = dec.get_u64()?;
-        let n_l0 = dec.get_count(L0Page::MIN_ENCODED_LEN)?;
-        let mut source_l0 = Vec::with_capacity(n_l0);
-        for _ in 0..n_l0 {
-            source_l0.push(L0Page::decode_from(dec)?);
-        }
-        let n_src = dec.get_count(Page::MIN_ENCODED_LEN)?;
-        let mut source_pages = Vec::with_capacity(n_src);
-        for _ in 0..n_src {
-            source_pages.push(Page::decode_from(dec)?);
-        }
-        let n_tgt = dec.get_count(Page::MIN_ENCODED_LEN)?;
-        let mut target_pages = Vec::with_capacity(n_tgt);
-        for _ in 0..n_tgt {
-            target_pages.push(Page::decode_from(dec)?);
-        }
-        Ok(MergeRequest { edge, source_level, source_l0, source_pages, target_pages, epoch })
-    }
-
     /// A cheap identity for retry deduplication: a digest over the
     /// request's scalar fields and the (memoized) digests of every
     /// page it ships. Two requests with equal fingerprints carry the
@@ -143,6 +93,16 @@ impl MergeRequest {
         wedge_crypto::sha256(&enc.finish())
     }
 }
+
+// Decoded pages come back as fresh `Arc`s ready for sharing.
+wire_struct!(MergeRequest {
+    edge: IdentityId,
+    source_level: u32,
+    epoch: u64,
+    source_l0: Vec<Arc<L0Page>>,
+    source_pages: Vec<Arc<Page>>,
+    target_pages: Vec<Arc<Page>>,
+});
 
 /// The cloud's reply to a successful merge.
 #[derive(Clone, Debug, PartialEq)]
@@ -176,69 +136,21 @@ impl MergeResult {
         let roots = (self.all_level_roots.len() as u64) * 32;
         pages + roots + 2 * 96 + 32
     }
-
-    /// Exact byte length of [`MergeResult::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        let pages: usize = self.new_target_pages.iter().map(|p| p.encoded_len()).sum();
-        8 + 4
-            + (8 + pages)
-            + 1
-            + self.new_source_root.as_ref().map_or(0, |_| SignedLevelRoot::ENCODED_LEN)
-            + SignedLevelRoot::ENCODED_LEN
-            + (8 + 32 * self.all_level_roots.len())
-            + GlobalRootCert::ENCODED_LEN
-            + 8
-    }
-
-    /// Canonical nestable wire encoding.
-    pub fn encode_into(&self, enc: &mut wedge_log::Encoder) {
-        enc.put_u64(self.edge.0).put_u32(self.source_level);
-        enc.put_u64(self.new_target_pages.len() as u64);
-        for p in &self.new_target_pages {
-            p.encode_into(enc);
-        }
-        enc.put_option(self.new_source_root.as_ref(), |e, r| r.encode_into(e));
-        self.new_target_root.encode_into(enc);
-        enc.put_u64(self.all_level_roots.len() as u64);
-        for r in &self.all_level_roots {
-            enc.put_digest(r);
-        }
-        self.global.encode_into(enc);
-        enc.put_u64(self.new_epoch);
-    }
-
-    /// Inverse of [`MergeResult::encode_into`]; pages come back as
-    /// fresh `Arc`s that [`crate::tree::LsMerkle::apply_merge_result`]
-    /// shares into the level, exactly like in-process results.
-    pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, wedge_log::DecodeError> {
-        let edge = IdentityId(dec.get_u64()?);
-        let source_level = dec.get_u32()?;
-        let n_pages = dec.get_count(Page::MIN_ENCODED_LEN)?;
-        let mut new_target_pages = Vec::with_capacity(n_pages);
-        for _ in 0..n_pages {
-            new_target_pages.push(Page::decode_from(dec)?);
-        }
-        let new_source_root = dec.get_option(SignedLevelRoot::decode_from)?;
-        let new_target_root = SignedLevelRoot::decode_from(dec)?;
-        let n_roots = dec.get_count(32)?;
-        let mut all_level_roots = Vec::with_capacity(n_roots);
-        for _ in 0..n_roots {
-            all_level_roots.push(dec.get_digest()?);
-        }
-        let global = GlobalRootCert::decode_from(dec)?;
-        let new_epoch = dec.get_u64()?;
-        Ok(MergeResult {
-            edge,
-            source_level,
-            new_target_pages,
-            new_source_root,
-            new_target_root,
-            all_level_roots,
-            global,
-            new_epoch,
-        })
-    }
 }
+
+// Decoded pages come back as fresh `Arc`s that
+// `LsMerkle::apply_merge_result` shares into the level, exactly like
+// in-process results.
+wire_struct!(MergeResult {
+    edge: IdentityId,
+    source_level: u32,
+    new_target_pages: Vec<Arc<Page>>,
+    new_source_root: Option<SignedLevelRoot>,
+    new_target_root: SignedLevelRoot,
+    all_level_roots: Vec<Digest>,
+    global: GlobalRootCert,
+    new_epoch: u64,
+});
 
 /// One target-page slot in a delta-encoded merge reply.
 #[derive(Clone, Debug, PartialEq)]
@@ -251,6 +163,31 @@ pub enum PageDelta {
     /// into the request's own `Arc`, so nothing is re-shipped and
     /// nothing is re-hashed.
     Reused(u32),
+}
+
+/// A tag byte, then the page (`0`) or the `u32` index (`1`).
+impl Wire for PageDelta {
+    /// A reference is the smallest slot: tag byte + index.
+    const MIN_LEN: usize = u8::MIN_LEN + u32::MIN_LEN;
+    fn encoded_len(&self) -> usize {
+        match self {
+            PageDelta::Full(p) => u8::MIN_LEN + p.encoded_len(),
+            PageDelta::Reused(_) => Self::MIN_LEN,
+        }
+    }
+    fn encode_into(&self, enc: &mut Encoder) {
+        match self {
+            PageDelta::Full(p) => enc.put_u8(0).put(p),
+            PageDelta::Reused(i) => enc.put_u8(1).put_u32(*i),
+        };
+    }
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(match dec.get_u8()? {
+            0 => PageDelta::Full(dec.get()?),
+            1 => PageDelta::Reused(dec.get_u32()?),
+            _ => return Err(DecodeError::Malformed("page delta tag")),
+        })
+    }
 }
 
 /// A [`MergeResult`] delta-encoded against its [`MergeRequest`]: every
@@ -387,93 +324,21 @@ impl DeltaMergeResult {
         let roots = (self.all_level_roots.len() as u64) * 32;
         32 + pages + roots + 2 * 96 + 32
     }
-
-    /// Exact byte length of [`DeltaMergeResult::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        let pages: usize = self
-            .pages
-            .iter()
-            .map(|p| match p {
-                PageDelta::Full(p) => 1 + p.encoded_len(),
-                PageDelta::Reused(_) => 1 + 4,
-            })
-            .sum();
-        32 + 8
-            + 4
-            + (8 + pages)
-            + 1
-            + self.new_source_root.as_ref().map_or(0, |_| SignedLevelRoot::ENCODED_LEN)
-            + SignedLevelRoot::ENCODED_LEN
-            + (8 + 32 * self.all_level_roots.len())
-            + GlobalRootCert::ENCODED_LEN
-            + 8
-    }
-
-    /// Canonical nestable wire encoding.
-    pub fn encode_into(&self, enc: &mut wedge_log::Encoder) {
-        enc.put_digest(&self.request_fp).put_u64(self.edge.0).put_u32(self.source_level);
-        enc.put_u64(self.pages.len() as u64);
-        for slot in &self.pages {
-            match slot {
-                PageDelta::Full(p) => {
-                    enc.put_u8(0);
-                    p.encode_into(enc);
-                }
-                PageDelta::Reused(i) => {
-                    enc.put_u8(1);
-                    enc.put_u32(*i);
-                }
-            }
-        }
-        enc.put_option(self.new_source_root.as_ref(), |e, r| r.encode_into(e));
-        self.new_target_root.encode_into(enc);
-        enc.put_u64(self.all_level_roots.len() as u64);
-        for r in &self.all_level_roots {
-            enc.put_digest(r);
-        }
-        self.global.encode_into(enc);
-        enc.put_u64(self.new_epoch);
-    }
-
-    /// Inverse of [`DeltaMergeResult::encode_into`]. Context-free:
-    /// references stay references until [`DeltaMergeResult::resolve`]
-    /// is handed the matching request.
-    pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, DecodeError> {
-        let request_fp = dec.get_digest()?;
-        let edge = IdentityId(dec.get_u64()?);
-        let source_level = dec.get_u32()?;
-        // A reference is the smallest slot: tag byte + u32 index.
-        let n_pages = dec.get_count(5)?;
-        let mut pages = Vec::with_capacity(n_pages);
-        for _ in 0..n_pages {
-            pages.push(match dec.get_u8()? {
-                0 => PageDelta::Full(Page::decode_from(dec)?),
-                1 => PageDelta::Reused(dec.get_u32()?),
-                _ => return Err(DecodeError::Malformed("page delta tag")),
-            });
-        }
-        let new_source_root = dec.get_option(SignedLevelRoot::decode_from)?;
-        let new_target_root = SignedLevelRoot::decode_from(dec)?;
-        let n_roots = dec.get_count(32)?;
-        let mut all_level_roots = Vec::with_capacity(n_roots);
-        for _ in 0..n_roots {
-            all_level_roots.push(dec.get_digest()?);
-        }
-        let global = GlobalRootCert::decode_from(dec)?;
-        let new_epoch = dec.get_u64()?;
-        Ok(DeltaMergeResult {
-            request_fp,
-            edge,
-            source_level,
-            pages,
-            new_source_root,
-            new_target_root,
-            all_level_roots,
-            global,
-            new_epoch,
-        })
-    }
 }
+
+// Context-free: references stay references until
+// `DeltaMergeResult::resolve` is handed the matching request.
+wire_struct!(DeltaMergeResult {
+    request_fp: Digest,
+    edge: IdentityId,
+    source_level: u32,
+    pages: Vec<PageDelta>,
+    new_source_root: Option<SignedLevelRoot>,
+    new_target_root: SignedLevelRoot,
+    all_level_roots: Vec<Digest>,
+    global: GlobalRootCert,
+    new_epoch: u64,
+});
 
 /// One page slot in a delta-encoded merge request.
 ///
@@ -495,6 +360,34 @@ pub enum ReqPageSlot {
         /// Index into that run.
         index: u32,
     },
+}
+
+/// The tag byte is the level: `0` then the page, or the level then
+/// the `u32` index.
+impl Wire for ReqPageSlot {
+    /// A reference is the smallest slot: level byte + index.
+    const MIN_LEN: usize = u8::MIN_LEN + u32::MIN_LEN;
+    fn encoded_len(&self) -> usize {
+        match self {
+            ReqPageSlot::Full(p) => u8::MIN_LEN + p.encoded_len(),
+            ReqPageSlot::Retained { .. } => Self::MIN_LEN,
+        }
+    }
+    fn encode_into(&self, enc: &mut Encoder) {
+        match self {
+            ReqPageSlot::Full(p) => enc.put_u8(0).put(p),
+            ReqPageSlot::Retained { level, index } => {
+                debug_assert_ne!(*level, 0, "level 0 is the Full tag");
+                enc.put_u8(*level).put_u32(*index)
+            }
+        };
+    }
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(match dec.get_u8()? {
+            0 => ReqPageSlot::Full(dec.get()?),
+            level => ReqPageSlot::Retained { level, index: dec.get_u32()? },
+        })
+    }
 }
 
 /// The fingerprint a retained run is claimed under: a digest over the
@@ -532,38 +425,6 @@ impl RetainedLevel {
             pages: pages.to_vec(),
         }
     }
-}
-
-fn encode_req_slots(slots: &[ReqPageSlot], enc: &mut wedge_log::Encoder) {
-    enc.put_u64(slots.len() as u64);
-    for slot in slots {
-        match slot {
-            ReqPageSlot::Full(p) => {
-                enc.put_u8(0);
-                p.encode_into(enc);
-            }
-            ReqPageSlot::Retained { level, index } => {
-                debug_assert_ne!(*level, 0, "level 0 is the Full tag");
-                enc.put_u8(*level);
-                enc.put_u32(*index);
-            }
-        }
-    }
-}
-
-fn decode_req_slots(
-    dec: &mut wedge_log::Decoder<'_>,
-) -> Result<Vec<ReqPageSlot>, wedge_log::DecodeError> {
-    // A reference is the smallest slot: tag byte + u32 index.
-    let n = dec.get_count(5)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(match dec.get_u8()? {
-            0 => ReqPageSlot::Full(Page::decode_from(dec)?),
-            level => ReqPageSlot::Retained { level, index: dec.get_u32()? },
-        });
-    }
-    Ok(out)
 }
 
 /// A [`MergeRequest`] delta-encoded against the pages the cloud
@@ -730,75 +591,19 @@ impl DeltaMergeRequest {
             + slots(&self.source_pages)
             + slots(&self.target_pages)
     }
-
-    /// Exact byte length of [`DeltaMergeRequest::encode_into`]'s
-    /// output.
-    pub fn encoded_len(&self) -> usize {
-        let slots = |s: &[ReqPageSlot]| -> usize {
-            8 + s
-                .iter()
-                .map(|s| match s {
-                    ReqPageSlot::Full(p) => 1 + p.encoded_len(),
-                    ReqPageSlot::Retained { .. } => 1 + 4,
-                })
-                .sum::<usize>()
-        };
-        let l0: usize = self.source_l0.iter().map(|p| p.encoded_len()).sum();
-        8 + 4
-            + 8
-            + (8 + (4 + 32) * self.retention.len())
-            + (8 + l0)
-            + slots(&self.source_pages)
-            + slots(&self.target_pages)
-    }
-
-    /// Canonical nestable wire encoding.
-    pub fn encode_into(&self, enc: &mut wedge_log::Encoder) {
-        enc.put_u64(self.edge.0).put_u32(self.source_level).put_u64(self.epoch);
-        enc.put_u64(self.retention.len() as u64);
-        for (level, fp) in &self.retention {
-            enc.put_u32(*level);
-            enc.put_digest(fp);
-        }
-        enc.put_u64(self.source_l0.len() as u64);
-        for p in &self.source_l0 {
-            p.encode_into(enc);
-        }
-        encode_req_slots(&self.source_pages, enc);
-        encode_req_slots(&self.target_pages, enc);
-    }
-
-    /// Inverse of [`DeltaMergeRequest::encode_into`]. Context-free:
-    /// references stay references until [`DeltaMergeRequest::resolve`]
-    /// is handed the cloud's retained runs.
-    pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, DecodeError> {
-        let edge = IdentityId(dec.get_u64()?);
-        let source_level = dec.get_u32()?;
-        let epoch = dec.get_u64()?;
-        let n_ret = dec.get_count(36)?;
-        let mut retention = Vec::with_capacity(n_ret);
-        for _ in 0..n_ret {
-            let level = dec.get_u32()?;
-            retention.push((level, dec.get_digest()?));
-        }
-        let n_l0 = dec.get_count(L0Page::MIN_ENCODED_LEN)?;
-        let mut source_l0 = Vec::with_capacity(n_l0);
-        for _ in 0..n_l0 {
-            source_l0.push(L0Page::decode_from(dec)?);
-        }
-        let source_pages = decode_req_slots(dec)?;
-        let target_pages = decode_req_slots(dec)?;
-        Ok(DeltaMergeRequest {
-            edge,
-            source_level,
-            epoch,
-            retention,
-            source_l0,
-            source_pages,
-            target_pages,
-        })
-    }
 }
+
+// Context-free: references stay references until
+// `DeltaMergeRequest::resolve` is handed the cloud's retained runs.
+wire_struct!(DeltaMergeRequest {
+    edge: IdentityId,
+    source_level: u32,
+    epoch: u64,
+    retention: Vec<(u32, Digest)>,
+    source_l0: Vec<Arc<L0Page>>,
+    source_pages: Vec<ReqPageSlot>,
+    target_pages: Vec<ReqPageSlot>,
+});
 
 /// Why the cloud refused a merge.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -2016,7 +1821,7 @@ mod tests {
         let block = Block { edge: IdentityId(9), id: BlockId(0), entries: vec![], sealed_at_ns: 0 };
         let l0 = encoded(|e| L0Page::from_block(block).encode_into(e));
         let page = encoded(|e| Page::new(0, u64::MAX, vec![], 0).encode_into(e));
-        assert_eq!((l0.len(), page.len()), (L0Page::MIN_ENCODED_LEN, Page::MIN_ENCODED_LEN));
+        assert_eq!((l0.len(), page.len()), (L0Page::MIN_LEN, Page::MIN_LEN));
         // Edge, level and epoch, then an empty count per earlier section.
         let request_head = |empty_sections: usize| {
             encoded(|e| {

@@ -24,7 +24,7 @@
 use crate::kv::{Key, KvRecord};
 use std::sync::{Arc, OnceLock};
 use wedge_crypto::Digest;
-use wedge_log::Encoder;
+use wedge_log::{DecodeError, Decoder, Encoder, Wire};
 
 /// Test-only instrumentation proving the hash-once property: pages
 /// constructed and page digests actually computed (cache misses) on
@@ -155,23 +155,9 @@ impl Page {
     pub fn digest(&self) -> Digest {
         *self.digest.get_or_init(|| {
             note_computed();
-            // Same field bytes as the wire encoding, so `encoded_len`
-            // sizes this buffer exactly.
+            // The tag, then exactly the wire encoding.
             let mut enc = Encoder::with_tag_and_capacity("wedge-page-v1", self.encoded_len());
-            enc.put_u64(self.min).put_u64(self.max).put_u64(self.created_at_ns);
-            enc.put_u64(self.records.len() as u64);
-            for r in &self.records {
-                enc.put_u64(r.key).put_u64(r.version.bid).put_u32(r.version.pos);
-                match &r.value {
-                    Some(v) => {
-                        enc.put_u8(1);
-                        enc.put_bytes(v);
-                    }
-                    None => {
-                        enc.put_u8(0);
-                    }
-                }
-            }
+            self.encode_into(&mut enc);
             wedge_crypto::sha256(&enc.finish())
         })
     }
@@ -213,44 +199,25 @@ impl Page {
     pub fn wire_size(&self) -> u64 {
         28 + self.records.iter().map(|r| r.wire_size()).sum::<u64>()
     }
+}
 
-    /// Byte length of an empty page's encoding: min, max,
-    /// created_at_ns and record count. No page encodes shorter.
-    pub const MIN_ENCODED_LEN: usize = 8 + 8 + 8 + 8;
-
-    /// Exact byte length of [`Page::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        Self::MIN_ENCODED_LEN + self.records.iter().map(|r| r.encoded_len()).sum::<usize>()
+/// Exactly the logical fields, so decode∘encode is the identity and
+/// the decoded page's (lazily recomputed) digest equals the original's.
+/// Decoded pages come back as `Arc<Page>`s through `Arc`'s impl: the
+/// same shared representation the in-process paths use, so merge
+/// results and read proofs decoded off the wire share pages with the
+/// tree exactly like local ones.
+impl Wire for Page {
+    const MIN_LEN: usize = 3 * u64::MIN_LEN + Vec::<KvRecord>::MIN_LEN;
+    fn encoded_len(&self) -> usize {
+        3 * u64::MIN_LEN + self.records.encoded_len()
     }
-
-    /// Canonical nestable wire encoding: exactly the logical fields,
-    /// so decode∘encode is the identity and the decoded page's
-    /// (lazily recomputed) digest equals the original's.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.min).put_u64(self.max).put_u64(self.created_at_ns);
-        enc.put_u64(self.records.len() as u64);
-        for r in &self.records {
-            r.encode_into(enc);
-        }
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_u64(self.min).put_u64(self.max).put_u64(self.created_at_ns).put(&self.records);
     }
-
-    /// Inverse of [`Page::encode_into`], producing a shareable
-    /// [`Arc<Page>`] — decoded pages enter the same `Arc`-page
-    /// representation the in-process paths use, so merge results and
-    /// read proofs decoded off the wire share pages with the tree
-    /// exactly like local ones.
-    pub fn decode_from(
-        dec: &mut wedge_log::Decoder<'_>,
-    ) -> Result<Arc<Page>, wedge_log::DecodeError> {
-        let min = dec.get_u64()?;
-        let max = dec.get_u64()?;
-        let created_at_ns = dec.get_u64()?;
-        let count = dec.get_count(crate::kv::KvRecord::MIN_ENCODED_LEN)?;
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            records.push(KvRecord::decode_from(dec)?);
-        }
-        Ok(Arc::new(Page::new(min, max, records, created_at_ns)))
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let (min, max, created_at_ns) = (dec.get_u64()?, dec.get_u64()?, dec.get_u64()?);
+        Ok(Page::new(min, max, dec.get()?, created_at_ns))
     }
 }
 
@@ -393,36 +360,23 @@ impl L0Page {
     pub fn wire_size(&self) -> u64 {
         self.block.wire_size()
     }
+}
 
-    /// Canonical nestable wire encoding: the underlying block's
-    /// canonical bytes, nothing else. The denormalized `records` are
-    /// *derived* state — re-deriving them on decode means a forged
-    /// L0 page (records ≠ block) is not even representable on the
-    /// wire, and the decoded page's digest is the block digest by
-    /// construction.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        // Byte-identical to `put_bytes(&canonical_bytes())`, without
-        // materializing the intermediate block buffer.
-        enc.put_u64(self.block.canonical_len() as u64);
-        self.block.encode_canonical_into(enc);
+/// The underlying block's wire form, nothing else. The denormalized
+/// `records` are *derived* state — re-deriving them on decode means a
+/// forged L0 page (records ≠ block) is not even representable on the
+/// wire, and the decoded page's digest is the block digest by
+/// construction.
+impl Wire for L0Page {
+    const MIN_LEN: usize = wedge_log::Block::MIN_LEN;
+    fn encoded_len(&self) -> usize {
+        self.block.encoded_len()
     }
-
-    /// Byte length of an empty block's page encoding: the length
-    /// prefix and the block. No L0 page encodes shorter.
-    pub const MIN_ENCODED_LEN: usize = 8 + wedge_log::Block::EMPTY_CANONICAL_LEN;
-
-    /// Exact byte length of [`L0Page::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        8 + self.block.canonical_len()
+    fn encode_into(&self, enc: &mut Encoder) {
+        self.block.encode_into(enc);
     }
-
-    /// Inverse of [`L0Page::encode_into`], producing a shareable
-    /// [`Arc<L0Page>`] with records re-derived from the block.
-    pub fn decode_from(
-        dec: &mut wedge_log::Decoder<'_>,
-    ) -> Result<Arc<L0Page>, wedge_log::DecodeError> {
-        let block = wedge_log::Block::decode(dec.get_bytes()?)?;
-        Ok(Arc::new(L0Page::from_block(block)))
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(L0Page::from_block(dec.get()?))
     }
 }
 

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard};
 use wedge_crypto::{Digest, IdentityId, InclusionProof, KeyRegistry, MerkleTree};
-use wedge_log::{BlockProof, CommitPhase, Encoder};
+use wedge_log::{wire_struct, BlockProof, CommitPhase, Wire};
 
 /// An L0 page plus its certification, if any. The page is shared with
 /// the tree (`Arc`): building a witness clones a pointer, not records.
@@ -78,115 +78,27 @@ impl IndexReadProof {
             .sum();
         l0 + lv + 32 * self.level_roots.len() as u64 + 96
     }
-
-    /// Exact byte length of [`IndexReadProof::encode_into`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        let l0: usize = self
-            .l0
-            .iter()
-            .map(|w| {
-                w.page.encoded_len()
-                    + 1
-                    + w.proof.as_ref().map_or(0, |_| wedge_log::BlockProof::ENCODED_LEN)
-            })
-            .sum();
-        let wit: usize = self
-            .witnesses
-            .iter()
-            .map(|w| 4 + w.page.encoded_len() + 8 + 8 + 32 * w.inclusion.siblings.len())
-            .sum();
-        8 + 8
-            + 1
-            + self.outcome.as_ref().map_or(0, |r| r.encoded_len())
-            + (8 + l0)
-            + (8 + wit)
-            + (8 + 32 * self.level_roots.len())
-            + GlobalRootCert::ENCODED_LEN
-    }
-
-    /// Canonical nestable wire encoding of the whole proof.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64(self.edge.0).put_u64(self.key);
-        enc.put_option(self.outcome.as_ref(), |e, r| r.encode_into(e));
-        enc.put_u64(self.l0.len() as u64);
-        for w in &self.l0 {
-            w.page.encode_into(enc);
-            enc.put_option(w.proof.as_ref(), |e, p| p.encode_into(e));
-        }
-        enc.put_u64(self.witnesses.len() as u64);
-        for w in &self.witnesses {
-            enc.put_u32(w.level);
-            w.page.encode_into(enc);
-            enc.put_u64(w.inclusion.leaf_index as u64);
-            enc.put_u64(w.inclusion.siblings.len() as u64);
-            for s in &w.inclusion.siblings {
-                enc.put_digest(s);
-            }
-        }
-        enc.put_u64(self.level_roots.len() as u64);
-        for r in &self.level_roots {
-            enc.put_digest(r);
-        }
-        self.global.encode_into(enc);
-    }
-
-    /// Inverse of [`IndexReadProof::encode_into`]. Decoded pages are
-    /// fresh `Arc`s with no digest memo; nothing is verified here — the
-    /// decoded proof goes through [`verify_read_proof`] like any other.
-    /// A level page is therefore hashed on its first verification. A
-    /// verifier with a [`ReadProofCache`] hashes each distinct level
-    /// page once: a later decode of an equal page takes the digest the
-    /// cache remembers. Each witness count is bounded by the fewest bytes one
-    /// witness can encode to, so a hostile count cannot reserve memory
-    /// the remaining input could never fill.
-    pub fn decode_from(dec: &mut wedge_log::Decoder<'_>) -> Result<Self, wedge_log::DecodeError> {
-        use wedge_log::DecodeError;
-        let edge = IdentityId(dec.get_u64()?);
-        let key = dec.get_u64()?;
-        let outcome = dec.get_option(KvRecord::decode_from)?;
-        let n_l0 = dec.get_count(L0_WITNESS_MIN_LEN)?;
-        let mut l0 = Vec::with_capacity(n_l0);
-        for _ in 0..n_l0 {
-            let page = L0Page::decode_from(dec)?;
-            let proof = dec.get_option(BlockProof::decode_from)?;
-            l0.push(L0Witness { page, proof });
-        }
-        let n_wit = dec.get_count(LEVEL_WITNESS_MIN_LEN)?;
-        let mut witnesses = Vec::with_capacity(n_wit);
-        for _ in 0..n_wit {
-            let level = dec.get_u32()?;
-            let page = Page::decode_from(dec)?;
-            let leaf_index = dec.get_u64()?;
-            let leaf_index =
-                usize::try_from(leaf_index).map_err(|_| DecodeError::Malformed("leaf index"))?;
-            let n_sib = dec.get_count(32)?;
-            let mut siblings = Vec::with_capacity(n_sib);
-            for _ in 0..n_sib {
-                siblings.push(dec.get_digest()?);
-            }
-            witnesses.push(LevelWitness {
-                level,
-                page,
-                inclusion: InclusionProof { leaf_index, siblings },
-            });
-        }
-        let n_roots = dec.get_count(32)?;
-        let mut level_roots = Vec::with_capacity(n_roots);
-        for _ in 0..n_roots {
-            level_roots.push(dec.get_digest()?);
-        }
-        let global = GlobalRootCert::decode_from(dec)?;
-        Ok(IndexReadProof { edge, key, outcome, l0, witnesses, level_roots, global })
-    }
 }
 
-/// Fewest bytes one encoded L0 witness takes: an empty block's page
-/// and the proof's option tag.
-const L0_WITNESS_MIN_LEN: usize = L0Page::MIN_ENCODED_LEN + 1;
+wire_struct!(L0Witness { page: Arc<L0Page>, proof: Option<BlockProof> });
 
-/// Fewest bytes one encoded level witness takes: the level, an empty
-/// page, the leaf index and the sibling count.
-const LEVEL_WITNESS_MIN_LEN: usize = 4 + Page::MIN_ENCODED_LEN + 8 + 8;
+wire_struct!(LevelWitness { level: u32, page: Arc<Page>, inclusion: InclusionProof });
+
+// Decoded pages are fresh `Arc`s with no digest memo; nothing is
+// verified here — the decoded proof goes through `verify_read_proof`
+// like any other. A level page is therefore hashed on its first
+// verification; a verifier with a `ReadProofCache` hashes each
+// distinct level page once, because a later decode of an equal page
+// takes the digest the cache remembers.
+wire_struct!(IndexReadProof {
+    edge: IdentityId,
+    key: Key,
+    outcome: Option<KvRecord>,
+    l0: Vec<L0Witness>,
+    witnesses: Vec<LevelWitness>,
+    level_roots: Vec<Digest>,
+    global: GlobalRootCert,
+});
 
 /// A verified read.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -751,7 +663,7 @@ mod tests {
     use crate::kv::{kv_entry, KvOp};
     use crate::merge::CloudIndex;
     use wedge_crypto::Identity;
-    use wedge_log::{Block, BlockId, CertLedger, Entry};
+    use wedge_log::{Block, BlockId, CertLedger, Encoder, Entry, Wire};
 
     struct Fixture {
         cloud: Identity,
@@ -1471,18 +1383,18 @@ mod tests {
         let level = LevelWitness { level: 1, page, inclusion };
         let before = proof.encoded_len();
         proof.l0.push(l0);
-        assert_eq!(proof.encoded_len() - before, L0_WITNESS_MIN_LEN, "L0 minimum");
+        assert_eq!(proof.encoded_len() - before, L0Witness::MIN_LEN, "L0 minimum");
         proof.witnesses.push(level);
-        assert_eq!(proof.encoded_len() - before, L0_WITNESS_MIN_LEN + LEVEL_WITNESS_MIN_LEN);
+        assert_eq!(proof.encoded_len() - before, L0Witness::MIN_LEN + LevelWitness::MIN_LEN);
 
         // Edge, key and the outcome's `None` tag, then the L0 count.
         let mut enc = Encoder::default();
         proof.encode_into(&mut enc);
         let full = enc.finish();
         let l0_count_at = 8 + 8 + 1;
-        let l0_bytes = &full[l0_count_at + 8..][..L0_WITNESS_MIN_LEN];
-        let level_count_at = l0_count_at + 8 + L0_WITNESS_MIN_LEN;
-        let level_bytes = &full[level_count_at + 8..][..LEVEL_WITNESS_MIN_LEN];
+        let l0_bytes = &full[l0_count_at + 8..][..L0Witness::MIN_LEN];
+        let level_count_at = l0_count_at + 8 + L0Witness::MIN_LEN;
+        let level_bytes = &full[level_count_at + 8..][..LevelWitness::MIN_LEN];
         // K L0 witnesses after the L0 count; no L0 witness and K level
         // witnesses after the level count.
         let stream = |count: u64, level_section: bool| {

@@ -362,7 +362,7 @@ mod tests {
     use crate::kv::{kv_entry, KvOp};
     use crate::merge::CloudIndex;
     use wedge_crypto::Identity;
-    use wedge_log::{CertLedger, Entry};
+    use wedge_log::{CertLedger, Entry, Wire};
 
     struct Fixture {
         cloud: Identity,
