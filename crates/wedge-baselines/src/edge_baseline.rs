@@ -11,6 +11,11 @@
 //! triangle client → cloud → edge → client; the edge's install ack
 //! returns to the cloud off the client's critical path.
 //!
+//! The cloud seals, then runs the shared merge loop: each block is
+//! certified by [`certify_block`] and settled by
+//! [`CloudIndex::merge_until_settled`], the same in-process steps the
+//! WedgeChain preload uses. The edge replays the returned pairs.
+//!
 //! This module holds the two servers; the clients are
 //! [`BaselineClient`](crate::client::BaselineClient)s on
 //! [`Route::Edge`](crate::client::Route::Edge).
@@ -21,7 +26,7 @@ use wedge_core::cost::CostModel;
 use wedge_crypto::{Identity, IdentityId};
 use wedge_log::{Block, BlockId, BlockProof, CertLedger, Entry, LogStore};
 use wedge_lsmerkle::{
-    build_read_proof, CloudIndex, LsMerkle, LsmConfig, MergeRequest, MergeResult,
+    build_read_proof, certify_block, CloudIndex, LsMerkle, LsmConfig, MergeRequest, MergeResult,
 };
 use wedge_sim::{Actor, ActorId, Context};
 
@@ -83,27 +88,12 @@ impl EbCloud {
     /// to the cloud's tree and runs every merge it triggers (the cloud
     /// trusts itself). Returns what the edge replica must install.
     pub fn seal(&mut self, entries: Vec<Entry>, now_ns: u64) -> Install {
-        let bid = self.next_bid;
-        self.next_bid = self.next_bid.next();
-        let block = Block { edge: self.tree.edge(), id: bid, entries, sealed_at_ns: now_ns };
-        let digest = block.digest();
-        self.ledger.offer(self.tree.edge(), bid, digest);
-        let proof = BlockProof::issue(&self.identity, self.tree.edge(), bid, digest);
-        self.tree.apply_block_with_digest(block.clone(), digest);
-        self.tree.attach_block_proof(proof.clone());
-        let mut merges = Vec::new();
-        while let Some(level) = self.tree.overflowing_level() {
-            let req = self.tree.build_merge_request(level);
-            if level == 0 && req.source_l0.is_empty() {
-                break;
-            }
-            let res = self
-                .index
-                .process_merge(&self.identity, &self.ledger, &req, now_ns)
-                .expect("cloud's own merge must verify");
-            self.tree.apply_merge_result(&req, res.clone()).expect("cloud applies own merge");
-            merges.push((req, res));
-        }
+        let id = self.next_bid;
+        self.next_bid = id.next();
+        let block = Block { edge: self.tree.edge(), id, entries, sealed_at_ns: now_ns };
+        let proof = certify_block(&self.identity, &mut self.ledger, &mut self.tree, block.clone());
+        let merges =
+            self.index.merge_until_settled(&self.identity, &self.ledger, &mut self.tree, now_ns);
         (block, proof, merges)
     }
 
@@ -204,6 +194,55 @@ impl Actor<BMsg> for EbEdge {
                 ctx.send(from, resp, sz);
             }
             _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wedge_core::deployment::Identities;
+    use wedge_core::harness::preload_batches;
+    use wedge_log::CommitPhase::Phase2;
+    use wedge_lsmerkle::verify_read_proof;
+
+    /// `EbEdge::install` replays the cloud's merges into a replica that
+    /// converges on the cloud's tree: after a preload that cascades
+    /// L0 → L1 → L2, the level roots and the global root match, and
+    /// the replica's read proof for every key verifies under the cloud
+    /// as Phase II.
+    #[test]
+    fn replica_converges_on_the_cloud_tree() {
+        let ids = Identities::derive(1, 1);
+        let (cloud_ident, edge_ident) = (&ids.cloud, ids.edges[0].id);
+        let lsm = LsmConfig::exposition();
+        let cost = CostModel::default();
+        let mut cloud = EbCloud::new(
+            cloud_ident.clone(),
+            ActorId::from_index(1),
+            edge_ident,
+            cost.clone(),
+            lsm.clone(),
+        );
+        let init = CloudIndex::new(lsm.clone()).init_edge(cloud_ident, edge_ident, 0);
+        let mut edge =
+            EbEdge::new(ActorId::from_index(0), cost, LsMerkle::new(edge_ident, lsm, init));
+        let n = 50; // 13 blocks: the last stays in L0
+        let mut sources = Vec::new();
+        for entries in preload_batches(n, 4, 8, ids.clients[0][0].id) {
+            let install = cloud.seal(entries, 0);
+            sources.extend(install.2.iter().map(|(req, _)| req.source_level));
+            edge.install(install);
+        }
+        assert!(sources.contains(&1), "the preload must cascade into L2: {sources:?}");
+        assert_eq!(edge.tree.level_roots(), cloud.tree.level_roots());
+        assert_eq!(edge.tree.global().root, cloud.tree.global().root);
+        for key in 0..n {
+            let proof = build_read_proof(&edge.tree, key);
+            let read =
+                verify_read_proof(&proof, edge_ident, cloud_ident.id, &ids.registry, 0, None)
+                    .unwrap_or_else(|e| panic!("key {key}: {e:?}"));
+            assert_eq!((read.value, read.phase), (Some(vec![0xEE; 8]), Phase2), "key {key}");
         }
     }
 }

@@ -36,8 +36,8 @@ use std::sync::Arc;
 use wedge_bench::{banner, record, write_json};
 use wedge_crypto::merkle::hash_stats;
 use wedge_crypto::{Identity, IdentityId, Signature};
-use wedge_log::{Block, BlockId, BlockProof, CertLedger, Entry};
-use wedge_lsmerkle::{CloudIndex, KvOp, L0Page, LsMerkle, LsmConfig, MergeRequest};
+use wedge_log::{Block, BlockId, CertLedger, Entry};
+use wedge_lsmerkle::{certify_block, CloudIndex, KvOp, L0Page, LsMerkle, LsmConfig, MergeRequest};
 
 /// Records per setup block in the part-1 level build.
 const SETUP_BLOCK_OPS: u64 = 64;
@@ -188,19 +188,8 @@ impl Twin {
             sealed_at_ns: self.next_bid,
         };
         self.next_bid += 1;
-        let digest = block.digest();
-        self.ledger.offer(self.edge, block.id, digest);
-        let proof = BlockProof::issue(&self.cloud, self.edge, block.id, digest);
-        self.tree.apply_block(block);
-        self.tree.attach_block_proof(proof);
-        while let Some(level) = self.tree.overflowing_level() {
-            let req = self.tree.build_merge_request(level);
-            if level == 0 && req.source_l0.is_empty() {
-                break;
-            }
-            let res = self.index.process_merge(&self.cloud, &self.ledger, &req, 0).unwrap();
-            self.tree.apply_merge_result(&req, res).unwrap();
-        }
+        certify_block(&self.cloud, &mut self.ledger, &mut self.tree, block);
+        self.index.merge_until_settled(&self.cloud, &self.ledger, &mut self.tree, 0);
     }
 
     /// Runs the background compactor to quiescence, exactly as the

@@ -15,9 +15,10 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use wedge_bench::bench_fn;
 use wedge_crypto::{Identity, IdentityId, KeyRegistry};
-use wedge_log::{Block, BlockId, BlockProof, CertLedger};
+use wedge_log::{Block, BlockId, CertLedger};
 use wedge_lsmerkle::{
-    build_read_proof, kv_entry, verify_read_proof, CloudIndex, KvOp, LsMerkle, LsmConfig,
+    build_read_proof, certify_block, kv_entry, verify_read_proof, CloudIndex, KvOp, LsMerkle,
+    LsmConfig,
 };
 
 struct Fixture {
@@ -57,19 +58,8 @@ fn fixture(n: u64) -> Fixture {
             .collect();
         let block = Block { edge: edge_ident.id, id: BlockId(bid), entries, sealed_at_ns: bid };
         bid += 1;
-        let digest = block.digest();
-        ledger.offer(edge_ident.id, block.id, digest);
-        let proof = BlockProof::issue(&cloud_ident, edge_ident.id, block.id, digest);
-        tree.apply_block_with_digest(block, digest);
-        tree.attach_block_proof(proof);
-        while let Some(level) = tree.overflowing_level() {
-            let req = tree.build_merge_request(level);
-            if level == 0 && req.source_l0.is_empty() {
-                break;
-            }
-            let res = index.process_merge(&cloud_ident, &ledger, &req, 0).unwrap();
-            tree.apply_merge_result(&req, res).unwrap();
-        }
+        certify_block(&cloud_ident, &mut ledger, &mut tree, block);
+        index.merge_until_settled(&cloud_ident, &ledger, &mut tree, 0);
     }
     Fixture { tree, registry, edge: edge_ident.id, cloud: cloud_ident.id, trusted }
 }

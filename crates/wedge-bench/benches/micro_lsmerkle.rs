@@ -8,7 +8,7 @@ use wedge_bench::{bench_fn, bench_with_setup};
 use wedge_crypto::{Identity, IdentityId};
 use wedge_log::{Block, BlockBuffer, BlockId, BlockProof, CertLedger, Entry};
 use wedge_lsmerkle::{
-    build_read_proof, kv_entry, CloudIndex, KvOp, LsMerkle, LsmConfig, MergeRequest,
+    build_read_proof, certify_block, kv_entry, CloudIndex, KvOp, LsMerkle, LsmConfig, MergeRequest,
 };
 
 fn kv_block(client: &Identity, edge: IdentityId, bid: u64, base_key: u64, n: u64) -> Block {
@@ -34,19 +34,8 @@ fn settled_tree(n: u64) -> (LsMerkle, CloudIndex, CertLedger, Identity) {
         let block = kv_block(&client, edge, bid, key, take);
         key += take;
         bid += 1;
-        let digest = block.digest();
-        ledger.offer(edge, block.id, digest);
-        let proof = BlockProof::issue(&cloud, edge, block.id, digest);
-        tree.apply_block_with_digest(block, digest);
-        tree.attach_block_proof(proof);
-        while let Some(level) = tree.overflowing_level() {
-            let req = tree.build_merge_request(level);
-            if level == 0 && req.source_l0.is_empty() {
-                break;
-            }
-            let res = index.process_merge(&cloud, &ledger, &req, 0).unwrap();
-            tree.apply_merge_result(&req, res).unwrap();
-        }
+        certify_block(&cloud, &mut ledger, &mut tree, block);
+        index.merge_until_settled(&cloud, &ledger, &mut tree, 0);
     }
     (tree, index, ledger, cloud)
 }
@@ -124,14 +113,7 @@ fn bench_ingest_merge_cycle() {
                     let digest = block.digest();
                     tree.apply_block_with_digest(block, digest);
                     tree.attach_block_proof(proof.clone());
-                    while let Some(level) = tree.overflowing_level() {
-                        let req = tree.build_merge_request(level);
-                        if level == 0 && req.source_l0.is_empty() {
-                            break;
-                        }
-                        let res = index.process_merge(&cloud, &ledger, &req, 0).unwrap();
-                        tree.apply_merge_result(&req, res).unwrap();
-                    }
+                    index.merge_until_settled(&cloud, &ledger, &mut tree, 0);
                 }
                 std::hint::black_box(tree.record_count())
             },
@@ -155,11 +137,7 @@ fn bench_merge() {
             let mut ledger = CertLedger::new();
             for bid in 0..11u64 {
                 let block = kv_block(&client, edge, bid, bid * 100, 100);
-                let digest = block.digest();
-                ledger.offer(edge, block.id, digest);
-                let proof = BlockProof::issue(&cloud, edge, block.id, digest);
-                tree.apply_block_with_digest(block, digest);
-                tree.attach_block_proof(proof);
+                certify_block(&cloud, &mut ledger, &mut tree, block);
             }
             let req: MergeRequest = tree.build_merge_request(0);
             (index, ledger, req)

@@ -18,8 +18,8 @@ use crate::fault::FaultPlan;
 use crate::messages::Msg;
 use crate::metrics::ClientMetrics;
 use wedge_crypto::{IdentityId, Signature};
-use wedge_log::{BlockProof, Entry};
-use wedge_lsmerkle::KvOp;
+use wedge_log::Entry;
+use wedge_lsmerkle::{certify_block, KvOp};
 use wedge_sim::{ActorId, SimDuration, SimTime, Simulation};
 
 pub use crate::deployment::client_workload_seed;
@@ -472,64 +472,28 @@ impl SystemHarness {
         client_get(&mut self.sim, self.cloud, self.clients[client], key)
     }
 
-    /// Preloads `n` sequential keys directly into the edge's log/index
-    /// and the cloud's ledger, bypassing the network (setup for read
-    /// benchmarks): [`preload_batches`] with the configured batch and
-    /// value size, every entry attributed to client 0.
+    /// Preloads `n` sequential keys directly into the edge's log and
+    /// tree and the cloud's ledger and index, bypassing the network
+    /// (setup for read benchmarks): [`preload_batches`] with the
+    /// configured batch and value size, every entry attributed to
+    /// client 0. Each block is sealed at time 0, certified by
+    /// [`certify_block`], then settled by the shared in-process merge
+    /// loop,
+    /// [`CloudIndex::merge_until_settled`](wedge_lsmerkle::CloudIndex::merge_until_settled).
     pub fn preload(&mut self, n: u64) {
         let edge_id = self.ids.edges[0].id;
         let client_id = self.ids.clients[0][0].id;
+        let cloud_id = &self.ids.cloud;
+        let (edge, cloud) = self.sim.actor_pair_mut::<EdgeNode, CloudNode>(self.edge, self.cloud);
+        let cloud = &mut cloud.engine;
         for entries in preload_batches(n, self.cfg.batch_size, self.cfg.value_size, client_id) {
-            // Seal at the edge.
-            let (block, digest) = {
-                let edge = self.sim.actor_mut::<EdgeNode>(self.edge);
-                let bid = edge.log.iter().last().map(|b| b.block.id.next()).unwrap_or_default();
-                let block = wedge_log::Block { edge: edge_id, id: bid, entries, sealed_at_ns: 0 };
-                let digest = block.digest();
-                edge.log.append(block.clone());
-                edge.tree.apply_block_with_digest(block.clone(), digest);
-                (block, digest)
-            };
-            // Certify at the cloud.
-            self.sim.actor_mut::<CloudNode>(self.cloud).ledger.offer(edge_id, block.id, digest);
-            let proof = BlockProof::issue(&self.ids.cloud, edge_id, block.id, digest);
-            {
-                let edge = self.sim.actor_mut::<EdgeNode>(self.edge);
-                edge.log.attach_proof(proof.clone());
-                edge.tree.attach_block_proof(proof);
-                edge.sync_next_bid();
-            }
-            // Merge synchronously whenever the tree overflows.
-            self.drain_merges_direct();
+            let id = edge.log.iter().last().map(|b| b.block.id.next()).unwrap_or_default();
+            let block = wedge_log::Block { edge: edge_id, id, entries, sealed_at_ns: 0 };
+            edge.log.append(block.clone());
+            let proof = certify_block(cloud_id, &mut cloud.ledger, &mut edge.tree, block);
+            edge.log.attach_proof(proof);
+            cloud.index.merge_until_settled(cloud_id, &cloud.ledger, &mut edge.tree, 0);
         }
-        self.drain_merges_direct();
-    }
-
-    /// Runs pending merges synchronously, bypassing the network.
-    fn drain_merges_direct(&mut self) {
-        loop {
-            let req = {
-                let edge = self.sim.actor_mut::<EdgeNode>(self.edge);
-                match edge.tree.overflowing_level() {
-                    Some(level) => {
-                        let req = edge.tree.build_merge_request(level);
-                        if level == 0 && req.source_l0.is_empty() {
-                            return;
-                        }
-                        req
-                    }
-                    None => return,
-                }
-            };
-            let res = {
-                let engine = &mut self.sim.actor_mut::<CloudNode>(self.cloud).engine;
-                engine
-                    .index
-                    .process_merge(&self.ids.cloud, &engine.ledger, &req, 0)
-                    .expect("preload merge must succeed")
-            };
-            let edge = self.sim.actor_mut::<EdgeNode>(self.edge);
-            edge.tree.apply_merge_result(&req, res).expect("preload merge applies");
-        }
+        edge.sync_next_bid();
     }
 }

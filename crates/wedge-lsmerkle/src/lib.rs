@@ -15,7 +15,10 @@
 //!   the timestamped global root.
 //! - [`tree`]: the edge-resident [`tree::LsMerkle`] state machine.
 //! - [`merge`]: the cloud-verified merge/compaction protocol
-//!   ([`merge::CloudIndex`]).
+//!   ([`merge::CloudIndex`]), and the in-process cloud written once:
+//!   [`merge::certify_block`] certifies a sealed block into a tree and
+//!   [`merge::CloudIndex::merge_until_settled`] answers every merge it
+//!   owes (the Edge-baseline's cloud, preloads, fixtures).
 //! - [`proof`]: read proofs — build at the edge, verify at the client
 //!   ([`proof::build_read_proof`] / [`proof::verify_read_proof`]).
 //! - [`config`]: tree shape ([`config::LsmConfig`]), including the
@@ -31,6 +34,8 @@ pub mod level;
 pub mod merge;
 pub mod page;
 pub mod proof;
+#[cfg(test)]
+mod testkit;
 pub mod tree;
 
 pub use compact::{fold_partial_pages, needs_compaction, CompactionStats, FoldOutcome};
@@ -39,8 +44,9 @@ pub use forest::MerkleForest;
 pub use kv::{kv_entry, records_from_block, Key, KvOp, KvRecord, Value, Version};
 pub use level::{GlobalRootCert, Level, SignedLevelRoot};
 pub use merge::{
-    kway_merge_newest, retention_fingerprint, CloudIndex, DeltaMergeRequest, DeltaMergeResult,
-    InitBundle, MergeError, MergeRequest, MergeResult, PageDelta, ReqPageSlot, RetainedLevel,
+    certify_block, kway_merge_newest, retention_fingerprint, CloudIndex, DeltaMergeRequest,
+    DeltaMergeResult, InitBundle, MergeError, MergeRequest, MergeResult, PageDelta, ReqPageSlot,
+    RetainedLevel,
 };
 pub use page::{
     check_level_ranges, find_covering, split_into_pages, split_into_range_pages, L0Page, Page,

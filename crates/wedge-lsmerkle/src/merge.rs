@@ -26,11 +26,14 @@ use crate::level::{
 use crate::page::{
     check_level_ranges, find_covering, split_into_pages, split_into_range_pages, L0Page, Page,
 };
+use crate::tree::LsMerkle;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use wedge_crypto::{Digest, Identity, IdentityId};
-use wedge_log::{wire_struct, BlockId, CertLedger, DecodeError, Decoder, Encoder, Wire};
+use wedge_log::{
+    wire_struct, Block, BlockId, BlockProof, CertLedger, DecodeError, Decoder, Encoder, Wire,
+};
 use wedge_pool::Pool;
 
 /// A merge request from an edge node.
@@ -1167,13 +1170,54 @@ impl CloudIndex {
         state.last_merge = Some((req.fingerprint(), result.clone()));
         Ok(result)
     }
+
+    /// The in-process cloud's merge loop: answers every merge `tree`
+    /// owes, shallowest overflow first, until nothing overflows, and
+    /// returns the applied `(request, result)` pairs in application
+    /// order. Only a caller that is the cloud itself uses it — the
+    /// Edge-baseline's cloud, a preload, a fixture; the edge engine
+    /// ships each request over the protocol instead. Panics if the
+    /// tree and this index disagree.
+    pub fn merge_until_settled(
+        &mut self,
+        cloud: &Identity,
+        ledger: &CertLedger,
+        tree: &mut LsMerkle,
+        now_ns: u64,
+    ) -> Vec<(MergeRequest, MergeResult)> {
+        let mut applied = Vec::new();
+        while let Some(level) = tree.overflowing_level() {
+            let req = tree.build_merge_request(level);
+            let res = self.process_merge(cloud, ledger, &req, now_ns).expect("own merge verifies");
+            tree.apply_merge_result(&req, res.clone()).expect("own merge applies");
+            applied.push((req, res));
+        }
+        applied
+    }
+}
+
+/// Certifies a sealed block at the in-process cloud and feeds it to
+/// `tree`: offers its digest to `ledger`, issues the [`BlockProof`],
+/// applies the block and attaches the proof. Returns the proof.
+pub fn certify_block(
+    cloud: &Identity,
+    ledger: &mut CertLedger,
+    tree: &mut LsMerkle,
+    block: Block,
+) -> BlockProof {
+    let digest = block.digest();
+    ledger.offer(block.edge, block.id, digest);
+    let proof = BlockProof::issue(cloud, block.edge, block.id, digest);
+    tree.apply_block_with_digest(block, digest);
+    tree.attach_block_proof(proof.clone());
+    proof
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kv::{kv_entry, KvOp};
-    use wedge_log::{Block, CertOutcome};
+    use wedge_log::CertOutcome;
 
     fn setup() -> (Identity, CertLedger, CloudIndex, IdentityId) {
         let cloud = Identity::derive("cloud", 0);

@@ -659,83 +659,12 @@ fn verify_read_proof_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LsmConfig;
-    use crate::kv::{kv_entry, KvOp};
-    use crate::merge::CloudIndex;
+    use crate::kv::KvOp;
+    use crate::testkit::Fixture;
     use wedge_crypto::Identity;
-    use wedge_log::{Block, BlockId, CertLedger, Encoder, Entry, Wire};
-
-    struct Fixture {
-        cloud: Identity,
-        ledger: CertLedger,
-        index: CloudIndex,
-        tree: LsMerkle,
-        edge: IdentityId,
-        client: Identity,
-        registry: KeyRegistry,
-        next_bid: u64,
-        next_seq: u64,
-    }
+    use wedge_log::{Block, BlockId, Encoder, Wire};
 
     impl Fixture {
-        fn new() -> Self {
-            let cloud = Identity::derive("cloud", 0);
-            let client = Identity::derive("client", 1);
-            let edge = IdentityId(9);
-            let mut registry = KeyRegistry::new();
-            registry.register(cloud.id, cloud.public()).unwrap();
-            registry.register(client.id, client.public()).unwrap();
-            let mut index = CloudIndex::new(LsmConfig::exposition());
-            let init = index.init_edge(&cloud, edge, 0);
-            let tree = LsMerkle::new(edge, LsmConfig::exposition(), init);
-            Fixture {
-                cloud,
-                ledger: CertLedger::new(),
-                index,
-                tree,
-                edge,
-                client,
-                registry,
-                next_bid: 0,
-                next_seq: 0,
-            }
-        }
-
-        fn ingest_certified(&mut self, kvs: &[(u64, Option<&[u8]>)]) {
-            let entries: Vec<Entry> = kvs
-                .iter()
-                .map(|(k, v)| {
-                    let op = match v {
-                        Some(v) => KvOp::put(*k, v.to_vec()),
-                        None => KvOp::delete(*k),
-                    };
-                    let e = kv_entry(&self.client, self.next_seq, &op);
-                    self.next_seq += 1;
-                    e
-                })
-                .collect();
-            let block = Block {
-                edge: self.edge,
-                id: BlockId(self.next_bid),
-                entries,
-                sealed_at_ns: self.next_bid,
-            };
-            self.next_bid += 1;
-            let digest = block.digest();
-            self.ledger.offer(self.edge, block.id, digest);
-            let proof = BlockProof::issue(&self.cloud, self.edge, block.id, digest);
-            self.tree.apply_block(block);
-            self.tree.attach_block_proof(proof);
-        }
-
-        fn drain_merges(&mut self) {
-            while let Some(level) = self.tree.overflowing_level() {
-                let req = self.tree.build_merge_request(level);
-                let res = self.index.process_merge(&self.cloud, &self.ledger, &req, 1_000).unwrap();
-                self.tree.apply_merge_result(&req, res).unwrap();
-            }
-        }
-
         fn verify(&self, proof: &IndexReadProof) -> Result<VerifiedRead, ProofError> {
             verify_read_proof(proof, self.edge, self.cloud.id, &self.registry, 2_000, None)
         }
@@ -782,7 +711,7 @@ mod tests {
     #[test]
     fn l0_hit_verifies_phase2() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"v"))]);
+        fx.ingest(&[(5, b"v")]);
         let proof = build_read_proof(&fx.tree, 5);
         let read = fx.verify(&proof).unwrap();
         assert_eq!(read.value.as_deref(), Some(b"v".as_ref()));
@@ -794,9 +723,9 @@ mod tests {
     #[test]
     fn level_hit_verifies_with_witnesses() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(1, Some(b"a"))]);
-        fx.ingest_certified(&[(2, Some(b"b"))]);
-        fx.ingest_certified(&[(3, Some(b"c"))]);
+        fx.ingest(&[(1, b"a")]);
+        fx.ingest(&[(2, b"b")]);
+        fx.ingest(&[(3, b"c")]);
         fx.drain_merges();
         let proof = build_read_proof(&fx.tree, 2);
         assert!(!proof.witnesses.is_empty());
@@ -807,9 +736,9 @@ mod tests {
     #[test]
     fn absence_proof_verifies() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(1, Some(b"a"))]);
-        fx.ingest_certified(&[(2, Some(b"b"))]);
-        fx.ingest_certified(&[(3, Some(b"c"))]);
+        fx.ingest(&[(1, b"a")]);
+        fx.ingest(&[(2, b"b")]);
+        fx.ingest(&[(3, b"c")]);
         fx.drain_merges();
         let proof = build_read_proof(&fx.tree, 999);
         let read = fx.verify(&proof).unwrap();
@@ -820,8 +749,8 @@ mod tests {
     #[test]
     fn deleted_key_reads_as_absent() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"v"))]);
-        fx.ingest_certified(&[(5, None)]);
+        fx.ingest(&[(5, b"v")]);
+        fx.ingest_ops(&[KvOp::delete(5)]);
         let proof = build_read_proof(&fx.tree, 5);
         let read = fx.verify(&proof).unwrap();
         assert_eq!(read.value, None);
@@ -833,10 +762,8 @@ mod tests {
     fn uncertified_l0_downgrades_to_phase1() {
         let mut fx = Fixture::new();
         // Certified block, then an uncertified one.
-        fx.ingest_certified(&[(1, Some(b"a"))]);
-        let entries = vec![kv_entry(&fx.client, 999, &KvOp::put(2, b"b".to_vec()))];
-        let block = Block { edge: fx.edge, id: BlockId(fx.next_bid), entries, sealed_at_ns: 0 };
-        fx.tree.apply_block(block);
+        fx.ingest(&[(1, b"a")]);
+        fx.ingest_uncertified(2);
         let proof = build_read_proof(&fx.tree, 1);
         let read = fx.verify(&proof).unwrap();
         assert_eq!(read.phase, CommitPhase::Phase1);
@@ -845,7 +772,7 @@ mod tests {
     #[test]
     fn tampered_value_detected() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"honest"))]);
+        fx.ingest(&[(5, b"honest")]);
         let mut proof = build_read_proof(&fx.tree, 5);
         // Edge swaps the outcome value without touching the pages.
         proof.outcome.as_mut().unwrap().value = Some(b"evil".to_vec());
@@ -855,8 +782,8 @@ mod tests {
     #[test]
     fn hidden_newer_version_detected() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"old"))]);
-        fx.ingest_certified(&[(5, Some(b"new"))]);
+        fx.ingest(&[(5, b"old")]);
+        fx.ingest(&[(5, b"new")]);
         let mut proof = build_read_proof(&fx.tree, 5);
         // Edge claims the old version is newest.
         let old = proof.l0[0].page.lookup(5).unwrap().clone();
@@ -867,9 +794,9 @@ mod tests {
     #[test]
     fn tampered_page_fails_inclusion() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(1, Some(b"a"))]);
-        fx.ingest_certified(&[(2, Some(b"b"))]);
-        fx.ingest_certified(&[(3, Some(b"c"))]);
+        fx.ingest(&[(1, b"a")]);
+        fx.ingest(&[(2, b"b")]);
+        fx.ingest(&[(3, b"c")]);
         fx.drain_merges();
         let mut proof = build_read_proof(&fx.tree, 2);
         // Rebuild the witness page with a tampered record (pages are
@@ -887,7 +814,7 @@ mod tests {
     #[test]
     fn forged_global_cert_rejected() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(1, Some(b"a"))]);
+        fx.ingest(&[(1, b"a")]);
         let mut proof = build_read_proof(&fx.tree, 1);
         let evil = Identity::derive("edge", 66);
         proof.global =
@@ -898,7 +825,7 @@ mod tests {
     #[test]
     fn dropped_l0_proof_only_downgrades_never_forges() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"v"))]);
+        fx.ingest(&[(5, b"v")]);
         let mut proof = build_read_proof(&fx.tree, 5);
         proof.l0[0].proof = None; // edge withholds the certification
         let read = fx.verify(&proof).unwrap();
@@ -909,8 +836,8 @@ mod tests {
     #[test]
     fn mismatched_l0_proof_rejected() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"v"))]);
-        fx.ingest_certified(&[(6, Some(b"w"))]);
+        fx.ingest(&[(5, b"v")]);
+        fx.ingest(&[(6, b"w")]);
         let mut proof = build_read_proof(&fx.tree, 5);
         // Attach block 1's proof to block 0's page.
         let stolen = proof.l0[1].proof.clone();
@@ -932,7 +859,7 @@ mod tests {
         let d0 = hash_stats::computed();
         // Build: enough certified blocks to cascade several merges.
         for i in 0..12u64 {
-            fx.ingest_certified(&[(i, Some(b"v")), (i + 100, Some(b"w"))]);
+            fx.ingest(&[(i, b"v"), (i + 100, b"w")]);
         }
         fx.drain_merges();
         // Read-proof + client verify, hits and misses.
@@ -965,7 +892,7 @@ mod tests {
         use crate::page::hash_stats;
         let mut fx = Fixture::new();
         for i in 0..6u64 {
-            fx.ingest_certified(&[(i, Some(b"v"))]);
+            fx.ingest(&[(i, b"v")]);
         }
         let cache = ReadProofCache::new(4096);
         let verify_cached = |fx: &Fixture, proof: &IndexReadProof| {
@@ -997,7 +924,7 @@ mod tests {
         use crate::page::hash_stats;
         let mut fx = Fixture::new();
         for i in 0..4u64 {
-            fx.ingest_certified(&[(i, Some(b"v"))]);
+            fx.ingest(&[(i, b"v")]);
         }
         let cache = ReadProofCache::new(4096);
         // Decoded pages are fresh Arcs, pointer-distinct from anything
@@ -1020,7 +947,7 @@ mod tests {
     #[test]
     fn read_proof_cache_never_trusts_forged_records() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"honest"))]);
+        fx.ingest(&[(5, b"honest")]);
         let cache = ReadProofCache::new(4096);
         let verify = |proof: &IndexReadProof| {
             verify_read_proof_cached(proof, fx.edge, fx.cloud.id, &fx.registry, 2_000, None, &cache)
@@ -1049,7 +976,7 @@ mod tests {
     #[test]
     fn admitted_proof_never_vouches_for_another_signature() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"v"))]);
+        fx.ingest(&[(5, b"v")]);
         let cache = ReadProofCache::new(4096);
         let mut proof = build_read_proof(&fx.tree, 5);
         fx.phase2(&proof, &cache);
@@ -1062,8 +989,8 @@ mod tests {
     #[test]
     fn admitted_proof_never_vouches_for_another_digest() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"v"))]);
-        fx.ingest_certified(&[(6, Some(b"w"))]);
+        fx.ingest(&[(5, b"v")]);
+        fx.ingest(&[(6, b"w")]);
         let cache = ReadProofCache::new(4096);
         let mut proof = build_read_proof(&fx.tree, 5);
         fx.phase2(&proof, &cache);
@@ -1078,7 +1005,7 @@ mod tests {
     #[test]
     fn admitted_proof_never_vouches_for_forged_records() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"honest"))]);
+        fx.ingest(&[(5, b"honest")]);
         let cache = ReadProofCache::new(4096);
         let mut forged = build_read_proof(&fx.tree, 5);
         fx.phase2(&forged, &cache);
@@ -1093,8 +1020,8 @@ mod tests {
     #[test]
     fn phase2_admitted_proofs_spare_the_read_every_signature_check() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"v"))]);
-        fx.ingest_certified(&[(6, Some(b"w"))]);
+        fx.ingest(&[(5, b"v")]);
+        fx.ingest(&[(6, b"w")]);
         let cache = ReadProofCache::new(4096);
         let proof = build_read_proof(&fx.tree, 5);
         fx.phase2(&proof, &cache);
@@ -1109,8 +1036,8 @@ mod tests {
     #[test]
     fn evicted_proof_pays_the_full_check_with_the_same_verdict() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(5, Some(b"v"))]);
-        fx.ingest_certified(&[(6, Some(b"w"))]);
+        fx.ingest(&[(5, b"v")]);
+        fx.ingest(&[(6, b"w")]);
         let cache = ReadProofCache::new(1);
         let proof = build_read_proof(&fx.tree, 5);
         fx.phase2(&proof, &cache);
@@ -1144,7 +1071,7 @@ mod tests {
         // Hot tree: 3 L0 pages, read repeatedly.
         let mut hot = Fixture::new();
         for i in 0..3u64 {
-            hot.ingest_certified(&[(i, Some(b"hot"))]);
+            hot.ingest(&[(i, b"hot")]);
         }
         // Cap 4 = the 3 hot pages + room for exactly one cold page:
         // every cold proof forces an eviction.
@@ -1154,7 +1081,7 @@ mod tests {
         // cache, with hot reads interleaved (keeping hot recent).
         for i in 0..6u64 {
             let mut cold = Fixture::new();
-            cold.ingest_certified(&[(1_000 + i, Some(b"cold"))]);
+            cold.ingest(&[(1_000 + i, b"cold")]);
             verify(&cold, 1_000 + i, &cache);
             verify(&hot, i % 3, &cache);
         }
@@ -1176,7 +1103,7 @@ mod tests {
     fn shared_cache_concurrent_verifiers_stay_exact() {
         let mut fx = Fixture::new();
         for i in 0..4u64 {
-            fx.ingest_certified(&[(i, Some(b"v"))]);
+            fx.ingest(&[(i, b"v")]);
         }
         let proof = build_read_proof(&fx.tree, 2);
         let l0_pages = proof.l0.len() as u64;
@@ -1228,7 +1155,7 @@ mod tests {
     fn leveled_fixture() -> Fixture {
         let mut fx = Fixture::new();
         for k in 1..=12u64 {
-            fx.ingest_certified(&[(k, Some(b"v"))]);
+            fx.ingest(&[(k, b"v")]);
             fx.drain_merges();
         }
         fx
@@ -1426,9 +1353,9 @@ mod tests {
     #[test]
     fn read_proof_wire_roundtrip_verifies() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(1, Some(b"a"))]);
-        fx.ingest_certified(&[(2, Some(b"b"))]);
-        fx.ingest_certified(&[(3, Some(b"c"))]);
+        fx.ingest(&[(1, b"a")]);
+        fx.ingest(&[(2, b"b")]);
+        fx.ingest(&[(3, b"c")]);
         fx.drain_merges();
         for key in [2u64, 999] {
             let proof = build_read_proof(&fx.tree, key);
@@ -1450,7 +1377,7 @@ mod tests {
     #[test]
     fn staleness_enforced_when_window_set() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(1, Some(b"a"))]);
+        fx.ingest(&[(1, b"a")]);
         let proof = build_read_proof(&fx.tree, 1);
         // Global cert was signed at ts 0; now = 10s; window = 1s.
         let res = verify_read_proof(
@@ -1480,9 +1407,9 @@ mod tests {
     #[test]
     fn missing_required_witness_detected() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(1, Some(b"a"))]);
-        fx.ingest_certified(&[(2, Some(b"b"))]);
-        fx.ingest_certified(&[(3, Some(b"c"))]);
+        fx.ingest(&[(1, b"a")]);
+        fx.ingest(&[(2, b"b")]);
+        fx.ingest(&[(3, b"c")]);
         fx.drain_merges();
         let mut proof = build_read_proof(&fx.tree, 2);
         // Strip the L1 witness: now nothing proves L1 lacks a newer
@@ -1495,9 +1422,9 @@ mod tests {
     #[test]
     fn absence_with_missing_level_witness_detected() {
         let mut fx = Fixture::new();
-        fx.ingest_certified(&[(1, Some(b"a"))]);
-        fx.ingest_certified(&[(2, Some(b"b"))]);
-        fx.ingest_certified(&[(3, Some(b"c"))]);
+        fx.ingest(&[(1, b"a")]);
+        fx.ingest(&[(2, b"b")]);
+        fx.ingest(&[(3, b"c")]);
         fx.drain_merges();
         let mut proof = build_read_proof(&fx.tree, 999);
         proof.witnesses.clear(); // absence proof must cover all levels

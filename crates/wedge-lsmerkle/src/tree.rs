@@ -359,73 +359,34 @@ pub enum RecordLocation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::{kv_entry, KvOp};
-    use crate::merge::CloudIndex;
-    use wedge_crypto::Identity;
-    use wedge_log::{CertLedger, Entry, Wire};
+    use crate::kv::KvOp;
+    use crate::testkit::Fixture;
+    use wedge_log::Wire;
 
-    struct Fixture {
-        cloud: Identity,
-        ledger: CertLedger,
-        index: CloudIndex,
-        tree: LsMerkle,
-        edge: IdentityId,
-        client: Identity,
-        next_bid: u64,
-        next_seq: u64,
+    /// The schedule tests' SplitMix64 stream.
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
     }
 
-    impl Fixture {
-        fn new() -> Self {
-            let cloud = Identity::derive("cloud", 0);
-            let edge = IdentityId(9);
-            let mut index = CloudIndex::new(LsmConfig::exposition());
-            let init = index.init_edge(&cloud, edge, 0);
-            let tree = LsMerkle::new(edge, LsmConfig::exposition(), init);
-            Fixture {
-                cloud,
-                ledger: CertLedger::new(),
-                index,
-                tree,
-                edge,
-                client: Identity::derive("client", 1),
-                next_bid: 0,
-                next_seq: 0,
-            }
-        }
-
-        /// Seals a block of puts, certifies it, feeds it to the tree.
-        fn ingest(&mut self, kvs: &[(u64, &[u8])]) {
-            let entries: Vec<Entry> = kvs
-                .iter()
-                .map(|(k, v)| {
-                    let e = kv_entry(&self.client, self.next_seq, &KvOp::put(*k, v.to_vec()));
-                    self.next_seq += 1;
-                    e
-                })
-                .collect();
-            let block = Block {
-                edge: self.edge,
-                id: BlockId(self.next_bid),
-                entries,
-                sealed_at_ns: self.next_bid,
-            };
-            self.next_bid += 1;
-            let digest = block.digest();
-            self.ledger.offer(self.edge, block.id, digest);
-            let proof = BlockProof::issue(&self.cloud, self.edge, block.id, digest);
-            self.tree.apply_block(block);
-            assert!(self.tree.attach_block_proof(proof));
-        }
-
-        /// Runs merges until nothing overflows.
-        fn drain_merges(&mut self) {
-            while let Some(level) = self.tree.overflowing_level() {
-                let req = self.tree.build_merge_request(level);
-                let res = self.index.process_merge(&self.cloud, &self.ledger, &req, 1_000).unwrap();
-                self.tree.apply_merge_result(&req, res).unwrap();
-            }
-        }
+    /// One random block for the schedule tests: 1–3 ops over a small
+    /// keyspace, ~25% tombstones, so merges collide and delete.
+    fn random_ops(rng: &mut impl FnMut() -> u64) -> Vec<KvOp> {
+        (0..1 + rng() % 3)
+            .map(|_| {
+                let key = rng() % 32;
+                if rng().is_multiple_of(4) {
+                    KvOp::delete(key)
+                } else {
+                    KvOp::put(key, rng().to_be_bytes().to_vec())
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -475,10 +436,7 @@ mod tests {
         fx.ingest(&[(2, b"b")]);
         fx.ingest(&[(4, b"d")]);
         // A fourth, *uncertified* block.
-        let entries = vec![kv_entry(&fx.client, 999, &KvOp::put(3, b"c".to_vec()))];
-        let block = Block { edge: fx.edge, id: BlockId(fx.next_bid), entries, sealed_at_ns: 0 };
-        fx.next_bid += 1;
-        fx.tree.apply_block(block);
+        fx.ingest_uncertified(3);
         // Three certified pages overflow the threshold of 2; the
         // uncertified page does not count.
         assert_eq!(fx.tree.certified_l0_count(), 3);
@@ -490,28 +448,52 @@ mod tests {
         fx.tree.apply_merge_result(&req, res).unwrap();
         // The uncertified page remains in L0.
         assert_eq!(fx.tree.l0_pages().len(), 1);
-        assert_eq!(fx.tree.find_newest(3).unwrap().0.value.as_deref(), Some(b"c".as_ref()));
+        assert_eq!(fx.tree.find_newest(3).unwrap().0.value.as_deref(), Some(b"u".as_ref()));
     }
 
     /// Regression: uncertified pages alone must never report an L0
-    /// overflow — `build_merge_request(0)` would ship zero pages and a
-    /// `drain_merges`-style loop would spin forever on empty merges.
+    /// overflow — `build_merge_request(0)` would ship zero pages and
+    /// `CloudIndex::merge_until_settled`, which has no empty-source
+    /// guard, would spin forever on empty merges.
     #[test]
     fn uncertified_pages_alone_never_overflow() {
         let mut fx = Fixture::new();
         // Four uncertified blocks: past the raw threshold of 2, but
         // nothing is eligible to merge.
-        for i in 0..4u64 {
-            let entries = vec![kv_entry(&fx.client, 900 + i, &KvOp::put(i, b"v".to_vec()))];
-            let block = Block { edge: fx.edge, id: BlockId(fx.next_bid), entries, sealed_at_ns: 0 };
-            fx.next_bid += 1;
-            fx.tree.apply_block(block);
+        for key in 0..4u64 {
+            fx.ingest_uncertified(key);
         }
         assert_eq!(fx.tree.certified_l0_count(), 0);
         assert_eq!(fx.tree.overflowing_level(), None);
-        // drain_merges terminates immediately instead of livelocking.
-        fx.drain_merges();
+        // The shared loop returns at once instead of livelocking.
+        assert!(fx.drain_merges().is_empty());
         assert_eq!(fx.tree.l0_pages().len(), 4);
+    }
+
+    /// The shared loop drains a whole cascade in one call: its pairs
+    /// come back in application order (L0 first, consecutive epochs),
+    /// nothing overflows afterwards, and an uncertified L0 page stays.
+    #[test]
+    fn merge_until_settled_returns_a_cascade_in_order() {
+        let mut fx = Fixture::new();
+        // Three certified blocks of four keys overflow L0 (threshold
+        // 2); their 12 records fill three L1 pages (threshold 2), so
+        // L1 merges into L2 in the same call.
+        for b in 0..3u64 {
+            let kvs: Vec<(u64, &[u8])> = (0..4).map(|i| (b * 4 + i, b"v".as_ref())).collect();
+            fx.ingest(&kvs);
+        }
+        fx.ingest_uncertified(99);
+        let applied = fx.drain_merges();
+        let order: Vec<(u32, u64, u64)> =
+            applied.iter().map(|(req, res)| (req.source_level, req.epoch, res.new_epoch)).collect();
+        assert_eq!(order, vec![(0, 0, 1), (1, 1, 2)]);
+        assert_eq!(fx.tree.overflowing_level(), None);
+        assert_eq!(fx.tree.l0_pages().len(), 1);
+        let (page, proof) = &fx.tree.l0_pages()[0];
+        assert!(proof.is_none());
+        assert_eq!(page.block().id, BlockId(3));
+        assert!(fx.tree.levels()[1].page_count() > 0);
     }
 
     /// Regression: a global cert from another epoch (or edge) must be
@@ -556,14 +538,7 @@ mod tests {
         let mut fx = Fixture::new();
         fx.ingest(&[(5, b"v1")]);
         // Tombstone in a later block.
-        let entries = vec![kv_entry(&fx.client, 50, &KvOp::delete(5))];
-        let block = Block { edge: fx.edge, id: BlockId(fx.next_bid), entries, sealed_at_ns: 0 };
-        fx.next_bid += 1;
-        let digest = block.digest();
-        fx.ledger.offer(fx.edge, block.id, digest);
-        let proof = BlockProof::issue(&fx.cloud, fx.edge, block.id, digest);
-        fx.tree.apply_block(block);
-        fx.tree.attach_block_proof(proof);
+        fx.ingest_ops(&[KvOp::delete(5)]);
         let (rec, _) = fx.tree.find_newest(5).unwrap();
         assert_eq!(rec.value, None); // tombstone is the newest
     }
@@ -579,50 +554,16 @@ mod tests {
     fn incremental_rebuild_equals_full_rebuild_on_random_schedules() {
         use crate::kv::KvRecord;
         use crate::merge::kway_merge_newest;
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rng = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = splitmix(0x9E37_79B9_7F4A_7C15);
         for _seed in 0..5 {
             let mut fx = Fixture::new();
             let n_merkle = fx.tree.config().num_merkle_levels();
             for _step in 0..24 {
-                // One random block: 1–3 ops over a small keyspace,
-                // ~25% tombstones, so merges collide and delete.
-                let entries: Vec<Entry> = (0..1 + rng() % 3)
-                    .map(|_| {
-                        let key = rng() % 32;
-                        let op = if rng() % 4 == 0 {
-                            KvOp::delete(key)
-                        } else {
-                            KvOp::put(key, rng().to_be_bytes().to_vec())
-                        };
-                        let e = kv_entry(&fx.client, fx.next_seq, &op);
-                        fx.next_seq += 1;
-                        e
-                    })
-                    .collect();
-                let block = Block {
-                    edge: fx.edge,
-                    id: BlockId(fx.next_bid),
-                    entries,
-                    sealed_at_ns: fx.next_bid,
-                };
-                fx.next_bid += 1;
-                let digest = block.digest();
-                fx.ledger.offer(fx.edge, block.id, digest);
-                let proof = BlockProof::issue(&fx.cloud, fx.edge, block.id, digest);
-                fx.tree.apply_block(block);
-                assert!(fx.tree.attach_block_proof(proof));
-                // Drain merges, checking each one against the full
-                // rebuild reference model before applying it.
-                while let Some(level) = fx.tree.overflowing_level() {
-                    let req = fx.tree.build_merge_request(level);
-                    let deepest = (level + 1) as usize == n_merkle;
+                fx.ingest_ops(&random_ops(&mut rng));
+                // Check every merge the shared loop applied against
+                // the full-rebuild reference model.
+                for (req, res) in fx.drain_merges() {
+                    let deepest = (req.source_level + 1) as usize == n_merkle;
                     let runs: Vec<&[crate::kv::KvRecord]> = req
                         .source_l0
                         .iter()
@@ -631,7 +572,6 @@ mod tests {
                         .chain(req.target_pages.iter().map(|p| p.records()))
                         .collect();
                     let expected = kway_merge_newest(&runs, deepest);
-                    let res = fx.index.process_merge(&fx.cloud, &fx.ledger, &req, 1_000).unwrap();
                     let got: Vec<KvRecord> = res
                         .new_target_pages
                         .iter()
@@ -639,7 +579,6 @@ mod tests {
                         .collect();
                     assert_eq!(got, expected, "incremental rebuild diverged from full rebuild");
                     crate::page::check_level_ranges(&res.new_target_pages).unwrap();
-                    fx.tree.apply_merge_result(&req, res).unwrap();
                 }
             }
         }
@@ -659,48 +598,14 @@ mod tests {
             let mut fx = Fixture::new();
             fx.index.set_pool(pool.clone());
             fx.tree.set_pool(pool);
-            let mut state = seed;
-            let mut rng = move || {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
+            let mut rng = splitmix(seed);
             let mut trace: Vec<Vec<u8>> = Vec::new();
             for _step in 0..24 {
-                let entries: Vec<Entry> = (0..1 + rng() % 3)
-                    .map(|_| {
-                        let key = rng() % 32;
-                        let op = if rng() % 4 == 0 {
-                            KvOp::delete(key)
-                        } else {
-                            KvOp::put(key, rng().to_be_bytes().to_vec())
-                        };
-                        let e = kv_entry(&fx.client, fx.next_seq, &op);
-                        fx.next_seq += 1;
-                        e
-                    })
-                    .collect();
-                let block = Block {
-                    edge: fx.edge,
-                    id: BlockId(fx.next_bid),
-                    entries,
-                    sealed_at_ns: fx.next_bid,
-                };
-                fx.next_bid += 1;
-                let digest = block.digest();
-                fx.ledger.offer(fx.edge, block.id, digest);
-                let proof = BlockProof::issue(&fx.cloud, fx.edge, block.id, digest);
-                fx.tree.apply_block(block);
-                assert!(fx.tree.attach_block_proof(proof));
-                while let Some(level) = fx.tree.overflowing_level() {
-                    let req = fx.tree.build_merge_request(level);
-                    let res = fx.index.process_merge(&fx.cloud, &fx.ledger, &req, 1_000).unwrap();
+                fx.ingest_ops(&random_ops(&mut rng));
+                for (_, res) in fx.drain_merges() {
                     let mut enc = wedge_log::Encoder::default();
                     res.encode_into(&mut enc);
                     trace.push(enc.finish());
-                    fx.tree.apply_merge_result(&req, res).unwrap();
                 }
                 // Per-step digest of every root the protocol signs or
                 // proves against: a single later divergence cannot hide.

@@ -9,11 +9,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wedge_crypto::{Identity, IdentityId, KeyRegistry, MerkleTree};
-use wedge_log::{Block, BlockId, BlockProof, CertLedger, Entry};
+use wedge_log::{Block, BlockId, CertLedger, Entry};
 use wedge_lsmerkle::{
-    build_read_proof, check_level_ranges, kv_entry, needs_compaction, records_from_block,
-    verify_read_proof, CloudIndex, KvOp, KvRecord, L0Page, LsMerkle, LsmConfig, MergeRequest,
-    MerkleForest, Page,
+    build_read_proof, certify_block, check_level_ranges, kv_entry, needs_compaction,
+    records_from_block, verify_read_proof, CloudIndex, KvOp, KvRecord, L0Page, LsMerkle, LsmConfig,
+    MergeRequest, MerkleForest, Page,
 };
 
 struct Rng(u64);
@@ -132,24 +132,15 @@ impl Fixture {
             sealed_at_ns: self.next_bid,
         };
         self.next_bid += 1;
-        let digest = block.digest();
-        self.ledger.offer(self.edge, block.id, digest);
-        let proof = BlockProof::issue(&self.cloud, self.edge, block.id, digest);
-        self.tree.apply_block(block);
-        self.tree.attach_block_proof(proof);
-        while let Some(level) = self.tree.overflowing_level() {
-            let req = self.tree.build_merge_request(level);
-            if level == 0 && req.source_l0.is_empty() {
-                break;
-            }
-            let reference = self.reference_merge(&req);
-            let res = self.index.process_merge(&self.cloud, &self.ledger, &req, 0).unwrap();
+        certify_block(&self.cloud, &mut self.ledger, &mut self.tree, block);
+        for (req, res) in
+            self.index.merge_until_settled(&self.cloud, &self.ledger, &mut self.tree, 0)
+        {
             // The k-way merge output must equal the old sort-based
             // merge, record for record.
             let merged: Vec<KvRecord> =
                 res.new_target_pages.iter().flat_map(|p| p.records().iter().cloned()).collect();
-            assert_eq!(merged, reference, "k-way merge diverged from sort-based reference");
-            self.tree.apply_merge_result(&req, res).unwrap();
+            assert_eq!(merged, self.reference_merge(&req), "k-way merge diverged from reference");
         }
     }
 

@@ -154,9 +154,21 @@ impl<M: 'static> Simulation<M> {
 
     /// Mutable access to an actor's concrete state (for test setup).
     pub fn actor_mut<T: 'static>(&mut self, id: ActorId) -> &mut T {
-        let actor: &mut dyn Any =
-            self.actors[id.0].as_deref_mut().expect("actor is currently executing");
-        actor.downcast_mut::<T>().expect("actor type mismatch")
+        downcast_mut(&mut self.actors[id.0])
+    }
+
+    /// Mutable access to two distinct actors at once (setup that moves
+    /// state between them, such as an in-process preload).
+    ///
+    /// # Panics
+    /// Panics if the ids are equal or invalid, or a type does not match.
+    pub fn actor_pair_mut<A: 'static, B: 'static>(
+        &mut self,
+        a: ActorId,
+        b: ActorId,
+    ) -> (&mut A, &mut B) {
+        let [x, y] = self.actors.get_disjoint_mut([a.0, b.0]).expect("two distinct actors");
+        (downcast_mut(x), downcast_mut(y))
     }
 
     /// Metadata (name, region) for an actor.
@@ -378,6 +390,12 @@ impl<M: 'static> Simulation<M> {
     }
 }
 
+/// An actor slot's concrete state.
+fn downcast_mut<M: 'static, T: 'static>(slot: &mut Option<Box<dyn Actor<M>>>) -> &mut T {
+    let actor: &mut dyn Any = slot.as_deref_mut().expect("actor is currently executing");
+    actor.downcast_mut::<T>().expect("actor type mismatch")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,6 +457,23 @@ mod tests {
             Box::new(Pinger { target: Some(ponger), count: pings, pongs: vec![] }),
         );
         (sim, pinger, ponger)
+    }
+
+    #[test]
+    fn actor_pair_mut_borrows_two_actors_in_either_order() {
+        let (mut sim, pinger, ponger) = two_node_sim(3, 1);
+        let (p, q) = sim.actor_pair_mut::<Ponger, Pinger>(ponger, pinger);
+        p.received.push(9);
+        q.count = 5;
+        let (q, p) = sim.actor_pair_mut::<Pinger, Ponger>(pinger, ponger);
+        assert_eq!((q.count, p.received.as_slice(), p.cpu_ms), (5, [9].as_slice(), 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "two distinct actors")]
+    fn actor_pair_mut_refuses_one_actor_twice() {
+        let (mut sim, pinger, _) = two_node_sim(0, 1);
+        sim.actor_pair_mut::<Pinger, Pinger>(pinger, pinger);
     }
 
     #[test]
