@@ -33,7 +33,7 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::sync::Arc;
-use wedge_bench::{banner, record, write_json};
+use wedge_bench::{banner, record, write_json, LedgerFixture};
 use wedge_crypto::merkle::hash_stats;
 use wedge_crypto::{Identity, IdentityId, Signature};
 use wedge_log::{Block, BlockId, CertLedger, Entry};
@@ -46,62 +46,15 @@ const TOUCH_OPS: u64 = 4;
 /// Sustained ingest cycles in part 2 (the issue demands ≥ 20).
 const CYCLES: u64 = 24;
 
-fn kv_put_entry(seq: u64, key: u64, value: Vec<u8>) -> Entry {
-    // Neither the cloud's merge checks nor the tree's apply path
-    // verify entry signatures (that is the edge engine's ingest job),
-    // so the bench skips real signing.
-    Entry {
-        client: IdentityId(1000),
-        sequence: seq,
-        payload: KvOp::put(key, value).encode(),
-        signature: Signature { e: 0, s: 0 },
-    }
-}
-
 // ---------------------------------------------------------------
 // Part 1: interior hashes per small merge vs target-level size
 // ---------------------------------------------------------------
-
-struct CloudOnly {
-    cloud: Identity,
-    ledger: CertLedger,
-    index: CloudIndex,
-    edge: IdentityId,
-    next_bid: u64,
-    next_seq: u64,
-}
-
-impl CloudOnly {
-    fn new(page_capacity: usize) -> Self {
-        let cloud = Identity::derive("cloud", 1);
-        let edge = IdentityId(100);
-        let mut index =
-            CloudIndex::new(LsmConfig { level_thresholds: vec![2, 1_000_000], page_capacity });
-        index.init_edge(&cloud, edge, 0);
-        CloudOnly { cloud, ledger: CertLedger::new(), index, edge, next_bid: 0, next_seq: 0 }
-    }
-
-    fn certified_block(&mut self, keys: impl Iterator<Item = u64>) -> Arc<L0Page> {
-        let entries: Vec<Entry> = keys
-            .map(|k| {
-                let e = kv_put_entry(self.next_seq, k, vec![0xAB; 16]);
-                self.next_seq += 1;
-                e
-            })
-            .collect();
-        let block = Block { edge: self.edge, id: BlockId(self.next_bid), entries, sealed_at_ns: 0 };
-        self.next_bid += 1;
-        let page = Arc::new(L0Page::from_block(block));
-        self.ledger.offer(self.edge, page.block().id, page.digest());
-        page
-    }
-}
 
 /// Builds a target level of `target_records`, then merges a
 /// `TOUCH_OPS`-record source into one page's range and returns
 /// (interior hashes spent on the small merge, target page count).
 fn touch_merge_hashes(target_records: u64) -> (u64, u64) {
-    let mut s = CloudOnly::new(64);
+    let mut s = LedgerFixture::new(64, 16);
     let blocks: Vec<Arc<L0Page>> = (0..target_records / SETUP_BLOCK_OPS)
         .map(|b| {
             let base = b * SETUP_BLOCK_OPS;

@@ -32,10 +32,9 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::sync::Arc;
-use wedge_bench::{banner, bench_with_setup, record, recorded_results, write_json};
-use wedge_crypto::{Identity, IdentityId, Signature};
-use wedge_log::{Block, BlockId, CertLedger, Decoder, Encoder, Entry, Wire};
-use wedge_lsmerkle::{CloudIndex, KvOp, L0Page, LsmConfig, MergeRequest};
+use wedge_bench::{banner, bench_with_setup, record, recorded_results, write_json, LedgerFixture};
+use wedge_log::{Decoder, Encoder, Wire};
+use wedge_lsmerkle::{L0Page, MergeRequest};
 use wedge_pool::{thread_cpu_ns, Pool};
 
 /// Records per setup L0 block (one merged target page each).
@@ -49,79 +48,35 @@ const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 /// Timed merges per width.
 const ITERS: u32 = 10;
 
-fn kv_put_entry(seq: u64, key: u64, value: Vec<u8>) -> Entry {
-    // The cloud's merge checks never verify entry signatures (that is
-    // the edge's ingest job), so the bench skips real signing.
-    Entry {
-        client: IdentityId(1000),
-        sequence: seq,
-        payload: KvOp::put(key, value).encode(),
-        signature: Signature { e: 0, s: 0 },
-    }
-}
-
-const EDGE: IdentityId = IdentityId(100);
-
-fn certified_block(
-    ledger: &mut CertLedger,
-    next_bid: &mut u64,
-    next_seq: &mut u64,
-    keys: impl Iterator<Item = u64>,
-) -> Arc<L0Page> {
-    let entries: Vec<Entry> = keys
-        .map(|k| {
-            let e = kv_put_entry(*next_seq, k, vec![0xAB; VALUE_BYTES]);
-            *next_seq += 1;
-            e
-        })
-        .collect();
-    let block = Block { edge: EDGE, id: BlockId(*next_bid), entries, sealed_at_ns: 0 };
-    *next_bid += 1;
-    let page = Arc::new(L0Page::from_block(block));
-    ledger.offer(EDGE, page.block().id, page.digest());
-    page
-}
-
-/// A fresh index holding the merged target level, the ledger that
-/// certifies the follow-up source, and that follow-up request
+/// A fixture whose index holds the merged target level and whose
+/// ledger certifies the follow-up source, and that follow-up request
 /// wire-encoded (decoding it per iteration yields memo-free pages,
 /// like real socket traffic).
-fn build(cloud: &Identity) -> (CloudIndex, CertLedger, Vec<u8>) {
-    let mut ledger = CertLedger::new();
-    let (mut next_bid, mut next_seq) = (0u64, 0u64);
-    let mut index = CloudIndex::new(LsmConfig {
-        level_thresholds: vec![2, 1_000_000],
-        page_capacity: SETUP_BLOCK_OPS as usize,
-    });
-    index.init_edge(cloud, EDGE, 0);
+fn build() -> (LedgerFixture, Vec<u8>) {
+    let mut s = LedgerFixture::new(SETUP_BLOCK_OPS as usize, VALUE_BYTES);
     // Keys spaced by 8 so the touch writes land strictly inside
     // existing page ranges.
     let blocks: Vec<Arc<L0Page>> = (0..TARGET_BLOCKS)
         .map(|b| {
             let base = b * SETUP_BLOCK_OPS;
-            certified_block(
-                &mut ledger,
-                &mut next_bid,
-                &mut next_seq,
-                (base..base + SETUP_BLOCK_OPS).map(|i| i * 8),
-            )
+            s.certified_block((base..base + SETUP_BLOCK_OPS).map(|i| i * 8))
         })
         .collect();
     let req1 = MergeRequest {
-        edge: EDGE,
+        edge: s.edge,
         source_level: 0,
         source_l0: blocks,
         source_pages: vec![],
         target_pages: vec![],
         epoch: 0,
     };
-    let res1 = index.process_merge(cloud, &ledger, &req1, 10).expect("setup merge");
+    let res1 = s.index.process_merge(&s.cloud, &s.ledger, &req1, 10).expect("setup merge");
     // Touch every *other* target page: maximally many disjoint dirty
     // regions, so the region rebuild phase actually fans out.
     let touch_keys = (0..TARGET_BLOCKS).step_by(2).map(|b| b * SETUP_BLOCK_OPS * 8 + 4);
-    let touch = certified_block(&mut ledger, &mut next_bid, &mut next_seq, touch_keys);
+    let touch = s.certified_block(touch_keys);
     let req2 = MergeRequest {
-        edge: EDGE,
+        edge: s.edge,
         source_level: 0,
         source_l0: vec![touch],
         source_pages: vec![],
@@ -130,7 +85,7 @@ fn build(cloud: &Identity) -> (CloudIndex, CertLedger, Vec<u8>) {
     };
     let mut enc = Encoder::default();
     req2.encode_into(&mut enc);
-    (index, ledger, enc.finish())
+    (s, enc.finish())
 }
 
 fn main() {
@@ -141,7 +96,6 @@ fn main() {
     let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("host parallelism: {host_parallelism}\n");
 
-    let cloud = Identity::derive("cloud", 1);
     let mut reference_reply: Option<Vec<u8>> = None;
     let mut roots_match = true;
     let mut cpu_ns: Vec<(usize, f64)> = Vec::new();
@@ -155,16 +109,17 @@ fn main() {
             || {
                 // Untimed: fresh index (the merge advances its epoch)
                 // and a fresh wire decode (memo-free pages).
-                let (mut index, ledger, req_bytes) = build(&cloud);
-                index.set_pool(pool.clone());
+                let (mut s, req_bytes) = build();
+                s.index.set_pool(pool.clone());
                 let mut dec = Decoder::new(&req_bytes);
                 let req = MergeRequest::decode_from(&mut dec).expect("request round-trips");
-                (index, ledger, req)
+                (s, req)
             },
-            |(mut index, ledger, req)| {
+            |(mut s, req)| {
                 let cpu0 = thread_cpu_ns();
-                index.prime_request_digests(&req);
-                let res = index.process_merge(&cloud, &ledger, &req, 20).expect("timed merge");
+                s.index.prime_request_digests(&req);
+                let res =
+                    s.index.process_merge(&s.cloud, &s.ledger, &req, 20).expect("timed merge");
                 cpu_samples.push(thread_cpu_ns() - cpu0);
                 let mut enc = Encoder::default();
                 res.encode_into(&mut enc);

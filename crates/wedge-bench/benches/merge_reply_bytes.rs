@@ -21,11 +21,10 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::sync::Arc;
-use wedge_bench::{banner, record, write_json};
+use wedge_bench::{banner, record, write_json, LedgerFixture};
 use wedge_core::messages::WireMsg;
-use wedge_crypto::{Identity, IdentityId, Signature};
-use wedge_log::{Block, BlockId, CertLedger, Entry, MAX_FRAME_PAYLOAD};
-use wedge_lsmerkle::{CloudIndex, DeltaMergeResult, KvOp, L0Page, LsmConfig, MergeRequest};
+use wedge_log::MAX_FRAME_PAYLOAD;
+use wedge_lsmerkle::{DeltaMergeResult, L0Page, MergeRequest};
 
 /// Records per L0 block in the setup phase.
 const SETUP_BLOCK_OPS: u64 = 64;
@@ -34,57 +33,11 @@ const VALUE_BYTES: usize = 64;
 /// Keys the small follow-up merge writes (all landing in one page).
 const TOUCH_OPS: u64 = 4;
 
-fn kv_put_entry(seq: u64, key: u64, value: Vec<u8>) -> Entry {
-    // The cloud's merge checks never verify entry signatures (that is
-    // the edge's ingest job), so the bench skips real signing.
-    Entry {
-        client: IdentityId(1000),
-        sequence: seq,
-        payload: KvOp::put(key, value).encode(),
-        signature: Signature { e: 0, s: 0 },
-    }
-}
-
-struct Setup {
-    cloud: Identity,
-    ledger: CertLedger,
-    index: CloudIndex,
-    edge: IdentityId,
-    next_bid: u64,
-    next_seq: u64,
-}
-
-impl Setup {
-    fn new(page_capacity: usize) -> Self {
-        let cloud = Identity::derive("cloud", 1);
-        let edge = IdentityId(100);
-        let mut index =
-            CloudIndex::new(LsmConfig { level_thresholds: vec![2, 1_000_000], page_capacity });
-        index.init_edge(&cloud, edge, 0);
-        Setup { cloud, ledger: CertLedger::new(), index, edge, next_bid: 0, next_seq: 0 }
-    }
-
-    fn certified_block(&mut self, keys: impl Iterator<Item = u64>) -> Arc<L0Page> {
-        let entries: Vec<Entry> = keys
-            .map(|k| {
-                let e = kv_put_entry(self.next_seq, k, vec![0xAB; VALUE_BYTES]);
-                self.next_seq += 1;
-                e
-            })
-            .collect();
-        let block = Block { edge: self.edge, id: BlockId(self.next_bid), entries, sealed_at_ns: 0 };
-        self.next_bid += 1;
-        let page = Arc::new(L0Page::from_block(block));
-        self.ledger.offer(self.edge, page.block().id, page.digest());
-        page
-    }
-}
-
 /// One sweep point: build a target level of `target_records`, then
 /// merge a `TOUCH_OPS`-record source into it and measure both reply
 /// encodings.
 fn sweep_point(target_records: u64) -> (u64, u64, u64, u64) {
-    let mut s = Setup::new(64);
+    let mut s = LedgerFixture::new(64, VALUE_BYTES);
     // Keys spaced by 8 so the follow-up touch lands between them.
     let blocks: Vec<Arc<L0Page>> = (0..target_records / SETUP_BLOCK_OPS)
         .map(|b| {

@@ -22,9 +22,13 @@
 pub mod results;
 
 pub use results::{record, recorded_results, write_json};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wedge_baselines::{run_scenario, RunOutput, SystemKind};
 use wedge_core::config::SystemConfig;
+use wedge_crypto::{Identity, IdentityId, Signature};
+use wedge_log::{Block, BlockId, CertLedger, Entry};
+use wedge_lsmerkle::{CloudIndex, KvOp, L0Page, LsmConfig};
 use wedge_workload::Scenario;
 
 /// Minimal real-time micro-bench harness (Criterion is not available
@@ -84,4 +88,60 @@ pub fn run_all(cfg: &SystemConfig, scenario: &Scenario) -> [RunOutput; 3] {
     let co = run_scenario(SystemKind::CloudOnly, cfg.clone(), scenario);
     let eb = run_scenario(SystemKind::EdgeBaseline, cfg.clone(), scenario);
     [wc, co, eb]
+}
+
+/// The cloud side of one edge with no edge tree: a [`CloudIndex`]
+/// holding the edge, and the [`CertLedger`] its blocks are certified
+/// in. The merge-size and merge-CPU benches build their merge requests
+/// by hand on top of it.
+pub struct LedgerFixture {
+    /// The cloud's identity.
+    pub cloud: Identity,
+    /// Every block [`LedgerFixture::certified_block`] made.
+    pub ledger: CertLedger,
+    /// Level 1 takes anything, so a merge never cascades.
+    pub index: CloudIndex,
+    /// The one edge.
+    pub edge: IdentityId,
+    value_size: usize,
+    next_bid: u64,
+    next_seq: u64,
+}
+
+impl LedgerFixture {
+    /// A fresh index of pages of `page_capacity` records whose puts
+    /// carry `value_size`-byte values.
+    pub fn new(page_capacity: usize, value_size: usize) -> Self {
+        let cloud = Identity::derive("cloud", 1);
+        let edge = IdentityId(100);
+        let mut index =
+            CloudIndex::new(LsmConfig { level_thresholds: vec![2, 1_000_000], page_capacity });
+        index.init_edge(&cloud, edge, 0);
+        let ledger = CertLedger::new();
+        LedgerFixture { cloud, ledger, index, edge, value_size, next_bid: 0, next_seq: 0 }
+    }
+
+    /// The edge's next block, one put per key, as an L0 page whose
+    /// digest the ledger has certified. Entries are unsigned: neither
+    /// the cloud's merge checks nor the tree verify entry signatures
+    /// (that is the edge's ingest job).
+    pub fn certified_block(&mut self, keys: impl Iterator<Item = u64>) -> Arc<L0Page> {
+        let entries: Vec<Entry> = keys
+            .map(|key| {
+                let entry = Entry {
+                    client: IdentityId(1000),
+                    sequence: self.next_seq,
+                    payload: KvOp::put(key, vec![0xAB; self.value_size]).encode(),
+                    signature: Signature { e: 0, s: 0 },
+                };
+                self.next_seq += 1;
+                entry
+            })
+            .collect();
+        let block = Block { edge: self.edge, id: BlockId(self.next_bid), entries, sealed_at_ns: 0 };
+        self.next_bid += 1;
+        let page = Arc::new(L0Page::from_block(block));
+        self.ledger.offer(self.edge, page.block().id, page.digest());
+        page
+    }
 }

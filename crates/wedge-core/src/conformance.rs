@@ -7,7 +7,10 @@
 //! bodies, so a behaviour cannot drift between transports.
 
 use crate::driver::{Cluster, PutShed, RunReport, RuntimeConfig, Transport};
+use crate::fault::FaultPlan;
+use crate::messages::DisputeVerdict;
 use std::time::{Duration, Instant};
+use wedge_log::BlockId;
 
 /// A batch seals once full, its Phase-I receipt verifies, Phase II
 /// certifies the receipt's digest, and a verified read returns the
@@ -226,4 +229,41 @@ pub fn admission_sheds_puts_instead_of_blocking<T: Transport>() {
     let report = cluster.shutdown().expect("report");
     assert_eq!(report.puts_shed, shed, "every shed counted exactly once");
     assert_eq!(report.edges[0].edge_stats.blocks_sealed, 8, "shed puts still sealed");
+}
+
+/// Two partitions; edge 1 answers a log read of block 0 with block 1's
+/// content. Once both partitions' first two blocks are certified, both
+/// clients audit block 0: edge 1's unproven answer becomes a wrong-read
+/// dispute when the client's audit deadline passes, and the cloud
+/// convicts edge 1 alone.
+pub fn audit_convicts_a_wrong_read<T: Transport>() {
+    let wrong_read = FaultPlan { wrong_read: [(0, 1)].into(), ..FaultPlan::honest() };
+    let cluster = Cluster::<T>::start(RuntimeConfig {
+        num_edges: 2,
+        batch_size: 1,
+        faults: vec![FaultPlan::honest(), wrong_read],
+        dispute_timeout: Duration::from_millis(300),
+        ..RuntimeConfig::default()
+    });
+    for p in 0..2 {
+        for k in 0..2u64 {
+            let reply = cluster.put_on(p, k, vec![k as u8]).unwrap();
+            let proof = reply.certified.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(proof.digest, reply.receipt.block_digest);
+        }
+    }
+    for p in 0..2 {
+        cluster.log_read_on(p, BlockId(0));
+    }
+    // Audit deadline (300 ms) + dispute round trip.
+    std::thread::sleep(Duration::from_millis(900));
+    let report = cluster.shutdown().expect("report");
+    let (honest, liar) = (&report.edges[0], &report.edges[1]);
+    assert_eq!(report.punished, vec![liar.edge], "exactly the wrong-read edge is convicted");
+    assert!(
+        liar.verdicts.iter().any(|v| matches!(v, DisputeVerdict::EdgePunished { .. })),
+        "the auditing client received the conviction: {:?}",
+        liar.verdicts
+    );
+    assert_eq!(honest.client_metrics.disputes_upheld, 0, "the honest edge is not convicted");
 }

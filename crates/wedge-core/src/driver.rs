@@ -49,6 +49,7 @@ use crate::fault::FaultPlan;
 use crate::messages::{AddReceipt, DisputeVerdict, WireMsg};
 use crate::metrics::ClientMetrics;
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
@@ -246,9 +247,11 @@ pub struct WireCounters {
     pub frame_writes: u64,
 }
 
-/// Final state of a run, extracted at shutdown — the same shape from
-/// every transport, which is what the differential tests compare.
-#[derive(Clone, Debug)]
+/// Final state of a run — the same shape from every runtime, which is
+/// what the differential tests compare. [`RunReport::from_engines`]
+/// reads the protocol outcome; each runtime adds only the counters it
+/// alone keeps (the simulator keeps none of them, so they read zero).
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Per-partition state, indexed like `RuntimeConfig::faults`.
     pub edges: Vec<EdgeRunReport>,
@@ -288,6 +291,53 @@ pub struct RunReport {
     pub proof_cache_hits: u64,
     /// Witness checks that paid the full re-derivation.
     pub proof_cache_misses: u64,
+}
+
+impl RunReport {
+    /// Reads a run's protocol outcome from its engines: per partition,
+    /// the edge's blocks with the proof it holds and the digest the
+    /// cloud certified, the edge's stats, and what the partition's
+    /// client measured, holds and was told. Partition `p` is
+    /// `partitions[p]`: its edge and the client the report follows.
+    /// Every runtime-only counter is zero.
+    pub fn from_engines<'a, P, C>(
+        cloud: &CloudEngine<P>,
+        partitions: impl IntoIterator<Item = (&'a EdgeEngine<C>, &'a ClientEngine)>,
+    ) -> RunReport
+    where
+        P: Copy + Eq + Hash,
+        C: Copy + Eq + Hash + 'a,
+    {
+        let edges = partitions
+            .into_iter()
+            .map(|(edge, client)| {
+                let id = edge.id();
+                let blocks = edge.log.iter().map(|sb| {
+                    let bid = sb.block.id;
+                    let certified = cloud.ledger.lookup(id, bid).copied();
+                    (bid, sb.block.digest(), sb.proof.as_ref().map(|pr| pr.digest), certified)
+                });
+                EdgeRunReport {
+                    edge: id,
+                    blocks: blocks.collect(),
+                    edge_stats: edge.stats.clone(),
+                    client_metrics: client.metrics.clone(),
+                    certified_len: cloud.ledger.contiguous_len(id),
+                    watermark_len: client.watermarks.latest(id).map(|wm| wm.log_len),
+                    verdicts: client.verdicts.clone(),
+                }
+            })
+            .collect();
+        let mut punished: Vec<IdentityId> = cloud.punished.iter().copied().collect();
+        punished.sort_by_key(|id| id.0);
+        RunReport {
+            edges,
+            cloud_stats: cloud.stats.clone(),
+            punished,
+            compaction: cloud.index.compaction_stats(),
+            ..RunReport::default()
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -683,9 +733,6 @@ fn cloud_service<L: Link>(
     engine
 }
 
-/// What a joined client service yields.
-type ClientExit = (ClientEngine, Vec<DisputeVerdict>);
-
 /// The client service: drives a [`ClientEngine`] from its inbox,
 /// routing caller requests in and completions back out; wire sends go
 /// to `edge` and `cloud`. Dispute deadlines are consumed via `Tick` —
@@ -696,7 +743,7 @@ fn client_service<L: Link>(
     mut edge: L,
     mut cloud: L,
     epoch: Instant,
-) -> ClientExit {
+) -> ClientEngine {
     let mut comp = ClientCompletions::default();
     let mut batch = Vec::with_capacity(DRAIN_BUDGET + 1);
     while wake(&rx, engine.next_deadline_ns(), epoch, &mut batch) {
@@ -734,12 +781,12 @@ fn client_service<L: Link>(
             break;
         }
     }
-    (engine, comp.verdicts)
+    engine
 }
 
 /// Caller-completion routing around a [`ClientEngine`]: queued batches
 /// draining into pipeline slots, Phase-I/Phase-II/read completion
-/// channels, dispute verdicts.
+/// channels.
 #[derive(Default)]
 struct ClientCompletions {
     next_token: u64,
@@ -749,7 +796,6 @@ struct ClientCompletions {
     put_waiters: HashMap<u64, SyncSender<PutReply>>,
     get_waiters: HashMap<u64, SyncSender<GetOutcome>>,
     proof_waiters: HashMap<BlockId, SyncSender<BlockProof>>,
-    verdicts: Vec<DisputeVerdict>,
 }
 
 impl ClientCompletions {
@@ -820,14 +866,14 @@ impl ClientCompletions {
                     let _ = tx.send(outcome);
                 }
             }
-            ClientEvent::Verdict(verdict) => self.verdicts.push(verdict),
             ClientEvent::BatchFailed { token } => {
                 // Drop the reply sender: the caller observes a closed
                 // channel instead of hanging behind a dead batch, and
                 // the engine slot is free for the next queued batch.
                 self.put_waiters.remove(&token);
             }
-            ClientEvent::Halted => {}
+            // The engine keeps its verdicts for the report.
+            ClientEvent::Verdict(_) | ClientEvent::Halted => {}
         }
     }
 }
@@ -842,7 +888,7 @@ pub struct Cluster<T: Transport> {
     client_txs: Vec<Sender<ClientIn>>,
     edge_txs: Vec<SyncSender<EdgeIn>>,
     cloud_tx: SyncSender<CloudIn>,
-    client_handles: Vec<JoinHandle<ClientExit>>,
+    client_handles: Vec<JoinHandle<ClientEngine>>,
     edge_handles: Vec<JoinHandle<EdgeEngine<u8>>>,
     cloud_handle: Option<JoinHandle<CloudEngine<usize>>>,
     gates: Vec<Arc<CloudGate>>,
@@ -852,8 +898,6 @@ pub struct Cluster<T: Transport> {
     pub registry: KeyRegistry,
     /// The cloud's identity id.
     pub cloud_id: IdentityId,
-    /// Edge identity per partition.
-    pub edge_ids: Vec<IdentityId>,
     /// Caller-side batching per partition (ops, not entries: sequence
     /// numbers are assigned by the client engine, on its thread, so
     /// ordering is automatic).
@@ -1005,7 +1049,6 @@ impl<T: Transport> Cluster<T> {
             flushers,
             transport,
             cloud_id: ids.cloud.id,
-            edge_ids: ids.edges.iter().map(|e| e.id).collect(),
             registry: ids.registry,
             batcher: PutBatcher::new(n, cfg.batch_size),
             admission_timeout: cfg.admission_timeout,
@@ -1137,7 +1180,7 @@ impl<T: Transport> Cluster<T> {
         }
         // lint:allow(discarded-result): best-effort stop, see above
         let _ = this.cloud_tx.send(CloudIn::Shutdown);
-        let clients: Vec<ClientExit> =
+        let clients: Vec<ClientEngine> =
             this.client_handles.drain(..).map(|h| h.join().ok()).collect::<Option<_>>()?;
         let edges: Vec<EdgeEngine<u8>> =
             this.edge_handles.drain(..).map(|h| h.join().ok()).collect::<Option<_>>()?;
@@ -1150,37 +1193,7 @@ impl<T: Transport> Cluster<T> {
             let _ = flusher.join();
         }
 
-        let reports = edges
-            .into_iter()
-            .zip(clients)
-            .zip(&this.edge_ids)
-            .map(|((edge, (client, verdicts)), &edge_id)| EdgeRunReport {
-                edge: edge_id,
-                blocks: edge
-                    .log
-                    .iter()
-                    .map(|sb| {
-                        (
-                            sb.block.id,
-                            sb.block.digest(),
-                            sb.proof.as_ref().map(|pr| pr.digest),
-                            cloud.ledger.lookup(edge_id, sb.block.id).copied(),
-                        )
-                    })
-                    .collect(),
-                edge_stats: edge.stats.clone(),
-                client_metrics: client.metrics.clone(),
-                certified_len: cloud.ledger.contiguous_len(edge_id),
-                watermark_len: client.watermarks.latest(edge_id).map(|wm| wm.log_len),
-                verdicts,
-            })
-            .collect();
-        let mut punished: Vec<IdentityId> = cloud.punished.iter().copied().collect();
-        punished.sort_by_key(|id| id.0);
         Some(RunReport {
-            edges: reports,
-            cloud_stats: cloud.stats.clone(),
-            punished,
             shed_cloud_msgs: this.gates.iter().map(|g| g.shed.load(Ordering::Relaxed)).sum(),
             deferred_cloud_msgs: this
                 .gates
@@ -1193,9 +1206,9 @@ impl<T: Transport> Cluster<T> {
             frame_writes: wire.frame_writes,
             coalesced_frames: wire.frames_sent.saturating_sub(wire.frame_writes),
             puts_shed: this.puts_shed.load(Ordering::Relaxed),
-            compaction: cloud.index.compaction_stats(),
             proof_cache_hits: this.proof_cache.hits(),
             proof_cache_misses: this.proof_cache.misses(),
+            ..RunReport::from_engines(&cloud, edges.iter().zip(&clients))
         })
     }
 }

@@ -448,6 +448,9 @@ pub struct ClientEngine {
     pub watermarks: WatermarkTracker,
     /// Everything measured.
     pub metrics: ClientMetrics,
+    /// Every dispute verdict the cloud sent this client, in arrival
+    /// order.
+    pub verdicts: Vec<DisputeVerdict>,
     /// Set once the edge is known punished; workload stops.
     pub halted: bool,
     /// Harness-driven single-op results.
@@ -500,6 +503,7 @@ impl ClientEngine {
             pending_log_reads: HashMap::new(),
             watermarks: WatermarkTracker::new(),
             metrics: ClientMetrics::default(),
+            verdicts: Vec::new(),
             halted: false,
             last_put: None,
             last_put_bid: None,
@@ -956,6 +960,7 @@ impl ClientEngine {
             out.push(ClientEffect::Notify(ClientEvent::Halted));
             self.metrics.finished_at.get_or_insert(SimTime::from_nanos(now_ns));
         }
+        self.verdicts.push(verdict);
     }
 
     /// Acts on every expired deadline: gives up on a batch the edge

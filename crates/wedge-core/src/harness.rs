@@ -13,6 +13,7 @@ use crate::client::{ClientNode, ClientPlan, GetOutcome, PutOutcome};
 use crate::cloud::CloudNode;
 use crate::config::SystemConfig;
 use crate::deployment::{EngineConfig, Engines, Identities};
+use crate::driver::RunReport;
 use crate::edge::EdgeNode;
 use crate::fault::FaultPlan;
 use crate::messages::Msg;
@@ -271,6 +272,26 @@ impl MultiPartitionHarness {
     pub fn edge_node(&self, p: usize) -> &EdgeNode {
         self.sim.actor::<EdgeNode>(self.edges[p])
     }
+
+    /// The run's protocol outcome, in the real runtimes' report shape:
+    /// each partition follows its first client, as a real runtime runs
+    /// one client per partition.
+    pub fn report(&self) -> RunReport {
+        let firsts = self.clients.iter().map(|group| group[0]);
+        report(&self.sim, self.cloud, self.edges.iter().copied().zip(firsts))
+    }
+}
+
+/// [`RunReport::from_engines`] over the simulator's actors.
+fn report(
+    sim: &Simulation<Msg>,
+    cloud: ActorId,
+    partitions: impl IntoIterator<Item = (ActorId, ActorId)>,
+) -> RunReport {
+    let partitions = partitions.into_iter().map(|(edge, client)| {
+        (&sim.actor::<EdgeNode>(edge).engine, &sim.actor::<ClientNode>(client).engine)
+    });
+    RunReport::from_engines(&sim.actor::<CloudNode>(cloud).engine, partitions)
 }
 
 // ----------------------------------------------------------------------
@@ -450,6 +471,12 @@ impl SystemHarness {
     /// The cloud node's state.
     pub fn cloud_node(&self) -> &CloudNode {
         self.sim.actor::<CloudNode>(self.cloud)
+    }
+
+    /// The run's protocol outcome: [`MultiPartitionHarness::report`]
+    /// of the one partition.
+    pub fn report(&self) -> RunReport {
+        report(&self.sim, self.cloud, [(self.edge, self.clients[0])])
     }
 
     /// Aggregates metrics across all clients.

@@ -182,4 +182,9 @@ mod tests {
     fn threaded_backpressure_sheds_gossip_but_defers_proofs() {
         conformance::backpressure_sheds_gossip_but_defers_proofs::<Threads>();
     }
+
+    #[test]
+    fn threaded_audit_convicts_a_wrong_read() {
+        conformance::audit_convicts_a_wrong_read::<Threads>();
+    }
 }

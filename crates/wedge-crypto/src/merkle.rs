@@ -116,12 +116,6 @@ impl MerkleTree {
         Self::from_tagged(tagged)
     }
 
-    /// Builds a tree by hashing raw leaf byte strings.
-    pub fn from_data<T: AsRef<[u8]>>(leaves: &[T]) -> Self {
-        let tagged: Vec<Digest> = leaves.iter().map(|d| hash_leaf(d.as_ref())).collect();
-        Self::from_tagged(tagged)
-    }
-
     fn from_tagged(tagged: Vec<Digest>) -> Self {
         let mut levels = Vec::new();
         if tagged.is_empty() {
@@ -184,18 +178,6 @@ impl MerkleTree {
     /// [`MerkleTree::from_leaves`]) is included under `root`.
     pub fn verify(root: &Digest, leaf_digest: &Digest, proof: &InclusionProof) -> bool {
         let mut acc = hash_leaf_digest(leaf_digest);
-        let mut idx = proof.leaf_index;
-        for sib in &proof.siblings {
-            acc = if idx & 1 == 0 { hash_node(&acc, sib) } else { hash_node(sib, &acc) };
-            idx /= 2;
-        }
-        acc == *root
-    }
-
-    /// Verifies a proof over raw leaf bytes (as passed to
-    /// [`MerkleTree::from_data`]).
-    pub fn verify_data(root: &Digest, leaf: &[u8], proof: &InclusionProof) -> bool {
-        let mut acc = hash_leaf(leaf);
         let mut idx = proof.leaf_index;
         for sib in &proof.siblings {
             acc = if idx & 1 == 0 { hash_node(&acc, sib) } else { hash_node(sib, &acc) };
@@ -300,18 +282,6 @@ mod tests {
         );
         let one = MerkleTree::from_leaves(&[combined]);
         assert_ne!(two.root(), one.root());
-    }
-
-    #[test]
-    fn raw_data_proofs() {
-        let pages: Vec<&[u8]> = vec![b"p0", b"p1", b"p2"];
-        let t = MerkleTree::from_data(&pages);
-        for (i, p) in pages.iter().enumerate() {
-            let proof = t.prove(i).unwrap();
-            assert!(MerkleTree::verify_data(&t.root(), p, &proof));
-        }
-        let proof = t.prove(0).unwrap();
-        assert!(!MerkleTree::verify_data(&t.root(), b"p9", &proof));
     }
 
     #[test]

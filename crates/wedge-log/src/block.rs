@@ -9,7 +9,7 @@
 use crate::enc::{DecodeError, Decoder, Encoder, Wire};
 use crate::entry::Entry;
 use std::fmt;
-use wedge_crypto::{Digest, IdentityId, KeyRegistry};
+use wedge_crypto::{Digest, IdentityId};
 
 /// Domain tag of a block's canonical bytes.
 const TAG: &str = "wedge-block-v1";
@@ -101,21 +101,6 @@ impl Block {
         Ok(block)
     }
 
-    /// Verifies every entry's client signature.
-    pub fn verify_entries(&self, registry: &KeyRegistry) -> bool {
-        self.entries.iter().all(|e| e.verify(registry))
-    }
-
-    /// True iff the given client has at least one entry in this block.
-    pub fn contains_client(&self, client: IdentityId) -> bool {
-        self.entries.iter().any(|e| e.client == client)
-    }
-
-    /// True iff the block contains this exact entry.
-    pub fn contains_entry(&self, entry: &Entry) -> bool {
-        self.entries.iter().any(|e| e == entry)
-    }
-
     /// Approximate wire size when shipping the full block. `u64`:
     /// merge requests sum page sizes into this — a multi-GiB merge
     /// must not wrap the accounting in release builds.
@@ -196,29 +181,6 @@ mod tests {
         let mut other = b.clone();
         other.entries.pop();
         assert_ne!(b.digest(), other.digest());
-    }
-
-    #[test]
-    fn entry_verification() {
-        let b = sample_block(2);
-        let client = Identity::derive("client", 1);
-        let mut reg = KeyRegistry::new();
-        reg.register(client.id, client.public()).unwrap();
-        assert!(b.verify_entries(&reg));
-        let mut tampered = b.clone();
-        tampered.entries[0].payload = b"evil".to_vec();
-        assert!(!tampered.verify_entries(&reg));
-    }
-
-    #[test]
-    fn contains_checks() {
-        let b = sample_block(2);
-        assert!(b.contains_client(IdentityId(1)));
-        assert!(!b.contains_client(IdentityId(2)));
-        assert!(b.contains_entry(&b.entries[0]));
-        let client = Identity::derive("client", 1);
-        let foreign = Entry::new_signed(&client, 99, b"zzz".to_vec());
-        assert!(!b.contains_entry(&foreign));
     }
 
     #[test]

@@ -653,4 +653,9 @@ mod tests {
     fn net_admission_sheds_puts_instead_of_blocking() {
         conformance::admission_sheds_puts_instead_of_blocking::<Tcp>();
     }
+
+    #[test]
+    fn net_audit_convicts_a_wrong_read_over_tcp() {
+        conformance::audit_convicts_a_wrong_read::<Tcp>();
+    }
 }

@@ -38,24 +38,6 @@ impl SimRng {
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
-
-    /// Bernoulli trial with probability `p`.
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen_f64() < p
-    }
-
-    /// Derives an independent child generator (for per-actor streams).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
-
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,23 +84,5 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.gen_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean} too far from 0.5");
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SimRng::new(3);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

@@ -82,19 +82,9 @@ impl Trace {
         self.dropped
     }
 
-    /// Events involving `actor` (as executor or sender).
-    pub fn for_actor(&self, actor: ActorId) -> Vec<&TraceEvent> {
-        self.events.iter().filter(|e| e.actor == actor || e.from == Some(actor)).collect()
-    }
-
     /// Events whose label contains `needle`.
     pub fn matching(&self, needle: &str) -> Vec<&TraceEvent> {
         self.events.iter().filter(|e| e.label.contains(needle)).collect()
-    }
-
-    /// True iff an event matching `needle` occurred at or before `t`.
-    pub fn happened_by(&self, needle: &str, t: SimTime) -> bool {
-        self.events.iter().any(|e| e.label.contains(needle) && e.at <= t)
     }
 
     /// Renders the trace as text (for failure dumps).
@@ -131,10 +121,7 @@ mod tests {
         t.record(ev(2, 1, "BlockCertify"));
         t.record(ev(3, 0, "AddResponse"));
         assert_eq!(t.events().len(), 3);
-        assert_eq!(t.for_actor(ActorId::from_index(0)).len(), 2);
         assert_eq!(t.matching("Block").len(), 1);
-        assert!(t.happened_by("BatchAdd", SimTime::from_nanos(1_000_000)));
-        assert!(!t.happened_by("AddResponse", SimTime::from_nanos(1_000_000)));
     }
 
     #[test]

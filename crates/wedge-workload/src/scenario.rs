@@ -13,17 +13,6 @@ pub enum Mix {
     AllRead,
 }
 
-impl Mix {
-    /// Fraction of operations that are reads.
-    pub fn read_fraction(&self) -> f64 {
-        match self {
-            Mix::AllWrite => 0.0,
-            Mix::Mixed5050 => 0.5,
-            Mix::AllRead => 1.0,
-        }
-    }
-}
-
 /// A complete workload scenario for one experiment point.
 #[derive(Clone, Debug)]
 pub struct Scenario {

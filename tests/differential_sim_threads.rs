@@ -1,9 +1,9 @@
 //! Differential test: the simulator-driven and thread-driven runtimes
 //! are two drivers over the *same* sans-IO protocol engines, so the
-//! same scripted single-edge workload must produce identical protocol
-//! outcomes — byte-identical block digests, identical certification
-//! results and identical verified-read verdicts, with a merge on the
-//! way.
+//! same scripted single-edge workload must end in the same `RunReport`
+//! outcome — byte-identical block digests, identical certification
+//! results and merge delta split — and identical verified-read values,
+//! with a merge on the way.
 //!
 //! The only nondeterministic input to a block digest is its seal time,
 //! so the threaded run replays the simulator's `sealed_at_ns` values
@@ -16,6 +16,8 @@
 //! The N-edge case — gossip watermarks and a dispute reached through
 //! engine-owned deadlines — is `differential_three_way`, which runs it
 //! on the simulator, threads and sockets.
+
+mod common;
 
 use std::time::Duration;
 use wedgechain::core::config::SystemConfig;
@@ -34,8 +36,9 @@ fn workload() -> Vec<(u64, Vec<u8>)> {
 fn sim_and_threads_agree_on_digests_certs_and_reads() {
     let ops = workload();
 
-    // --- simulator run (real crypto, paper-eval tree shape) ---
-    let cfg = SystemConfig { batch_size: 1, ..SystemConfig::real_crypto() };
+    // --- simulator run (real crypto, paper-eval tree shape, no
+    // gossip: the threaded run below has none either) ---
+    let cfg = SystemConfig { batch_size: 1, gossip_period_ms: 0, ..SystemConfig::real_crypto() };
     let mut sim = SystemHarness::wedgechain(cfg);
     for (k, v) in &ops {
         let put = sim.put_certified(0, *k, v.clone());
@@ -47,29 +50,15 @@ fn sim_and_threads_agree_on_digests_certs_and_reads() {
         assert!(got.verify_error.is_none(), "sim read of key {k} verifies");
         sim_reads.push(got.value);
     }
-    let edge_id = sim.edge_node().id();
-    // Per block: (bid, digest, edge-side proof digest, cloud-certified digest, seal time).
-    let sim_blocks: Vec<_> = sim
-        .edge_node()
-        .log
-        .iter()
-        .map(|sb| {
-            (
-                sb.block.id,
-                sb.block.digest(),
-                sb.proof.as_ref().map(|p| p.digest),
-                sim.cloud_node().ledger.lookup(edge_id, sb.block.id).copied(),
-                sb.block.sealed_at_ns,
-            )
-        })
-        .collect();
-    assert_eq!(sim_blocks.len(), ops.len(), "one block per scripted put");
+    let sim_report = sim.report();
+    assert_eq!(sim_report.edges[0].blocks.len(), ops.len(), "one block per scripted put");
+    let seal_times = sim.edge_node().log.iter().map(|sb| sb.block.sealed_at_ns).collect();
 
     // --- threaded run, replaying the simulator's seal times ---
     let cluster = ThreadedCluster::start(ThreadedConfig {
         lsm: LsmConfig::paper_eval(),
         batch_size: 1,
-        seal_times: Some(vec![sim_blocks.iter().map(|b| b.4).collect()]),
+        seal_times: Some(vec![seal_times]),
         ..ThreadedConfig::default()
     });
     for (k, v) in &ops {
@@ -87,22 +76,19 @@ fn sim_and_threads_agree_on_digests_certs_and_reads() {
     }
     let report = cluster.shutdown().expect("sole owner receives the final state");
 
-    // --- identical block digests, edge proofs, and cloud certifications ---
-    let edge_report = &report.edges[0];
-    assert_eq!(edge_report.blocks.len(), sim_blocks.len(), "same number of sealed blocks");
-    for ((bid, digest, edge_proof, certified), (s_bid, s_digest, s_proof, s_cert, _)) in
-        edge_report.blocks.iter().zip(&sim_blocks)
-    {
-        assert_eq!(bid, s_bid, "block ids agree");
-        assert_eq!(digest, s_digest, "block {bid}: digests byte-identical across runtimes");
-        assert_eq!(edge_proof, s_proof, "block {bid}: edge-side Phase-II proof digests agree");
-        assert_eq!(certified, s_cert, "block {bid}: cloud-certified digests agree");
+    // --- identical block digests, edge proofs, cloud certifications ---
+    common::assert_same_outcome("threads-vs-sim", &report, &sim_report);
+    for (bid, digest, _, certified) in &sim_report.edges[0].blocks {
         assert_eq!(
             certified.as_ref(),
             Some(digest),
             "block {bid}: certification outcome is the honest digest"
         );
     }
+    assert_eq!(
+        report.edges[0].edge_stats.blocks_sealed, sim_report.edges[0].edge_stats.blocks_sealed,
+        "same number of blocks sealed"
+    );
 
     // --- identical verified-read verdicts ---
     assert_eq!(sim_reads, thread_reads, "verified reads return the same values");
@@ -110,15 +96,9 @@ fn sim_and_threads_agree_on_digests_certs_and_reads() {
         assert_eq!(got.as_ref(), Some(v), "key {k} returns its written value");
     }
 
-    // Both runtimes exercised the merge path (12 blocks > L0 threshold
-    // of 10) with the shared engine.
-    assert!(report.cloud_stats.merges_processed >= 1, "threaded merge ran");
-    assert!(sim.cloud_node().stats.merges_processed >= 1, "sim merge ran");
-    assert_eq!(
-        edge_report.edge_stats.blocks_sealed,
-        sim.edge_node().stats.blocks_sealed,
-        "same number of blocks sealed"
-    );
+    // Both runtimes ran the same merges (12 blocks > L0 threshold of
+    // 10) with the shared engine.
+    assert!(sim_report.cloud_stats.merges_processed >= 1, "sim merge ran");
 }
 
 /// The same workload absent scripted seal times still agrees on

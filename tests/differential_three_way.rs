@@ -12,10 +12,15 @@
 //! `WireMsg` envelope and decodes it (hostile-input-hardened) on the
 //! other side of a real TCP connection. If any codec dropped, mangled
 //! or reordered a field, the digests and verdicts below would diverge.
+//! Each runtime's outcome is its `RunReport` (the simulator's from
+//! `MultiPartitionHarness::report`), and one comparison holds threads,
+//! then sockets, to the simulator's.
 //!
 //! The scenario includes a withholding edge whose conviction is
 //! reached purely through the client engine's dispute deadline — over
 //! TCP, the dispute and verdict cross real sockets.
+
+mod common;
 
 use std::time::Duration;
 use wedgechain::core::client::ClientPlan;
@@ -24,7 +29,7 @@ use wedgechain::core::driver::{Cluster, RunReport, RuntimeConfig, Transport};
 use wedgechain::core::fault::FaultPlan;
 use wedgechain::core::harness::MultiPartitionHarness;
 use wedgechain::core::messages::DisputeVerdict;
-use wedgechain::core::threaded::{EdgeRunReport, Threads};
+use wedgechain::core::threaded::Threads;
 use wedgechain::lsmerkle::LsmConfig;
 use wedgechain::net::Tcp;
 use wedgechain::sim::SimDuration;
@@ -41,59 +46,6 @@ fn per_edge_workload() -> Vec<Vec<(u64, Vec<u8>)>> {
 }
 
 const WITHHELD_BID: u64 = 1;
-
-/// One block's comparable state: (bid, block digest, edge-side proof
-/// digest, certified digest).
-type BlockOutcome = (u64, [u8; 32], Option<[u8; 32]>, Option<[u8; 32]>);
-
-/// What one runtime's run is reduced to for comparison.
-struct EdgeOutcome {
-    blocks: Vec<BlockOutcome>,
-    certified_len: u64,
-    watermark_len: Option<u64>,
-    disputes_filed: u64,
-    disputes_upheld: u64,
-    verdicts: Vec<DisputeVerdict>,
-}
-
-fn reduce_report(edge: &EdgeRunReport) -> EdgeOutcome {
-    EdgeOutcome {
-        blocks: edge
-            .blocks
-            .iter()
-            .map(|(bid, d, p, c)| {
-                (
-                    bid.0,
-                    *d.as_bytes(),
-                    p.as_ref().map(|x| *x.as_bytes()),
-                    c.as_ref().map(|x| *x.as_bytes()),
-                )
-            })
-            .collect(),
-        certified_len: edge.certified_len,
-        watermark_len: edge.watermark_len,
-        disputes_filed: edge.client_metrics.disputes_filed,
-        disputes_upheld: edge.client_metrics.disputes_upheld,
-        verdicts: edge.verdicts.clone(),
-    }
-}
-
-fn assert_outcomes_agree(label: &str, got: &[EdgeOutcome], want: &[EdgeOutcome]) {
-    assert_eq!(got.len(), want.len(), "{label}: partition count");
-    for (p, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(g.blocks, w.blocks, "{label} edge {p}: blocks/digests/proofs/certs");
-        assert_eq!(g.certified_len, w.certified_len, "{label} edge {p}: certified prefix");
-        if p != 1 {
-            // The withheld edge's client may or may not have received
-            // a fresher watermark after the conviction (the punished
-            // edge is dropped from gossip) — compare honest edges.
-            assert_eq!(g.watermark_len, w.watermark_len, "{label} edge {p}: watermark content");
-        }
-        assert_eq!(g.disputes_filed, w.disputes_filed, "{label} edge {p}: disputes filed");
-        assert_eq!(g.disputes_upheld, w.disputes_upheld, "{label} edge {p}: disputes upheld");
-        assert_eq!(g.verdicts, w.verdicts, "{label} edge {p}: verdicts");
-    }
-}
 
 #[test]
 fn sim_threads_and_sockets_agree_end_to_end() {
@@ -136,61 +88,42 @@ fn sim_threads_and_sockets_agree_end_to_end() {
         }
     }
 
-    let mut seal_times = Vec::new();
-    let mut sim_outcomes = Vec::new();
-    for p in 0..partitions {
-        let edge_id = sim.edge_node(p).id();
-        let blocks: Vec<BlockOutcome> = sim
-            .edge_node(p)
-            .log
-            .iter()
-            .map(|sb| {
-                (
-                    sb.block.id.0,
-                    *sb.block.digest().as_bytes(),
-                    sb.proof.as_ref().map(|pr| *pr.digest.as_bytes()),
-                    sim.cloud_node().ledger.lookup(edge_id, sb.block.id).map(|d| *d.as_bytes()),
-                )
-            })
-            .collect();
-        seal_times
-            .push(sim.edge_node(p).log.iter().map(|sb| sb.block.sealed_at_ns).collect::<Vec<_>>());
-        sim_outcomes.push(EdgeOutcome {
-            blocks,
-            certified_len: sim.cloud_node().ledger.contiguous_len(edge_id),
-            watermark_len: sim.client_node(p, 0).watermarks.latest(edge_id).map(|wm| wm.log_len),
-            disputes_filed: sim.client_metrics(p, 0).disputes_filed,
-            disputes_upheld: sim.client_metrics(p, 0).disputes_upheld,
-            verdicts: if p == 1 {
-                vec![DisputeVerdict::EdgePunished {
-                    edge: sim.edge_node(1).id(),
-                    grounds: "block never certified after timeout".into(),
-                }]
-            } else {
-                Vec::new()
-            },
-        });
+    let sim_report = sim.report();
+    let withholder = sim_report.edges[1].edge;
+    assert_eq!(sim_report.punished, vec![withholder], "sim convicted exactly edge 1");
+    assert!(
+        matches!(
+            &sim_report.edges[1].verdicts[..],
+            [DisputeVerdict::EdgePunished { edge, .. }] if *edge == withholder
+        ),
+        "sim client 1 received the verdict against its edge: {:?}",
+        sim_report.edges[1].verdicts
+    );
+    for p in [0, 2] {
+        assert!(sim_report.edges[p].verdicts.is_empty(), "sim client {p} received no verdict");
     }
-    let sim_punished: Vec<_> = {
-        let mut v: Vec<_> = sim.cloud_node().punished.iter().copied().collect();
-        v.sort_by_key(|id| id.0);
-        v
-    };
-    assert_eq!(sim_punished, vec![sim.edge_node(1).id()], "sim convicted exactly edge 1");
-    assert_eq!(sim.cloud_node().stats.disputes_upheld, 1, "sim: one dispute upheld");
+    assert_eq!(sim_report.cloud_stats.disputes_upheld, 1, "sim: one dispute upheld");
     assert!(sim.client_node(1, 0).halted, "sim client 1 halted on the verdict");
-    let filed: Vec<u64> = sim_outcomes.iter().map(|o| o.disputes_filed).collect();
+    let filed: Vec<u64> =
+        sim_report.edges.iter().map(|e| e.client_metrics.disputes_filed).collect();
     assert_eq!(filed, vec![0, 1, 0], "sim: one engine-deadline dispute, on edge 1");
-    let certified: Vec<u64> = sim_outcomes.iter().map(|o| o.certified_len).collect();
+    let certified: Vec<u64> = sim_report.edges.iter().map(|e| e.certified_len).collect();
     assert_eq!(certified, vec![12, WITHHELD_BID, 3], "withheld block splits edge 1's prefix");
     for p in [0, 2] {
-        let honest = &sim_outcomes[p];
+        let honest = &sim_report.edges[p];
         assert_eq!(
             honest.watermark_len,
             Some(honest.certified_len),
             "sim edge {p}: the client's watermark is the certified prefix"
         );
     }
+    let sim_stats = &sim_report.cloud_stats;
+    assert!(sim_stats.merges_processed >= 1, "sim merge ran");
+    assert!(sim_stats.merge_req_pages_full > 0, "the cold-start merge shipped its pages in full");
+    assert_eq!(sim_stats.merge_req_nacks, 0, "no resend nacks in a warm, eviction-free run");
+    let seal_times = (0..partitions)
+        .map(|p| sim.edge_node(p).log.iter().map(|sb| sb.block.sealed_at_ns).collect())
+        .collect();
 
     // One config and one driver, so threads and sockets run the *same*
     // script.
@@ -211,88 +144,18 @@ fn sim_threads_and_sockets_agree_end_to_end() {
 
     // ---------------- threaded runtime ----------------
     let (threaded_report, threaded_reads) = run_script::<Threads>(cfg.clone(), &per_edge);
-    let threaded_outcomes: Vec<_> = threaded_report.edges.iter().map(reduce_report).collect();
-    assert_outcomes_agree("threads-vs-sim", &threaded_outcomes, &sim_outcomes);
-    assert_eq!(threaded_report.punished, sim_punished, "threads: same punished set");
+    common::assert_same_outcome("threads-vs-sim", &threaded_report, &sim_report);
     assert_eq!(threaded_reads, sim_reads, "threads: same verified-read values");
 
     // ---------------- socket runtime (loopback TCP) ----------------
     let (net_report, net_reads) = run_script::<Tcp>(cfg, &per_edge);
-    let net_outcomes: Vec<_> = net_report.edges.iter().map(reduce_report).collect();
-    assert_outcomes_agree("sockets-vs-sim", &net_outcomes, &sim_outcomes);
-    assert_eq!(net_report.punished, sim_punished, "sockets: same punished set");
+    common::assert_same_outcome("sockets-vs-sim", &net_report, &sim_report);
     assert_eq!(net_reads, sim_reads, "sockets: same verified-read values");
     assert_eq!(
         net_report.failed_sends, 0,
         "sockets: zero dropped frames — every write_frame failure is counted per peer: {:?}",
         net_report.failed_sends_by_peer
     );
-
-    // All three exercised the merge path with the shared engine.
-    assert!(sim.cloud_node().stats.merges_processed >= 1, "sim merge ran");
-    assert!(threaded_report.cloud_stats.merges_processed >= 1, "threaded merge ran");
-    assert!(net_report.cloud_stats.merges_processed >= 1, "socket merge ran");
-
-    // Merge replies are delta-encoded identically everywhere: the
-    // same pages ship in full, the same pages ship as references —
-    // whether the reference resolves through an in-process Arc or a
-    // decoded wire frame.
-    let sim_stats = &sim.cloud_node().stats;
-    let sim_delta = (
-        sim_stats.merge_reply_pages_full,
-        sim_stats.merge_reply_pages_reused,
-        sim_stats.merge_reply_bytes_saved,
-    );
-    let threaded_delta = (
-        threaded_report.cloud_stats.merge_reply_pages_full,
-        threaded_report.cloud_stats.merge_reply_pages_reused,
-        threaded_report.cloud_stats.merge_reply_bytes_saved,
-    );
-    let net_delta = (
-        net_report.cloud_stats.merge_reply_pages_full,
-        net_report.cloud_stats.merge_reply_pages_reused,
-        net_report.cloud_stats.merge_reply_bytes_saved,
-    );
-    assert_eq!(threaded_delta, sim_delta, "threads: same delta reuse as sim");
-    assert_eq!(net_delta, sim_delta, "sockets: same delta reuse as sim");
-
-    // And so are merge *requests*: the edge's full-vs-delta choice and
-    // the per-page full/reference split are a pure function of the
-    // replayed merge sequence, so the request-side counters must agree
-    // byte-for-byte across all three transports (including zero nacks
-    // — nothing was evicted in this scenario).
-    let sim_req = (
-        sim_stats.merge_req_pages_full,
-        sim_stats.merge_req_pages_reused,
-        sim_stats.merge_req_bytes_saved,
-        sim_stats.merge_req_nacks,
-    );
-    let threaded_req = (
-        threaded_report.cloud_stats.merge_req_pages_full,
-        threaded_report.cloud_stats.merge_req_pages_reused,
-        threaded_report.cloud_stats.merge_req_bytes_saved,
-        threaded_report.cloud_stats.merge_req_nacks,
-    );
-    let net_req = (
-        net_report.cloud_stats.merge_req_pages_full,
-        net_report.cloud_stats.merge_req_pages_reused,
-        net_report.cloud_stats.merge_req_bytes_saved,
-        net_report.cloud_stats.merge_req_nacks,
-    );
-    assert_eq!(threaded_req, sim_req, "threads: same request-side delta split as sim");
-    assert_eq!(net_req, sim_req, "sockets: same request-side delta split as sim");
-    assert!(sim_req.0 > 0, "the cold-start merge shipped its pages in full");
-    assert_eq!(sim_req.3, 0, "no resend nacks in a warm, eviction-free run");
-
-    // Compaction stats are a pure function of the replayed merge
-    // sequence, so the three runtimes must agree byte-for-byte. In
-    // this scenario the compaction clock is unarmed (seal_times and
-    // wall-clock deadlines cannot combine) and no organic merge
-    // folds, so agreeing means agreeing on zero — the sim-side
-    // compaction e2e test covers the non-zero case deterministically.
-    let sim_compaction = sim.cloud_node().index.compaction_stats();
-    assert_eq!(threaded_report.compaction, sim_compaction, "threads: same compaction stats");
-    assert_eq!(net_report.compaction, sim_compaction, "sockets: same compaction stats");
 
     // The shared proof cache is wired identically in both OS-thread
     // runtimes: the scripted reads run synchronously in script order,

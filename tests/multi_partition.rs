@@ -2,10 +2,10 @@
 //! cloud. Punishment is per-edge — a lying partition burns while the
 //! others keep working.
 
+mod common;
+
 use wedgechain::core::client::ClientPlan;
-use wedgechain::core::cloud::CloudNode;
 use wedgechain::core::config::SystemConfig;
-use wedgechain::core::edge::EdgeNode;
 use wedgechain::core::fault::FaultPlan;
 use wedgechain::core::harness::{MultiPartitionHarness, SystemHarness};
 
@@ -62,7 +62,7 @@ fn block_ids_are_per_partition() {
 
 /// `SystemHarness` is the one-partition `MultiPartitionHarness`: the
 /// same actor ids and identities, and after the same scripted puts the
-/// same blocks, proofs and cloud ledger.
+/// same run report.
 #[test]
 fn system_harness_is_the_one_partition_case() {
     let cfg = SystemConfig { num_clients: 2, batch_size: 1, ..SystemConfig::real_crypto() };
@@ -89,29 +89,11 @@ fn system_harness_is_the_one_partition_case() {
         assert!(a.phase2_latency.is_some(), "put {k} certified");
         assert_eq!(a.phase2_latency, b.phase2_latency, "put {k}: same virtual Phase II");
     }
-    assert!(single.cloud_node().stats.merges_processed >= 1, "a merge ran");
-
-    let blocks = |edge: &EdgeNode, cloud: &CloudNode| -> Vec<_> {
-        edge.log
-            .iter()
-            .map(|sb| {
-                let bid = sb.block.id;
-                let certified = cloud.ledger.lookup(edge.id(), bid).copied();
-                (bid, sb.block.digest(), sb.proof.as_ref().map(|p| p.digest), certified)
-            })
-            .collect()
-    };
-    let single_blocks = blocks(single.edge_node(), single.cloud_node());
-    assert_eq!(single_blocks.len(), 12, "one block per put");
-    assert_eq!(single_blocks, blocks(multi.edge_node(0), multi.cloud_node()), "blocks and proofs");
-    let ledger = |cloud: &CloudNode, edge: &EdgeNode| {
-        (cloud.ledger.len(), cloud.ledger.contiguous_len(edge.id()))
-    };
-    assert_eq!(
-        ledger(single.cloud_node(), single.edge_node()),
-        ledger(multi.cloud_node(), multi.edge_node(0)),
-        "cloud ledger"
-    );
+    let report = single.report();
+    assert!(report.cloud_stats.merges_processed >= 1, "a merge ran");
+    assert_eq!(report.edges[0].blocks.len(), 12, "one block per put");
+    assert_eq!(report.edges[0].certified_len, 12, "every block certified");
+    common::assert_same_outcome("single-vs-multi", &report, &multi.report());
     for k in 0..12u64 {
         let got = single.get(1, k).value;
         assert_eq!(got, Some(format!("value-{k}").into_bytes()), "read of key {k}");
