@@ -11,13 +11,15 @@
 //! - [`Cluster`], generic over a [`Transport`]: the caller API
 //!   (`put_on`, `try_put_on`, `flush_on`, `get_on`, `log_read_on`) and
 //!   [`Cluster::shutdown`], which returns one [`RunReport`];
-//! - one service loop per role (`edge_service`, `client_service`,
-//!   `cloud_service`), generic over a [`Link`]. Each wakeup blocks
-//!   until a message arrives or the engine's `next_deadline_ns()`
-//!   passes, drains up to `DRAIN_BUDGET` more messages without
-//!   blocking, routes engine effects onto links, `Tick`s when the
-//!   deadline is due and flushes every link once — so frames a wakeup
-//!   queues for one peer can leave together;
+//! - one service body (`serve`) for every role, generic over the
+//!   role's [`Engine`] and a [`Link`]. Each wakeup blocks until a
+//!   message arrives or the engine's `next_deadline_ns()` passes,
+//!   drains up to `DRAIN_BUDGET` more messages without blocking, hands
+//!   each to the role's step, `Tick`s when the deadline is due and
+//!   flushes every link once — so frames a wakeup queues for one peer
+//!   can leave together. Each role (`EdgeService`, `CloudService`,
+//!   `ClientService`) states only how its messages become commands and
+//!   where its effects go;
 //! - the cloud→edge gate (`CloudGate`), the one backpressure policy.
 //!
 //! **Backpressure.** Cloud and edge inboxes are bounded. Client→edge
@@ -43,7 +45,7 @@ use crate::cost::CostModel;
 use crate::deployment::{EngineConfig, Engines, Identities};
 use crate::engine::{
     ClientCommand, ClientEffect, ClientEngine, ClientEvent, ClientPlan, CloudCommand, CloudEffect,
-    CloudEngine, CloudStats, EdgeCommand, EdgeEffect, EdgeEngine, EdgeStats, GetOutcome,
+    CloudEngine, CloudStats, EdgeCommand, EdgeEffect, EdgeEngine, EdgeStats, Engine, GetOutcome,
 };
 use crate::fault::FaultPlan;
 use crate::messages::{AddReceipt, DisputeVerdict, WireMsg};
@@ -617,62 +619,51 @@ fn due(deadline_ns: Option<u64>, epoch: Instant) -> Option<u64> {
     deadline_ns.is_some_and(|d| d <= now_ns).then_some(now_ns)
 }
 
-fn apply_edge<L: Link>(
-    engine: &mut EdgeEngine<u8>,
-    cmd: EdgeCommand<u8>,
-    now_ns: u64,
-    cloud: &mut L,
-    client: &mut L,
-) {
-    for effect in engine.handle(cmd, now_ns) {
-        match effect {
-            EdgeEffect::SendCloud { msg, .. } => cloud.queue(msg),
-            EdgeEffect::Send { msg, .. } => client.queue(msg),
-            // CPU accounting has no real-time counterpart.
-            EdgeEffect::UseCpu(_) | EdgeEffect::UseCpuBackground(_) => {}
+/// What one role's service does inside [`serve`]'s shared body: turn
+/// an inbox message into engine commands, route the engine's effects,
+/// and flush its links.
+trait Service {
+    /// The engine the service drives.
+    type Engine: Engine;
+    /// What arrives in the service's inbox.
+    type In;
+
+    /// Handles one inbox message, reading the clock itself. `false` on
+    /// `Shutdown`.
+    fn step(&mut self, engine: &mut Self::Engine, msg: Self::In, epoch: Instant) -> bool;
+
+    /// Routes one effect onto a link (or back to a caller). CPU
+    /// accounting has no real-time counterpart.
+    fn apply(&mut self, effect: <Self::Engine as Engine>::Effect);
+
+    /// Puts everything the wakeup queued on its way, once per link.
+    fn flush(&mut self);
+
+    /// Runs one command through the engine, applying its effects in
+    /// order.
+    fn run(&mut self, engine: &mut Self::Engine, cmd: <Self::Engine as Engine>::Cmd, now_ns: u64) {
+        for effect in engine.handle(cmd, now_ns) {
+            self.apply(effect);
         }
     }
 }
 
-/// The edge service: drives an [`EdgeEngine`] from its bounded inbox,
-/// routing cloud-bound effects to `cloud` and client-bound ones to
-/// `client`.
-fn edge_service<L: Link>(
-    mut engine: EdgeEngine<u8>,
-    rx: Receiver<EdgeIn>,
-    mut cloud: L,
-    mut client: L,
+/// The one service body: wake, step through the batch, `Tick` once the
+/// deadline is due (never after `Shutdown`), and flush every link once
+/// per wakeup. Returns the engine when the service stops.
+fn serve<S: Service>(
+    mut engine: S::Engine,
+    rx: Receiver<S::In>,
+    service: &mut S,
     epoch: Instant,
-    mut seal_times: VecDeque<u64>,
-    apply_latency: Duration,
-) -> EdgeEngine<u8> {
+) -> S::Engine {
     let mut batch = Vec::with_capacity(DRAIN_BUDGET + 1);
     while wake(&rx, engine.next_deadline_ns(), epoch, &mut batch) {
-        let running = batch.drain(..).all(|msg| {
-            let (msg, now_ns) = match msg {
-                // Scripted seal times make block digests reproducible.
-                EdgeIn::FromClient(msg @ WireMsg::BatchAdd { .. }) => {
-                    (msg, seal_times.pop_front().unwrap_or_else(|| elapsed_ns(epoch)))
-                }
-                EdgeIn::FromClient(msg) => (msg, elapsed_ns(epoch)),
-                EdgeIn::FromCloud(msg) => {
-                    if !apply_latency.is_zero() {
-                        std::thread::sleep(apply_latency);
-                    }
-                    (msg, elapsed_ns(epoch))
-                }
-                EdgeIn::Shutdown => return false,
-            };
-            if let Some(cmd) = EdgeCommand::from_wire(CLIENT_PEER, msg) {
-                apply_edge(&mut engine, cmd, now_ns, &mut cloud, &mut client);
-            }
-            true
-        });
+        let running = batch.drain(..).all(|msg| service.step(&mut engine, msg, epoch));
         if let Some(now_ns) = due(engine.next_deadline_ns(), epoch).filter(|_| running) {
-            apply_edge(&mut engine, EdgeCommand::Tick, now_ns, &mut cloud, &mut client);
+            service.run(&mut engine, S::Engine::tick(), now_ns);
         }
-        cloud.flush();
-        client.flush();
+        service.flush();
         if !running {
             break;
         }
@@ -680,112 +671,167 @@ fn edge_service<L: Link>(
     engine
 }
 
-fn apply_cloud<L: Link>(
-    engine: &mut CloudEngine<usize>,
-    cmd: CloudCommand<usize>,
-    now_ns: u64,
-    peers: &mut [L],
-) {
-    for effect in engine.handle(cmd, now_ns) {
+/// The edge service: cloud-bound effects go to `cloud`, client-bound
+/// ones to `client`. Its inbox is bounded.
+struct EdgeService<L> {
+    cloud: L,
+    client: L,
+    /// Scripted seal times, consumed one per `BatchAdd`.
+    seal_times: VecDeque<u64>,
+    /// Paid before each cloud→edge message.
+    apply_latency: Duration,
+}
+
+impl<L: Link> Service for EdgeService<L> {
+    type Engine = EdgeEngine<u8>;
+    type In = EdgeIn;
+
+    fn step(&mut self, engine: &mut EdgeEngine<u8>, msg: EdgeIn, epoch: Instant) -> bool {
+        let (msg, now_ns) = match msg {
+            // Scripted seal times make block digests reproducible.
+            EdgeIn::FromClient(msg @ WireMsg::BatchAdd { .. }) => {
+                (msg, self.seal_times.pop_front().unwrap_or_else(|| elapsed_ns(epoch)))
+            }
+            EdgeIn::FromClient(msg) => (msg, elapsed_ns(epoch)),
+            EdgeIn::FromCloud(msg) => {
+                if !self.apply_latency.is_zero() {
+                    std::thread::sleep(self.apply_latency);
+                }
+                (msg, elapsed_ns(epoch))
+            }
+            EdgeIn::Shutdown => return false,
+        };
+        if let Some(cmd) = EdgeCommand::from_wire(CLIENT_PEER, msg) {
+            self.run(engine, cmd, now_ns);
+        }
+        true
+    }
+
+    fn apply(&mut self, effect: EdgeEffect<u8>) {
+        match effect {
+            EdgeEffect::SendCloud { msg, .. } => self.cloud.queue(msg),
+            EdgeEffect::Send { msg, .. } => self.client.queue(msg),
+            EdgeEffect::UseCpu(_) | EdgeEffect::UseCpuBackground(_) => {}
+        }
+    }
+
+    fn flush(&mut self) {
+        self.cloud.flush();
+        self.client.flush();
+    }
+}
+
+/// The cloud service: `peers[p]` reaches peer `p` (edges `0..E`,
+/// clients `E..2E`). Its one inbox is shared and bounded.
+struct CloudService<L> {
+    peers: Vec<L>,
+    /// Injected latency, paid before handling each message.
+    hop: Duration,
+}
+
+impl<L: Link> Service for CloudService<L> {
+    type Engine = CloudEngine<usize>;
+    type In = CloudIn;
+
+    fn step(&mut self, engine: &mut CloudEngine<usize>, msg: CloudIn, epoch: Instant) -> bool {
+        let CloudIn::From { peer, msg } = msg else { return false };
+        if !self.hop.is_zero() {
+            std::thread::sleep(self.hop);
+        }
+        if let Some(cmd) = CloudCommand::from_wire(peer, msg) {
+            self.run(engine, cmd, elapsed_ns(epoch));
+        }
+        true
+    }
+
+    fn apply(&mut self, effect: CloudEffect<usize>) {
         match effect {
             CloudEffect::Send { to, msg, .. } => {
-                if let Some(link) = peers.get_mut(to) {
+                if let Some(link) = self.peers.get_mut(to) {
                     link.queue(msg);
                 }
             }
             CloudEffect::UseCpu(_) => {}
         }
     }
-}
 
-/// The cloud service: drives the [`CloudEngine`] from the shared
-/// bounded inbox; `peers[p]` reaches peer `p` (edges `0..E`, clients
-/// `E..2E`).
-fn cloud_service<L: Link>(
-    mut engine: CloudEngine<usize>,
-    rx: Receiver<CloudIn>,
-    mut peers: Vec<L>,
-    epoch: Instant,
-    hop: Duration,
-) -> CloudEngine<usize> {
-    let mut batch = Vec::with_capacity(DRAIN_BUDGET + 1);
-    while wake(&rx, engine.next_deadline_ns(), epoch, &mut batch) {
-        let running = batch.drain(..).all(|msg| {
-            let CloudIn::From { peer, msg } = msg else { return false };
-            if !hop.is_zero() {
-                std::thread::sleep(hop);
-            }
-            if let Some(cmd) = CloudCommand::from_wire(peer, msg) {
-                apply_cloud(&mut engine, cmd, elapsed_ns(epoch), &mut peers);
-            }
-            true
-        });
-        if let Some(now_ns) = due(engine.next_deadline_ns(), epoch).filter(|_| running) {
-            apply_cloud(&mut engine, CloudCommand::Tick, now_ns, &mut peers);
-        }
-        for link in &mut peers {
+    fn flush(&mut self) {
+        for link in &mut self.peers {
             link.flush();
         }
-        if !running {
-            break;
-        }
     }
-    engine
 }
 
-/// The client service: drives a [`ClientEngine`] from its inbox,
-/// routing caller requests in and completions back out; wire sends go
-/// to `edge` and `cloud`. Dispute deadlines are consumed via `Tick` —
-/// the service never decides when a dispute fires.
-fn client_service<L: Link>(
-    mut engine: ClientEngine,
-    rx: Receiver<ClientIn>,
-    mut edge: L,
-    mut cloud: L,
-    epoch: Instant,
-) -> ClientEngine {
-    let mut comp = ClientCompletions::default();
-    let mut batch = Vec::with_capacity(DRAIN_BUDGET + 1);
-    while wake(&rx, engine.next_deadline_ns(), epoch, &mut batch) {
-        let running = batch.drain(..).all(|msg| {
-            let cmd = match msg {
-                ClientIn::PutBatch { ops, reply } => {
-                    comp.queued_puts.push_back((ops, reply));
-                    None
-                }
-                ClientIn::Get { key, reply } => {
-                    let token = comp.token();
-                    comp.get_waiters.insert(token, reply);
-                    Some(ClientCommand::Get { token, key })
-                }
-                ClientIn::LogRead(bid) => Some(ClientCommand::LogRead { bid }),
-                ClientIn::Wire(msg) => ClientCommand::from_wire(msg),
-                ClientIn::Shutdown => return false,
-            };
-            let now_ns = elapsed_ns(epoch);
-            if let Some(cmd) = cmd {
-                comp.run(&mut engine, cmd, now_ns, &mut edge, &mut cloud);
+/// The client service: routes caller requests in and completions back
+/// out; wire sends go to `edge` and `cloud`. Dispute deadlines are
+/// consumed via `Tick` — the service never decides when a dispute
+/// fires.
+struct ClientService<L> {
+    edge: L,
+    cloud: L,
+    completions: ClientCompletions,
+}
+
+impl<L: Link> Service for ClientService<L> {
+    type Engine = ClientEngine;
+    type In = ClientIn;
+
+    fn step(&mut self, engine: &mut ClientEngine, msg: ClientIn, epoch: Instant) -> bool {
+        let cmd = match msg {
+            ClientIn::PutBatch { ops, reply } => {
+                self.completions.queued_puts.push_back((ops, reply));
+                None
             }
-            // Per message, not per wakeup: a batch queued (or a slot
-            // freed) ahead of proofs in the same wakeup must not wait
-            // for their verification.
-            comp.pump_puts(&mut engine, now_ns, &mut edge, &mut cloud);
-            true
-        });
-        if let Some(now_ns) = due(engine.next_deadline_ns(), epoch).filter(|_| running) {
-            comp.run(&mut engine, ClientCommand::Tick, now_ns, &mut edge, &mut cloud);
+            ClientIn::Get { key, reply } => {
+                let token = self.completions.token();
+                self.completions.get_waiters.insert(token, reply);
+                Some(ClientCommand::Get { token, key })
+            }
+            ClientIn::LogRead(bid) => Some(ClientCommand::LogRead { bid }),
+            ClientIn::Wire(msg) => ClientCommand::from_wire(msg),
+            ClientIn::Shutdown => return false,
+        };
+        let now_ns = elapsed_ns(epoch);
+        if let Some(cmd) = cmd {
+            self.run(engine, cmd, now_ns);
         }
-        edge.flush();
-        cloud.flush();
-        if !running {
-            break;
+        // Per message, not per wakeup: a batch queued (or a slot freed)
+        // ahead of proofs in the same wakeup must not wait for their
+        // verification.
+        self.pump_puts(engine, now_ns);
+        true
+    }
+
+    fn apply(&mut self, effect: ClientEffect) {
+        match effect {
+            ClientEffect::SendEdge { msg, .. } => self.edge.queue(msg),
+            ClientEffect::SendCloud { msg, .. } => self.cloud.queue(msg),
+            ClientEffect::Notify(event) => self.completions.notify(event),
+            ClientEffect::UseCpu(_) => {}
         }
     }
-    engine
+
+    fn flush(&mut self) {
+        self.edge.flush();
+        self.cloud.flush();
+    }
+}
+
+impl<L: Link> ClientService<L> {
+    /// Hands queued batches to the engine while pipeline slots remain
+    /// (depth 1 degenerates to strict one-at-a-time submission).
+    fn pump_puts(&mut self, engine: &mut ClientEngine, now_ns: u64) {
+        while engine.can_accept_batch() {
+            let Some((ops, reply)) = self.completions.queued_puts.pop_front() else { break };
+            let token = self.completions.token();
+            self.completions.put_waiters.insert(token, reply);
+            self.run(engine, ClientCommand::PutBatch { token, ops }, now_ns);
+        }
+    }
 }
 
 /// Caller-completion routing around a [`ClientEngine`]: queued batches
-/// draining into pipeline slots, Phase-I/Phase-II/read completion
+/// waiting for pipeline slots, Phase-I/Phase-II/read completion
 /// channels.
 #[derive(Default)]
 struct ClientCompletions {
@@ -802,44 +848,6 @@ impl ClientCompletions {
     fn token(&mut self) -> u64 {
         self.next_token += 1;
         self.next_token - 1
-    }
-
-    /// Runs one command through the engine, routing wire sends to the
-    /// links and completions back to callers.
-    fn run<L: Link>(
-        &mut self,
-        engine: &mut ClientEngine,
-        cmd: ClientCommand,
-        now_ns: u64,
-        edge: &mut L,
-        cloud: &mut L,
-    ) {
-        for effect in engine.handle(cmd, now_ns) {
-            match effect {
-                ClientEffect::SendEdge { msg, .. } => edge.queue(msg),
-                ClientEffect::SendCloud { msg, .. } => cloud.queue(msg),
-                ClientEffect::Notify(event) => self.notify(event),
-                // CPU accounting has no real-time counterpart.
-                ClientEffect::UseCpu(_) => {}
-            }
-        }
-    }
-
-    /// Hands queued batches to the engine while pipeline slots remain
-    /// (depth 1 degenerates to strict one-at-a-time submission).
-    fn pump_puts<L: Link>(
-        &mut self,
-        engine: &mut ClientEngine,
-        now_ns: u64,
-        edge: &mut L,
-        cloud: &mut L,
-    ) {
-        while engine.can_accept_batch() {
-            let Some((ops, reply)) = self.queued_puts.pop_front() else { break };
-            let token = self.token();
-            self.put_waiters.insert(token, reply);
-            self.run(engine, ClientCommand::PutBatch { token, ops }, now_ns, edge, cloud);
-        }
     }
 
     fn notify(&mut self, event: ClientEvent) {
@@ -1017,24 +1025,31 @@ impl<T: Transport> Cluster<T> {
         let hop = cfg.cloud_hop_latency;
         let cloud = engines.cloud;
         let cloud_handle = spawn("wedge-cloud".into(), move || {
-            cloud_service(cloud, cloud_rx, cloud_links, epoch, hop)
+            serve(cloud, cloud_rx, &mut CloudService { peers: cloud_links, hop }, epoch)
         });
         let mut edge_handles = Vec::with_capacity(n);
         let edges =
             engines.edges.into_iter().zip(edge_rxs).zip(edge_links.into_iter().zip(edge_to_client));
         for (p, ((engine, rx), (up, down))) in edges.enumerate() {
-            let seal_times: VecDeque<u64> =
+            let seal_times =
                 cfg.seal_times.as_ref().and_then(|s| s.get(p).cloned()).unwrap_or_default().into();
-            let apply_latency = cfg.edge_apply_latency;
+            let mut service = EdgeService {
+                cloud: up,
+                client: down,
+                seal_times,
+                apply_latency: cfg.edge_apply_latency,
+            };
             edge_handles.push(spawn(format!("wedge-edge{p}"), move || {
-                edge_service(engine, rx, up, down, epoch, seal_times, apply_latency)
+                serve(engine, rx, &mut service, epoch)
             }));
         }
         let mut client_handles = Vec::with_capacity(n);
         let clients = client_engines.into_iter().zip(client_rxs).zip(client_links);
         for (p, ((engine, rx), (edge, cloud))) in clients.enumerate() {
+            let mut service =
+                ClientService { edge, cloud, completions: ClientCompletions::default() };
             client_handles.push(spawn(format!("wedge-client{p}"), move || {
-                client_service(engine, rx, edge, cloud, epoch)
+                serve(engine, rx, &mut service, epoch)
             }));
         }
 
@@ -1260,5 +1275,115 @@ impl PutBatcher {
     /// every other writer on this partition.
     fn lock(&self, partition: usize) -> std::sync::MutexGuard<'_, PutOps> {
         self.batchers[partition].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An engine that is a deadline and a log: a tick clears the
+    /// deadline, and every command comes back as its one effect.
+    struct Alarm {
+        deadline_ns: Option<u64>,
+        handled: Vec<Option<u64>>,
+    }
+
+    impl Engine for Alarm {
+        /// `Some(n)` is message `n`; `None` is the tick.
+        type Cmd = Option<u64>;
+        type Effect = Option<u64>;
+
+        fn handle(&mut self, cmd: Option<u64>, _now_ns: u64) -> Vec<Option<u64>> {
+            if cmd.is_none() {
+                self.deadline_ns = None;
+            }
+            self.handled.push(cmd);
+            vec![cmd]
+        }
+
+        fn next_deadline_ns(&self) -> Option<u64> {
+            self.deadline_ns
+        }
+
+        fn tick() -> Option<u64> {
+            None
+        }
+    }
+
+    /// An in-memory link that counts what it is asked to do.
+    #[derive(Default)]
+    struct CountingLink {
+        queued: usize,
+        flushes: usize,
+    }
+
+    impl Link for CountingLink {
+        fn queue(&mut self, _msg: WireMsg) {
+            self.queued += 1;
+        }
+
+        fn flush(&mut self) {
+            self.flushes += 1;
+        }
+    }
+
+    /// Messages go out on link 0, ticks on link 1; a tick also stops
+    /// the service at its next wakeup through its own inbox.
+    struct AlarmService {
+        links: [CountingLink; 2],
+        inbox: Sender<Option<u64>>,
+    }
+
+    impl Service for AlarmService {
+        type Engine = Alarm;
+        /// `None` is `Shutdown`.
+        type In = Option<u64>;
+
+        fn step(&mut self, engine: &mut Alarm, msg: Option<u64>, epoch: Instant) -> bool {
+            let Some(n) = msg else { return false };
+            self.run(engine, Some(n), elapsed_ns(epoch));
+            true
+        }
+
+        fn apply(&mut self, effect: Option<u64>) {
+            let msg = WireMsg::LogRead { bid: BlockId(effect.unwrap_or(0)) };
+            self.links[usize::from(effect.is_none())].queue(msg);
+            if effect.is_none() {
+                self.inbox.send(None).unwrap();
+            }
+        }
+
+        fn flush(&mut self) {
+            self.links.iter_mut().for_each(Link::flush);
+        }
+    }
+
+    fn serve_alarm(deadline_ns: Option<u64>, inbox: &[Option<u64>]) -> (Alarm, AlarmService) {
+        let (tx, rx) = channel();
+        for &msg in inbox {
+            tx.send(msg).unwrap();
+        }
+        let mut service = AlarmService { links: Default::default(), inbox: tx };
+        let engine = Alarm { deadline_ns, handled: Vec::new() };
+        (serve(engine, rx, &mut service, Instant::now()), service)
+    }
+
+    #[test]
+    fn ticks_once_on_an_empty_inbox_after_the_deadline() {
+        // Wakeup 1 times out on the empty inbox and ticks; the tick's
+        // `Shutdown` ends wakeup 2.
+        let (engine, service) = serve_alarm(Some(0), &[]);
+        assert_eq!(engine.handled, vec![None]);
+        assert_eq!(service.links.each_ref().map(|l| (l.queued, l.flushes)), [(0, 2), (1, 2)]);
+    }
+
+    #[test]
+    fn no_tick_after_shutdown_in_the_same_wakeup() {
+        // One wakeup drains both messages and the `Shutdown`: the due
+        // deadline must not tick, and each link flushes once.
+        let (engine, service) = serve_alarm(Some(0), &[Some(1), Some(2), None]);
+        assert_eq!(engine.handled, vec![Some(1), Some(2)]);
+        assert_eq!(service.links.each_ref().map(|l| (l.queued, l.flushes)), [(2, 1), (0, 1)]);
     }
 }

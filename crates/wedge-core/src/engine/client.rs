@@ -13,7 +13,7 @@
 //! [`ClientEngine::next_deadline_ns`], and every runtime drives them
 //! identically — deliver messages, call
 //! `handle(ClientCommand::Tick, now)` once `now` reaches the deadline.
-//! The simulator wraps this engine in [`crate::client::ClientNode`];
+//! The simulator wraps this engine in [`crate::node::ClientNode`];
 //! the threaded runtime runs it on a service thread with
 //! `recv_timeout`.
 

@@ -9,15 +9,14 @@
 //! [`crate::deployment`] — the identities and engines the real-time
 //! cluster builds too — and share one put/get body.
 
-use crate::client::{ClientNode, ClientPlan, GetOutcome, PutOutcome};
-use crate::cloud::CloudNode;
 use crate::config::SystemConfig;
 use crate::deployment::{EngineConfig, Engines, Identities};
 use crate::driver::RunReport;
-use crate::edge::EdgeNode;
+use crate::engine::{ClientPlan, GetOutcome, PutOutcome};
 use crate::fault::FaultPlan;
 use crate::messages::Msg;
 use crate::metrics::ClientMetrics;
+use crate::node::{ClientNode, CloudNode, EdgeNode};
 use wedge_crypto::{IdentityId, Signature};
 use wedge_log::Entry;
 use wedge_lsmerkle::{certify_block, KvOp};
@@ -179,7 +178,7 @@ impl MultiPartitionHarness {
         let engines = Engines::build(&ids, engine_cfg, &edges, &clients, &pool);
 
         let mut sim: Simulation<Msg> = Simulation::new(cfg.net.clone(), cfg.seed);
-        let node = CloudNode::new(engines.cloud);
+        let node = CloudNode::new(engines.cloud, ());
         assert_eq!(sim.add_actor("cloud", cfg.cloud_region, Box::new(node)), cloud);
         for (p, engine) in engines.edges.into_iter().enumerate() {
             let node = EdgeNode::new(engine, cloud);
@@ -190,7 +189,7 @@ impl MultiPartitionHarness {
         }
         for (p, group) in engines.clients.into_iter().enumerate() {
             for (c, engine) in group.into_iter().enumerate() {
-                let node = ClientNode::new(engine, edges[p], cloud);
+                let node = ClientNode::new(engine, (edges[p], cloud));
                 let name = format!("client-{p}-{c}");
                 assert_eq!(sim.add_actor(name, cfg.client_region, Box::new(node)), clients[p][c]);
             }

@@ -37,21 +37,6 @@ impl Digest {
         s
     }
 
-    /// Parses a 64-character lowercase/uppercase hex string.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        let bytes = s.as_bytes();
-        for i in 0..32 {
-            let hi = (bytes[2 * i] as char).to_digit(16)?;
-            let lo = (bytes[2 * i + 1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Some(Digest(out))
-    }
-
     /// Interprets the first 16 bytes as a big-endian u128. Used to fold
     /// digests into the Schnorr scalar field.
     pub fn to_u128(&self) -> u128 {
@@ -91,15 +76,11 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         let d = crate::sha256::sha256(b"roundtrip");
-        let parsed = Digest::from_hex(&d.to_hex()).unwrap();
-        assert_eq!(d, parsed);
-    }
-
-    #[test]
-    fn from_hex_rejects_bad_input() {
-        assert!(Digest::from_hex("xyz").is_none());
-        assert!(Digest::from_hex(&"g".repeat(64)).is_none());
-        assert!(Digest::from_hex(&"a".repeat(63)).is_none());
+        let hex = d.to_hex();
+        assert_eq!(hex, hex.to_lowercase());
+        let parsed: Vec<u8> =
+            (0..32).map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap()).collect();
+        assert_eq!(parsed, d.as_bytes());
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Encoder {
 
     /// Appends a 32-byte Schnorr signature (fixed width, no prefix).
     #[inline]
-    pub fn put_signature(&mut self, s: &Signature) -> &mut Self {
+    fn put_signature(&mut self, s: &Signature) -> &mut Self {
         self.buf.extend_from_slice(&s.to_bytes());
         self
     }
@@ -245,7 +245,7 @@ impl<'a> Decoder<'a> {
 
     /// Reads a 32-byte Schnorr signature (fixed width, no prefix).
     #[inline]
-    pub fn get_signature(&mut self) -> Result<Signature, DecodeError> {
+    fn get_signature(&mut self) -> Result<Signature, DecodeError> {
         let bytes: [u8; 32] = self.take(32)?.try_into().expect("took 32 bytes");
         Ok(Signature::from_bytes(&bytes))
     }

@@ -19,7 +19,6 @@ pub mod cert;
 pub mod enc;
 pub mod entry;
 pub mod frame;
-pub mod reserve;
 pub mod store;
 pub mod watermark;
 
@@ -32,6 +31,5 @@ pub use frame::{
     append_frame_header, decode_frame, read_frame, read_frame_into, write_frame, Frame,
     FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_PAYLOAD,
 };
-pub use reserve::{LogPosition, PositionedRequest, Reservation, ReservePolicy, ReservingBuffer};
 pub use store::{LogStore, StoredBlock};
 pub use watermark::{GossipWatermark, WatermarkTracker};

@@ -70,7 +70,7 @@ pub struct FoldOutcome {
 /// Maximal runs of adjacent small (`< page_capacity` records) pages
 /// whose fold strictly reduces the page count. Pure layout function —
 /// no clocks, no randomness.
-pub fn fold_plan(pages: &[Arc<Page>], page_capacity: usize) -> Vec<Range<usize>> {
+fn fold_plan(pages: &[Arc<Page>], page_capacity: usize) -> Vec<Range<usize>> {
     assert!(page_capacity > 0);
     let mut plan = Vec::new();
     let mut i = 0;

@@ -26,11 +26,6 @@ impl LsmConfig {
         LsmConfig { level_thresholds: vec![2, 2, 4], page_capacity: 4 }
     }
 
-    /// Number of levels, including L0.
-    pub fn num_levels(&self) -> usize {
-        self.level_thresholds.len()
-    }
-
     /// Number of Merkle-covered levels (all but L0).
     pub fn num_merkle_levels(&self) -> usize {
         self.level_thresholds.len() - 1
@@ -65,7 +60,6 @@ mod tests {
     fn paper_config_matches_section_vi() {
         let c = LsmConfig::paper_eval();
         assert_eq!(c.level_thresholds, vec![10, 10, 100, 1000]);
-        assert_eq!(c.num_levels(), 4);
         assert_eq!(c.num_merkle_levels(), 3);
         assert!(c.validate().is_ok());
     }

@@ -77,7 +77,6 @@ pub struct Simulation<M> {
     rng: SimRng,
     next_timer: u64,
     canceled_timers: HashSet<u64>,
-    events_processed: u64,
     started: bool,
     trace: Option<(Trace, TraceLabeler<M>)>,
 }
@@ -98,7 +97,6 @@ impl<M: 'static> Simulation<M> {
             rng,
             next_timer: 0,
             canceled_timers: HashSet::new(),
-            events_processed: 0,
             started: false,
             trace: None,
         }
@@ -138,11 +136,6 @@ impl<M: 'static> Simulation<M> {
         self.now
     }
 
-    /// Total events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
     /// Immutable access to an actor's concrete state.
     ///
     /// # Panics
@@ -171,11 +164,6 @@ impl<M: 'static> Simulation<M> {
         (downcast_mut(x), downcast_mut(y))
     }
 
-    /// Metadata (name, region) for an actor.
-    pub fn meta(&self, id: ActorId) -> &ActorMeta {
-        &self.meta[id.0]
-    }
-
     /// The network model (e.g. to query RTTs in assertions).
     pub fn network(&self) -> &NetworkModel {
         &self.net
@@ -183,7 +171,7 @@ impl<M: 'static> Simulation<M> {
 
     /// Injects a message from "outside" the simulation (e.g. the
     /// harness acting as an upstream source), delivered at `at`.
-    pub fn inject_at(&mut self, at: SimTime, from: ActorId, to: ActorId, msg: M) {
+    fn inject_at(&mut self, at: SimTime, from: ActorId, to: ActorId, msg: M) {
         assert!(at >= self.now, "cannot inject into the past");
         let seq = self.bump_seq();
         self.queue.push(Reverse(QueuedEvent {
@@ -266,7 +254,6 @@ impl<M: 'static> Simulation<M> {
                         return true;
                     }
                     self.now = ev.at;
-                    self.events_processed += 1;
                     if let Some((trace, _)) = &mut self.trace {
                         trace.record(TraceEvent {
                             at: ev.at,
@@ -305,7 +292,6 @@ impl<M: 'static> Simulation<M> {
                         continue;
                     }
                     self.now = ev.at;
-                    self.events_processed += 1;
                     if let Some((trace, labeler)) = &mut self.trace {
                         trace.record(TraceEvent {
                             at: ev.at,
