@@ -13,7 +13,7 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use wedge_baselines::{run_scenario, SystemKind};
-use wedge_bench::banner;
+use wedge_bench::{banner, record, write_json};
 use wedge_core::client::ClientPlan;
 use wedge_core::config::SystemConfig;
 use wedge_core::fault::FaultPlan;
@@ -34,9 +34,15 @@ fn ablation_data_free() {
         h.run(None);
         let agg = h.aggregate();
         let stats = &h.edge_node().stats;
+        let mode = if data_free { "data-free" } else { "data-full" };
+        let prefix = format!("ablations/{}", mode.replace('-', "_"));
+        record(&format!("{prefix}/cert_bytes"), stats.cert_bytes_to_cloud as f64, "B");
+        record(&format!("{prefix}/wan_bytes"), stats.wan_bytes_to_cloud as f64, "B");
+        record(&format!("{prefix}/p2_ms"), agg.p2_latency_ms, "ms");
+        record(&format!("{prefix}/p1_ms"), agg.p1_latency_ms, "ms");
         println!(
             "{:<12} {:>18} {:>18} {:>11.1} ms {:>11.1} ms",
-            if data_free { "data-free" } else { "data-full" },
+            mode,
             stats.cert_bytes_to_cloud,
             stats.wan_bytes_to_cloud,
             agg.p2_latency_ms,
@@ -53,11 +59,15 @@ fn ablation_lazy() {
         Scenario { batch_size: 500, batches_per_client: 20, ..Scenario::paper_default() };
     let wc = run_scenario(SystemKind::WedgeChain, SystemConfig::default(), &scenario);
     let eb = run_scenario(SystemKind::EdgeBaseline, SystemConfig::default(), &scenario);
+    let penalty = eb.agg.p1_latency_ms / wc.agg.p1_latency_ms;
+    record("ablations/lazy/p1_ms_lazy", wc.agg.p1_latency_ms, "ms");
+    record("ablations/lazy/p1_ms_eager", eb.agg.p1_latency_ms, "ms");
+    record("ablations/lazy/eager_penalty", penalty, "ratio");
+    record("ablations/lazy/p2_ms_lazy", wc.agg.p2_latency_ms, "ms");
     println!("  lazy  (WedgeChain commit at Phase I): {:>7.1} ms", wc.agg.p1_latency_ms);
     println!("  eager (certify-before-ack, = Edge-baseline): {:>7.1} ms", eb.agg.p1_latency_ms);
     println!(
-        "  eager/lazy penalty: {:.1}x — the cost of keeping the cloud on the write path",
-        eb.agg.p1_latency_ms / wc.agg.p1_latency_ms
+        "  eager/lazy penalty: {penalty:.1}x — the cost of keeping the cloud on the write path"
     );
     println!(
         "  note: lazy defers certification; its Phase II completes at {:.1} ms (asynchronously, off the client's critical path)",
@@ -82,6 +92,10 @@ fn ablation_gossip() {
         let secs = 30.0;
         // Each round: one watermark + one global refresh per edge.
         let bytes_per_sec = rounds as f64 * (56.0 + 96.0) / secs;
+        let prefix =
+            if period == 0 { "gossip_off".to_string() } else { format!("gossip_{period}ms") };
+        record(&format!("ablations/{prefix}/rounds"), rounds as f64, "rounds");
+        record(&format!("ablations/{prefix}/bytes_per_s"), bytes_per_sec, "B/s");
         let window = if period == 0 { "unbounded".to_string() } else { format!("{period}") };
         println!(
             "{:<14} {:>14} {:>20.0} {:>22}",
@@ -98,4 +112,5 @@ fn main() {
     ablation_data_free();
     ablation_lazy();
     ablation_gossip();
+    write_json("ablations");
 }

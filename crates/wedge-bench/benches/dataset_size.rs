@@ -11,7 +11,7 @@
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use wedge_bench::{banner, latency_header, run_all};
+use wedge_bench::{banner, latency_header, record, run_all, write_json};
 use wedge_core::config::SystemConfig;
 use wedge_workload::Scenario;
 
@@ -29,6 +29,9 @@ fn main() {
         let out = run_all(&cfg, &scenario);
         let row = [out[0].agg.p1_latency_ms, out[1].agg.p1_latency_ms, out[2].agg.p1_latency_ms];
         println!("{:<14} {:>14.1} {:>14.1} {:>16.1}", keys, row[0], row[1], row[2]);
+        for (sys, ms) in ["wc", "co", "eb"].into_iter().zip(row) {
+            record(&format!("dataset_size/keys_{keys}/p1_ms_{sys}"), ms, "ms");
+        }
         if first.is_none() {
             first = Some(row);
         }
@@ -36,8 +39,11 @@ fn main() {
     }
     let first = first.unwrap();
     println!("\nshape checks (paper: flat — WedgeChain 15–16 ms, Edge-baseline 88–95 ms, Cloud-only 78–79 ms):");
-    for (i, name) in ["WedgeChain", "Cloud-only", "Edge-baseline"].iter().enumerate() {
+    let systems = [("WedgeChain", "wc"), ("Cloud-only", "co"), ("Edge-baseline", "eb")];
+    for (i, (name, sys)) in systems.into_iter().enumerate() {
         let drift = (last[i] / first[i] - 1.0) * 100.0;
         println!("  {name}: {:.1} → {:.1} ms ({drift:+.1}% across 1000x keys)", first[i], last[i]);
+        record(&format!("dataset_size/summary/drift_pct_{sys}"), drift, "%");
     }
+    write_json("dataset_size");
 }

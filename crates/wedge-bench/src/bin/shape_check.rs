@@ -298,6 +298,83 @@ fn check_table1_rtt(a: &Artifact, failures: &mut Vec<Failure>) {
     }
 }
 
+fn check_dataset_size(a: &Artifact, failures: &mut Vec<Failure>) {
+    let rows: Vec<[f64; 3]> = [100_000u64, 1_000_000, 10_000_000, 100_000_000]
+        .iter()
+        .map(|keys| triple(a, &format!("dataset_size/keys_{keys}"), "p1_ms", failures))
+        .collect();
+    for sys in ["wc", "co", "eb"] {
+        require(a, &format!("dataset_size/summary/drift_pct_{sys}"), failures);
+    }
+    // §VI-E: put latency stays flat across 1000x the keys, because
+    // communication and verification dwarf the storage probe.
+    for (i, name) in ["WedgeChain", "Cloud-only", "Edge-baseline"].iter().enumerate() {
+        let first = rows[0][i];
+        let worst = rows.iter().map(|r| (r[i] / first - 1.0).abs()).fold(0.0, f64::max);
+        if worst > 0.10 {
+            failures.push(format!(
+                "{name} put latency drifts {:.1}% across the key range, over 10%",
+                worst * 100.0
+            ));
+        }
+    }
+    for ([wc, co, eb], keys) in rows.iter().zip(["100K", "1M", "10M", "100M"]) {
+        if !(wc < co && co < eb) {
+            failures.push(format!(
+                "{keys} keys: latency order violated (WC {wc} < CO {co} < EB {eb} ms expected)"
+            ));
+        }
+    }
+}
+
+fn check_ablations(a: &Artifact, failures: &mut Vec<Failure>) {
+    let mut mode = |m: &str| {
+        ["cert_bytes", "wan_bytes", "p2_ms", "p1_ms"]
+            .map(|metric| require(a, &format!("ablations/{m}/{metric}"), failures))
+    };
+    let [free_cert, free_wan, _, free_p1] = mode("data_free");
+    let [full_cert, full_wan, _, full_p1] = mode("data_full");
+    // §IV-B: certification needs only the digest, not the block.
+    if free_cert * 100.0 >= full_cert {
+        failures.push(format!(
+            "data-free certification sends {free_cert} B, not under 1% of data-full's {full_cert} B"
+        ));
+    }
+    if free_wan >= full_wan {
+        failures.push(format!("data-free WAN bytes {free_wan} not below data-full's {full_wan}"));
+    }
+    // Certification is off the Phase-I path, so shipping the block
+    // must not move Phase I.
+    if (full_p1 / free_p1 - 1.0).abs() > 0.05 {
+        failures.push(format!(
+            "Phase I moves with the certification mode: {free_p1} ms data-free vs {full_p1} ms data-full"
+        ));
+    }
+    let [lazy, eager] = ["p1_ms_lazy", "p1_ms_eager"]
+        .map(|metric| require(a, &format!("ablations/lazy/{metric}"), failures));
+    require(a, "ablations/lazy/eager_penalty", failures);
+    require(a, "ablations/lazy/p2_ms_lazy", failures);
+    if eager < lazy * 2.0 {
+        failures.push(format!("lazy Phase I {lazy} ms is not 2x below eager {eager} ms"));
+    }
+    // §IV-E: no gossip when it is off, and more rounds as the period
+    // shrinks.
+    let rounds: Vec<f64> =
+        ["gossip_off", "gossip_2000ms", "gossip_1000ms", "gossip_500ms", "gossip_250ms"]
+            .iter()
+            .map(|g| {
+                require(a, &format!("ablations/{g}/bytes_per_s"), failures);
+                require(a, &format!("ablations/{g}/rounds"), failures)
+            })
+            .collect();
+    if rounds[0] != 0.0 {
+        failures.push(format!("{} gossip rounds with gossip off", rounds[0]));
+    }
+    if !rounds[1..].windows(2).all(|w| w[0] < w[1]) {
+        failures.push(format!("gossip rounds do not rise as the period shrinks: {rounds:?}"));
+    }
+}
+
 fn check_micro_crypto(a: &Artifact, failures: &mut Vec<Failure>) {
     for size in [64u64, 1024, 16 * 1024, 256 * 1024] {
         if require(a, &format!("sha256/{size}_mb_s"), failures) <= 0.0 {
@@ -363,6 +440,8 @@ fn check(artifact: &Artifact) -> Vec<Failure> {
         "fig6_commit_phases" => check_fig6_commit_phases,
         "fig7_locations" => check_fig7_locations,
         "table1_rtt" => check_table1_rtt,
+        "dataset_size" => check_dataset_size,
+        "ablations" => check_ablations,
         // Other benches: the reader's structural check is the whole check.
         _ => |_, _| {},
     };
