@@ -75,7 +75,6 @@ pub fn run_scenario(kind: SystemKind, mut cfg: SystemConfig, scenario: &Scenario
     cfg.num_clients = scenario.clients;
     cfg.batch_size = scenario.batch_size;
     cfg.value_size = scenario.value_size;
-    cfg.key_space = scenario.key_space;
     let plan = plan_from_scenario(scenario);
     match kind {
         SystemKind::WedgeChain => run_wedgechain(cfg, plan, scenario),
@@ -96,9 +95,9 @@ fn run_wedgechain(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> R
 }
 
 fn run_cloud_only(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> RunOutput {
-    let mut sim: Simulation<BMsg> = Simulation::new(cfg.net.clone(), cfg.seed);
+    let mut sim: Simulation<BMsg> = Simulation::new(cfg.seed);
     let cloud_node = CloudOnlyCloud::new(cfg.cost.clone());
-    let cloud = sim.add_actor("cloud", cfg.cloud_region, Box::new(cloud_node));
+    let cloud = sim.add_actor(cfg.cloud_region, Box::new(cloud_node));
     if scenario.reads_per_client > 0 {
         // Preload the trusted store directly.
         let store = &mut sim.actor_mut::<CloudOnlyCloud>(cloud).store;
@@ -110,7 +109,7 @@ fn run_cloud_only(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> R
 }
 
 fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -> RunOutput {
-    let mut sim: Simulation<BMsg> = Simulation::new(cfg.net.clone(), cfg.seed);
+    let mut sim: Simulation<BMsg> = Simulation::new(cfg.seed);
     // The same identities and registry as the WedgeChain deployment.
     let ids = Identities::derive(1, cfg.num_clients);
     let (cloud_ident, edge_ident) = (&ids.cloud, &ids.edges[0]);
@@ -125,7 +124,7 @@ fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -
         cfg.cost.clone(),
         cfg.lsm.clone(),
     );
-    let cloud = sim.add_actor("cloud", cfg.cloud_region, Box::new(cloud_node));
+    let cloud = sim.add_actor(cfg.cloud_region, Box::new(cloud_node));
     assert_eq!(cloud, cloud_id);
 
     // The edge replica starts from the same (deterministic) init state.
@@ -133,7 +132,7 @@ fn run_edge_baseline(cfg: SystemConfig, plan: ClientPlan, scenario: &Scenario) -
     let init = replica_index.init_edge(cloud_ident, edge_ident.id, 0);
     let replica = LsMerkle::new(edge_ident.id, cfg.lsm.clone(), init);
     let edge_node = EbEdge::new(cloud, cfg.cost.clone(), replica);
-    let edge = sim.add_actor("edge", cfg.edge_region, Box::new(edge_node));
+    let edge = sim.add_actor(cfg.edge_region, Box::new(edge_node));
     assert_eq!(edge, edge_id);
 
     if scenario.reads_per_client > 0 {
@@ -168,7 +167,7 @@ fn run_clients(
     client: impl Fn(usize) -> BaselineClient,
 ) -> RunOutput {
     let clients: Vec<ActorId> = (0..cfg.num_clients)
-        .map(|i| sim.add_actor(format!("client-{i}"), cfg.client_region, Box::new(client(i))))
+        .map(|i| sim.add_actor(cfg.client_region, Box::new(client(i))))
         .collect();
     sim.start();
     for &c in &clients {

@@ -23,7 +23,6 @@ fn main() {
     for &keys in &Scenario::dataset_sizes() {
         let mut cfg = SystemConfig::default();
         cfg.cost.dataset_keys = keys;
-        cfg.key_space = keys;
         let scenario =
             Scenario { key_space: keys, batches_per_client: 20, ..Scenario::paper_default() };
         let out = run_all(&cfg, &scenario);

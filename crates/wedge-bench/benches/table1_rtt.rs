@@ -8,14 +8,14 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use wedge_bench::{banner, record, write_json};
-use wedge_sim::{format_table1, NetConfig, NetworkModel, Region, SimTime, RTT_MS};
+use wedge_sim::{format_table1, NetworkModel, Region, SimTime, RTT_MS};
 
 fn main() {
     banner("Table I", "Average RTTs (ms) between California and other datacenters");
     print!("{}", format_table1());
 
     // Verify the model: measured delivery RTT == configured matrix.
-    let mut net = NetworkModel::new(NetConfig::default(), 1);
+    let mut net = NetworkModel::new();
     println!("\nmeasured end-to-end RTTs from California (model check):");
     for (to, cfg_ms) in Region::ALL.into_iter().zip(RTT_MS[0]) {
         net.reset_queues();

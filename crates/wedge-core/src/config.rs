@@ -1,8 +1,16 @@
-//! System-level configuration for a WedgeChain deployment.
+//! System-level configuration for a simulated WedgeChain deployment.
+//!
+//! Each field is a setting some run, bench, example or test varies:
+//! the §VI sweeps (batch size, clients, placements, dataset size
+//! through [`CostModel`]) and the §IV-E timing (gossip period, dispute
+//! timeout). What no run varies is fixed where it is used: the network
+//! model's calibration in `wedge_sim::net`, the simulator's inline
+//! worker pool in [`crate::harness`], and the key space, which each
+//! client's plan carries (`ClientPlan::key_space`).
 
 use crate::cost::CostModel;
 use wedge_lsmerkle::LsmConfig;
-use wedge_sim::{NetConfig, Region};
+use wedge_sim::Region;
 
 /// How much real cryptography the simulation performs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,8 +35,6 @@ pub struct SystemConfig {
     pub batch_size: usize,
     /// Value payload size in bytes (100 B in §VI).
     pub value_size: usize,
-    /// Key space per partition (100 K in §VI).
-    pub key_space: u64,
     /// Where clients live.
     pub client_region: Region,
     /// Where the edge node lives.
@@ -39,27 +45,16 @@ pub struct SystemConfig {
     pub lsm: LsmConfig,
     /// CPU cost model.
     pub cost: CostModel,
-    /// Network model parameters.
-    pub net: NetConfig,
     /// Cryptography fidelity.
     pub crypto_mode: CryptoMode,
     /// Cloud gossip period (ms of virtual time); 0 disables gossip.
     pub gossip_period_ms: u64,
     /// How long a client waits for Phase II before disputing (ms).
     pub dispute_timeout_ms: u64,
-    /// How long an edge waits for a certification acknowledgement
-    /// before re-sending (ms); `None` disables retries. The retry
-    /// clock is engine-owned (`EdgeEngine::next_deadline_ns`).
-    pub cert_retry_ms: Option<u64>,
-    /// How long an edge waits for a merge reply before re-sending the
-    /// request (ms); `None` disables retries. Engine-owned, like
-    /// `cert_retry_ms`; the cloud answers identical retries
-    /// idempotently.
-    pub merge_retry_ms: Option<u64>,
     /// Background compaction sweep period (ms); `None` disables it.
     /// Each sweep, an idle edge asks the cloud to fold fragmented
     /// levels back to whole pages (an empty-source merge). Engine-owned
-    /// like the retry clocks, so every runtime drives it identically.
+    /// like gossip, so every runtime drives it identically.
     pub compaction_period_ms: Option<u64>,
     /// Read freshness window (ms); `None` disables the check (§V-D).
     pub freshness_window_ms: Option<u64>,
@@ -69,12 +64,6 @@ pub struct SystemConfig {
     /// to the cloud. `false` ships the whole block (the ablation in
     /// `benches/ablations.rs`).
     pub data_free: bool,
-    /// Worker-pool width for hash/verify hot paths (merge rebuilds,
-    /// forest hashing, batched signature checks). `1` = fully inline
-    /// on the caller thread — the simulator's default, keeping the
-    /// discrete-event run single-threaded and its virtual clock exact.
-    /// Results are byte-identical for every width.
-    pub pool_threads: usize,
 }
 
 impl Default for SystemConfig {
@@ -83,23 +72,18 @@ impl Default for SystemConfig {
             num_clients: 1,
             batch_size: 100,
             value_size: 100,
-            key_space: 100_000,
             client_region: Region::California,
             edge_region: Region::California,
             cloud_region: Region::Virginia,
             lsm: LsmConfig::paper_eval(),
             cost: CostModel::default(),
-            net: NetConfig::default(),
             crypto_mode: CryptoMode::Modeled,
             gossip_period_ms: 1_000,
             dispute_timeout_ms: 5_000,
-            cert_retry_ms: None,
-            merge_retry_ms: None,
             compaction_period_ms: None,
             freshness_window_ms: None,
             seed: 42,
             data_free: true,
-            pool_threads: 1,
         }
     }
 }
@@ -120,7 +104,6 @@ mod tests {
         let c = SystemConfig::default();
         assert_eq!(c.batch_size, 100);
         assert_eq!(c.value_size, 100);
-        assert_eq!(c.key_space, 100_000);
         assert_eq!(c.lsm.level_thresholds, vec![10, 10, 100, 1000]);
         assert_eq!(c.client_region, Region::California);
         assert_eq!(c.cloud_region, Region::Virginia);

@@ -95,8 +95,6 @@ pub(crate) struct EngineConfig {
     pub gossip_period_ns: Option<u64>,
     pub dispute_timeout_ns: u64,
     pub freshness_window_ns: Option<u64>,
-    pub cert_retry_ns: Option<u64>,
-    pub merge_retry_ns: Option<u64>,
     pub compaction_period_ns: Option<u64>,
 }
 
@@ -153,8 +151,6 @@ impl<P: Copy + Eq + Hash, C: Copy + Eq + Hash> Engines<P, C> {
                 );
                 engine.data_free = cfg.data_free;
                 engine.set_pool(pool.clone());
-                engine.set_cert_retry_ns(cfg.cert_retry_ns);
-                engine.set_merge_retry_ns(cfg.merge_retry_ns);
                 engine.set_compaction_period_ns(cfg.compaction_period_ns);
                 engine
             })

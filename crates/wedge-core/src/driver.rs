@@ -7,7 +7,11 @@
 //! - [`RuntimeConfig`], and how it configures the engines that
 //!   [`crate::deployment`] builds for the simulator too (real crypto,
 //!   deployment seed 0, one worker pool, the pipeline depth and one
-//!   process-wide read-proof cache);
+//!   process-wide read-proof cache). No real-time run arms the edge's
+//!   retry or compaction clocks or the client's freshness check, so
+//!   the runtimes leave them off; a test arms a retry clock on the
+//!   engine itself (`EdgeEngine::set_cert_retry_ns`,
+//!   `EdgeEngine::set_merge_retry_ns`);
 //! - [`Cluster`], generic over a [`Transport`]: the caller API
 //!   (`put_on`, `try_put_on`, `flush_on`, `get_on`, `log_read_on`) and
 //!   [`Cluster::shutdown`], which returns one [`RunReport`];
@@ -84,8 +88,7 @@ pub struct RuntimeConfig {
     /// wall clock — this makes block digests reproducible and
     /// comparable across runtimes (the differential tests replay the
     /// simulator's seal times here). Falls back to the wall clock when
-    /// exhausted. Cannot combine with `cert_retry`, `merge_retry` or
-    /// `compaction_period`.
+    /// exhausted.
     pub seal_times: Option<Vec<Vec<u64>>>,
     /// Scripted misbehaviour per edge (missing entries are honest).
     pub faults: Vec<FaultPlan>,
@@ -95,23 +98,10 @@ pub struct RuntimeConfig {
     /// How long a client waits for Phase II before disputing.
     /// Engine-owned, like gossip.
     pub dispute_timeout: Duration,
-    /// Edge certification retry interval; `None` disables retries.
-    pub cert_retry: Option<Duration>,
-    /// Client read-freshness window (§V-D); `None` disables the check.
-    pub freshness_window: Option<Duration>,
     /// How many put batches each client keeps in flight (≥ 1).
     /// Receipts correlate by `req_id`, so deeper pipelines overlap
     /// Phase-I round trips.
     pub pipeline_depth: usize,
-    /// Edge merge-request retry interval; `None` disables retries
-    /// (trust the transport). Engine-owned, like `cert_retry`.
-    pub merge_retry: Option<Duration>,
-    /// Background compaction sweep period; `None` disables it. Each
-    /// sweep an idle edge asks the cloud to fold fragmented levels
-    /// back to whole pages. Engine-owned, like the retry clocks.
-    pub compaction_period: Option<Duration>,
-    /// Capacity of the cloud service's inbox.
-    pub cloud_inbox_cap: usize,
     /// Capacity of each edge service's inbox (bounds cloud→edge too).
     pub edge_inbox_cap: usize,
     /// Per-caller admission control for [`Cluster::try_put_on`]: how
@@ -140,12 +130,7 @@ impl Default for RuntimeConfig {
             faults: Vec::new(),
             gossip_period: None,
             dispute_timeout: Duration::from_secs(30),
-            cert_retry: None,
-            freshness_window: None,
             pipeline_depth: 1,
-            merge_retry: None,
-            compaction_period: None,
-            cloud_inbox_cap: 1024,
             edge_inbox_cap: 1024,
             admission_timeout: None,
             pool_threads: wedge_pool::threads_from_env(),
@@ -155,6 +140,9 @@ impl Default for RuntimeConfig {
 
 /// The edge engine's single client peer handle.
 const CLIENT_PEER: u8 = 0;
+
+/// Capacity of the cloud service's inbox.
+const CLOUD_INBOX_CAP: usize = 1024;
 
 /// How many extra inbox messages a service drains (non-blocking)
 /// after each blocking receive, before ticking and flushing its links.
@@ -922,19 +910,7 @@ impl<T: Transport> Cluster<T> {
     /// service and flusher thread.
     pub fn start(cfg: RuntimeConfig) -> Arc<Self> {
         assert!(cfg.num_edges > 0, "need at least one edge");
-        assert!(cfg.cloud_inbox_cap > 0 && cfg.edge_inbox_cap > 0, "inboxes need capacity");
-        // Scripted seal times put BatchAdd handling on a virtual clock
-        // while the service loop ticks on the wall clock; a retry or
-        // sweep deadline armed in one domain and checked in the other
-        // would fire at a meaningless moment.
-        assert!(
-            cfg.seal_times.is_none()
-                || (cfg.cert_retry.is_none()
-                    && cfg.merge_retry.is_none()
-                    && cfg.compaction_period.is_none()),
-            "seal_times (virtual timestamps) and retries/compaction (wall-clock deadlines) \
-             cannot combine"
-        );
+        assert!(cfg.edge_inbox_cap > 0, "edge inboxes need capacity");
         let n = cfg.num_edges;
         // One client per partition, so the cloud's peers are edges
         // `0..n` then clients `n..2n`, and each edge's one client peer
@@ -951,10 +927,8 @@ impl<T: Transport> Cluster<T> {
             data_free: true,
             gossip_period_ns: cfg.gossip_period.map(nanos),
             dispute_timeout_ns: nanos(cfg.dispute_timeout),
-            freshness_window_ns: cfg.freshness_window.map(nanos),
-            cert_retry_ns: cfg.cert_retry.map(nanos),
-            merge_retry_ns: cfg.merge_retry.map(nanos),
-            compaction_period_ns: cfg.compaction_period.map(nanos),
+            freshness_window_ns: None,
+            compaction_period_ns: None,
         };
         // One pool for the whole cluster, sized to the host: the cloud,
         // every edge and every client scope their fan-outs on it, and a
@@ -976,7 +950,7 @@ impl<T: Transport> Cluster<T> {
             engine.share_proof_cache(Arc::clone(&proof_cache));
         }
 
-        let (cloud_tx, cloud_rx) = sync_channel(cfg.cloud_inbox_cap);
+        let (cloud_tx, cloud_rx) = sync_channel(CLOUD_INBOX_CAP);
         let (edge_txs, edge_rxs): (Vec<_>, Vec<_>) =
             (0..n).map(|_| sync_channel(cfg.edge_inbox_cap)).unzip();
         // lint:allow(bounded-channels): deliberately unbounded — the client inbox is the one queue that must never block, or the client→edge→cloud→client send cycle deadlocks; inbound volume is bounded by the pipeline depth

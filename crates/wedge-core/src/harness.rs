@@ -168,30 +168,26 @@ impl MultiPartitionHarness {
             gossip_period_ns: (cfg.gossip_period_ms > 0).then(|| cfg.gossip_period_ms * 1_000_000),
             dispute_timeout_ns: cfg.dispute_timeout_ms * 1_000_000,
             freshness_window_ns: cfg.freshness_window_ms.map(|ms| ms * 1_000_000),
-            cert_retry_ns: cfg.cert_retry_ms.map(|ms| ms * 1_000_000),
-            merge_retry_ns: cfg.merge_retry_ms.map(|ms| ms * 1_000_000),
             compaction_period_ns: cfg.compaction_period_ms.map(|ms| ms * 1_000_000),
         };
         // One pool serves every engine: the sim is single-threaded, so
-        // scopes never overlap; the default width 1 keeps it inline.
-        let pool = wedge_pool::Pool::new(cfg.pool_threads);
+        // scopes never overlap, and width 1 keeps it inline so the
+        // discrete-event run stays on one thread and its virtual clock
+        // exact. Results are byte-identical for every width.
+        let pool = wedge_pool::Pool::new(1);
         let engines = Engines::build(&ids, engine_cfg, &edges, &clients, &pool);
 
-        let mut sim: Simulation<Msg> = Simulation::new(cfg.net.clone(), cfg.seed);
+        let mut sim: Simulation<Msg> = Simulation::new(cfg.seed);
         let node = CloudNode::new(engines.cloud, ());
-        assert_eq!(sim.add_actor("cloud", cfg.cloud_region, Box::new(node)), cloud);
+        assert_eq!(sim.add_actor(cfg.cloud_region, Box::new(node)), cloud);
         for (p, engine) in engines.edges.into_iter().enumerate() {
             let node = EdgeNode::new(engine, cloud);
-            assert_eq!(
-                sim.add_actor(format!("edge-{p}"), cfg.edge_region, Box::new(node)),
-                edges[p]
-            );
+            assert_eq!(sim.add_actor(cfg.edge_region, Box::new(node)), edges[p]);
         }
         for (p, group) in engines.clients.into_iter().enumerate() {
             for (c, engine) in group.into_iter().enumerate() {
                 let node = ClientNode::new(engine, (edges[p], cloud));
-                let name = format!("client-{p}-{c}");
-                assert_eq!(sim.add_actor(name, cfg.client_region, Box::new(node)), clients[p][c]);
+                assert_eq!(sim.add_actor(cfg.client_region, Box::new(node)), clients[p][c]);
             }
         }
         (MultiPartitionHarness { sim, edges, clients, cloud }, ids)

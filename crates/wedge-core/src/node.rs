@@ -160,7 +160,7 @@ impl SimRole for ClientEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wedge_sim::{NetConfig, SimTime, Simulation};
+    use wedge_sim::{SimTime, Simulation};
 
     const MS: u64 = 1_000_000;
 
@@ -212,10 +212,10 @@ mod tests {
     }
 
     fn alarm_sim(deadline_ns: Option<u64>) -> (Simulation<Msg>, ActorId) {
-        let mut sim = Simulation::new(NetConfig::default(), 1);
+        let mut sim = Simulation::new(1);
         let alarm = Alarm { deadline_ns, ticks_at: Vec::new() };
         let node = Box::new(EngineNode::new(alarm, ()));
-        let id = sim.add_actor("alarm", wedge_sim::Region::California, node);
+        let id = sim.add_actor(wedge_sim::Region::California, node);
         (sim, id)
     }
 

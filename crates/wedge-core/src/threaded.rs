@@ -133,18 +133,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot combine")]
-    fn threaded_seal_times_refuse_a_merge_retry_deadline() {
-        // A merge-retry deadline lives on the wall clock; scripted
-        // seal times put the edge on a virtual one.
-        ThreadedCluster::start(ThreadedConfig {
-            seal_times: Some(vec![vec![1_000]]),
-            merge_retry: Some(Duration::from_millis(50)),
-            ..ThreadedConfig::default()
-        });
-    }
-
-    #[test]
     fn threaded_n_edges_partition_data_and_certification() {
         conformance::n_edges_partition_data::<Threads>();
     }

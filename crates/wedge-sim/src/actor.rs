@@ -250,8 +250,6 @@ pub trait Actor<M>: Any {
 /// Per-actor metadata tracked by the simulator.
 #[derive(Clone, Debug)]
 pub struct ActorMeta {
-    /// Human-readable name for traces ("edge-0", "client-3", "cloud").
-    pub name: String,
     /// Datacenter placement; drives network delays.
     pub region: Region,
     /// When this node's CPU becomes free (queueing of processing).

@@ -28,7 +28,7 @@ pub mod time;
 pub mod trace;
 
 pub use actor::{Actor, ActorId, Context, DeadlineTimer, TimerId};
-pub use net::{format_table1, NetConfig, NetworkModel, Region, RTT_MS};
+pub use net::{format_table1, NetworkModel, Region, RTT_MS};
 pub use rng::SimRng;
 pub use sim::Simulation;
 pub use time::{SimDuration, SimTime};

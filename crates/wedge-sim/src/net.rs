@@ -5,9 +5,12 @@
 //! with the RTTs of Table I. This module reproduces that matrix, adds a
 //! bandwidth model (transmission delay plus FIFO link queueing, which is
 //! what makes Edge-baseline degrade with batch size in Fig 4), and a
-//! small intra-region latency for client↔edge hops.
+//! small intra-region latency for client↔edge hops. The model is
+//! fixed: the RTT matrix and the four calibrated constants
+//! ([`LOCAL_RTT_MS`], [`WAN_BANDWIDTH_BPS`], [`LAN_BANDWIDTH_BPS`],
+//! [`PER_MESSAGE_OVERHEAD_BYTES`]) are what every run uses, and
+//! delivery is deterministic.
 
-use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::fmt;
@@ -75,40 +78,23 @@ pub const RTT_MS: [[u64; 5]; 5] = [
     /* M */ [238, 220, 185, 110, 0],
 ];
 
-/// Network configuration knobs.
-#[derive(Clone, Debug)]
-pub struct NetConfig {
-    /// RTT within a region (client ↔ edge in the same city), ms.
-    /// Table I lists 0 for C↔C; the measured ~15 ms WedgeChain commit
-    /// latency implies a local round trip plus processing, which this
-    /// models.
-    pub local_rtt_ms: f64,
-    /// Bandwidth of inter-region (WAN) paths, bytes/second.
-    pub wan_bandwidth_bps: f64,
-    /// Bandwidth of intra-region (LAN/metro) paths, bytes/second.
-    pub lan_bandwidth_bps: f64,
-    /// Fixed per-message overhead added to the payload (headers, TLS).
-    pub per_message_overhead_bytes: u64,
-    /// Latency jitter as a fraction of the base one-way delay
-    /// (0.0 = fully deterministic).
-    pub jitter_frac: f64,
-}
+/// RTT within a region (client ↔ edge in the same city), ms. Table I
+/// lists 0 for C↔C; the measured ~15 ms WedgeChain commit latency
+/// implies a local round trip plus processing, which this models.
+pub const LOCAL_RTT_MS: f64 = 10.0;
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            local_rtt_ms: 10.0,
-            // 40 MB/s WAN: calibrated so a 200 KB block (batch of 2000
-            // 100-byte ops) costs ~5 ms per WAN crossing, matching the
-            // mild slope of Cloud-only and the steep one of
-            // Edge-baseline (which crosses twice and queues) in Fig 4.
-            wan_bandwidth_bps: 40.0e6,
-            lan_bandwidth_bps: 1.0e9,
-            per_message_overhead_bytes: 256,
-            jitter_frac: 0.0,
-        }
-    }
-}
+/// Bandwidth of inter-region (WAN) paths, bytes/second. 40 MB/s is
+/// calibrated so a 200 KB block (batch of 2000 100-byte ops) costs
+/// ~5 ms per WAN crossing, matching the mild slope of Cloud-only and
+/// the steep one of Edge-baseline (which crosses twice and queues) in
+/// Fig 4.
+pub const WAN_BANDWIDTH_BPS: f64 = 40.0e6;
+
+/// Bandwidth of intra-region (LAN/metro) paths, bytes/second.
+pub const LAN_BANDWIDTH_BPS: f64 = 1.0e9;
+
+/// Fixed per-message overhead added to the payload (headers, TLS).
+pub const PER_MESSAGE_OVERHEAD_BYTES: u64 = 256;
 
 /// Per-directed-link FIFO queue state for the bandwidth model.
 #[derive(Clone, Debug, Default)]
@@ -121,44 +107,35 @@ struct LinkState {
 ///
 /// Delivery time = queueing (FIFO per directed region pair)
 ///               + transmission (bytes / bandwidth)
-///               + propagation (RTT/2)  [+ optional jitter].
-#[derive(Clone, Debug)]
+///               + propagation (RTT/2).
+#[derive(Clone, Debug, Default)]
 pub struct NetworkModel {
-    cfg: NetConfig,
     links: HashMap<(usize, usize), LinkState>,
-    rng: SimRng,
 }
 
 impl NetworkModel {
-    /// Creates a model with the given configuration.
-    pub fn new(cfg: NetConfig, seed: u64) -> Self {
-        NetworkModel { cfg, links: HashMap::new(), rng: SimRng::new(seed) }
-    }
-
-    /// The model's configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
+    /// Creates a model with every link idle.
+    pub fn new() -> Self {
+        NetworkModel::default()
     }
 
     /// One-way propagation delay between two regions.
     pub fn propagation(&self, from: Region, to: Region) -> SimDuration {
-        let rtt_ms = if from == to {
-            self.cfg.local_rtt_ms
-        } else {
-            RTT_MS[from.index()][to.index()] as f64
-        };
+        let rtt_ms =
+            if from == to { LOCAL_RTT_MS } else { RTT_MS[from.index()][to.index()] as f64 };
         SimDuration::from_millis_f64(rtt_ms / 2.0)
     }
 
     /// Round-trip time between two regions (as Table I reports it).
-    pub fn rtt(&self, from: Region, to: Region) -> SimDuration {
+    #[cfg(test)]
+    fn rtt(&self, from: Region, to: Region) -> SimDuration {
         self.propagation(from, to) + self.propagation(to, from)
     }
 
     /// Transmission delay for a message of `bytes` on the path class.
     pub fn transmission(&self, from: Region, to: Region, bytes: u64) -> SimDuration {
-        let total = bytes as f64 + self.cfg.per_message_overhead_bytes as f64;
-        let bw = if from == to { self.cfg.lan_bandwidth_bps } else { self.cfg.wan_bandwidth_bps };
+        let total = bytes as f64 + PER_MESSAGE_OVERHEAD_BYTES as f64;
+        let bw = if from == to { LAN_BANDWIDTH_BPS } else { WAN_BANDWIDTH_BPS };
         SimDuration::from_secs_f64(total / bw)
     }
 
@@ -168,11 +145,7 @@ impl NetworkModel {
     pub fn delivery_at(&mut self, now: SimTime, from: Region, to: Region, bytes: u64) -> SimTime {
         let key = (from.index(), to.index());
         let tx = self.transmission(from, to, bytes);
-        let mut prop = self.propagation(from, to);
-        if self.cfg.jitter_frac > 0.0 {
-            let j = 1.0 + self.cfg.jitter_frac * (2.0 * self.rng.gen_f64() - 1.0);
-            prop = prop.mul_f64(j);
-        }
+        let prop = self.propagation(from, to);
         let link = self.links.entry(key).or_default();
         let start = if link.free_at > now { link.free_at } else { now };
         link.free_at = start + tx;
@@ -222,7 +195,7 @@ mod tests {
 
     #[test]
     fn propagation_is_half_rtt() {
-        let net = NetworkModel::new(NetConfig::default(), 1);
+        let net = NetworkModel::new();
         let p = net.propagation(Region::California, Region::Virginia);
         assert_eq!(p.as_millis_f64(), 30.5);
         assert_eq!(net.rtt(Region::California, Region::Virginia).as_millis_f64(), 61.0);
@@ -230,14 +203,14 @@ mod tests {
 
     #[test]
     fn local_rtt_applies_within_region() {
-        let net = NetworkModel::new(NetConfig::default(), 1);
+        let net = NetworkModel::new();
         let rtt = net.rtt(Region::California, Region::California);
         assert_eq!(rtt.as_millis_f64(), 10.0);
     }
 
     #[test]
     fn transmission_scales_with_bytes() {
-        let net = NetworkModel::new(NetConfig::default(), 1);
+        let net = NetworkModel::new();
         let small = net.transmission(Region::California, Region::Virginia, 1_000);
         let large = net.transmission(Region::California, Region::Virginia, 1_000_000);
         assert!(large > small);
@@ -247,7 +220,7 @@ mod tests {
 
     #[test]
     fn fifo_link_queueing_delays_back_to_back_sends() {
-        let mut net = NetworkModel::new(NetConfig::default(), 1);
+        let mut net = NetworkModel::new();
         let t0 = SimTime::ZERO;
         let a = net.delivery_at(t0, Region::California, Region::Virginia, 1_000_000);
         let b = net.delivery_at(t0, Region::California, Region::Virginia, 1_000_000);
@@ -258,7 +231,7 @@ mod tests {
 
     #[test]
     fn reverse_direction_has_independent_queue() {
-        let mut net = NetworkModel::new(NetConfig::default(), 1);
+        let mut net = NetworkModel::new();
         let t0 = SimTime::ZERO;
         let _ = net.delivery_at(t0, Region::California, Region::Virginia, 10_000_000);
         let back = net.delivery_at(t0, Region::Virginia, Region::California, 1_000);
@@ -268,25 +241,12 @@ mod tests {
 
     #[test]
     fn reset_clears_queues() {
-        let mut net = NetworkModel::new(NetConfig::default(), 1);
+        let mut net = NetworkModel::new();
         let t0 = SimTime::ZERO;
         let _ = net.delivery_at(t0, Region::California, Region::Virginia, 10_000_000);
         net.reset_queues();
         let a = net.delivery_at(t0, Region::California, Region::Virginia, 1_000);
         assert!(a.as_millis_f64() < 31.0);
-    }
-
-    #[test]
-    fn jitter_stays_bounded() {
-        let cfg = NetConfig { jitter_frac: 0.1, ..NetConfig::default() };
-        let mut net = NetworkModel::new(cfg, 42);
-        for _ in 0..100 {
-            net.reset_queues();
-            let d = net
-                .delivery_at(SimTime::ZERO, Region::California, Region::Virginia, 0)
-                .as_millis_f64();
-            assert!((27.0..=34.0).contains(&d), "delay {d} out of jitter bounds");
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! synchronous certification for Edge-baseline) becomes the bottleneck.
 
 use crate::actor::{Actor, ActorId, ActorMeta, BgOp, Context, TimerId};
-use crate::net::{NetConfig, NetworkModel, Region};
+use crate::net::{NetworkModel, Region};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEvent, TraceKind};
@@ -82,18 +82,19 @@ pub struct Simulation<M> {
 }
 
 impl<M: 'static> Simulation<M> {
-    /// Creates a simulation with the given network configuration and
-    /// RNG seed.
-    pub fn new(net_cfg: NetConfig, seed: u64) -> Self {
+    /// Creates a simulation with the given RNG seed.
+    pub fn new(seed: u64) -> Self {
         let mut rng = SimRng::new(seed);
-        let net_seed = rng.next_u64();
+        // The actors' stream starts one draw in: every committed figure
+        // was generated at that position (`actor_rng_stream_is_pinned`).
+        rng.next_u64();
         Simulation {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
             seq: 0,
             actors: Vec::new(),
             meta: Vec::new(),
-            net: NetworkModel::new(net_cfg, net_seed),
+            net: NetworkModel::new(),
             rng,
             next_timer: 0,
             canceled_timers: HashSet::new(),
@@ -114,20 +115,10 @@ impl<M: 'static> Simulation<M> {
     }
 
     /// Registers an actor placed in `region`. Returns its id.
-    pub fn add_actor(
-        &mut self,
-        name: impl Into<String>,
-        region: Region,
-        actor: Box<dyn Actor<M>>,
-    ) -> ActorId {
+    pub fn add_actor(&mut self, region: Region, actor: Box<dyn Actor<M>>) -> ActorId {
         let id = ActorId(self.actors.len());
         self.actors.push(Some(actor));
-        self.meta.push(ActorMeta {
-            name: name.into(),
-            region,
-            cpu_free: SimTime::ZERO,
-            bg_free: SimTime::ZERO,
-        });
+        self.meta.push(ActorMeta { region, cpu_free: SimTime::ZERO, bg_free: SimTime::ZERO });
         id
     }
 
@@ -162,11 +153,6 @@ impl<M: 'static> Simulation<M> {
     ) -> (&mut A, &mut B) {
         let [x, y] = self.actors.get_disjoint_mut([a.0, b.0]).expect("two distinct actors");
         (downcast_mut(x), downcast_mut(y))
-    }
-
-    /// The network model (e.g. to query RTTs in assertions).
-    pub fn network(&self) -> &NetworkModel {
-        &self.net
     }
 
     /// Injects a message from "outside" the simulation (e.g. the
@@ -431,14 +417,9 @@ mod tests {
     }
 
     fn two_node_sim(cpu_ms: u64, pings: u32) -> (Simulation<Msg>, ActorId, ActorId) {
-        let mut sim = Simulation::new(NetConfig::default(), 7);
-        let ponger = sim.add_actor(
-            "ponger",
-            Region::Virginia,
-            Box::new(Ponger { received: vec![], cpu_ms }),
-        );
+        let mut sim = Simulation::new(7);
+        let ponger = sim.add_actor(Region::Virginia, Box::new(Ponger { received: vec![], cpu_ms }));
         let pinger = sim.add_actor(
-            "pinger",
             Region::California,
             Box::new(Pinger { target: Some(ponger), count: pings, pongs: vec![] }),
         );
@@ -531,9 +512,8 @@ mod tests {
 
     #[test]
     fn timers_fire_in_order() {
-        let mut sim: Simulation<Msg> = Simulation::new(NetConfig::default(), 1);
+        let mut sim: Simulation<Msg> = Simulation::new(1);
         let a = sim.add_actor(
-            "t",
             Region::California,
             Box::new(TimerActor { fired: vec![], cancel_second: false }),
         );
@@ -545,9 +525,8 @@ mod tests {
 
     #[test]
     fn canceled_timer_does_not_fire() {
-        let mut sim: Simulation<Msg> = Simulation::new(NetConfig::default(), 1);
+        let mut sim: Simulation<Msg> = Simulation::new(1);
         let a = sim.add_actor(
-            "t",
             Region::California,
             Box::new(TimerActor { fired: vec![], cancel_second: true }),
         );
@@ -556,13 +535,38 @@ mod tests {
         assert_eq!(fired.iter().map(|(t, _)| *t).collect::<Vec<_>>(), vec![1, 3]);
     }
 
+    /// Records the first draws of the simulation's RNG.
+    struct RngProbe(Vec<u64>);
+
+    impl Actor<Msg> for RngProbe {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.0 = (0..4).map(|_| ctx.rng().next_u64()).collect();
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: ActorId, _: Msg) {}
+    }
+
+    #[test]
+    fn actor_rng_stream_is_pinned() {
+        // Every figure was generated at this stream position: a dropped
+        // or extra draw in `Simulation::new` moves them all.
+        let mut sim: Simulation<Msg> = Simulation::new(42);
+        let a = sim.add_actor(Region::California, Box::new(RngProbe(Vec::new())));
+        sim.start();
+        let first = [
+            2_949_826_092_126_892_291,
+            5_139_283_748_462_763_858,
+            6_349_198_060_258_255_764,
+            701_532_786_141_963_250,
+        ];
+        assert_eq!(sim.actor::<RngProbe>(a).0, first);
+    }
+
     #[test]
     fn injection_delivers() {
-        let mut sim = Simulation::new(NetConfig::default(), 1);
+        let mut sim = Simulation::new(1);
         let ponger =
-            sim.add_actor("p", Region::Virginia, Box::new(Ponger { received: vec![], cpu_ms: 0 }));
+            sim.add_actor(Region::Virginia, Box::new(Ponger { received: vec![], cpu_ms: 0 }));
         let pinger = sim.add_actor(
-            "i",
             Region::California,
             Box::new(Pinger { target: None, count: 0, pongs: vec![] }),
         );
@@ -612,10 +616,9 @@ mod bg_lane_tests {
 
     #[test]
     fn background_work_never_delays_foreground() {
-        let mut sim: Simulation<M> = Simulation::new(NetConfig::default(), 1);
-        let worker = sim.add_actor("worker", Region::California, Box::new(BgWorker));
-        let coll =
-            sim.add_actor("collector", Region::California, Box::new(Collector { events: vec![] }));
+        let mut sim: Simulation<M> = Simulation::new(1);
+        let worker = sim.add_actor(Region::California, Box::new(BgWorker));
+        let coll = sim.add_actor(Region::California, Box::new(Collector { events: vec![] }));
         sim.start();
         // Three back-to-back requests.
         for n in 0..3 {
@@ -650,10 +653,9 @@ mod bg_lane_tests {
                 }
             }
         }
-        let mut sim: Simulation<M> = Simulation::new(NetConfig::default(), 1);
-        let burner = sim.add_actor("burner", Region::California, Box::new(Burner));
-        let coll =
-            sim.add_actor("collector", Region::California, Box::new(Collector { events: vec![] }));
+        let mut sim: Simulation<M> = Simulation::new(1);
+        let burner = sim.add_actor(Region::California, Box::new(Burner));
+        let coll = sim.add_actor(Region::California, Box::new(Collector { events: vec![] }));
         sim.start();
         sim.inject(coll, burner, M::Go(0));
         sim.inject(coll, burner, M::Go(1));
