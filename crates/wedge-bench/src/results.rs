@@ -11,8 +11,13 @@
 //! artifacts that each also carry the `pr` that committed them and a
 //! `label`. Every value is the figure itself in its stated unit. Both
 //! sides are hand-rolled (serde is unavailable in the offline build
-//! image) for the JSON subset artifacts use: objects, arrays, numbers
-//! and strings without escapes.
+//! image) for the JSON subset artifacts use: objects, arrays, numbers,
+//! `true`, `false`, `null` and strings without escapes.
+//!
+//! The same reader takes the `benchmark` binary's result files
+//! ([`read_benchmark_run`]) and the end-to-end bounds of
+//! `BENCHMARK.json` ([`read_end_to_end_bounds`]), which the `gate` bin
+//! compares.
 
 use std::sync::Mutex;
 
@@ -93,11 +98,7 @@ pub fn write_json(target: &str) {
 
 /// Reads one artifact, or every entry of a trajectory.
 pub fn read_artifacts(text: &str) -> Result<Vec<Artifact>, String> {
-    let mut p = Parser(text);
-    let doc = p.value()?;
-    if !p.0.trim().is_empty() {
-        return Err(format!("trailing text: {:.20}", p.0.trim()));
-    }
+    let doc = parse(text)?;
     match doc.get("trajectory") {
         Some(Json::Arr(entries)) => entries.iter().map(artifact).collect(),
         Some(_) => Err("\"trajectory\" is not an array".into()),
@@ -128,8 +129,86 @@ fn artifact(doc: &Json) -> Result<Artifact, String> {
     Ok(Artifact { bench, pr, label, results })
 }
 
+/// One workload of one `benchmark` run: its end-to-end metrics, and
+/// how many operations it attempted and how many failed.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WorkloadRun {
+    pub workload: String,
+    pub attempted: f64,
+    pub failed: f64,
+    pub end_to_end: Vec<BenchResult>,
+}
+
+/// Reads a `benchmark` result file (`<out>/all.json` or
+/// `<out>/<workload>.json`): one [`WorkloadRun`] per workload in it.
+pub fn read_benchmark_run(text: &str) -> Result<Vec<WorkloadRun>, String> {
+    let doc = parse(text)?;
+    let Some(Json::Obj(workloads)) = doc.get("workloads") else {
+        return Err("no \"workloads\" object".into());
+    };
+    let run = |(workload, doc): &(String, Json)| {
+        let in_workload = |e: String| format!("{workload}: {e}");
+        let Some(Json::Obj(metrics)) = doc.get("end_to_end") else {
+            return Err(in_workload("no \"end_to_end\" object".into()));
+        };
+        let end_to_end = metrics
+            .iter()
+            .map(|(name, m)| {
+                let fields = m.num("value").and_then(|value| Ok((value, m.str("unit")?)));
+                let (value, unit) = fields.map_err(|e| format!("{name}: {e}"))?;
+                Ok(BenchResult { name: name.clone(), value, unit: unit.to_string() })
+            })
+            .collect::<Result<_, String>>()
+            .map_err(in_workload)?;
+        let attempted = doc.num("ops_attempted").map_err(in_workload)?;
+        let failed = doc.num("ops_failed").map_err(in_workload)?;
+        Ok(WorkloadRun { workload: workload.clone(), attempted, failed, end_to_end })
+    };
+    workloads.iter().map(run).collect()
+}
+
+/// One gated end-to-end metric of `BENCHMARK.json`: by what share of
+/// the parent's value it may worsen, and which way is better.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Bound {
+    pub name: String,
+    pub higher_is_better: bool,
+    pub bound: f64,
+}
+
+/// Reads the `end_to_end` list of `BENCHMARK.json`.
+pub fn read_end_to_end_bounds(text: &str) -> Result<Vec<Bound>, String> {
+    let doc = parse(text)?;
+    let Some(Json::Arr(metrics)) = doc.get("end_to_end") else {
+        return Err("no \"end_to_end\" list".into());
+    };
+    let bound = |m: &Json| {
+        let name = m.str("name")?.to_string();
+        let higher_is_better = match m.str("better").map_err(|e| format!("{name}: {e}"))? {
+            "higher" => true,
+            "lower" => false,
+            other => return Err(format!("{name}: better is {other:?}")),
+        };
+        let bound = m.num("bound").map_err(|e| format!("{name}: {e}"))?;
+        Ok(Bound { name, higher_is_better, bound })
+    };
+    metrics.iter().map(bound).collect()
+}
+
+/// Parses one whole document.
+fn parse(text: &str) -> Result<Json, String> {
+    let mut p = Parser(text);
+    let doc = p.value()?;
+    if !p.0.trim().is_empty() {
+        return Err(format!("trailing text: {:.20}", p.0.trim()));
+    }
+    Ok(doc)
+}
+
 /// A parsed JSON value, restricted to what artifacts use.
 enum Json {
+    /// `null`, `true` or `false`: no reader needs which.
+    Word,
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -210,6 +289,11 @@ impl Parser<'_> {
             Ok(Json::Arr(items))
         } else if self.0.starts_with('"') {
             self.string().map(Json::Str)
+        } else if let Some(rest) =
+            ["null", "true", "false"].iter().find_map(|w| self.0.strip_prefix(w))
+        {
+            self.0 = rest;
+            Ok(Json::Word)
         } else {
             let end = self.0.find(|c: char| !"+-.eE0123456789".contains(c));
             let (num, rest) = self.0.split_at(end.unwrap_or(self.0.len()));
@@ -258,6 +342,38 @@ mod tests {
         assert_eq!(first, (Some(2), "before", "a"));
         assert_eq!(read[1].value("y"), Some(2000.0));
         assert_eq!(read[1].value("x"), None);
+    }
+
+    #[test]
+    fn benchmark_runs_and_bounds_read_back() {
+        // The shape of a `benchmark` result file, cut down: literals,
+        // nested objects and sections the reader skips.
+        let text = r#"{"header": {"commit": "unknown", "trace": false, "seed": 1},
+            "workloads": {
+              "put_b1": {"correct": true, "end_to_end": {"get_p50_us": {"samples": 550, "unit": "us", "value": 254.357},
+                "throughput_ops_s": {"samples": 1100, "unit": "ops/s", "value": 1147.4}},
+                "exact": {}, "failures": [], "ops_attempted": 1111, "ops_failed": 0, "per_layer": {"x": {"value": null}}},
+              "sim_audit": {"end_to_end": {}, "ops_attempted": 10, "ops_failed": 2}}}"#;
+        let runs = read_benchmark_run(text).expect("reads");
+        let workloads: Vec<_> = runs.iter().map(|r| r.workload.as_str()).collect();
+        assert_eq!(workloads, ["put_b1", "sim_audit"]);
+        assert_eq!(runs[0].end_to_end[1], result("throughput_ops_s", 1147.4, "ops/s"));
+        assert_eq!((runs[0].attempted, runs[0].failed, runs[1].failed), (1111.0, 0.0, 2.0));
+        let err = read_benchmark_run(r#"{"workloads": {"a": {"ops_attempted": 1}}}"#);
+        assert_eq!(err, Err("a: no \"end_to_end\" object".into()));
+
+        let bounds = read_end_to_end_bounds(
+            r#"{"paths": ["benchmark"], "end_to_end": [
+                {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+                {"name": "throughput_ops_s", "unit": "ops/s", "better": "higher", "bound": 0.25}]}"#,
+        )
+        .expect("reads");
+        assert_eq!((bounds[0].higher_is_better, bounds[1].higher_is_better), (false, true));
+        assert_eq!(bounds[1].bound, 0.25);
+        let err = read_end_to_end_bounds(
+            r#"{"end_to_end": [{"name": "x", "better": "up", "bound": 1}]}"#,
+        );
+        assert_eq!(err, Err("x: better is \"up\"".into()));
     }
 
     #[test]
