@@ -3,8 +3,9 @@
 //! These quantify the constants behind the cost model: SHA-256
 //! throughput (data-free certification hashes each block once), the
 //! field multiply and exponentiation under Schnorr, Schnorr
-//! sign/verify (every receipt and proof; verify both plain and from a
-//! registered key's table, and that table's build), and Merkle
+//! sign/verify over 64 distinct messages (every receipt and proof;
+//! verify both plain and from a registered key's table, and that
+//! table's build), and Merkle
 //! build/prove/verify (every LSMerkle level and read proof).
 
 // Bench targets print their tables to stdout by design.
@@ -60,14 +61,26 @@ fn bench_modmath() {
     bench_fn("modpow_p", 40, || modpow(black_box(G), black_box(Q / 3), P));
 }
 
+/// Distinct messages the signature benches cycle through: each has its
+/// own nonce, so the timings average over the table entries many
+/// exponents pick instead of resting on one exponent's digits.
+const MESSAGES: usize = 64;
+
 fn bench_schnorr() {
     println!("\n-- schnorr --");
     let kp = Keypair::from_seed(b"bench");
-    let msg = vec![0x42u8; 256];
-    let sig = kp.sign(&msg);
-    bench_fn("schnorr_sign_256b", 40, || black_box(kp.sign(black_box(&msg))));
-    bench_fn("schnorr_verify_256b", 40, || {
-        black_box(kp.public().verify(black_box(&msg), black_box(&sig)))
+    let msgs: Vec<Vec<u8>> = (0..MESSAGES as u8).map(|i| vec![i; 256]).collect();
+    let sigs: Vec<_> = msgs.iter().map(|m| kp.sign(m)).collect();
+    let mut turn = 0;
+    let mut next = || {
+        turn = (turn + 1) % MESSAGES;
+        (&msgs[turn], &sigs[turn])
+    };
+    let iters = 2 * MESSAGES as u32;
+    bench_fn("schnorr_sign_256b", iters, || black_box(kp.sign(black_box(next().0))));
+    bench_fn("schnorr_verify_256b", iters, || {
+        let (msg, sig) = next();
+        black_box(kp.public().verify(black_box(msg), black_box(sig)))
     });
 
     // The protocol's checks go through the registry, which raises the
@@ -79,13 +92,15 @@ fn bench_schnorr() {
         registry
     };
     let registry = registered();
-    bench_fn("schnorr_verify_registered_256b", 40, || {
-        black_box(registry.verify(id, black_box(&msg), black_box(&sig)))
+    bench_fn("schnorr_verify_registered_256b", iters, || {
+        let (msg, sig) = next();
+        black_box(registry.verify(id, black_box(msg), black_box(sig)))
     });
     // The table is private to the registry: time the first check of a
     // fresh registry and take a warm one off it.
-    bench_with_setup("registry_first_verify_256b", 40, registered, |registry| {
-        black_box(registry.verify(id, black_box(&msg), black_box(&sig)))
+    bench_with_setup("registry_first_verify_256b", iters, registered, |registry| {
+        let (msg, sig) = next();
+        black_box(registry.verify(id, black_box(msg), black_box(sig)))
     });
     let results = recorded_results();
     let median = |name: &str| results.iter().find(|r| r.name == name).expect("just recorded").value;

@@ -391,7 +391,7 @@ fn check_micro_crypto(a: &Artifact, failures: &mut Vec<Failure>) {
     if pow > mul.max(1.0) * 600.0 {
         failures.push(format!("modpow_p {pow} ns is over 600 mulmod_p ({mul} ns)"));
     }
-    // The generator's table is what a signature rests on: 31 multiplies
+    // The generator's comb is what a signature rests on: 15 multiplies
     // and three hashes must cost well under one plain exponentiation.
     if sign * 2.0 > pow {
         failures.push(format!("schnorr sign {sign} ns is over half a modpow_p ({pow} ns)"));
@@ -401,8 +401,8 @@ fn check_micro_crypto(a: &Artifact, failures: &mut Vec<Failure>) {
         failures.push(format!("schnorr verify {verify} ns is over two modpow_p ({pow} ns)"));
     }
     // Through the registry the plain exponentiation's ~190 multiplies
-    // become 92 from the key's table: by multiply count about 0.56 of
-    // a plain check.
+    // become 91 from the key's table: with the generator's 15, by
+    // multiply count about 0.52 of a plain check.
     // Snapshots from before the registry had tables lack the row.
     if let Some(registered) = a.value("schnorr_verify_registered_256b") {
         require(a, "registry_table_build", failures);

@@ -87,7 +87,7 @@ pub struct KeyRegistry {
     revoked: HashMap<IdentityId, RevocationReason>,
 }
 
-/// Rows of a registered key's table: 512 bytes, 60 squarings and 32
+/// Rows of a registered key's table: 512 bytes, 60 squarings and 31
 /// multiplies per `y^(q−e)`. Why not more yet: the `schnorr` "Cost"
 /// section.
 const KEY_TABLE_ROWS: usize = 2;

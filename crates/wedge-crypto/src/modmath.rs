@@ -11,11 +11,12 @@
 //!   exponentiation by square-and-multiply ([`modpow`]) is ~190 of
 //!   them.
 //! - **Exponentiation of a fixed base** goes through a
-//!   [`WindowTable`]: 4-bit windows, with `ROWS` rows so that
-//!   `128 / ROWS − 4` squarings remain. The generator's table has a
-//!   row per window and needs none: 31 multiplies for `g^k`. A
-//!   registered key's has two: 60 squarings and 32 multiplies for
-//!   `y^(q−e)`.
+//!   [`WindowTable`]: `W`-bit windows, with `ROWS` rows so that
+//!   `128 / ROWS − W` squarings and `128 / W − 1` multiplies remain.
+//!   The generator's table is a comb of 8-bit windows, a row per
+//!   window, and needs no squarings: 15 multiplies for `g^k`. A
+//!   registered key's has 4-bit windows and two rows: 60 squarings
+//!   and 31 multiplies for `y^(q−e)`.
 //!
 //! Nothing here is constant-time (the ladder branches on operand bits,
 //! table rows are indexed by exponent digits); see the security note
@@ -97,47 +98,54 @@ pub const fn invmod(a: u128, m: u128) -> u128 {
     modpow(a % m, m - 2, m)
 }
 
-/// Bits per exponent window.
-const WINDOW: u32 = 4;
-
-/// Precomputed powers of one base modulo `m`, for 4-bit windowed
-/// exponentiation: row `r` holds `base^(j · 2^(r · 128/ROWS))` for
-/// `j = 0..16`.
+/// Precomputed powers of one base modulo `m`, for windowed
+/// exponentiation with `N = 2^W` entries per row (default 16: 4-bit
+/// windows): row `r` holds `base^(j · 2^(r · 128/ROWS))` for
+/// `j = 0..N`.
 ///
-/// Raising to `k` walks the `128 / ROWS / 4` window positions from the
-/// top; at each it raises the accumulator to the 16th and multiplies
+/// Raising to `k` walks the `128 / ROWS / W` window positions from the
+/// top; at each it raises the accumulator to the `N`th and multiplies
 /// in one entry per row, so all rows share the squarings (Straus's
 /// interleaving, applied to the `ROWS` slices of one exponent). That
-/// is 32 multiplies and `128 / ROWS − 4` squarings whatever `ROWS`
-/// is, for `256 · ROWS` bytes of table:
+/// is `128 / W − 1` multiplies whatever `ROWS` is, and
+/// `128 / ROWS − W` squarings, for `16 · N · ROWS` bytes of table.
+/// With one window per row (`ROWS = 128 / W`) no squaring is left and
+/// the table is a comb:
 ///
-/// | `ROWS` | bytes | squarings | built in | |
-/// |---|---|---|---|---|
-/// | 1 | 256 | 124 | 15 multiplies | |
-/// | 2 | 512 | 60 | 94 | 2 rows, per registered key, built on first verify |
-/// | 4 | 1 024 | 28 | 156 | not in use yet; why: the `schnorr` "Cost" section |
-/// | 32 | 8 192 | 0 | 604, at compile time | the generator |
+/// | `ROWS` | `W` | bytes | squarings | multiplies | built in | |
+/// |---|---|---|---|---|---|---|
+/// | 1 | 4 | 256 | 124 | 31 | 15 multiplies | |
+/// | 2 | 4 | 512 | 60 | 31 | 94 | per registered key, built on first verify |
+/// | 4 | 4 | 1 024 | 28 | 31 | 156 | not in use yet; why: the `schnorr` "Cost" section |
+/// | 32 | 4 | 8 192 | 0 | 31 | 604 | |
+/// | 16 | 8 | 65 536 | 0 | 15 | 4 200, at compile time | the generator |
 #[derive(Clone)]
-pub struct WindowTable<const ROWS: usize> {
+pub struct WindowTable<const ROWS: usize, const N: usize = 16> {
     modulus: u128,
-    rows: [[u128; 1 << WINDOW]; ROWS],
+    rows: [[u128; N]; ROWS],
 }
 
-impl<const ROWS: usize> WindowTable<ROWS> {
+impl<const ROWS: usize, const N: usize> WindowTable<ROWS, N> {
+    /// Bits per exponent window.
+    const WINDOW: u32 = {
+        assert!(N >= 2 && N.is_power_of_two());
+        N.trailing_zeros()
+    };
+
     /// Exponent bits covered by one row.
     const STRIDE: u32 = {
-        assert!(ROWS > 0 && (128 / WINDOW as usize).is_multiple_of(ROWS));
+        assert!(ROWS > 0 && (128 / Self::WINDOW as usize).is_multiple_of(ROWS));
         128 / ROWS as u32
     };
 
     /// Builds the table for `base < m < 2^127`.
     pub const fn new(mut base: u128, m: u128) -> Self {
         debug_assert!(base < m);
-        let mut rows = [[1; 1 << WINDOW]; ROWS];
+        let mut rows = [[1; N]; ROWS];
         let mut r = 0;
         while r < ROWS {
             let mut j = 1;
-            while j < 1 << WINDOW {
+            while j < N {
                 rows[r][j] = mulmod(rows[r][j - 1], base, m);
                 j += 1;
             }
@@ -158,15 +166,15 @@ impl<const ROWS: usize> WindowTable<ROWS> {
     pub fn pow(&self, k: u128) -> u128 {
         let m = self.modulus;
         let digit = |row: usize, pos: u32| {
-            self.rows[row][(k >> (row as u32 * Self::STRIDE + pos)) as usize & 0xf]
+            self.rows[row][(k >> (row as u32 * Self::STRIDE + pos)) as usize & (N - 1)]
         };
-        let top = Self::STRIDE - WINDOW;
+        let top = Self::STRIDE - Self::WINDOW;
         let mut acc = digit(0, top);
         for row in 1..ROWS {
             acc = mulmod(acc, digit(row, top), m);
         }
-        for pos in (0..top).step_by(WINDOW as usize).rev() {
-            for _ in 0..WINDOW {
+        for pos in (0..top).step_by(Self::WINDOW as usize).rev() {
+            for _ in 0..Self::WINDOW {
                 acc = mulmod(acc, acc, m);
             }
             for row in 0..ROWS {
@@ -402,16 +410,18 @@ mod tests {
 
     /// Every table shape agrees with plain square-and-multiply, for
     /// both moduli.
-    fn window_table_matches_modpow<const ROWS: usize>(bases: &[u128], m: u128) {
-        let mut rng = Rng(ROWS as u64);
+    fn window_table_matches_modpow<const ROWS: usize, const N: usize>(bases: &[u128], m: u128) {
+        let mut rng = Rng(ROWS as u64 ^ (N as u64) << 8);
         for &base in bases {
-            let table = WindowTable::<ROWS>::new(base % m, m);
-            for k in [0, 1, 2, 15, 16, Q - 1, Q, P - 1, u128::MAX] {
-                assert_eq!(table.pow(k), modpow(base % m, k, m), "{base:#x} ^ {k:#x}, {ROWS} rows");
+            let table = WindowTable::<ROWS, N>::new(base % m, m);
+            for k in [0, 1, 2, 15, 16, 255, 256, Q - 1, Q, P - 1, u128::MAX] {
+                let got = table.pow(k);
+                assert_eq!(got, modpow(base % m, k, m), "{base:#x} ^ {k:#x}, {ROWS} x {N}");
             }
             for _ in 0..100 {
                 let k = rng.u128() >> (rng.next() % 128);
-                assert_eq!(table.pow(k), modpow(base % m, k, m), "{base:#x} ^ {k:#x}, {ROWS} rows");
+                let got = table.pow(k);
+                assert_eq!(got, modpow(base % m, k, m), "{base:#x} ^ {k:#x}, {ROWS} x {N}");
             }
         }
     }
@@ -422,10 +432,13 @@ mod tests {
         let mut bases = vec![0, 1, 2, 4, P - 1, P - 2];
         bases.extend((0..4).map(|_| rng.u128() % P));
         for m in [P, Q] {
-            window_table_matches_modpow::<1>(&bases, m);
-            window_table_matches_modpow::<2>(&bases, m);
-            window_table_matches_modpow::<4>(&bases, m);
-            window_table_matches_modpow::<32>(&bases, m);
+            window_table_matches_modpow::<1, 16>(&bases, m);
+            window_table_matches_modpow::<2, 16>(&bases, m);
+            window_table_matches_modpow::<4, 16>(&bases, m);
+            window_table_matches_modpow::<32, 16>(&bases, m);
+            window_table_matches_modpow::<1, 4>(&bases, m);
+            window_table_matches_modpow::<2, 256>(&bases, m);
+            window_table_matches_modpow::<16, 256>(&bases, m);
         }
     }
 }

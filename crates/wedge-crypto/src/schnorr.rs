@@ -27,16 +27,17 @@
 //! A field multiply is [`crate::modmath::mulmod`]'s double-and-add
 //! ladder, and it is all of a signature's cost but a few hashes:
 //!
-//! - `g^k` (`sign`, `from_seed`) and `g^s` (`verify`) take 31
-//!   multiplies and no squarings from the generator's 8 KB
-//!   [`WindowTable`], built at compile time with a row for every
-//!   4-bit window. Square-and-multiply took ~190.
+//! - `g^k` (`sign`, `from_seed`) and `g^s` (`verify`) take 15
+//!   multiplies and no squarings from the generator's 64 KB
+//!   [`WindowTable`]: a comb of 8-bit windows, a row for each, built
+//!   at compile time in 4 200 multiplies. Square-and-multiply took
+//!   ~190, and a row for every 4-bit window (8 KB) took 31.
 //! - `y^(q−e)` (`verify`) is the rest of a check. A deployment has a
 //!   handful of identities, each verified thousands of times, so
 //!   [`crate::KeyRegistry::verify`] — every check the protocol makes —
 //!   raises it from a [`WindowTable`] of the key's powers: 2 rows, per
 //!   registered key, built on first verify (512 B and 94 multiplies to
-//!   build; 60 squarings and 32 multiplies per check). The plain
+//!   build; 60 squarings and 31 multiplies per check). The plain
 //!   [`PublicKey::verify`] keeps square-and-multiply, ~190 multiplies
 //!   and so most of its check. Both share one body; only that
 //!   exponentiation differs. The table is built on first use, not at
@@ -46,12 +47,18 @@
 //!   Interleaving `g^s` into that pass as well would share nothing:
 //!   the generator's table leaves `g^s` no squarings to share, so
 //!   `verify` multiplies two walks together.
-//! - **Why 2 rows and not 4 yet.** Four rows (1 KB, 28 squarings)
-//!   would take another quarter off a check, but measured end to end
-//!   they move `read_quiet` throughput about 3×, more than the
-//!   benchmark's spread rule resolves in one step. Four or 32 rows
-//!   wait for its gate rehearsal (ROADMAP's "Phase I at edge speed"
-//!   direction); only the private row count in `keys.rs` changes.
+//! - **Why key tables stay at 2 rows of 4-bit windows.** The comb
+//!   halves a signature but leaves a check's key half, so no
+//!   workload's throughput moves by much more than 1.3×. Four rows
+//!   (1 KB, 28 squarings) would take another quarter off every check,
+//!   every get's included, and measured end to end they move
+//!   `read_quiet` throughput about 3×. The benchmark's spread rule
+//!   holds the change's runs within a quarter of the parent's median,
+//!   and a step that large spreads wider: two earlier crypto steps of
+//!   that size came back unresolved for it. Bigger key tables wait for
+//!   a benchmark that sizes its runs by time (ROADMAP's "Make the gate
+//!   see the work" direction); only the private row count in `keys.rs`
+//!   changes.
 //!
 //! **Batch verification is not possible for this signature form.** The
 //! random-linear-combination check (`g^Σaᵢsᵢ = Π Rᵢ^aᵢ · yᵢ^aᵢeᵢ`)
@@ -77,9 +84,10 @@ pub const G: u128 = 4;
 
 const _: () = assert!(P == 2 * Q + 1);
 
-/// The generator's table: a row per window, so `g^k` needs no
-/// squarings. Evaluated at compile time.
-static G_TABLE: WindowTable<32> = WindowTable::new(G, P);
+/// The generator's table: a comb of 8-bit windows, a row per window,
+/// so `g^k` needs no squarings and 15 multiplies. Evaluated at compile
+/// time.
+static G_TABLE: WindowTable<16, 256> = WindowTable::new(G, P);
 
 /// A secret signing key: a scalar in `[1, q)`.
 #[derive(Clone, PartialEq, Eq)]
