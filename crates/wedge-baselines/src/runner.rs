@@ -9,7 +9,7 @@ use crate::cloud_only::CloudOnlyCloud;
 use crate::edge_baseline::{EbCloud, EbEdge};
 use crate::msg::BMsg;
 use wedge_core::client::ClientPlan;
-use wedge_core::config::SystemConfig;
+use wedge_core::config::{SystemConfig, CLIENT_REGION};
 use wedge_core::deployment::Identities;
 use wedge_core::fault::FaultPlan;
 use wedge_core::harness::{preload_batches, Aggregate, SystemHarness};
@@ -166,9 +166,8 @@ fn run_clients(
     cloud: ActorId,
     client: impl Fn(usize) -> BaselineClient,
 ) -> RunOutput {
-    let clients: Vec<ActorId> = (0..cfg.num_clients)
-        .map(|i| sim.add_actor(cfg.client_region, Box::new(client(i))))
-        .collect();
+    let clients: Vec<ActorId> =
+        (0..cfg.num_clients).map(|i| sim.add_actor(CLIENT_REGION, Box::new(client(i)))).collect();
     sim.start();
     for &c in &clients {
         sim.inject(cloud, c, BMsg::Start);

@@ -3,14 +3,19 @@
 //! Each field is a setting some run, bench, example or test varies:
 //! the §VI sweeps (batch size, clients, placements, dataset size
 //! through [`CostModel`]) and the §IV-E timing (gossip period, dispute
-//! timeout). What no run varies is fixed where it is used: the network
-//! model's calibration in `wedge_sim::net`, the simulator's inline
-//! worker pool in [`crate::harness`], and the key space, which each
-//! client's plan carries (`ClientPlan::key_space`).
+//! timeout). What no run varies is fixed: the clients' region
+//! ([`CLIENT_REGION`]), and where it is used, the network model's
+//! calibration in `wedge_sim::net`, the simulator's inline worker pool
+//! in [`crate::harness`], and the key space, which each client's plan
+//! carries (`ClientPlan::key_space`).
 
 use crate::cost::CostModel;
 use wedge_lsmerkle::LsmConfig;
 use wedge_sim::Region;
+
+/// Where clients live: California, beside the edge, as in every
+/// §VI experiment. Only the edge and the cloud move (Fig 7).
+pub const CLIENT_REGION: Region = Region::California;
 
 /// How much real cryptography the simulation performs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,8 +40,6 @@ pub struct SystemConfig {
     pub batch_size: usize,
     /// Value payload size in bytes (100 B in §VI).
     pub value_size: usize,
-    /// Where clients live.
-    pub client_region: Region,
     /// Where the edge node lives.
     pub edge_region: Region,
     /// Where the cloud node lives.
@@ -72,7 +75,6 @@ impl Default for SystemConfig {
             num_clients: 1,
             batch_size: 100,
             value_size: 100,
-            client_region: Region::California,
             edge_region: Region::California,
             cloud_region: Region::Virginia,
             lsm: LsmConfig::paper_eval(),
@@ -105,7 +107,7 @@ mod tests {
         assert_eq!(c.batch_size, 100);
         assert_eq!(c.value_size, 100);
         assert_eq!(c.lsm.level_thresholds, vec![10, 10, 100, 1000]);
-        assert_eq!(c.client_region, Region::California);
+        assert_eq!(CLIENT_REGION, Region::California);
         assert_eq!(c.cloud_region, Region::Virginia);
     }
 }

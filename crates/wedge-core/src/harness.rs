@@ -9,7 +9,7 @@
 //! [`crate::deployment`] — the identities and engines the real-time
 //! cluster builds too — and share one put/get body.
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, CLIENT_REGION};
 use crate::deployment::{EngineConfig, Engines, Identities};
 use crate::driver::RunReport;
 use crate::engine::{ClientPlan, GetOutcome, PutOutcome};
@@ -187,7 +187,7 @@ impl MultiPartitionHarness {
         for (p, group) in engines.clients.into_iter().enumerate() {
             for (c, engine) in group.into_iter().enumerate() {
                 let node = ClientNode::new(engine, (edges[p], cloud));
-                assert_eq!(sim.add_actor(cfg.client_region, Box::new(node)), clients[p][c]);
+                assert_eq!(sim.add_actor(CLIENT_REGION, Box::new(node)), clients[p][c]);
             }
         }
         (MultiPartitionHarness { sim, edges, clients, cloud }, ids)

@@ -95,11 +95,6 @@ impl SimDuration {
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Scales the duration by a factor (used by the bandwidth model).
-    pub fn mul_f64(&self, factor: f64) -> Self {
-        SimDuration((self.0 as f64 * factor.max(0.0)).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -190,11 +185,5 @@ mod tests {
     fn ordering() {
         assert!(SimTime::from_nanos(5) < SimTime::from_nanos(6));
         assert!(SimDuration::from_millis(1) > SimDuration::from_micros(999));
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        assert_eq!(SimDuration::from_millis(10).mul_f64(0.5), SimDuration::from_millis(5));
-        assert_eq!(SimDuration::from_millis(10).mul_f64(-1.0), SimDuration::ZERO);
     }
 }
