@@ -5,8 +5,8 @@
 //! field multiply and exponentiation under Schnorr, Schnorr
 //! sign/verify over 64 distinct messages (every receipt and proof;
 //! verify both plain and from a registered key's table, and that
-//! table's build), and Merkle
-//! build/prove/verify (every LSMerkle level and read proof).
+//! table's build), and Merkle build/prove/verify (every LSMerkle level
+//! and read proof).
 
 // Bench targets print their tables to stdout by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
