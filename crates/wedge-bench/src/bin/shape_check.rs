@@ -137,34 +137,6 @@ fn check_merge_request_bytes(a: &Artifact, failures: &mut Vec<Failure>) {
     }
 }
 
-fn check_merge_cpu_parallel(a: &Artifact, failures: &mut Vec<Failure>) {
-    for w in [1u64, 2, 4, 8] {
-        require(a, &format!("merge_wall_ns_p{w}"), failures);
-        require(a, &format!("merge_cpu_ns_p{w}"), failures);
-    }
-    // Determinism is non-negotiable: the wire-encoded MergeResult must
-    // be byte-identical at every pool width.
-    if require(a, "roots_match", failures) != 1.0 {
-        failures.push("merge results are NOT byte-identical across pool widths".into());
-    }
-    // The caller-thread CPU speedup is scheduler-independent (condvar
-    // waits accrue no thread CPU), so it must show the fan-out on any
-    // host, single-core CI runners included.
-    let cpu_speedup = require(a, "speedup_cpu_p4", failures);
-    if cpu_speedup < 2.0 {
-        failures.push(format!(
-            "caller-thread CPU speedup at width 4 is {cpu_speedup:.2}x, below the 2x bar"
-        ));
-    }
-    // Wall clock can only improve where the cores exist.
-    let wall_speedup = require(a, "speedup_wall_p4", failures);
-    if require(a, "host_parallelism", failures) >= 4.0 && wall_speedup < 2.0 {
-        failures.push(format!(
-            "wall-clock speedup at width 4 is {wall_speedup:.2}x on a >=4-core host, below the 2x bar"
-        ));
-    }
-}
-
 /// Fetch the {wc, co, eb} triple for one sweep point.
 fn triple(a: &Artifact, prefix: &str, metric: &str, failures: &mut Vec<Failure>) -> [f64; 3] {
     ["wc", "co", "eb"].map(|sys| require(a, &format!("{prefix}/{metric}_{sys}"), failures))
@@ -431,7 +403,6 @@ fn check(artifact: &Artifact) -> Vec<Failure> {
     let mut failures = Vec::new();
     let check: fn(&Artifact, &mut Vec<Failure>) = match artifact.bench.as_str() {
         "compaction_decay" => check_compaction_decay,
-        "merge_cpu_parallel" => check_merge_cpu_parallel,
         "micro_crypto" => check_micro_crypto,
         "merge_reply_bytes" => check_merge_reply_bytes,
         "merge_request_bytes" => check_merge_request_bytes,

@@ -69,7 +69,7 @@ pub fn recorded_results() -> Vec<BenchResult> {
 /// Serializes `results` as `bench`'s artifact. `f64`'s `Display`
 /// prints the shortest decimal that parses back to the same value, so
 /// the reader recovers every value exactly.
-pub fn results_json(bench: &str, results: &[BenchResult]) -> String {
+fn results_json(bench: &str, results: &[BenchResult]) -> String {
     let rows: Vec<String> = results
         .iter()
         .map(|r| {

@@ -110,9 +110,10 @@ pub(crate) struct Engines<P, C> {
 impl<P: Copy + Eq + Hash, C: Copy + Eq + Hash> Engines<P, C> {
     /// Builds the engines of `ids`' deployment. `edge_peers[p]` is the
     /// cloud's handle for partition `p`'s edge and `client_peers[p]`
-    /// that edge's handles for its clients. Every engine shares `pool`:
-    /// a scope that finds it busy runs inline, so engines on different
-    /// threads never wait for each other's fan-outs.
+    /// that edge's handles for its clients. Every edge and client
+    /// shares `pool`: a scope that finds it busy runs inline, so
+    /// engines on different threads never wait for each other's
+    /// fan-outs. The cloud has no pool; its merges run on the caller.
     pub(crate) fn build(
         ids: &Identities,
         cfg: EngineConfig,
@@ -121,7 +122,6 @@ impl<P: Copy + Eq + Hash, C: Copy + Eq + Hash> Engines<P, C> {
         pool: &wedge_pool::Pool,
     ) -> Self {
         let mut index = CloudIndex::new(cfg.lsm.clone());
-        index.set_pool(pool.clone());
         let inits: Vec<_> =
             ids.edges.iter().map(|e| index.init_edge(&ids.cloud, e.id, 0)).collect();
         let cloud = CloudEngine::new(

@@ -110,9 +110,9 @@ pub struct RuntimeConfig {
     /// forever behind a full edge inbox. `None` keeps the blocking
     /// behaviour for `try_put_on` too.
     pub admission_timeout: Option<Duration>,
-    /// Width of the cluster's one worker pool for the hash/sign/verify
-    /// hot paths (cloud merge rebuilds, edge forest rebuilds, batched
-    /// client signing and signature checks). Defaults to
+    /// Width of the cluster's one worker pool for batched client
+    /// signing and the edge's batched signature checks; merges and
+    /// forest rebuilds run on the calling thread. Defaults to
     /// `WEDGE_POOL_THREADS`, else the host's available parallelism
     /// (1 = inline). Results are byte-identical for every width.
     pub pool_threads: usize,
@@ -930,10 +930,10 @@ impl<T: Transport> Cluster<T> {
             freshness_window_ns: None,
             compaction_period_ns: None,
         };
-        // One pool for the whole cluster, sized to the host: the cloud,
-        // every edge and every client scope their fan-outs on it, and a
-        // scope that finds it busy runs inline on its own service thread
-        // instead of waiting, so engines never serialize on it.
+        // One pool for the whole cluster, sized to the host: every edge
+        // and every client scope their fan-outs on it, and a scope that
+        // finds it busy runs inline on its own service thread instead
+        // of waiting, so engines never serialize on it.
         let pool = wedge_pool::Pool::new(cfg.pool_threads);
         let engines =
             Engines::build(&ids, engine_cfg, &edge_peers, &vec![vec![CLIENT_PEER]; n], &pool);

@@ -561,7 +561,8 @@ impl ClientEngine {
     }
 
     /// True while any submitted batch awaits its Phase-I receipt.
-    pub fn has_outstanding_batch(&self) -> bool {
+    #[cfg(test)]
+    fn has_outstanding_batch(&self) -> bool {
         !self.outstanding_batches.is_empty()
     }
 

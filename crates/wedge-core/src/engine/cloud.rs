@@ -201,15 +201,6 @@ impl<P: Copy + Eq + Hash> CloudEngine<P> {
         self.identity.id
     }
 
-    /// Installs a worker pool on the merge index: page verification,
-    /// region rebuilds, and forest hashing inside
-    /// [`CloudIndex::process_merge`] fan out across its lanes. The
-    /// default (inline) pool keeps everything on the caller thread;
-    /// results are byte-identical either way.
-    pub fn set_pool(&mut self, pool: wedge_pool::Pool) {
-        self.index.set_pool(pool);
-    }
-
     /// Earliest absolute time (ns) at which this engine has time-driven
     /// work. The driver's contract: call `handle(CloudCommand::Tick,
     /// now)` once `now >= next_deadline_ns()`; never schedule protocol
@@ -369,10 +360,6 @@ impl<P: Copy + Eq + Hash> CloudEngine<P> {
         // roots, and pages decoded off the wire carry no memoized
         // digests — verification is O(request), and it dominates.
         out.push(CloudEffect::UseCpu(self.cost.merge(req.records())));
-        // Prime wire-decoded page digests across the pool *before* the
-        // replay probe: `replay_for` fingerprints the request, which
-        // serially forces every page digest it finds un-memoized.
-        self.index.prime_request_digests(&req);
         // A byte-identical retry of the last merge (its reply was
         // lost) is answered idempotently — it re-applies nothing and
         // is counted separately from processed merges. The cached

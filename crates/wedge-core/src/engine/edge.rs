@@ -300,11 +300,9 @@ impl<C: Copy + Eq + Hash> EdgeEngine<C> {
     }
 
     /// Installs a worker pool: batched client-signature checks in
-    /// `batch_add` and the tree's merge-apply forest rebuilds fan out
-    /// across its lanes. Verdicts and roots are byte-identical for
-    /// every pool size.
+    /// `batch_add` fan out across its lanes. Verdicts are identical
+    /// for every pool size. Merge replies are applied on the caller.
     pub fn set_pool(&mut self, pool: wedge_pool::Pool) {
-        self.tree.set_pool(pool.clone());
         self.pool = pool;
     }
 

@@ -170,10 +170,10 @@ impl MultiPartitionHarness {
             freshness_window_ns: cfg.freshness_window_ms.map(|ms| ms * 1_000_000),
             compaction_period_ns: cfg.compaction_period_ms.map(|ms| ms * 1_000_000),
         };
-        // One pool serves every engine: the sim is single-threaded, so
-        // scopes never overlap, and width 1 keeps it inline so the
-        // discrete-event run stays on one thread and its virtual clock
-        // exact. Results are byte-identical for every width.
+        // One pool serves every edge and client: width 1 keeps each
+        // fan-out inline, so the discrete-event run stays on one thread
+        // and its virtual clock exact. Results are byte-identical for
+        // every width.
         let pool = wedge_pool::Pool::new(1);
         let engines = Engines::build(&ids, engine_cfg, &edges, &clients, &pool);
 

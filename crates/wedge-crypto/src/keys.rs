@@ -220,11 +220,6 @@ impl KeyRegistry {
         self.revoked.contains_key(&id)
     }
 
-    /// Reason an identity was revoked, if it was.
-    pub fn revocation_reason(&self, id: IdentityId) -> Option<&RevocationReason> {
-        self.revoked.get(&id)
-    }
-
     /// Number of live (non-revoked) registered identities.
     pub fn len(&self) -> usize {
         self.keys.len()

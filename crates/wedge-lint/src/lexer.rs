@@ -357,7 +357,7 @@ fn collect_allows(lines: &[Line]) -> Vec<Vec<Allow>> {
 /// when the comment has no annotation at all; malformed annotations
 /// (no closing paren, empty rule list) come back with empty `rules`
 /// so the annotation checker can flag them.
-pub fn parse_allow(comment: &str, line: usize) -> Option<Allow> {
+fn parse_allow(comment: &str, line: usize) -> Option<Allow> {
     let start = comment.find("lint:allow(")?;
     let rest = &comment[start + "lint:allow(".len()..];
     let Some(close) = rest.find(')') else {

@@ -74,7 +74,7 @@ pub fn current_abi(root: &Path) -> io::Result<Result<abi::WireAbi, String>> {
 }
 
 /// The `wire-abi` rule: committed lockfile vs live source.
-pub fn check_abi(root: &Path) -> io::Result<Vec<Violation>> {
+fn check_abi(root: &Path) -> io::Result<Vec<Violation>> {
     let current = match current_abi(root)? {
         Ok(abi) => abi,
         Err(e) => {

@@ -320,7 +320,7 @@ impl MerkleForest {
 
     /// Number of perfect subtrees — `popcount(leaf_count)`.
     #[cfg(test)]
-    pub fn peak_count(&self) -> usize {
+    fn peak_count(&self) -> usize {
         self.peaks.len()
     }
 

@@ -112,7 +112,7 @@ wire_struct!(GlobalRootCert {
 });
 
 /// A Merkle level held at the edge: pages plus the Merkle forest over
-/// their digests and the cloud's signature on the root.
+/// their digests, whose root the cloud signed.
 ///
 /// Immutable after construction: the forest is built exactly once
 /// (from memoized page digests, reusing the previous level's subtrees
@@ -126,8 +126,6 @@ pub struct Level {
     /// lifetime); root-compatible with the flat
     /// [`MerkleTree`](wedge_crypto::MerkleTree).
     forest: MerkleForest,
-    /// The cloud's signature on `forest.root()` at the current epoch.
-    signed_root: SignedLevelRoot,
 }
 
 impl Level {
@@ -150,7 +148,7 @@ impl Level {
             forest.leaves().iter().copied().eq(pages.iter().map(|p| p.digest())),
             "forest does not cover pages"
         );
-        Level { pages, forest, signed_root }
+        Level { pages, forest }
     }
 
     /// An empty level under a signed empty root.
@@ -168,11 +166,6 @@ impl Level {
         &self.forest
     }
 
-    /// The cloud's signature on the level root.
-    pub fn signed_root(&self) -> &SignedLevelRoot {
-        &self.signed_root
-    }
-
     /// Number of pages.
     pub fn page_count(&self) -> usize {
         self.pages.len()
@@ -187,18 +180,9 @@ impl Level {
 /// Builds the Merkle forest over a page list, reusing every unchanged
 /// aligned subtree of `old` — O(k log n) interior hashes for a k-page
 /// change instead of O(n). This is the construction every merge and
-/// compaction uses. Page content digests are memoized across `pool`
-/// first: they are the dominant cost when pages were decoded off the
-/// wire and carry no memo. Byte-identical at every pool width, because
-/// digest memoization is idempotent.
-pub fn forest_over_reusing(
-    pages: &[Arc<Page>],
-    old: &MerkleForest,
-    pool: &wedge_pool::Pool,
-) -> MerkleForest {
-    pool.for_each(pages, |p| {
-        p.digest();
-    });
+/// compaction uses. A page decoded off the wire, or fresh from a
+/// rebuild, hashes here once and keeps the digest memoized.
+pub fn forest_over_reusing(pages: &[Arc<Page>], old: &MerkleForest) -> MerkleForest {
     MerkleForest::rebuild(pages.iter().map(|p| p.digest()).collect(), old)
 }
 

@@ -34,7 +34,6 @@ use wedge_crypto::{Digest, Identity, IdentityId};
 use wedge_log::{
     wire_struct, Block, BlockId, BlockProof, CertLedger, DecodeError, Decoder, Encoder, Wire,
 };
-use wedge_pool::Pool;
 
 /// A merge request from an edge node.
 #[derive(Clone, Debug, PartialEq)]
@@ -701,7 +700,6 @@ fn rebuilt_target_pages(
     deepest: bool,
     page_capacity: usize,
     now_ns: u64,
-    pool: &Pool,
 ) -> Vec<Arc<Page>> {
     let source_runs: Vec<&[KvRecord]> = req
         .source_l0
@@ -739,22 +737,14 @@ fn rebuilt_target_pages(
         !deepest || targets.iter().all(|p| p.records().iter().all(|r| r.value.is_some())),
         "deepest-level target page holds a tombstone"
     );
-    // Walk the dirty map into slots first: clean pages pass through as
-    // the same `Arc`s, and each contiguous dirty run becomes a region.
-    // Regions are confined to disjoint key ranges, so their k-way
-    // merges and re-splits are independent — the pool rebuilds them on
-    // separate lanes and the slot order makes the stitch-back
-    // deterministic regardless of which lane finished first.
-    enum Slot {
-        Clean(usize),
-        Region,
-    }
-    let mut slots = Vec::new();
-    let mut regions = Vec::new();
+    // Walk the dirty map: clean pages pass through as the same `Arc`s,
+    // and each contiguous dirty run is a region, rebuilt in place
+    // within its own key range.
+    let mut out = Vec::with_capacity(targets.len());
     let mut i = 0;
     while i < targets.len() {
         if !dirty[i] {
-            slots.push(Slot::Clean(i));
+            out.push(Arc::clone(&targets[i]));
             i += 1;
             continue;
         }
@@ -762,12 +752,8 @@ fn rebuilt_target_pages(
         while i < targets.len() && dirty[i] {
             i += 1;
         }
-        slots.push(Slot::Region);
-        regions.push((start, i));
-    }
-    let rebuild_region = |&(start, end): &(usize, usize)| -> Vec<Arc<Page>> {
-        let (rmin, rmax) = (targets[start].min(), targets[end - 1].max());
-        let mut runs: Vec<&[KvRecord]> = targets[start..end].iter().map(|p| p.records()).collect();
+        let (rmin, rmax) = (targets[start].min(), targets[i - 1].max());
+        let mut runs: Vec<&[KvRecord]> = targets[start..i].iter().map(|p| p.records()).collect();
         for run in &source_runs {
             let lo = run.partition_point(|r| r.key < rmin);
             let hi = run.partition_point(|r| r.key <= rmax);
@@ -776,22 +762,7 @@ fn rebuilt_target_pages(
             }
         }
         let merged = kway_merge_newest(&runs, deepest);
-        let pages = split_into_range_pages(merged, page_capacity, now_ns, rmin, rmax);
-        // Memoize the fresh pages' digests while still on this lane —
-        // the forest rebuild and the reply's delta encoding both need
-        // them, and a memo is idempotent.
-        for p in &pages {
-            p.digest();
-        }
-        pages
-    };
-    let mut rebuilt = pool.map(&regions, rebuild_region).into_iter();
-    let mut out = Vec::with_capacity(targets.len());
-    for slot in slots {
-        match slot {
-            Slot::Clean(i) => out.push(Arc::clone(&targets[i])),
-            Slot::Region => out.extend(rebuilt.next().expect("one rebuilt run per region")),
-        }
+        out.extend(split_into_range_pages(merged, page_capacity, now_ns, rmin, rmax));
     }
     out
 }
@@ -846,12 +817,6 @@ pub struct CloudIndex {
     cfg: LsmConfig,
     states: HashMap<IdentityId, CloudIndexState>,
     compaction: CompactionStats,
-    /// Worker pool for the embarrassingly-parallel phases of a merge:
-    /// digest memoization of wire-decoded and fresh pages, L0 record
-    /// re-derivation and per-region rebuilds. Every width runs the
-    /// same code and gives byte-identical results; width 1 (the
-    /// default) runs each fan-out as a plain loop on the caller.
-    pool: Pool,
 }
 
 /// True iff the pages' digest run matches the forest leaf-for-leaf.
@@ -867,12 +832,7 @@ impl CloudIndex {
     /// Creates a cloud index for the given LSMerkle shape.
     pub fn new(cfg: LsmConfig) -> Self {
         cfg.validate().expect("invalid LSMerkle config");
-        CloudIndex {
-            cfg,
-            states: HashMap::new(),
-            compaction: CompactionStats::default(),
-            pool: Pool::default(),
-        }
+        CloudIndex { cfg, states: HashMap::new(), compaction: CompactionStats::default() }
     }
 
     /// The configured shape.
@@ -880,34 +840,10 @@ impl CloudIndex {
         &self.cfg
     }
 
-    /// Installs the worker pool merge processing fans out on. The
-    /// drivers call this with their configured `pool_threads`; the
-    /// default is width 1, which runs every fan-out on the caller.
-    pub fn set_pool(&mut self, pool: Pool) {
-        self.pool = pool;
-    }
-
-    /// The installed worker pool.
-    pub fn pool(&self) -> &Pool {
-        &self.pool
-    }
-
-    /// Memoizes, across the pool, every page digest the merge path
-    /// will ask for: fingerprinting (replay lookup), run verification,
-    /// retention, and the reply's delta encoding all force them.
-    /// Pages rehydrated from retained `Arc`s already carry their memo
-    /// and cost nothing; wire-decoded pages hash once each, spread
-    /// over the lanes. Idempotent, pure, byte-identical at any size.
-    pub fn prime_request_digests(&self, req: &MergeRequest) {
-        self.pool.for_each(&req.source_l0, |p| {
-            p.digest();
-        });
-        let pages: Vec<&Arc<Page>> =
-            req.source_pages.iter().chain(req.target_pages.iter()).collect();
-        self.pool.for_each(&pages, |p| {
-            p.digest();
-        });
-    }
+    /// Does nothing: every merge runs on the calling thread. Kept only
+    /// because the `benchmark` crate's in-process runtime still calls
+    /// it; it goes when that caller does.
+    pub fn set_pool(&mut self, _pool: wedge_pool::Pool) {}
 
     /// Cumulative fold work across every merge this cloud processed.
     pub fn compaction_stats(&self) -> CompactionStats {
@@ -1029,19 +965,9 @@ impl CloudIndex {
         if state.epoch != req.epoch {
             return Err(MergeError::EpochMismatch { expected: state.epoch, got: req.epoch });
         }
-        // Hash every shipped page across the pool before the serial
-        // verification below forces the digests one by one.
-        self.prime_request_digests(req);
-        let pool = &self.pool;
-
         // --- Verify sources ---
         if req.source_level == 0 {
-            // `matches_block` re-derives each block's records — the
-            // expensive half of L0 verification — so precompute the
-            // verdicts across the pool. They are consumed in page
-            // order below, keeping error precedence identical.
-            let records_ok = pool.map(&req.source_l0, |p| p.matches_block());
-            for (page, records_ok) in req.source_l0.iter().zip(records_ok) {
+            for page in &req.source_l0 {
                 // Memoized: the block is hashed at most once per page
                 // lifetime, even across certify → merge → proof.
                 let digest = page.digest();
@@ -1052,8 +978,9 @@ impl CloudIndex {
                     }
                     Some(_) => {}
                 }
-                // Never trust the edge's decoded records; re-derive.
-                if !records_ok {
+                // Never trust the edge's decoded records; re-derive them
+                // (the expensive half), but only for a certified page.
+                if !page.matches_block() {
                     return Err(MergeError::L0RecordsMismatch(page.block().id));
                 }
             }
@@ -1080,8 +1007,7 @@ impl CloudIndex {
         // touch are *reused* (the same `Arc`s the request shipped), so
         // the reply's delta encoding ships only what changed.
         let deepest = target_level as usize == n_levels;
-        let mut new_pages =
-            rebuilt_target_pages(req, deepest, self.cfg.page_capacity, now_ns, pool);
+        let mut new_pages = rebuilt_target_pages(req, deepest, self.cfg.page_capacity, now_ns);
 
         // --- Compact: an *empty-source* request is the background
         // compactor asking for a whole-level fold — nothing was merged,
@@ -1103,11 +1029,9 @@ impl CloudIndex {
         // --- Re-sign roots. The target forest is patched from the
         // cached one: O(k log n) interior hashes for a k-page change,
         // not O(level) — this is what keeps a long-lived store's merge
-        // cost proportional to the delta. Fresh pages from a full
-        // merge or a compaction fold have no digest memo yet; the
-        // rebuild hashes them across the lanes first.
+        // cost proportional to the delta.
         let state = self.states.get_mut(&req.edge).expect("checked above");
-        let new_forest = forest_over_reusing(&new_pages, &state.level_forests[t_idx], pool);
+        let new_forest = forest_over_reusing(&new_pages, &state.level_forests[t_idx]);
         let new_epoch = state.epoch + 1;
         state.epoch = new_epoch;
         state.level_roots[t_idx] = new_forest.root();
@@ -1285,60 +1209,62 @@ mod tests {
         }
     }
 
-    /// An uncertified page is rejected at every pool width, also when
-    /// a forged page follows it: the ledger check of the first page
-    /// still answers, although every page's records are re-derived.
+    /// A page whose block the ledger has not certified is rejected.
     #[test]
     fn uncertified_block_rejected() {
-        for threads in [1, 4] {
-            let (cloud, mut ledger, mut index, edge) = setup();
-            index.set_pool(Pool::new(threads));
-            index.init_edge(&cloud, edge, 0);
-            let uncertified = Arc::new(L0Page::from_block(kv_block(edge, 1, &[(1, b"x")])));
-            let req = l0_request(edge, vec![uncertified.clone()]);
-            assert_eq!(
-                index.process_merge(&cloud, &ledger, &req, 0),
-                Err(MergeError::UncertifiedBlock(BlockId(1)))
-            );
-            let certified = certified_l0(&mut ledger, edge, 0, &[(2, b"y")]);
-            let forged = Arc::new(L0Page::forged(certified.block().clone(), vec![]));
-            let req = l0_request(edge, vec![uncertified, forged]);
-            assert_eq!(
-                index.process_merge(&cloud, &ledger, &req, 0),
-                Err(MergeError::UncertifiedBlock(BlockId(1))),
-                "width {threads}"
-            );
-        }
+        let (cloud, ledger, mut index, edge) = setup();
+        index.init_edge(&cloud, edge, 0);
+        let uncertified = Arc::new(L0Page::from_block(kv_block(edge, 1, &[(1, b"x")])));
+        let req = l0_request(edge, vec![uncertified]);
+        assert_eq!(
+            index.process_merge(&cloud, &ledger, &req, 0),
+            Err(MergeError::UncertifiedBlock(BlockId(1)))
+        );
     }
 
-    /// A lying edge is caught at every pool width, whether it ships a
-    /// different block under a certified id or the certified block
-    /// with records that do not derive from it.
+    /// A page's records are re-derived only once its ledger check has
+    /// passed: a request led by an uncertified page is rejected
+    /// without decoding any block, not even the forged one after it.
+    #[test]
+    fn uncertified_block_rejected_before_any_block_decode() {
+        use crate::page::hash_stats;
+        let (cloud, mut ledger, mut index, edge) = setup();
+        index.init_edge(&cloud, edge, 0);
+        let uncertified = Arc::new(L0Page::from_block(kv_block(edge, 1, &[(1, b"x")])));
+        let certified = certified_l0(&mut ledger, edge, 0, &[(2, b"y")]);
+        let forged = Arc::new(L0Page::forged(certified.block().clone(), vec![]));
+        let req = l0_request(edge, vec![uncertified, forged]);
+        let before = hash_stats::l0_decode_checks();
+        assert_eq!(
+            index.process_merge(&cloud, &ledger, &req, 0),
+            Err(MergeError::UncertifiedBlock(BlockId(1)))
+        );
+        assert_eq!(hash_stats::l0_decode_checks(), before, "a rejected request decoded a block");
+    }
+
+    /// A lying edge is caught, whether it ships a different block
+    /// under a certified id or the certified block with records that
+    /// do not derive from it.
     #[test]
     fn tampered_block_rejected() {
-        for threads in [1, 4] {
-            let (cloud, mut ledger, mut index, edge) = setup();
-            index.set_pool(Pool::new(threads));
-            index.init_edge(&cloud, edge, 0);
-            // Certify an honest block, then try to merge a different
-            // one with the same id.
-            let honest = certified_l0(&mut ledger, edge, 0, &[(1, b"honest")]);
-            let lying = Arc::new(L0Page::from_block(kv_block(edge, 0, &[(1, b"lying")])));
-            assert_eq!(
-                index.process_merge(&cloud, &ledger, &l0_request(edge, vec![lying]), 0),
-                Err(MergeError::BlockDigestMismatch(BlockId(0))),
-                "width {threads}"
-            );
-            // The certified block itself, carrying forged records.
-            let mut records = honest.records().to_vec();
-            records[0].value = Some(b"lying".to_vec());
-            let forged = Arc::new(L0Page::forged(honest.block().clone(), records));
-            assert_eq!(
-                index.process_merge(&cloud, &ledger, &l0_request(edge, vec![forged]), 0),
-                Err(MergeError::L0RecordsMismatch(BlockId(0))),
-                "width {threads}"
-            );
-        }
+        let (cloud, mut ledger, mut index, edge) = setup();
+        index.init_edge(&cloud, edge, 0);
+        // Certify an honest block, then try to merge a different one
+        // with the same id.
+        let honest = certified_l0(&mut ledger, edge, 0, &[(1, b"honest")]);
+        let lying = Arc::new(L0Page::from_block(kv_block(edge, 0, &[(1, b"lying")])));
+        assert_eq!(
+            index.process_merge(&cloud, &ledger, &l0_request(edge, vec![lying]), 0),
+            Err(MergeError::BlockDigestMismatch(BlockId(0)))
+        );
+        // The certified block itself, carrying forged records.
+        let mut records = honest.records().to_vec();
+        records[0].value = Some(b"lying".to_vec());
+        let forged = Arc::new(L0Page::forged(honest.block().clone(), records));
+        assert_eq!(
+            index.process_merge(&cloud, &ledger, &l0_request(edge, vec![forged]), 0),
+            Err(MergeError::L0RecordsMismatch(BlockId(0)))
+        );
     }
 
     #[test]

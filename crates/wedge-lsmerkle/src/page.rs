@@ -54,15 +54,15 @@ pub(crate) mod hash_stats {
         L0_DECODE_CHECKS.with(|c| c.get())
     }
 
-    pub fn note_constructed() {
+    pub(super) fn note_constructed() {
         PAGES_CONSTRUCTED.with(|c| c.set(c.get() + 1));
     }
 
-    pub fn note_computed() {
+    pub(super) fn note_computed() {
         DIGESTS_COMPUTED.with(|c| c.set(c.get() + 1));
     }
 
-    pub fn note_l0_decode_check() {
+    pub(super) fn note_l0_decode_check() {
         L0_DECODE_CHECKS.with(|c| c.set(c.get() + 1));
     }
 }
@@ -117,7 +117,7 @@ impl Eq for Page {}
 
 impl Page {
     /// Builds a page. `records` must be strictly sorted by key and lie
-    /// within `[min, max]` (see [`Page::check_invariants`]).
+    /// within `[min, max]` ([`check_level_ranges`] checks both).
     pub fn new(min: Key, max: Key, records: Vec<KvRecord>, created_at_ns: u64) -> Self {
         note_constructed();
         Page { min, max, records, created_at_ns, digest: OnceLock::new() }
@@ -174,7 +174,7 @@ impl Page {
 
     /// Checks internal well-formedness: sorted unique keys, all within
     /// `[min, max]`.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    fn check_invariants(&self) -> Result<(), String> {
         for w in self.records.windows(2) {
             if w[0].key >= w[1].key {
                 return Err(format!("records not strictly sorted: {} !< {}", w[0].key, w[1].key));
@@ -309,7 +309,7 @@ impl L0Page {
 
     /// The canonical record decode of `block`, in L0 page order:
     /// `(key asc, version desc)`.
-    pub fn sorted_records(block: &wedge_log::Block) -> Vec<KvRecord> {
+    fn sorted_records(block: &wedge_log::Block) -> Vec<KvRecord> {
         let mut records = crate::kv::records_from_block(block);
         records.sort_unstable_by(|a, b| a.key.cmp(&b.key).then(b.version.cmp(&a.version)));
         records

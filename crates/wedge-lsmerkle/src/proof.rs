@@ -419,7 +419,7 @@ pub(crate) mod proof_stats {
         SIGNATURE_CHECKS.with(|c| c.get())
     }
 
-    pub fn note_signature_check() {
+    pub(super) fn note_signature_check() {
         SIGNATURE_CHECKS.with(|c| c.set(c.get() + 1));
     }
 }

@@ -30,10 +30,6 @@ pub struct LsMerkle {
     global: GlobalRootCert,
     /// Current index epoch (must match the cloud's).
     epoch: u64,
-    /// Worker pool for re-hashing wire-decoded reply pages when a
-    /// merge result is applied. Width 1 by default; every width runs
-    /// the same code and gives byte-identical results.
-    pool: wedge_pool::Pool,
 }
 
 impl LsMerkle {
@@ -42,22 +38,7 @@ impl LsMerkle {
         cfg.validate().expect("invalid LSMerkle config");
         assert_eq!(init.level_roots.len(), cfg.num_merkle_levels());
         let levels = init.level_roots.into_iter().map(Level::empty).collect();
-        LsMerkle {
-            edge,
-            cfg,
-            l0: Vec::new(),
-            levels,
-            global: init.global,
-            epoch: 0,
-            pool: wedge_pool::Pool::default(),
-        }
-    }
-
-    /// Installs the worker pool [`LsMerkle::apply_merge_result`] fans
-    /// its re-hashing out on. The drivers call this with their
-    /// configured `pool_threads`.
-    pub fn set_pool(&mut self, pool: wedge_pool::Pool) {
-        self.pool = pool;
+        LsMerkle { edge, cfg, l0: Vec::new(), levels, global: init.global, epoch: 0 }
     }
 
     /// The owning edge identity.
@@ -103,7 +84,7 @@ impl LsMerkle {
 
     /// Number of L0 pages whose block-proof has arrived. Only these
     /// are eligible for merging (the cloud rejects uncertified ones).
-    pub fn certified_l0_count(&self) -> usize {
+    fn certified_l0_count(&self) -> usize {
         self.l0.iter().filter(|(_, proof)| proof.is_some()).count()
     }
 
@@ -277,8 +258,7 @@ impl LsMerkle {
         // signed root and becomes the installed level's forest. It
         // reuses the outgoing level's subtrees, so a k-page merge costs
         // O(k log n) interior hashes, not O(n).
-        let new_forest =
-            forest_over_reusing(&res.new_target_pages, self.levels[t_idx].forest(), &self.pool);
+        let new_forest = forest_over_reusing(&res.new_target_pages, self.levels[t_idx].forest());
         if new_forest.root() != res.new_target_root.root {
             return Err("target pages do not hash to signed root".into());
         }
@@ -361,7 +341,6 @@ mod tests {
     use super::*;
     use crate::kv::KvOp;
     use crate::testkit::Fixture;
-    use wedge_log::Wire;
 
     /// The schedule tests' SplitMix64 stream.
     fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
@@ -580,63 +559,6 @@ mod tests {
                     assert_eq!(got, expected, "incremental rebuild diverged from full rebuild");
                     crate::page::check_level_ranges(&res.new_target_pages).unwrap();
                 }
-            }
-        }
-    }
-
-    /// Satellite: pooling is invisible to every byte the protocol
-    /// produces. One randomized schedule (random blocks, ~25%
-    /// tombstones, cascading merges) is replayed with the cloud index
-    /// and edge tree running inline (width 1) and again over real
-    /// worker pools; the wire-encoded merge results, level roots, and
-    /// global root must match byte for byte at every step.
-    #[test]
-    fn pooled_pipeline_is_byte_identical_to_inline_on_random_schedules() {
-        use crate::kv::KvRecord;
-        let run = |threads: usize, seed: u64| -> Vec<Vec<u8>> {
-            let pool = wedge_pool::Pool::new(threads);
-            let mut fx = Fixture::new();
-            fx.index.set_pool(pool.clone());
-            fx.tree.set_pool(pool);
-            let mut rng = splitmix(seed);
-            let mut trace: Vec<Vec<u8>> = Vec::new();
-            for _step in 0..24 {
-                fx.ingest_ops(&random_ops(&mut rng));
-                for (_, res) in fx.drain_merges() {
-                    let mut enc = wedge_log::Encoder::default();
-                    res.encode_into(&mut enc);
-                    trace.push(enc.finish());
-                }
-                // Per-step digest of every root the protocol signs or
-                // proves against: a single later divergence cannot hide.
-                let mut enc = wedge_log::Encoder::default();
-                for r in fx.tree.level_roots() {
-                    enc.put_digest(&r);
-                }
-                enc.put_digest(&fx.tree.global().root);
-                trace.push(enc.finish());
-            }
-            // Final state probe: every live key resolves identically.
-            let mut enc = wedge_log::Encoder::default();
-            for key in 0..32u64 {
-                if let Some((rec, _)) = fx.tree.find_newest(key) {
-                    let KvRecord { key, version, value } = rec;
-                    enc.put_u64(key).put_u64(version.bid).put_u32(version.pos);
-                    enc.put_bytes(&value.unwrap_or_default());
-                }
-            }
-            trace.push(enc.finish());
-            trace
-        };
-        for seed in [1u64, 42, 0xDEAD_BEEF] {
-            let inline = run(1, seed);
-            assert!(!inline.is_empty());
-            for threads in [2usize, 4, 8] {
-                assert_eq!(
-                    run(threads, seed),
-                    inline,
-                    "pool width {threads} diverged from inline on seed {seed:#x}"
-                );
             }
         }
     }

@@ -3,11 +3,11 @@
 //!
 //! WedgeChain's engines are sans-IO and deterministic: commands in,
 //! effects out, time as an argument. The CPU-heavy leaves of that
-//! work — page digests, L0 record re-derivation, Schnorr
-//! verification — are pure functions over immutable inputs, so they
-//! can fan out across threads without the engines noticing. This
-//! crate provides the one concurrency primitive those call sites
-//! need:
+//! work — a client's batch signatures, an edge's batch signature
+//! checks — are pure functions over immutable inputs, so they can fan
+//! out across threads without the engines noticing. Merges run on the
+//! caller. This crate provides the one concurrency primitive those
+//! call sites need:
 //!
 //! * [`Pool::scope`] — run one closure once per lane (the caller is
 //!   lane 0), returning only after every lane has run. Worker panics
@@ -36,10 +36,9 @@
 //! # Determinism
 //!
 //! Nothing here introduces nondeterminism: `map` preserves input
-//! order, `for_each` is only handed idempotent work (memoizing a
-//! `OnceLock` digest computes the same bytes on every lane), and
-//! `scope` callers partition work by lane, which runs exactly once
-//! whichever thread runs it. Callers never branch on the width:
+//! order, `for_each` may only be handed idempotent or independent
+//! work, and `scope` callers partition work by lane, which runs
+//! exactly once whichever thread runs it. Callers never branch on the width:
 //! `map` and `for_each` alone run a `Pool::new(1)` pool (also
 //! `Pool::default()`) as a plain loop on the caller thread, so every
 //! width runs the same caller code, byte-identical by construction.
@@ -259,7 +258,7 @@ impl Pool {
     /// Applies `f` to every item, claiming chunks of indices
     /// dynamically across lanes. Item order of *execution* is
     /// unspecified; use this only for idempotent or independent
-    /// per-item work (e.g. priming `OnceLock` digest memos).
+    /// per-item work.
     pub fn for_each<T, F>(&self, items: &[T], f: F)
     where
         T: Sync,
@@ -402,42 +401,6 @@ pub fn threads_from_env() -> usize {
         .and_then(|s| s.trim().parse::<usize>().ok())
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .clamp(1, 64)
-}
-
-/// CPU time consumed by the calling thread, in nanoseconds. Unlike a
-/// wall clock this only advances while the thread is scheduled, so
-/// per-lane measurements stay meaningful on hosts with fewer cores
-/// than lanes (the bench uses it to report the critical-path length
-/// of a parallel phase: the busiest lane's CPU time).
-#[cfg(target_os = "linux")]
-pub fn thread_cpu_ns() -> u64 {
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-    extern "C" {
-        fn clock_gettime(clk_id: i32, tp: *mut Timespec) -> i32;
-    }
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
-    // SAFETY: `ts` is a valid, writable `timespec`-layout struct and
-    // the clock id is a Linux constant; libc is always linked by std.
-    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    if rc != 0 {
-        return 0;
-    }
-    (ts.tv_sec as u64).saturating_mul(1_000_000_000) + ts.tv_nsec as u64
-}
-
-/// Fallback for non-Linux hosts: a monotonic wall clock (per-thread
-/// CPU time is not portably available from std).
-#[cfg(not(target_os = "linux"))]
-pub fn thread_cpu_ns() -> u64 {
-    use std::time::Instant;
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    Instant::now().duration_since(epoch).as_nanos() as u64
 }
 
 #[cfg(test)]
@@ -605,16 +568,5 @@ mod tests {
         // clamp arithmetic via Pool::new.
         assert_eq!(Pool::new(0).lanes(), 1);
         assert_eq!(Pool::new(64).lanes(), 64);
-    }
-
-    #[test]
-    fn thread_cpu_clock_advances_under_work() {
-        let t0 = thread_cpu_ns();
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        assert_ne!(acc, 1); // keep the loop alive
-        assert!(thread_cpu_ns() > t0);
     }
 }
