@@ -23,8 +23,9 @@
 //! - the deterministic simulator runs each engine in one generic actor,
 //!   [`crate::node::EngineNode`], which translates `wedge-sim` messages
 //!   into commands, replays effects into the simulation `Context` (CPU
-//!   charging included), and keeps one simulator timer armed at the
-//!   engine's deadline ([`wedge_sim::DeadlineTimer`]);
+//!   charging included), and reports the engine's deadline through
+//!   [`wedge_sim::Actor::next_deadline_ns`], at which the simulator
+//!   wakes it with `Tick`;
 //! - the real-time runtimes ([`crate::threaded`] on in-process
 //!   channels, `wedge-net` on loopback TCP) run each engine in
 //!   [`crate::driver`]'s one service body, which turns deadlines into

@@ -403,7 +403,7 @@ impl SystemHarness {
     }
 
     fn run_until_clients_finish(&mut self) -> u64 {
-        // Gossip timers re-arm forever, so "queue empty" never happens
+        // Gossip deadlines re-arm forever, so "queue empty" never happens
         // when gossip is on; instead, run until every client reports
         // finished (then a short drain for P2 traffic).
         let mut processed = 0;

@@ -408,7 +408,7 @@ pub fn certify_signing_bytes(edge: IdentityId, bid: BlockId, digest: &Digest) ->
 }
 
 impl WireMsg {
-    /// Short variant name (trace labels, diagnostics).
+    /// Short variant name (diagnostics).
     pub fn name(&self) -> &'static str {
         match self {
             WireMsg::BatchAdd { .. } => "BatchAdd",
@@ -686,19 +686,6 @@ impl From<WireMsg> for Msg {
 }
 
 impl Msg {
-    /// Short variant name, used as the trace label
-    /// (`Simulation::enable_trace(cap, Msg::label)`).
-    pub fn label(msg: &Msg) -> String {
-        let name = match msg {
-            Msg::Start => "Start",
-            Msg::DoPut { .. } => "DoPut",
-            Msg::DoGet { .. } => "DoGet",
-            Msg::DoLogRead { .. } => "DoLogRead",
-            Msg::Wire(w) => w.name(),
-        };
-        name.to_string()
-    }
-
     /// Approximate wire size in bytes, for the bandwidth model.
     /// Control messages are local: their nominal size only spaces
     /// harness injections in the simulator.

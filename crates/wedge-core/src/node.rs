@@ -3,10 +3,10 @@
 //! [`EngineNode`] runs any [`Engine`] inside `wedge-sim`: it hands the
 //! engine each arriving message as a command, replays the effects into
 //! the simulation [`Context`] (CPU charging, foreground and background
-//! sends), and keeps one simulator timer armed at the engine's
-//! deadline. All protocol logic stays in [`crate::engine`]; each role's
-//! [`SimRole`] impl below states only which messages it takes and where
-//! its effects go.
+//! sends), and reports the engine's deadline, at which the simulator
+//! wakes it with the engine's `Tick`. All protocol logic stays in
+//! [`crate::engine`]; each role's [`SimRole`] impl below states only
+//! which messages it takes and where its effects go.
 
 use crate::engine::{
     ClientCommand, ClientEffect, ClientEngine, CloudCommand, CloudEffect, CloudEngine, EdgeCommand,
@@ -14,7 +14,7 @@ use crate::engine::{
 };
 use crate::messages::Msg;
 use std::ops::{Deref, DerefMut};
-use wedge_sim::{Actor, ActorId, Context, DeadlineTimer, TimerId};
+use wedge_sim::{Actor, ActorId, Context};
 
 /// How one role's engine meets the simulator.
 pub trait SimRole: Engine + 'static {
@@ -29,14 +29,12 @@ pub trait SimRole: Engine + 'static {
     fn apply(effect: Self::Effect, peers: &Self::Peers, ctx: &mut Context<'_, Msg>);
 }
 
-/// A simulator actor around one engine: the engine, its peer wiring and
-/// the timer armed at its deadline. The timer is resynced at start,
-/// after every command and on every timer.
+/// A simulator actor around one engine and its peer wiring. Its
+/// deadline is the engine's, and a wake runs the engine's `Tick`.
 pub struct EngineNode<E: SimRole> {
     /// The protocol state machine (shared with the real-time runtimes).
     pub engine: E,
     peers: E::Peers,
-    timer: DeadlineTimer,
 }
 
 /// The untrusted edge, bound to the cloud actor.
@@ -50,14 +48,13 @@ pub type ClientNode = EngineNode<ClientEngine>;
 impl<E: SimRole> EngineNode<E> {
     /// Creates an actor around an engine, wired to its peers.
     pub fn new(engine: E, peers: E::Peers) -> Self {
-        EngineNode { engine, peers, timer: DeadlineTimer::new() }
+        EngineNode { engine, peers }
     }
 
     fn run(&mut self, ctx: &mut Context<'_, Msg>, cmd: E::Cmd) {
         for effect in self.engine.handle(cmd, ctx.now().as_nanos()) {
             E::apply(effect, &self.peers, ctx);
         }
-        self.timer.resync(ctx, self.engine.next_deadline_ns());
     }
 }
 
@@ -78,20 +75,18 @@ impl<E: SimRole> DerefMut for EngineNode<E> {
 }
 
 impl<E: SimRole> Actor<Msg> for EngineNode<E> {
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.timer.resync(ctx, self.engine.next_deadline_ns());
-    }
-
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: ActorId, msg: Msg) {
         if let Some(cmd) = E::command(from, msg) {
             self.run(ctx, cmd);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, timer: TimerId, _tag: u64) {
-        if self.timer.should_tick(ctx, timer, self.engine.next_deadline_ns()) {
-            self.run(ctx, E::tick());
-        }
+    fn next_deadline_ns(&self) -> Option<u64> {
+        self.engine.next_deadline_ns()
+    }
+
+    fn on_deadline(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.run(ctx, E::tick());
     }
 }
 

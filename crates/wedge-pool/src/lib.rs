@@ -7,15 +7,12 @@
 //! checks — are pure functions over immutable inputs, so they can fan
 //! out across threads without the engines noticing. Merges run on the
 //! caller. This crate provides the one concurrency primitive those
-//! call sites need:
-//!
-//! * [`Pool::scope`] — run one closure once per lane (the caller is
-//!   lane 0), returning only after every lane has run. Worker panics
-//!   are surfaced as a panic in the caller.
-//! * [`Pool::for_each`] / [`Pool::map`] — chunked dynamic
-//!   work-claiming over a slice, with `map` writing results into
-//!   per-index slots so the output order always matches the input
-//!   order regardless of which lane ran which item.
+//! call sites need, [`Pool::map`]: chunked dynamic work-claiming over
+//! a slice, writing results into per-index slots so the output order
+//! always matches the input order regardless of which lane ran which
+//! item. Underneath, a private `scope` runs one closure once per lane
+//! (the caller is lane 0) and returns only after every lane has run;
+//! a worker panic surfaces as a panic in the caller.
 //!
 //! # A scope never waits for a worker to wake
 //!
@@ -29,19 +26,18 @@
 //! * **Withdrawal.** Workers take lane ids in the order they join.
 //!   When the caller's lane 0 returns, the caller withdraws the job,
 //!   runs every lane no worker has joined yet, and then waits only for
-//!   the workers that did join. `map` and `for_each` claim chunks
-//!   dynamically, so by then an unjoined lane finds nothing left: a
-//!   fan-out too small to outlast a wake-up costs one notify.
+//!   the workers that did join. `map` claims chunks dynamically, so
+//!   by then an unjoined lane finds nothing left: a fan-out too small
+//!   to outlast a wake-up costs one notify.
 //!
 //! # Determinism
 //!
 //! Nothing here introduces nondeterminism: `map` preserves input
-//! order, `for_each` may only be handed idempotent or independent
-//! work, and `scope` callers partition work by lane, which runs
-//! exactly once whichever thread runs it. Callers never branch on the width:
-//! `map` and `for_each` alone run a `Pool::new(1)` pool (also
-//! `Pool::default()`) as a plain loop on the caller thread, so every
-//! width runs the same caller code, byte-identical by construction.
+//! order, and each index is claimed by exactly one lane, whichever
+//! thread runs it. Callers never branch on the width: `map` runs a
+//! `Pool::new(1)` pool (also `Pool::default()`) as a plain loop on the
+//! caller thread, so every width runs the same caller code,
+//! byte-identical by construction.
 //! Engines default to width 1, so unit tests (including the exact
 //! hash-count assertions, which use thread-local counters) run each
 //! fan-out on the test thread; the real-time runtimes size theirs
@@ -59,7 +55,7 @@
 //! `#![forbid(unsafe_code)]`: the scoped-broadcast design erases the
 //! scope closure's lifetime to hand it to long-lived workers. Every
 //! unsafe block carries a `SAFETY:` comment; the shared invariant is
-//! that [`Pool::scope`] does not return until every worker that joined
+//! that `Pool::scope` does not return until every worker that joined
 //! its job has finished with the erased pointer.
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -71,7 +67,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// A type-erased pointer to the scope closure. Only valid for the
-/// duration of the [`Pool::scope`] call that installed it; `scope`
+/// duration of the `Pool::scope` call that installed it; `scope`
 /// does not return until every worker that joined has finished
 /// running it.
 struct Job(*const (dyn Fn(usize) + Sync));
@@ -205,7 +201,7 @@ impl Pool {
     /// enclosing scope on the same pool), the caller runs every lane
     /// itself, in order. If a lane panics, `scope` panics once every
     /// lane that started has stopped.
-    pub fn scope<F>(&self, f: F)
+    fn scope<F>(&self, f: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -253,35 +249,6 @@ impl Pool {
             }
             Ok(()) => {}
         }
-    }
-
-    /// Applies `f` to every item, claiming chunks of indices
-    /// dynamically across lanes. Item order of *execution* is
-    /// unspecified; use this only for idempotent or independent
-    /// per-item work.
-    pub fn for_each<T, F>(&self, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(&T) + Sync,
-    {
-        if self.is_inline() || items.len() <= 1 {
-            for item in items {
-                f(item);
-            }
-            return;
-        }
-        let n = items.len();
-        let chunk = self.chunk_size(n);
-        let next = AtomicUsize::new(0);
-        self.scope(|_lane| loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            for item in &items[start..(start + chunk).min(n)] {
-                f(item);
-            }
-        });
     }
 
     /// Maps `f` over the items and returns the results **in input
@@ -414,16 +381,11 @@ mod tests {
         assert!(pool.is_inline());
         assert_eq!(pool.lanes(), 1);
         let caller = std::thread::current().id();
-        pool.scope(|lane| {
+        let got = pool.map(&[1u64, 2, 3], |x| {
             assert_eq!(std::thread::current().id(), caller);
-            assert_eq!(lane, 0);
+            x * 2
         });
-        let sum = AtomicU64::new(0);
-        pool.for_each(&[1u64, 2, 3], |x| {
-            assert_eq!(std::thread::current().id(), caller);
-            sum.fetch_add(*x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 6);
+        assert_eq!(got, [2, 4, 6]);
     }
 
     #[test]
@@ -435,17 +397,6 @@ mod tests {
             let got = pool.map(&items, |x| x * x);
             assert_eq!(got, expect, "order broken at {threads} threads");
         }
-    }
-
-    #[test]
-    fn for_each_visits_every_item_exactly_once() {
-        let hits: Vec<AtomicU64> = (0..777).map(|_| AtomicU64::new(0)).collect();
-        let idx: Vec<usize> = (0..777).collect();
-        let pool = Pool::new(4);
-        pool.for_each(&idx, |i| {
-            hits[*i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -518,12 +469,10 @@ mod tests {
         let pool = Pool::new(3);
         let clone = pool.clone();
         for round in 0..50u64 {
-            let sum = AtomicU64::new(0);
             let items: Vec<u64> = (0..round + 1).collect();
-            clone.for_each(&items, |x| {
-                sum.fetch_add(*x, Ordering::Relaxed);
-            });
-            assert_eq!(sum.load(Ordering::Relaxed), (round + 1) * round / 2);
+            let p = if round % 2 == 0 { &pool } else { &clone };
+            let sum: u64 = p.map(&items, |x| *x).iter().sum();
+            assert_eq!(sum, (round + 1) * round / 2);
         }
     }
 
@@ -532,11 +481,11 @@ mod tests {
         let pool = Pool::new(4);
         let items: Vec<usize> = (0..100).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.for_each(&items, |i| {
+            pool.map(&items, |i| {
                 if *i == 63 {
                     panic!("boom");
                 }
-            });
+            })
         }));
         assert!(result.is_err());
         // The pool is still usable after a panicked scope.

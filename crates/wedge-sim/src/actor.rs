@@ -1,11 +1,11 @@
 //! Actors and the context handed to their handlers.
 //!
 //! Protocol nodes (clients, edge nodes, the cloud node) are *actors*:
-//! deterministic state machines that react to messages and timers. The
-//! simulator delivers events in virtual-time order; handlers interact
-//! with the world only through [`Context`], which is what makes the
-//! same state machines drivable by both the simulator and a real
-//! threaded runtime.
+//! deterministic state machines that react to messages and to their own
+//! deadline. The simulator delivers events in virtual-time order;
+//! handlers interact with the world only through [`Context`], which is
+//! what makes the same state machines drivable by both the simulator
+//! and a real threaded runtime.
 
 use crate::net::Region;
 use crate::rng::SimRng;
@@ -45,10 +45,6 @@ impl fmt::Display for ActorId {
     }
 }
 
-/// Identifies a pending timer (for cancellation).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimerId(pub(crate) u64);
-
 /// A message en route, as queued by a handler.
 pub(crate) struct Outbound<M> {
     pub to: ActorId,
@@ -57,12 +53,6 @@ pub(crate) struct Outbound<M> {
     /// Offset of the send within the handler's execution (CPU time
     /// consumed before the send was issued).
     pub at_offset: SimDuration,
-}
-
-pub(crate) struct TimerRequest {
-    pub id: TimerId,
-    pub delay: SimDuration,
-    pub tag: u64,
 }
 
 /// Work queued on the actor's *background* CPU lane (a second core
@@ -78,7 +68,7 @@ pub(crate) enum BgOp<M> {
 
 /// Handler-side view of the simulation.
 ///
-/// All effects — sending, timers, consuming CPU — are buffered here and
+/// All effects — sending, consuming CPU — are buffered here and
 /// applied by the driver when the handler returns, keeping handlers
 /// pure with respect to the event queue.
 pub struct Context<'a, M> {
@@ -87,9 +77,6 @@ pub struct Context<'a, M> {
     pub(crate) elapsed: SimDuration,
     pub(crate) outbox: Vec<Outbound<M>>,
     pub(crate) bg_ops: Vec<BgOp<M>>,
-    pub(crate) timers: Vec<TimerRequest>,
-    pub(crate) canceled: Vec<TimerId>,
-    pub(crate) next_timer: &'a mut u64,
     pub(crate) rng: &'a mut SimRng,
 }
 
@@ -137,98 +124,9 @@ impl<'a, M> Context<'a, M> {
         self.bg_ops.push(BgOp::Send { to, msg, bytes, cost });
     }
 
-    /// Schedules a timer to fire after `delay`, carrying `tag` back to
-    /// [`Actor::on_timer`]. Returns an id usable with
-    /// [`Context::cancel_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let id = TimerId(*self.next_timer);
-        *self.next_timer += 1;
-        self.timers.push(TimerRequest { id, delay, tag });
-        id
-    }
-
-    /// Cancels a previously scheduled timer. Canceling an
-    /// already-fired timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.canceled.push(id);
-    }
-
     /// Deterministic per-simulation randomness.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
-    }
-}
-
-/// Keeps exactly one simulator timer armed at an engine's earliest
-/// deadline (`next_deadline_ns`).
-///
-/// Sans-IO engines own their time-driven behaviour as "earliest
-/// deadline" state; a driver's whole job is to call the engine's
-/// `Tick` command once `now` reaches that deadline. This helper is the
-/// simulator side of that contract: after every engine interaction the
-/// actor calls [`DeadlineTimer::resync`] with the engine's current
-/// deadline, and in `on_timer` it calls [`DeadlineTimer::fired`] to
-/// recognise its timer. The timer is re-armed only when the deadline
-/// actually changed, so a steady cadence costs one timer per firing.
-#[derive(Debug, Default)]
-pub struct DeadlineTimer {
-    armed: Option<(TimerId, u64)>,
-}
-
-impl DeadlineTimer {
-    /// A timer with nothing armed.
-    pub const fn new() -> Self {
-        DeadlineTimer { armed: None }
-    }
-
-    /// Reconciles the armed simulator timer with the engine's earliest
-    /// deadline (absolute ns). Cancels/re-arms only on change.
-    pub fn resync<M>(&mut self, ctx: &mut Context<'_, M>, deadline_ns: Option<u64>) {
-        if self.armed.map(|(_, d)| d) == deadline_ns {
-            return;
-        }
-        if let Some((timer, _)) = self.armed.take() {
-            ctx.cancel_timer(timer);
-        }
-        if let Some(d) = deadline_ns {
-            let delay = SimDuration::from_nanos(d.saturating_sub(ctx.now().as_nanos()));
-            let id = ctx.set_timer(delay, 0);
-            self.armed = Some((id, d));
-        }
-    }
-
-    /// Call from `on_timer`: returns `true` (and disarms) iff `id` is
-    /// the deadline timer this helper armed.
-    pub fn fired(&mut self, id: TimerId) -> bool {
-        match self.armed {
-            Some((t, _)) if t == id => {
-                self.armed = None;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The whole driver-side `on_timer` protocol in one call: if `id`
-    /// is this helper's timer and the engine's deadline has passed,
-    /// returns `true` — the caller must issue its `Tick` command (and
-    /// resync afterwards). Otherwise re-arms as needed and returns
-    /// `false`.
-    pub fn should_tick<M>(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        id: TimerId,
-        deadline_ns: Option<u64>,
-    ) -> bool {
-        if !self.fired(id) {
-            return false;
-        }
-        if deadline_ns.is_some_and(|d| d <= ctx.now().as_nanos()) {
-            return true;
-        }
-        // The deadline moved (or vanished) since this timer was armed.
-        self.resync(ctx, deadline_ns);
-        false
     }
 }
 
@@ -240,11 +138,23 @@ pub trait Actor<M>: Any {
     /// Handles a message delivered from `from`.
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: ActorId, msg: M);
 
-    /// Handles a timer set by this actor. Default: ignore.
-    fn on_timer(&mut self, _ctx: &mut Context<'_, M>, _timer: TimerId, _tag: u64) {}
+    /// The actor's earliest deadline (absolute ns), if any. Default:
+    /// none.
+    ///
+    /// The simulator reads it when the simulation starts and after
+    /// every handler, and wakes the actor through
+    /// [`Actor::on_deadline`] once it has passed. A deadline read after
+    /// a handler that started at `now` and used `cpu` of CPU wakes the
+    /// actor at `max(deadline, now) + cpu`: a deadline wakes its arming
+    /// handler's CPU late. The committed figures were generated with
+    /// that schedule.
+    fn next_deadline_ns(&self) -> Option<u64> {
+        None
+    }
 
-    /// Called once when the simulation starts, before any messages.
-    fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}
+    /// Runs once [`Actor::next_deadline_ns`] has passed. Default:
+    /// ignore.
+    fn on_deadline(&mut self, _ctx: &mut Context<'_, M>) {}
 }
 
 /// Per-actor metadata tracked by the simulator.
@@ -256,4 +166,7 @@ pub struct ActorMeta {
     pub(crate) cpu_free: SimTime,
     /// When this node's background core becomes free.
     pub(crate) bg_free: SimTime,
+    /// The deadline (absolute ns) the queued wake is for, and that
+    /// wake's sequence number; any other wake is stale.
+    pub(crate) armed: Option<(u64, u64)>,
 }

@@ -10,7 +10,7 @@
 //! - [`actor`]: the [`Actor`] trait protocol nodes implement, plus the
 //!   effect-buffering [`Context`].
 //! - [`sim`]: the event-loop driver ([`Simulation`]) with CPU-busy
-//!   modeling, timers, and deterministic replay.
+//!   modeling, deadline wakes, and deterministic replay.
 //! - [`rng`]: a stable SplitMix64 PRNG.
 //!
 //! The protocol crates (`wedge-core`, `wedge-baselines`) implement
@@ -25,11 +25,9 @@ pub mod net;
 pub mod rng;
 pub mod sim;
 pub mod time;
-pub mod trace;
 
-pub use actor::{Actor, ActorId, Context, DeadlineTimer, TimerId};
+pub use actor::{Actor, ActorId, Context};
 pub use net::{format_table1, NetworkModel, Region, RTT_MS};
 pub use rng::SimRng;
 pub use sim::Simulation;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceKind};

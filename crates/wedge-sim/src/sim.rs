@@ -1,6 +1,6 @@
 //! The discrete-event simulation driver.
 //!
-//! Events (message deliveries and timer firings) are processed in
+//! Events (message deliveries and deadline wakes) are processed in
 //! `(virtual time, sequence)` order from a binary heap, so runs are
 //! fully deterministic given the seed. Node CPU is modeled: an actor
 //! whose handler consumed CPU is busy until `cpu_free`, and deliveries
@@ -8,17 +8,13 @@
 //! observe throughput collapse when a node (e.g. the cloud performing
 //! synchronous certification for Edge-baseline) becomes the bottleneck.
 
-use crate::actor::{Actor, ActorId, ActorMeta, BgOp, Context, TimerId};
+use crate::actor::{Actor, ActorId, ActorMeta, BgOp, Context};
 use crate::net::{NetworkModel, Region};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceEvent, TraceKind};
-
-/// Renders a short label for a traced message.
-type TraceLabeler<M> = fn(&M) -> String;
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 enum EventKind<M> {
     Deliver {
@@ -36,10 +32,10 @@ enum EventKind<M> {
         msg: M,
         bytes: u64,
     },
-    Timer {
+    /// Wakes `actor` for its deadline, unless a later arming made
+    /// this wake stale (see [`ActorMeta`]'s `armed`).
+    Wake {
         actor: ActorId,
-        id: TimerId,
-        tag: u64,
     },
 }
 
@@ -75,10 +71,7 @@ pub struct Simulation<M> {
     meta: Vec<ActorMeta>,
     net: NetworkModel,
     rng: SimRng,
-    next_timer: u64,
-    canceled_timers: HashSet<u64>,
     started: bool,
-    trace: Option<(Trace, TraceLabeler<M>)>,
 }
 
 impl<M: 'static> Simulation<M> {
@@ -96,29 +89,20 @@ impl<M: 'static> Simulation<M> {
             meta: Vec::new(),
             net: NetworkModel::new(),
             rng,
-            next_timer: 0,
-            canceled_timers: HashSet::new(),
             started: false,
-            trace: None,
         }
-    }
-
-    /// Enables event tracing with a bounded buffer; `labeler` renders
-    /// a short label for each message (e.g. its variant name).
-    pub fn enable_trace(&mut self, capacity: usize, labeler: TraceLabeler<M>) {
-        self.trace = Some((Trace::new(capacity), labeler));
-    }
-
-    /// The captured trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref().map(|(t, _)| t)
     }
 
     /// Registers an actor placed in `region`. Returns its id.
     pub fn add_actor(&mut self, region: Region, actor: Box<dyn Actor<M>>) -> ActorId {
         let id = ActorId(self.actors.len());
         self.actors.push(Some(actor));
-        self.meta.push(ActorMeta { region, cpu_free: SimTime::ZERO, bg_free: SimTime::ZERO });
+        self.meta.push(ActorMeta {
+            region,
+            cpu_free: SimTime::ZERO,
+            bg_free: SimTime::ZERO,
+            armed: None,
+        });
         id
     }
 
@@ -159,12 +143,7 @@ impl<M: 'static> Simulation<M> {
     /// harness acting as an upstream source), delivered at `at`.
     fn inject_at(&mut self, at: SimTime, from: ActorId, to: ActorId, msg: M) {
         assert!(at >= self.now, "cannot inject into the past");
-        let seq = self.bump_seq();
-        self.queue.push(Reverse(QueuedEvent {
-            at,
-            seq,
-            kind: EventKind::Deliver { from, to, msg },
-        }));
+        self.schedule(at, EventKind::Deliver { from, to, msg });
     }
 
     /// Injects a message for immediate delivery at the current time.
@@ -172,21 +151,24 @@ impl<M: 'static> Simulation<M> {
         self.inject_at(self.now, from, to, msg);
     }
 
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.seq;
+    /// Queues `kind` at `at` under the next sequence number, which it
+    /// returns.
+    fn schedule(&mut self, at: SimTime, kind: EventKind<M>) -> u64 {
+        let seq = self.seq;
         self.seq += 1;
-        s
+        self.queue.push(Reverse(QueuedEvent { at, seq, kind }));
+        seq
     }
 
-    /// Runs `on_start` for all actors (idempotent; called automatically
-    /// by the run methods).
+    /// Arms every actor's deadline, in index order (idempotent; called
+    /// automatically by the run methods).
     pub fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
         for i in 0..self.actors.len() {
-            self.run_handler(ActorId(i), self.now, |actor, ctx| actor.on_start(ctx));
+            self.rearm(ActorId(i), self.now, SimDuration::ZERO);
         }
     }
 
@@ -233,23 +215,23 @@ impl<M: 'static> Simulation<M> {
             };
             debug_assert!(ev.at >= self.now, "time went backwards");
             match ev.kind {
-                EventKind::Timer { actor, id, tag } => {
-                    if self.canceled_timers.remove(&id.0) {
-                        // Canceled: consumed an event (no handler ran);
+                EventKind::Wake { actor } => {
+                    let meta = &mut self.meta[actor.0];
+                    if meta.armed.map(|(_, seq)| seq) != Some(ev.seq) {
+                        // Stale: consumed an event (no handler ran);
                         // return so deadline-bounded loops re-check.
                         return true;
                     }
+                    meta.armed = None;
                     self.now = ev.at;
-                    if let Some((trace, _)) = &mut self.trace {
-                        trace.record(TraceEvent {
-                            at: ev.at,
-                            actor,
-                            from: None,
-                            kind: TraceKind::Timer,
-                            label: format!("timer:{tag}"),
-                        });
-                    }
-                    self.run_handler(actor, ev.at, |a, ctx| a.on_timer(ctx, id, tag));
+                    let now_ns = ev.at.as_nanos();
+                    self.run_handler(actor, ev.at, |a, ctx| {
+                        // A deadline moved outside any handler may not
+                        // be due yet; the handler's end re-arms it.
+                        if a.next_deadline_ns().is_some_and(|d| d <= now_ns) {
+                            a.on_deadline(ctx);
+                        }
+                    });
                     return true;
                 }
                 EventKind::Dispatch { from, to, msg, bytes } => {
@@ -257,36 +239,17 @@ impl<M: 'static> Simulation<M> {
                     let from_region = self.meta[from.0].region;
                     let to_region = self.meta[to.0].region;
                     let arrive = self.net.delivery_at(ev.at, from_region, to_region, bytes);
-                    let seq = self.bump_seq();
-                    self.queue.push(Reverse(QueuedEvent {
-                        at: arrive,
-                        seq,
-                        kind: EventKind::Deliver { from, to, msg },
-                    }));
+                    self.schedule(arrive, EventKind::Deliver { from, to, msg });
                     return true; // internal bookkeeping; no handler ran
                 }
                 EventKind::Deliver { from, to, msg } => {
                     // Defer if the destination CPU is busy.
                     let cpu_free = self.meta[to.0].cpu_free;
                     if cpu_free > ev.at {
-                        let seq = self.bump_seq();
-                        self.queue.push(Reverse(QueuedEvent {
-                            at: cpu_free,
-                            seq,
-                            kind: EventKind::Deliver { from, to, msg },
-                        }));
+                        self.schedule(cpu_free, EventKind::Deliver { from, to, msg });
                         continue;
                     }
                     self.now = ev.at;
-                    if let Some((trace, labeler)) = &mut self.trace {
-                        trace.record(TraceEvent {
-                            at: ev.at,
-                            actor: to,
-                            from: Some(from),
-                            kind: TraceKind::Deliver,
-                            label: labeler(&msg),
-                        });
-                    }
                     self.run_handler(to, ev.at, |a, ctx| a.on_message(ctx, from, msg));
                     return true;
                 }
@@ -305,39 +268,20 @@ impl<M: 'static> Simulation<M> {
             elapsed: SimDuration::ZERO,
             outbox: Vec::new(),
             bg_ops: Vec::new(),
-            timers: Vec::new(),
-            canceled: Vec::new(),
-            next_timer: &mut self.next_timer,
             rng: &mut self.rng,
         };
         f(actor.as_mut(), &mut ctx);
-        let Context { elapsed, outbox, bg_ops, timers, canceled, .. } = ctx;
+        let Context { elapsed, outbox, bg_ops, .. } = ctx;
         self.actors[id.0] = Some(actor);
 
         // The node was busy for `elapsed` of CPU.
         if elapsed > SimDuration::ZERO {
             self.meta[id.0].cpu_free = at + elapsed;
         }
-        for t in canceled {
-            self.canceled_timers.insert(t.0);
-        }
-        for t in timers {
-            let fire_at = at + elapsed + t.delay;
-            let seq = self.bump_seq();
-            self.queue.push(Reverse(QueuedEvent {
-                at: fire_at,
-                seq,
-                kind: EventKind::Timer { actor: id, id: t.id, tag: t.tag },
-            }));
-        }
+        self.rearm(id, at, elapsed);
         for out in outbox {
-            let send_time = at + out.at_offset;
-            let seq = self.bump_seq();
-            self.queue.push(Reverse(QueuedEvent {
-                at: send_time,
-                seq,
-                kind: EventKind::Dispatch { from: id, to: out.to, msg: out.msg, bytes: out.bytes },
-            }));
+            let kind = EventKind::Dispatch { from: id, to: out.to, msg: out.msg, bytes: out.bytes };
+            self.schedule(at + out.at_offset, kind);
         }
         // Background lane: serial FIFO, starts no earlier than when the
         // handler observed its work (end of foreground processing).
@@ -348,17 +292,28 @@ impl<M: 'static> Simulation<M> {
                     BgOp::Work(d) => cursor += d,
                     BgOp::Send { to, msg, bytes, cost } => {
                         cursor += cost;
-                        let seq = self.bump_seq();
-                        self.queue.push(Reverse(QueuedEvent {
-                            at: cursor,
-                            seq,
-                            kind: EventKind::Dispatch { from: id, to, msg, bytes },
-                        }));
+                        self.schedule(cursor, EventKind::Dispatch { from: id, to, msg, bytes });
                     }
                 }
             }
             self.meta[id.0].bg_free = cursor;
         }
+    }
+
+    /// Re-reads `id`'s deadline after a handler that started at `at`
+    /// and used `elapsed` of CPU. Only a changed deadline queues a
+    /// wake, at `max(deadline, at) + elapsed`; the wake it replaces
+    /// goes stale.
+    fn rearm(&mut self, id: ActorId, at: SimTime, elapsed: SimDuration) {
+        let actor = self.actors[id.0].as_deref().expect("actor is not executing");
+        let deadline = actor.next_deadline_ns();
+        if self.meta[id.0].armed.map(|(d, _)| d) == deadline {
+            return;
+        }
+        self.meta[id.0].armed = deadline.map(|d| {
+            let wake_at = SimTime::from_nanos(d).max(at) + elapsed;
+            (d, self.schedule(wake_at, EventKind::Wake { actor: id }))
+        });
     }
 }
 
@@ -374,6 +329,7 @@ mod tests {
 
     #[derive(Debug, Clone, PartialEq)]
     enum Msg {
+        Go,
         Ping(u32),
         Pong(u32),
     }
@@ -394,7 +350,7 @@ mod tests {
         }
     }
 
-    /// Sends `count` pings on start and records pong arrival times.
+    /// Sends `count` pings on `Go` and records pong arrival times.
     struct Pinger {
         target: Option<ActorId>,
         count: u32,
@@ -402,20 +358,20 @@ mod tests {
     }
 
     impl Actor<Msg> for Pinger {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            if let Some(t) = self.target {
-                for i in 0..self.count {
-                    ctx.send(t, Msg::Ping(i), 64);
-                }
-            }
-        }
         fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: ActorId, msg: Msg) {
-            if let Msg::Pong(n) = msg {
-                self.pongs.push((n, ctx.now()));
+            match (msg, self.target) {
+                (Msg::Go, Some(t)) => {
+                    for i in 0..self.count {
+                        ctx.send(t, Msg::Ping(i), 64);
+                    }
+                }
+                (Msg::Pong(n), _) => self.pongs.push((n, ctx.now())),
+                _ => {}
             }
         }
     }
 
+    /// A pinger told to start at time zero.
     fn two_node_sim(cpu_ms: u64, pings: u32) -> (Simulation<Msg>, ActorId, ActorId) {
         let mut sim = Simulation::new(7);
         let ponger = sim.add_actor(Region::Virginia, Box::new(Ponger { received: vec![], cpu_ms }));
@@ -423,6 +379,7 @@ mod tests {
             Region::California,
             Box::new(Pinger { target: Some(ponger), count: pings, pongs: vec![] }),
         );
+        sim.inject(pinger, pinger, Msg::Go);
         (sim, pinger, ponger)
     }
 
@@ -490,59 +447,75 @@ mod tests {
         assert_eq!(sim.actor::<Pinger>(pinger).pongs.len(), 1);
     }
 
-    struct TimerActor {
-        fired: Vec<(u64, SimTime)>,
-        cancel_second: bool,
+    const MS: u64 = 1_000_000;
+
+    /// Wakes at each of `deadlines_ms` in turn, using `cpu_ms` of CPU
+    /// per wake; `Ping(ms)` replaces the pending deadlines with `ms`.
+    struct Sleeper {
+        deadlines_ms: Vec<u64>,
+        cpu_ms: u64,
+        woke_ms: Vec<f64>,
     }
 
-    impl Actor<Msg> for TimerActor {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            ctx.set_timer(SimDuration::from_millis(5), 1);
-            let t2 = ctx.set_timer(SimDuration::from_millis(10), 2);
-            ctx.set_timer(SimDuration::from_millis(15), 3);
-            if self.cancel_second {
-                ctx.cancel_timer(t2);
+    impl Actor<Msg> for Sleeper {
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: ActorId, msg: Msg) {
+            if let Msg::Ping(ms) = msg {
+                self.deadlines_ms = vec![ms.into()];
             }
         }
-        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: ActorId, _: Msg) {}
-        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _id: TimerId, tag: u64) {
-            self.fired.push((tag, ctx.now()));
+        fn next_deadline_ns(&self) -> Option<u64> {
+            self.deadlines_ms.first().map(|ms| ms * MS)
+        }
+        fn on_deadline(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.deadlines_ms.remove(0);
+            self.woke_ms.push(ctx.now().as_millis_f64());
+            ctx.use_cpu(SimDuration::from_millis(self.cpu_ms));
         }
     }
 
-    #[test]
-    fn timers_fire_in_order() {
-        let mut sim: Simulation<Msg> = Simulation::new(1);
-        let a = sim.add_actor(
-            Region::California,
-            Box::new(TimerActor { fired: vec![], cancel_second: false }),
-        );
-        sim.run_until_idle(100);
-        let fired = &sim.actor::<TimerActor>(a).fired;
-        assert_eq!(fired.iter().map(|(t, _)| *t).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(fired[0].1.as_millis_f64(), 5.0);
+    fn sleeper_sim(deadlines_ms: &[u64], cpu_ms: u64) -> (Simulation<Msg>, ActorId) {
+        let mut sim = Simulation::new(1);
+        let sleeper = Sleeper { deadlines_ms: deadlines_ms.to_vec(), cpu_ms, woke_ms: vec![] };
+        let id = sim.add_actor(Region::California, Box::new(sleeper));
+        (sim, id)
     }
 
     #[test]
-    fn canceled_timer_does_not_fire() {
-        let mut sim: Simulation<Msg> = Simulation::new(1);
-        let a = sim.add_actor(
-            Region::California,
-            Box::new(TimerActor { fired: vec![], cancel_second: true }),
-        );
+    fn deadlines_fire_in_order_once_each() {
+        let (mut sim, a) = sleeper_sim(&[5, 10, 15], 0);
+        // One event per deadline: each wake re-arms the next.
+        assert_eq!(sim.run_until_idle(100), 3);
+        assert_eq!(sim.actor::<Sleeper>(a).woke_ms, [5.0, 10.0, 15.0]);
+    }
+
+    #[test]
+    fn handler_cpu_delays_the_next_wake() {
+        // The 5 ms wake uses 2 ms of CPU, and the deadline read after
+        // it wakes the actor that late: at 12 ms, not 10.
+        let (mut sim, a) = sleeper_sim(&[5, 10], 2);
         sim.run_until_idle(100);
-        let fired = &sim.actor::<TimerActor>(a).fired;
-        assert_eq!(fired.iter().map(|(t, _)| *t).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(sim.actor::<Sleeper>(a).woke_ms, [5.0, 12.0]);
+    }
+
+    #[test]
+    fn moved_deadline_supersedes_the_queued_wake() {
+        let (mut sim, a) = sleeper_sim(&[10], 0);
+        sim.run_until(SimTime::from_nanos(MS), 100);
+        sim.inject(a, a, Msg::Ping(3));
+        // The delivery, the wake at 3 ms and the stale 10 ms wake, which
+        // runs nothing and leaves the clock where it was.
+        assert_eq!(sim.run_until_idle(100), 3);
+        assert_eq!(sim.actor::<Sleeper>(a).woke_ms, [3.0]);
+        assert_eq!(sim.now(), SimTime::from_nanos(3 * MS));
     }
 
     /// Records the first draws of the simulation's RNG.
     struct RngProbe(Vec<u64>);
 
     impl Actor<Msg> for RngProbe {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: ActorId, _: Msg) {
             self.0 = (0..4).map(|_| ctx.rng().next_u64()).collect();
         }
-        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: ActorId, _: Msg) {}
     }
 
     #[test]
@@ -551,7 +524,8 @@ mod tests {
         // or extra draw in `Simulation::new` moves them all.
         let mut sim: Simulation<Msg> = Simulation::new(42);
         let a = sim.add_actor(Region::California, Box::new(RngProbe(Vec::new())));
-        sim.start();
+        sim.inject(a, a, Msg::Go);
+        sim.run_until_idle(10);
         let first = [
             2_949_826_092_126_892_291,
             5_139_283_748_462_763_858,
