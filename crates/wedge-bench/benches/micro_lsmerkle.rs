@@ -46,7 +46,7 @@ fn bench_log() {
     let entries: Vec<Entry> =
         (0..100).map(|i| kv_entry(&client, i, &KvOp::put(i, vec![0xAB; 100]))).collect();
     bench_fn("log_buffer_push_and_seal_100", 25, || {
-        let mut buf = BlockBuffer::new(IdentityId(100), 100);
+        let mut buf = BlockBuffer::new(IdentityId(100));
         for (i, e) in entries.iter().enumerate() {
             let mut e = e.clone();
             e.sequence = i as u64; // fresh sequences per iteration

@@ -6,9 +6,10 @@
 //! threaded runtime's tests and `wedge-net`'s tests call the same
 //! bodies, so a behaviour cannot drift between transports.
 
-use crate::driver::{Cluster, PutShed, RunReport, RuntimeConfig, Transport};
+use crate::driver::{Cluster, PutReply, PutShed, RunReport, RuntimeConfig, Transport};
 use crate::fault::FaultPlan;
 use crate::messages::DisputeVerdict;
+use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 use wedge_log::BlockId;
 
@@ -158,6 +159,47 @@ pub fn phase1_skips_the_cloud_hop<T: Transport>() {
     assert!(p2 >= Duration::from_millis(5));
     assert!(p1 < p2);
     cluster.shutdown();
+}
+
+/// A 35 ms one-way hop delays each cloud-bound message but does not
+/// occupy the cloud: each of 100 single-put blocks is certified within
+/// the hop plus 150 ms of its put, so no client disputes at a 300 ms
+/// timeout. A hop paid as service time would queue the certifies one
+/// hop apart and take seconds.
+pub fn cloud_hop_delays_but_does_not_serve<T: Transport>() {
+    let hop = Duration::from_millis(35);
+    let cluster = Cluster::<T>::start(RuntimeConfig {
+        batch_size: 1,
+        cloud_hop_latency: hop,
+        dispute_timeout: Duration::from_millis(300),
+        ..RuntimeConfig::default()
+    });
+    // Proofs arrive in put order, so a waiter taking them in that
+    // order reads each one's arrival as it happens.
+    let (tx, rx) = sync_channel(100);
+    let worst = std::thread::scope(|scope| {
+        let waiter = scope.spawn(move || {
+            rx.iter()
+                .map(|(t0, reply): (Instant, PutReply)| {
+                    let proof = reply.certified.recv_timeout(Duration::from_secs(10)).unwrap();
+                    assert_eq!(proof.digest, reply.receipt.block_digest);
+                    t0.elapsed()
+                })
+                .max()
+        });
+        for k in 0..100u64 {
+            let t0 = Instant::now();
+            tx.send((t0, cluster.put(k, vec![k as u8]).unwrap())).unwrap();
+        }
+        drop(tx);
+        waiter.join().expect("proof waiter").expect("100 proofs")
+    });
+    assert!(
+        worst <= hop + Duration::from_millis(150),
+        "worst put→proof {worst:?} with a {hop:?} hop"
+    );
+    let report = cluster.shutdown().expect("report");
+    assert_eq!(report.edges[0].client_metrics.disputes_filed, 0, "no certify overdue");
 }
 
 /// A slow edge (5 ms per cloud message) with a tiny inbox and a 1 ms

@@ -6,7 +6,8 @@
 //!
 //! - [`RuntimeConfig`], and how it configures the engines that
 //!   [`crate::deployment`] builds for the simulator too (real crypto,
-//!   deployment seed 0, one worker pool, the pipeline depth and one
+//!   deployment seed 0, one worker pool sized by
+//!   `wedge_pool::threads_from_env`, the pipeline depth and one
 //!   process-wide read-proof cache). No real-time run arms the edge's
 //!   retry or compaction clocks or the client's freshness check, so
 //!   the runtimes leave them off; a test arms a retry clock on the
@@ -17,13 +18,15 @@
 //!   [`Cluster::shutdown`], which returns one [`RunReport`];
 //! - one service body (`serve`) for every role, generic over the
 //!   role's [`Engine`] and a [`Link`]. Each wakeup blocks until a
-//!   message arrives or the engine's `next_deadline_ns()` passes,
-//!   drains up to `DRAIN_BUDGET` more messages without blocking, hands
-//!   each to the role's step, `Tick`s when the deadline is due and
-//!   flushes every link once — so frames a wakeup queues for one peer
-//!   can leave together. Each role (`EdgeService`, `CloudService`,
-//!   `ClientService`) states only how its messages become commands and
-//!   where its effects go;
+//!   message arrives or the earlier of the engine's `next_deadline_ns()`
+//!   and the service's own deadline passes, drains up to `DRAIN_BUDGET`
+//!   more messages without blocking, hands each to the role's step,
+//!   releases what the service held that is now due, `Tick`s when the
+//!   engine's deadline is due and flushes every link once — so frames a
+//!   wakeup queues for one peer can leave together. Each role
+//!   (`EdgeService`, `CloudService`, `ClientService`) states only how
+//!   its messages become commands and where its effects go; only the
+//!   cloud holds messages, for the injected WAN hop;
 //! - the cloud→edge gate (`CloudGate`), the one backpressure policy.
 //!
 //! **Backpressure.** Cloud and edge inboxes are bounded. Client→edge
@@ -77,8 +80,9 @@ pub struct RuntimeConfig {
     pub num_edges: usize,
     /// Operations per sealed block (caller-side batching).
     pub batch_size: usize,
-    /// Injected latency per message the cloud receives, paid before
-    /// the cloud handles it.
+    /// Injected one-way delay on every message the cloud receives:
+    /// the cloud handles a message no earlier than this long after it
+    /// was sent, and the messages behind it do not wait for it.
     pub cloud_hop_latency: Duration,
     /// Injected processing latency per cloud→edge message at the edge
     /// (slows the edge's drain rate; used to exercise backpressure).
@@ -110,12 +114,6 @@ pub struct RuntimeConfig {
     /// forever behind a full edge inbox. `None` keeps the blocking
     /// behaviour for `try_put_on` too.
     pub admission_timeout: Option<Duration>,
-    /// Width of the cluster's one worker pool for batched client
-    /// signing and the edge's batched signature checks; merges and
-    /// forest rebuilds run on the calling thread. Defaults to
-    /// `WEDGE_POOL_THREADS`, else the host's available parallelism
-    /// (1 = inline). Results are byte-identical for every width.
-    pub pool_threads: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -133,7 +131,6 @@ impl Default for RuntimeConfig {
             pipeline_depth: 1,
             edge_inbox_cap: 1024,
             admission_timeout: None,
-            pool_threads: wedge_pool::threads_from_env(),
         }
     }
 }
@@ -345,10 +342,11 @@ enum EdgeIn {
 #[allow(clippy::large_enum_variant)]
 enum CloudIn {
     /// A protocol message from peer `peer` (edges `0..E`, partition
-    /// clients `E..2E`).
+    /// clients `E..2E`), stamped when it was handed to the inbox.
     From {
         peer: usize,
         msg: WireMsg,
+        sent: Instant,
     },
     Shutdown,
 }
@@ -419,7 +417,9 @@ impl Inlet {
         match &self.0 {
             Route::Edge(tx) => tx.send(EdgeIn::FromClient(msg)).is_ok(),
             Route::Gate(gate) => gate.deliver(EdgeIn::FromCloud(msg)),
-            Route::Cloud { tx, peer } => tx.send(CloudIn::From { peer: *peer, msg }).is_ok(),
+            Route::Cloud { tx, peer } => {
+                tx.send(CloudIn::From { peer: *peer, msg, sent: Instant::now() }).is_ok()
+            }
             Route::Client(tx) => tx.send(ClientIn::Wire(msg)).is_ok(),
         }
     }
@@ -580,8 +580,8 @@ impl CloudGate {
 // Service loops
 // ---------------------------------------------------------------------------
 
-/// Blocks until a message arrives or the engine's deadline passes,
-/// then drains up to [`DRAIN_BUDGET`] more without blocking. `false`
+/// Blocks until a message arrives or `deadline_ns` passes, then
+/// drains up to [`DRAIN_BUDGET`] more without blocking. `false`
 /// once every sender is gone.
 fn wake<M>(rx: &Receiver<M>, deadline_ns: Option<u64>, epoch: Instant, batch: &mut Vec<M>) -> bool {
     let first = match deadline_ns {
@@ -616,8 +616,8 @@ trait Service {
     /// What arrives in the service's inbox.
     type In;
 
-    /// Handles one inbox message, reading the clock itself. `false` on
-    /// `Shutdown`.
+    /// Handles one inbox message, or holds it for `release`, reading
+    /// the clock itself. `false` on `Shutdown`.
     fn step(&mut self, engine: &mut Self::Engine, msg: Self::In, epoch: Instant) -> bool;
 
     /// Routes one effect onto a link (or back to a caller). CPU
@@ -626,6 +626,15 @@ trait Service {
 
     /// Puts everything the wakeup queued on its way, once per link.
     fn flush(&mut self);
+
+    /// When the service next has held messages due, if it holds any.
+    fn deadline_ns(&self) -> Option<u64> {
+        None
+    }
+
+    /// Hands the engine every held message that is due, once per
+    /// wakeup.
+    fn release(&mut self, _engine: &mut Self::Engine, _epoch: Instant) {}
 
     /// Runs one command through the engine, applying its effects in
     /// order.
@@ -636,9 +645,11 @@ trait Service {
     }
 }
 
-/// The one service body: wake, step through the batch, `Tick` once the
-/// deadline is due (never after `Shutdown`), and flush every link once
-/// per wakeup. Returns the engine when the service stops.
+/// The one service body: wake at the earlier of the engine's and the
+/// service's deadline, step through the batch, release what the
+/// service holds that is due, `Tick` once the engine's deadline is due
+/// (never after `Shutdown`), and flush every link once per wakeup.
+/// Returns the engine when the service stops.
 fn serve<S: Service>(
     mut engine: S::Engine,
     rx: Receiver<S::In>,
@@ -646,8 +657,14 @@ fn serve<S: Service>(
     epoch: Instant,
 ) -> S::Engine {
     let mut batch = Vec::with_capacity(DRAIN_BUDGET + 1);
-    while wake(&rx, engine.next_deadline_ns(), epoch, &mut batch) {
+    loop {
+        let deadline_ns =
+            [engine.next_deadline_ns(), service.deadline_ns()].into_iter().flatten().min();
+        if !wake(&rx, deadline_ns, epoch, &mut batch) {
+            break;
+        }
         let running = batch.drain(..).all(|msg| service.step(&mut engine, msg, epoch));
+        service.release(&mut engine, epoch);
         if let Some(now_ns) = due(engine.next_deadline_ns(), epoch).filter(|_| running) {
             service.run(&mut engine, S::Engine::tick(), now_ns);
         }
@@ -710,25 +727,27 @@ impl<L: Link> Service for EdgeService<L> {
 }
 
 /// The cloud service: `peers[p]` reaches peer `p` (edges `0..E`,
-/// clients `E..2E`). Its one inbox is shared and bounded.
+/// clients `E..2E`). Its one inbox is shared and bounded. The injected
+/// hop is a one-way delay, not service time: an arrived message waits
+/// in `held` until `hop` after it was sent, and the thread waits only
+/// for the earliest due time, so one hop separates a message from the
+/// engine however many are in flight.
 struct CloudService<L> {
     peers: Vec<L>,
-    /// Injected latency, paid before handling each message.
+    /// Injected one-way delay per cloud-bound message.
     hop: Duration,
+    /// Arrived messages in arrival order, each with the time (since
+    /// the epoch) it is due at the engine.
+    held: VecDeque<(u64, usize, WireMsg)>,
 }
 
 impl<L: Link> Service for CloudService<L> {
     type Engine = CloudEngine<usize>;
     type In = CloudIn;
 
-    fn step(&mut self, engine: &mut CloudEngine<usize>, msg: CloudIn, epoch: Instant) -> bool {
-        let CloudIn::From { peer, msg } = msg else { return false };
-        if !self.hop.is_zero() {
-            std::thread::sleep(self.hop);
-        }
-        if let Some(cmd) = CloudCommand::from_wire(peer, msg) {
-            self.run(engine, cmd, elapsed_ns(epoch));
-        }
+    fn step(&mut self, _engine: &mut CloudEngine<usize>, msg: CloudIn, epoch: Instant) -> bool {
+        let CloudIn::From { peer, msg, sent } = msg else { return false };
+        self.held.push_back((nanos(sent.saturating_duration_since(epoch) + self.hop), peer, msg));
         true
     }
 
@@ -746,6 +765,20 @@ impl<L: Link> Service for CloudService<L> {
     fn flush(&mut self) {
         for link in &mut self.peers {
             link.flush();
+        }
+    }
+
+    fn deadline_ns(&self) -> Option<u64> {
+        self.held.front().map(|&(due_ns, ..)| due_ns)
+    }
+
+    fn release(&mut self, engine: &mut CloudEngine<usize>, epoch: Instant) {
+        let now_ns = elapsed_ns(epoch);
+        while self.held.front().is_some_and(|&(due_ns, ..)| due_ns <= now_ns) {
+            let Some((_, peer, msg)) = self.held.pop_front() else { break };
+            if let Some(cmd) = CloudCommand::from_wire(peer, msg) {
+                self.run(engine, cmd, elapsed_ns(epoch));
+            }
         }
     }
 }
@@ -930,11 +963,13 @@ impl<T: Transport> Cluster<T> {
             freshness_window_ns: None,
             compaction_period_ns: None,
         };
-        // One pool for the whole cluster, sized to the host: every edge
-        // and every client scope their fan-outs on it, and a scope that
-        // finds it busy runs inline on its own service thread instead
-        // of waiting, so engines never serialize on it.
-        let pool = wedge_pool::Pool::new(cfg.pool_threads);
+        // One pool for the whole cluster, sized by `WEDGE_POOL_THREADS`,
+        // else the host's parallelism: every edge and every client scope
+        // their fan-outs on it, and a scope that finds it busy runs
+        // inline on its own service thread instead of waiting, so
+        // engines never serialize on it. Results are byte-identical at
+        // every width.
+        let pool = wedge_pool::Pool::new(wedge_pool::threads_from_env());
         let engines =
             Engines::build(&ids, engine_cfg, &edge_peers, &vec![vec![CLIENT_PEER]; n], &pool);
         // One proof cache for the whole cluster: a witness verified by
@@ -999,7 +1034,8 @@ impl<T: Transport> Cluster<T> {
         let hop = cfg.cloud_hop_latency;
         let cloud = engines.cloud;
         let cloud_handle = spawn("wedge-cloud".into(), move || {
-            serve(cloud, cloud_rx, &mut CloudService { peers: cloud_links, hop }, epoch)
+            let mut service = CloudService { peers: cloud_links, hop, held: VecDeque::new() };
+            serve(cloud, cloud_rx, &mut service, epoch)
         });
         let mut edge_handles = Vec::with_capacity(n);
         let edges =

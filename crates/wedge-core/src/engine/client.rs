@@ -274,9 +274,7 @@ impl ClientCommand {
     pub fn from_msg(msg: Msg) -> Option<Self> {
         Some(match msg {
             Msg::Start => ClientCommand::Start,
-            Msg::DoPut { key, value } => {
-                ClientCommand::PutBatch { token: 0, ops: vec![(key, value)] }
-            }
+            Msg::DoPut { ops } => ClientCommand::PutBatch { token: 0, ops },
             Msg::DoGet { key } => ClientCommand::Get { token: 0, key },
             Msg::DoLogRead { bid } => ClientCommand::LogRead { bid },
             Msg::Wire(w) => return Self::from_wire(w),
@@ -658,25 +656,8 @@ impl ClientEngine {
         // Harness-driven single-op bookkeeping (the DoPut path).
         self.last_put = None;
         self.last_put_bid = None;
-        let n = ops.len() as u64;
-        let entries = self.make_entries(
-            ops.into_iter().map(|(key, value)| KvOp::put(key, value).encode()).collect(),
-        );
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let msg = WireMsg::BatchAdd { req_id, entries };
-        let wire = msg.wire_size();
-        self.outstanding_batches.insert(
-            req_id,
-            OutstandingBatch {
-                req_id,
-                sent_ns: self.now_with_cpu(now_ns),
-                ops: n,
-                token,
-                deadline_ns: now_ns + self.dispute_timeout_ns,
-            },
-        );
-        out.push(ClientEffect::SendEdge { msg, wire });
+        let payloads = ops.into_iter().map(|(key, value)| KvOp::put(key, value).encode()).collect();
+        self.send_entries(out, token, payloads, now_ns);
     }
 
     fn send_batch(&mut self, out: &mut Vec<ClientEffect>, now_ns: u64) {
@@ -691,21 +672,28 @@ impl ClientEngine {
                 raw
             });
         }
+        self.send_entries(out, 0, payloads, now_ns);
+    }
+
+    /// Signs `payloads` as this client's next entries and sends them to
+    /// the edge as one `BatchAdd`, outstanding until its receipt.
+    fn send_entries(
+        &mut self,
+        out: &mut Vec<ClientEffect>,
+        token: u64,
+        payloads: Vec<Vec<u8>>,
+        now_ns: u64,
+    ) {
+        let ops = payloads.len() as u64;
         let entries = self.make_entries(payloads);
         let req_id = self.next_req;
         self.next_req += 1;
         let msg = WireMsg::BatchAdd { req_id, entries };
         let wire = msg.wire_size();
-        self.outstanding_batches.insert(
-            req_id,
-            OutstandingBatch {
-                req_id,
-                sent_ns: self.now_with_cpu(now_ns),
-                ops: self.plan.batch_size as u64,
-                token: 0,
-                deadline_ns: now_ns + self.dispute_timeout_ns,
-            },
-        );
+        let sent_ns = self.now_with_cpu(now_ns);
+        let deadline_ns = now_ns + self.dispute_timeout_ns;
+        let batch = OutstandingBatch { req_id, sent_ns, ops, token, deadline_ns };
+        self.outstanding_batches.insert(req_id, batch);
         out.push(ClientEffect::SendEdge { msg, wire });
     }
 

@@ -267,7 +267,7 @@ impl<C: Copy + Eq + Hash> EdgeEngine<C> {
         tree: LsMerkle,
         clients: Vec<C>,
     ) -> Self {
-        let buffer = BlockBuffer::new(identity.id, 1);
+        let buffer = BlockBuffer::new(identity.id);
         EdgeEngine {
             identity,
             cloud_identity,

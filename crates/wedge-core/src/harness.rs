@@ -237,12 +237,12 @@ impl MultiPartitionHarness {
     /// Performs one put through partition `p`'s client `c` and waits
     /// for Phase I (scripted workloads; mirrors [`SystemHarness::put`]).
     pub fn put(&mut self, p: usize, c: usize, key: u64, value: Vec<u8>) -> PutOutcome {
-        client_put(&mut self.sim, self.cloud, self.clients[p][c], key, value)
+        client_put(&mut self.sim, self.cloud, self.clients[p][c], vec![(key, value)])
     }
 
     /// Performs one put and additionally waits for Phase II.
     pub fn put_certified(&mut self, p: usize, c: usize, key: u64, value: Vec<u8>) -> PutOutcome {
-        client_put_certified(&mut self.sim, self.cloud, self.clients[p][c], key, value)
+        client_put_certified(&mut self.sim, self.cloud, self.clients[p][c], vec![(key, value)])
     }
 
     /// Performs one verified get through partition `p`'s client `c`.
@@ -295,20 +295,19 @@ fn report(
 // message "from" the cloud actor.
 // ----------------------------------------------------------------------
 
-/// Performs one put through `client` and waits for Phase I.
+/// Puts `ops` through `client` as one block and waits for Phase I.
 fn client_put(
     sim: &mut Simulation<Msg>,
     cloud: ActorId,
     client: ActorId,
-    key: u64,
-    value: Vec<u8>,
+    ops: Vec<(u64, Vec<u8>)>,
 ) -> PutOutcome {
     sim.start();
     // Clear any previous result *before* injecting: the DoPut is only
     // processed after the first step, so a stale result would
     // otherwise satisfy the wait loop immediately.
     sim.actor_mut::<ClientNode>(client).last_put = None;
-    sim.inject(cloud, client, Msg::DoPut { key, value });
+    sim.inject(cloud, client, Msg::DoPut { ops });
     let mut guard = 0u64;
     while sim.actor::<ClientNode>(client).last_put.is_none() {
         assert!(sim.step(), "simulation went idle before put completed");
@@ -318,15 +317,15 @@ fn client_put(
     sim.actor::<ClientNode>(client).last_put.clone().unwrap()
 }
 
-/// Performs one put through `client` and waits for Phase II as well.
+/// Puts `ops` through `client` as one block and waits for Phase II as
+/// well.
 fn client_put_certified(
     sim: &mut Simulation<Msg>,
     cloud: ActorId,
     client: ActorId,
-    key: u64,
-    value: Vec<u8>,
+    ops: Vec<(u64, Vec<u8>)>,
 ) -> PutOutcome {
-    let first = client_put(sim, cloud, client, key, value);
+    let first = client_put(sim, cloud, client, ops);
     let mut guard = 0u64;
     while sim
         .actor::<ClientNode>(client)
@@ -481,12 +480,18 @@ impl SystemHarness {
 
     /// Performs one put through client `i` and waits for Phase I.
     pub fn put(&mut self, client: usize, key: u64, value: Vec<u8>) -> PutOutcome {
-        client_put(&mut self.sim, self.cloud, self.clients[client], key, value)
+        client_put(&mut self.sim, self.cloud, self.clients[client], vec![(key, value)])
     }
 
     /// Performs one put and additionally waits for Phase II.
     pub fn put_certified(&mut self, client: usize, key: u64, value: Vec<u8>) -> PutOutcome {
-        client_put_certified(&mut self.sim, self.cloud, self.clients[client], key, value)
+        self.put_batch_certified(client, vec![(key, value)])
+    }
+
+    /// Puts `ops` through client `i` as one block and waits for Phase
+    /// II as well.
+    pub fn put_batch_certified(&mut self, client: usize, ops: Vec<(u64, Vec<u8>)>) -> PutOutcome {
+        client_put_certified(&mut self.sim, self.cloud, self.clients[client], ops)
     }
 
     /// Performs one verified get through client `i`.

@@ -658,12 +658,10 @@ pub enum Msg {
     // ---- harness → client (in-process only) ----
     /// Kick a client's workload.
     Start,
-    /// Harness-driven single put (see `SystemHarness::put`).
+    /// Harness-driven put of one batch (see `SystemHarness::put`).
     DoPut {
-        /// The key.
-        key: Key,
-        /// The value.
-        value: Vec<u8>,
+        /// The key-value pairs, sealed as one block.
+        ops: Vec<(Key, Vec<u8>)>,
     },
     /// Harness-driven single get.
     DoGet {

@@ -76,6 +76,11 @@ mod tests {
     }
 
     #[test]
+    fn threaded_cloud_hop_delays_but_does_not_serve() {
+        conformance::cloud_hop_delays_but_does_not_serve::<Threads>();
+    }
+
+    #[test]
     fn threaded_concurrent_writers_lose_nothing() {
         // Regression: batches must reach the client engine in
         // submission order (sequence numbers are assigned on the

@@ -1,31 +1,18 @@
 //! The edge node's entry buffer.
 //!
-//! Incoming entries accumulate here; when the buffer reaches the batch
-//! size (the paper's "block is ready", §IV-B) a block is sealed. Replay
-//! protection lives here too: a duplicate `(client, sequence)` pair is
-//! rejected (§IV-E idempotence).
+//! The edge pushes a batch's entries here and seals them into one
+//! block (§IV-B); the buffer numbers the blocks. Replay protection
+//! lives here too: a duplicate `(client, sequence)` pair is rejected
+//! (§IV-E idempotence).
 
 use crate::block::{Block, BlockId};
 use crate::entry::Entry;
 use std::collections::HashMap;
 use wedge_crypto::IdentityId;
 
-/// Outcome of offering an entry to the buffer.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// Entry buffered; block not yet full.
-    Buffered,
-    /// Entry buffered and the block became full — call
-    /// [`BlockBuffer::seal`].
-    Full,
-    /// Duplicate `(client, sequence)`; entry rejected (replay).
-    DuplicateRejected,
-}
-
-/// Accumulates entries until a block can be sealed.
+/// Accumulates entries until the edge seals them into a block.
 #[derive(Debug)]
 pub struct BlockBuffer {
-    batch_size: usize,
     pending: Vec<Entry>,
     /// Highest sequence seen per client (replay window). The paper
     /// permits idempotent application; we reject outright duplicates.
@@ -35,23 +22,9 @@ pub struct BlockBuffer {
 }
 
 impl BlockBuffer {
-    /// Creates a buffer for `edge` sealing blocks of `batch_size`
-    /// entries.
-    pub fn new(edge: IdentityId, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BlockBuffer {
-            batch_size,
-            // Cap the eager allocation; huge batch sizes grow lazily.
-            pending: Vec::with_capacity(batch_size.min(4096)),
-            last_seq: HashMap::new(),
-            next_id: BlockId(0),
-            edge,
-        }
-    }
-
-    /// Number of entries waiting for the next seal.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
+    /// Creates an empty buffer for `edge`; its first block is id 0.
+    pub fn new(edge: IdentityId) -> Self {
+        BlockBuffer { pending: Vec::new(), last_seq: HashMap::new(), next_id: BlockId(0), edge }
     }
 
     /// The id the next sealed block will get.
@@ -59,26 +32,15 @@ impl BlockBuffer {
         self.next_id
     }
 
-    /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Offers an entry. Rejects replays of `(client, sequence)` pairs
-    /// at or below the client's high-water mark.
-    pub fn push(&mut self, entry: Entry) -> PushOutcome {
-        if let Some(&hi) = self.last_seq.get(&entry.client) {
-            if entry.sequence <= hi {
-                return PushOutcome::DuplicateRejected;
-            }
+    /// Offers an entry. `false` rejects a replay: a `(client,
+    /// sequence)` pair at or below the client's high-water mark.
+    pub fn push(&mut self, entry: Entry) -> bool {
+        if self.last_seq.get(&entry.client).is_some_and(|&hi| entry.sequence <= hi) {
+            return false;
         }
         self.last_seq.insert(entry.client, entry.sequence);
         self.pending.push(entry);
-        if self.pending.len() >= self.batch_size {
-            PushOutcome::Full
-        } else {
-            PushOutcome::Buffered
-        }
+        true
     }
 
     /// Advances the next block id to `next` if it is ahead — used when
@@ -90,15 +52,13 @@ impl BlockBuffer {
         }
     }
 
-    /// Seals the pending entries into a block (even if not full — used
-    /// for timeouts and no-op freshness blocks). Returns `None` when
-    /// empty.
+    /// Seals the pending entries into the next block. Returns `None`
+    /// when nothing is pending.
     pub fn seal(&mut self, now_ns: u64) -> Option<Block> {
         if self.pending.is_empty() {
             return None;
         }
         let entries = std::mem::take(&mut self.pending);
-        self.pending.reserve(self.batch_size.min(4096));
         let block = Block { edge: self.edge, id: self.next_id, entries, sealed_at_ns: now_ns };
         self.next_id = self.next_id.next();
         Some(block)
@@ -117,76 +77,61 @@ mod tests {
     #[test]
     fn fills_and_seals() {
         let c = Identity::derive("client", 1);
-        let mut buf = BlockBuffer::new(IdentityId(9), 3);
-        assert_eq!(buf.push(entry(&c, 0)), PushOutcome::Buffered);
-        assert_eq!(buf.push(entry(&c, 1)), PushOutcome::Buffered);
-        assert_eq!(buf.push(entry(&c, 2)), PushOutcome::Full);
+        let mut buf = BlockBuffer::new(IdentityId(9));
+        for seq in 0..3 {
+            assert!(buf.push(entry(&c, seq)));
+        }
         let b = buf.seal(100).unwrap();
         assert_eq!(b.id, BlockId(0));
         assert_eq!(b.len(), 3);
         assert_eq!(b.sealed_at_ns, 100);
-        assert_eq!(buf.pending_len(), 0);
+        assert!(buf.seal(200).is_none(), "the seal took every pending entry");
         assert_eq!(buf.next_block_id(), BlockId(1));
     }
 
     #[test]
     fn replay_rejected() {
         let c = Identity::derive("client", 1);
-        let mut buf = BlockBuffer::new(IdentityId(9), 10);
-        assert_eq!(buf.push(entry(&c, 5)), PushOutcome::Buffered);
-        assert_eq!(buf.push(entry(&c, 5)), PushOutcome::DuplicateRejected);
-        assert_eq!(buf.push(entry(&c, 3)), PushOutcome::DuplicateRejected);
-        assert_eq!(buf.push(entry(&c, 6)), PushOutcome::Buffered);
-        assert_eq!(buf.pending_len(), 2);
+        let mut buf = BlockBuffer::new(IdentityId(9));
+        assert!(buf.push(entry(&c, 5)));
+        assert!(!buf.push(entry(&c, 5)));
+        assert!(!buf.push(entry(&c, 3)));
+        assert!(buf.push(entry(&c, 6)));
+        assert_eq!(buf.seal(0).unwrap().len(), 2);
     }
 
     #[test]
     fn replay_window_survives_seal() {
         let c = Identity::derive("client", 1);
-        let mut buf = BlockBuffer::new(IdentityId(9), 1);
-        assert_eq!(buf.push(entry(&c, 0)), PushOutcome::Full);
+        let mut buf = BlockBuffer::new(IdentityId(9));
+        assert!(buf.push(entry(&c, 0)));
         buf.seal(0).unwrap();
-        assert_eq!(buf.push(entry(&c, 0)), PushOutcome::DuplicateRejected);
+        assert!(!buf.push(entry(&c, 0)));
     }
 
     #[test]
     fn different_clients_do_not_collide() {
         let c1 = Identity::derive("client", 1);
         let c2 = Identity::derive("client", 2);
-        let mut buf = BlockBuffer::new(IdentityId(9), 10);
-        assert_eq!(buf.push(entry(&c1, 0)), PushOutcome::Buffered);
-        assert_eq!(buf.push(entry(&c2, 0)), PushOutcome::Buffered);
+        let mut buf = BlockBuffer::new(IdentityId(9));
+        assert!(buf.push(entry(&c1, 0)));
+        assert!(buf.push(entry(&c2, 0)));
     }
 
     #[test]
     fn empty_seal_is_none() {
-        let mut buf = BlockBuffer::new(IdentityId(9), 2);
+        let mut buf = BlockBuffer::new(IdentityId(9));
         assert!(buf.seal(0).is_none());
-    }
-
-    #[test]
-    fn partial_seal_on_timeout() {
-        let c = Identity::derive("client", 1);
-        let mut buf = BlockBuffer::new(IdentityId(9), 100);
-        buf.push(entry(&c, 0));
-        let b = buf.seal(7).unwrap();
-        assert_eq!(b.len(), 1);
     }
 
     #[test]
     fn block_ids_are_monotonic() {
         let c = Identity::derive("client", 1);
-        let mut buf = BlockBuffer::new(IdentityId(9), 1);
+        let mut buf = BlockBuffer::new(IdentityId(9));
         for i in 0..5 {
             buf.push(entry(&c, i));
             let b = buf.seal(0).unwrap();
             assert_eq!(b.id, BlockId(i));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_size_panics() {
-        let _ = BlockBuffer::new(IdentityId(9), 0);
     }
 }

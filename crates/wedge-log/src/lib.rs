@@ -1,7 +1,7 @@
 //! # wedge-log
 //!
 //! WedgeChain's logging layer (§III–IV of the paper): client-signed
-//! [`entry::Entry`]s are batched by a [`buffer::BlockBuffer`] into
+//! [`entry::Entry`]s are sealed by a [`buffer::BlockBuffer`] into
 //! [`block::Block`]s, appended to a [`store::LogStore`], and certified
 //! by the cloud through the [`cert`] module's [`cert::BlockProof`] /
 //! [`cert::CertLedger`] pair. [`watermark`] provides the signed gossip
@@ -23,7 +23,7 @@ pub mod store;
 pub mod watermark;
 
 pub use block::{Block, BlockId};
-pub use buffer::{BlockBuffer, PushOutcome};
+pub use buffer::BlockBuffer;
 pub use cert::{BlockProof, CertLedger, CertOutcome, CommitPhase};
 pub use enc::{DecodeError, Decoder, Encoder, Wire};
 pub use entry::Entry;

@@ -2,7 +2,7 @@
 //! `LogStore::uncertified_ids` ordering.
 
 use wedge_crypto::{Identity, IdentityId};
-use wedge_log::{Block, BlockBuffer, BlockId, BlockProof, Entry, LogStore, PushOutcome};
+use wedge_log::{Block, BlockBuffer, BlockId, BlockProof, Entry, LogStore};
 
 fn entry(client: &Identity, seq: u64) -> Entry {
     Entry::new_signed(client, seq, vec![seq as u8; 4])
@@ -18,7 +18,7 @@ fn block(id: u64) -> Block {
 #[test]
 fn sealing_an_empty_buffer_yields_nothing_and_burns_no_id() {
     let c = Identity::derive("client", 1);
-    let mut buf = BlockBuffer::new(IdentityId(9), 3);
+    let mut buf = BlockBuffer::new(IdentityId(9));
     assert!(buf.seal(100).is_none());
     assert!(buf.seal(200).is_none(), "repeated empty seals stay None");
     assert_eq!(buf.next_block_id(), BlockId(0), "empty seals do not consume block ids");
@@ -28,52 +28,26 @@ fn sealing_an_empty_buffer_yields_nothing_and_burns_no_id() {
 }
 
 #[test]
-fn push_signals_full_exactly_at_the_batch_boundary() {
-    let c = Identity::derive("client", 1);
-    let mut buf = BlockBuffer::new(IdentityId(9), 3);
-    assert_eq!(buf.push(entry(&c, 0)), PushOutcome::Buffered);
-    assert_eq!(buf.push(entry(&c, 1)), PushOutcome::Buffered);
-    assert_eq!(buf.push(entry(&c, 2)), PushOutcome::Full, "exactly at the boundary");
-    // Pushing past the boundary (seal deferred) keeps reporting Full.
-    assert_eq!(buf.push(entry(&c, 3)), PushOutcome::Full);
-    let b = buf.seal(7).unwrap();
-    assert_eq!(b.len(), 4, "a deferred seal takes everything pending");
-    assert_eq!(buf.pending_len(), 0);
-}
-
-#[test]
 fn exact_boundary_seal_then_refill_continues_ids_and_replay_window() {
     let c = Identity::derive("client", 1);
-    let mut buf = BlockBuffer::new(IdentityId(9), 2);
-    buf.push(entry(&c, 0));
-    assert_eq!(buf.push(entry(&c, 1)), PushOutcome::Full);
+    let mut buf = BlockBuffer::new(IdentityId(9));
+    assert!(buf.push(entry(&c, 0)));
+    assert!(buf.push(entry(&c, 1)));
     let b0 = buf.seal(10).unwrap();
     assert_eq!((b0.id, b0.len()), (BlockId(0), 2));
     // Replay of a sealed sequence is still rejected after the seal.
-    assert_eq!(buf.push(entry(&c, 1)), PushOutcome::DuplicateRejected);
-    assert_eq!(buf.push(entry(&c, 2)), PushOutcome::Buffered);
-    assert_eq!(buf.push(entry(&c, 3)), PushOutcome::Full);
+    assert!(!buf.push(entry(&c, 1)));
+    assert!(buf.push(entry(&c, 2)));
+    assert!(buf.push(entry(&c, 3)));
     let b1 = buf.seal(20).unwrap();
     assert_eq!((b1.id, b1.len()), (BlockId(1), 2));
     assert_eq!(b1.sealed_at_ns, 20);
 }
 
 #[test]
-fn batch_size_one_seals_every_entry() {
-    let c = Identity::derive("client", 1);
-    let mut buf = BlockBuffer::new(IdentityId(9), 1);
-    for i in 0..4u64 {
-        assert_eq!(buf.push(entry(&c, i)), PushOutcome::Full);
-        let b = buf.seal(i).unwrap();
-        assert_eq!(b.id, BlockId(i));
-        assert_eq!(b.len(), 1);
-    }
-}
-
-#[test]
 fn align_next_id_only_moves_forward() {
     let c = Identity::derive("client", 1);
-    let mut buf = BlockBuffer::new(IdentityId(9), 1);
+    let mut buf = BlockBuffer::new(IdentityId(9));
     buf.align_next_id(BlockId(5));
     assert_eq!(buf.next_block_id(), BlockId(5), "aligns forward past preloaded blocks");
     buf.align_next_id(BlockId(2));

@@ -483,6 +483,11 @@ mod tests {
     }
 
     #[test]
+    fn net_cloud_hop_delays_but_does_not_serve() {
+        conformance::cloud_hop_delays_but_does_not_serve::<Tcp>();
+    }
+
+    #[test]
     fn net_merge_replies_are_delta_encoded_over_tcp() {
         // Sequential keys: every L0→L1 merge extends the target level
         // on the right, so the pages to its left come back from the

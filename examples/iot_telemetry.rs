@@ -56,7 +56,8 @@ fn main() {
         (sensors * rounds) as f64 / ingest_time.as_secs_f64()
     );
 
-    // Phase II trails: wait for the last block's certification.
+    // Phase II trails by the one-way hop: wait for the last block's
+    // certification.
     if let Some(reply) = last_reply {
         let t1 = Instant::now();
         let proof = reply
@@ -64,7 +65,7 @@ fn main() {
             .recv_timeout(Duration::from_secs(10))
             .expect("cloud certifies eventually");
         println!(
-            "last block Phase II: +{:.1} ms after Phase I (cloud hop 30 ms each way) — digest {}…",
+            "last block Phase II: +{:.1} ms after Phase I (cloud hop 30 ms one way) — digest {}…",
             t1.elapsed().as_secs_f64() * 1e3 + 0.0,
             &proof.digest.to_hex()[..12]
         );

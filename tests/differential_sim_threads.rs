@@ -13,6 +13,11 @@
 //! the shared `ClientEngine`, and sign with the same deterministic
 //! Schnorr scheme.
 //!
+//! Blocks hold two puts, so the threaded run's client signing and edge
+//! signature checks fan out over its worker pool (`WEDGE_POOL_THREADS`,
+//! else the host's parallelism) while the simulator's run inline: the
+//! comparison proves pooling never changes an entry or a digest.
+//!
 //! The N-edge case — gossip watermarks and a dispute reached through
 //! engine-owned deadlines — is `differential_three_way`, which runs it
 //! on the simulator, threads and sockets.
@@ -25,11 +30,14 @@ use wedgechain::core::harness::SystemHarness;
 use wedgechain::core::threaded::{ThreadedCluster, ThreadedConfig};
 use wedgechain::lsmerkle::LsmConfig;
 
+/// Puts per block in the scripted workload.
+const BATCH: usize = 2;
+
 /// The scripted workload: distinct keys, deterministic values. 12
-/// single-put blocks crosses the paper-eval L0 threshold (10), so a
-/// cloud-verified merge runs in both runtimes too.
+/// blocks of [`BATCH`] puts cross the paper-eval L0 threshold (10), so
+/// a cloud-verified merge runs in both runtimes too.
 fn workload() -> Vec<(u64, Vec<u8>)> {
-    (0..12u64).map(|k| (k, format!("value-{k}").into_bytes())).collect()
+    (0..12 * BATCH as u64).map(|k| (k, format!("value-{k}").into_bytes())).collect()
 }
 
 #[test]
@@ -38,11 +46,12 @@ fn sim_and_threads_agree_on_digests_certs_and_reads() {
 
     // --- simulator run (real crypto, paper-eval tree shape, no
     // gossip: the threaded run below has none either) ---
-    let cfg = SystemConfig { batch_size: 1, gossip_period_ms: 0, ..SystemConfig::real_crypto() };
+    let cfg =
+        SystemConfig { batch_size: BATCH, gossip_period_ms: 0, ..SystemConfig::real_crypto() };
     let mut sim = SystemHarness::wedgechain(cfg);
-    for (k, v) in &ops {
-        let put = sim.put_certified(0, *k, v.clone());
-        assert!(put.phase2_latency.is_some(), "sim block {k} certified");
+    for (i, batch) in ops.chunks(BATCH).enumerate() {
+        let put = sim.put_batch_certified(0, batch.to_vec());
+        assert!(put.phase2_latency.is_some(), "sim block {i} certified");
     }
     let mut sim_reads = Vec::new();
     for (k, _) in &ops {
@@ -51,18 +60,22 @@ fn sim_and_threads_agree_on_digests_certs_and_reads() {
         sim_reads.push(got.value);
     }
     let sim_report = sim.report();
-    assert_eq!(sim_report.edges[0].blocks.len(), ops.len(), "one block per scripted put");
+    assert_eq!(sim_report.edges[0].blocks.len(), ops.len() / BATCH, "one block per batch");
     let seal_times = sim.edge_node().log.iter().map(|sb| sb.block.sealed_at_ns).collect();
 
     // --- threaded run, replaying the simulator's seal times ---
     let cluster = ThreadedCluster::start(ThreadedConfig {
         lsm: LsmConfig::paper_eval(),
-        batch_size: 1,
+        batch_size: BATCH,
         seal_times: Some(vec![seal_times]),
         ..ThreadedConfig::default()
     });
-    for (k, v) in &ops {
-        let reply = cluster.put(*k, v.clone()).expect("batch size 1 seals every put");
+    for batch in ops.chunks(BATCH) {
+        // The batch's last put seals it and returns its reply.
+        let reply = batch
+            .iter()
+            .fold(None, |_, (k, v)| cluster.put(*k, v.clone()))
+            .expect("a full batch seals");
         let proof = reply
             .certified
             .recv_timeout(Duration::from_secs(10))

@@ -135,10 +135,6 @@ fn sim_threads_and_sockets_agree_end_to_end() {
         gossip_period: Some(Duration::from_millis(40)),
         dispute_timeout: Duration::from_millis(300),
         seal_times: Some(seal_times),
-        // The sim reference runs inline (width 1); running the OS-thread
-        // runtimes with real worker pools proves pooling never changes
-        // a digest, verdict, or counter.
-        pool_threads: 2,
         ..RuntimeConfig::default()
     };
 
